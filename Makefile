@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-chaos test-bench vet bench bench-smoke sweep-demo sweepd-demo coevolution-demo clean
+.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke sweep-demo sweepd-demo coevolution-demo clean
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines of the root module (bench/ is a module of its own and
+# is left out): the size figure ROADMAP asks every change to report.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 cat | wc -l
 
 # Race-detector lane (the experiment sweep fans simulations out over a
 # worker pool; this keeps the aggregation path provably race-clean).

@@ -393,12 +393,13 @@ func main() {
 			// The engine's canonical labels, not Spec.Label(): colliding
 			// specs get "#n" suffixes and must render as distinct cells.
 			for _, advLabel := range sweep.AdversaryLabels() {
-				table := res.CountermeasureTable(fig, *cmSpeed, advLabel)
+				at := mtsim.CellKey{Speed: *cmSpeed, Adversary: advLabel}
+				table := res.AxisTable(fig, mtsim.ByCountermeasure, at)
 				fmt.Println(table)
 				md.WriteString(table)
 				md.WriteString("\n")
 				writeFile(*outDir, fmt.Sprintf("%s_%s.csv", fig.ID, advLabel),
-					res.CountermeasureCSV(fig, *cmSpeed, advLabel))
+					res.AxisCSV(fig, mtsim.ByCountermeasure, at))
 			}
 			fmt.Println("expect:", fig.Expect)
 			fmt.Println()
@@ -414,12 +415,13 @@ func main() {
 		var md strings.Builder
 		for _, fig := range mtsim.AdversaryFigures() {
 			for _, v := range sweep.Speeds {
-				table := res.AdversaryTable(fig, v)
+				at := mtsim.CellKey{Speed: v}
+				table := res.AxisTable(fig, mtsim.ByAdversary, at)
 				fmt.Println(table)
 				md.WriteString(table)
 				md.WriteString("\n")
 				writeFile(*outDir, fmt.Sprintf("%s_speed%g.csv", fig.ID, v),
-					res.AdversaryCSV(fig, v))
+					res.AxisCSV(fig, mtsim.ByAdversary, at))
 			}
 			fmt.Println("expect:", fig.Expect)
 			fmt.Println()

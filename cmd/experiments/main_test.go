@@ -10,8 +10,10 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -73,5 +75,65 @@ func TestValidOnlyValuesPassValidation(t *testing.T) {
 		if err := validateOnly(v); err == nil {
 			t.Errorf("validateOnly(%q) accepted an unknown artefact", v)
 		}
+	}
+}
+
+// TestAxisViewsRender drives the -only adversary and -only countermeasure
+// render loops end to end on a tiny grid (3 s runs carry no traffic, which
+// is fine here): the exact CSV file set written under -out, and each
+// table's title and header on stdout.
+func TestAxisViewsRender(t *testing.T) {
+	cases := []struct {
+		name, args string
+		files      []string
+		lines      []string
+	}{
+		{
+			name: "adversary",
+			args: "-only adversary -advmodels coalition,blackhole -ks 1",
+			files: []string{"advDeliv_speed10.csv", "advDrop_speed10.csv", "advPe_speed10.csv",
+				"advRi_speed10.csv", "adversary.txt"},
+			lines: []string{
+				"advRi — Coalition interception ratio (union Pe / Pr, Eq. 1 generalized) (ratio) at 10 m/s",
+				fmt.Sprintf("%-18s%20s", "adversary", "MTS"),
+			},
+		},
+		{
+			name: "countermeasure",
+			args: "-only countermeasure -cms none,shuffle -cm-advmodels coalition -ks 1 -cm-speed 10",
+			files: []string{"advDeliv_coalition×1.csv", "advRi_coalition×1.csv", "cmReasmRun_coalition×1.csv",
+				"cmShuffled_coalition×1.csv", "cmStreamBytes_coalition×1.csv", "cmStreamRatio_coalition×1.csv",
+				"cmStreamRun_coalition×1.csv", "countermeasure.txt"},
+			lines: []string{
+				"cmShuffled — Segments released in permuted order (packets) at 10 m/s vs coalition×1",
+				fmt.Sprintf("%-20s%20s", "countermeasure", "MTS"),
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			out, err := runExperiments(t, "-duration 3 -reps 1 -protocols MTS -speeds 10 -q -out "+dir+" "+tc.args)
+			if err != nil {
+				t.Fatalf("experiments %s: %v\n%s", tc.args, err, out)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var files []string
+			for _, e := range entries {
+				files = append(files, e.Name())
+			}
+			if !slices.Equal(files, tc.files) {
+				t.Fatalf("files under -out = %q, want %q", files, tc.files)
+			}
+			lines := strings.Split(string(out), "\n")
+			for _, want := range tc.lines {
+				if !slices.Contains(lines, want) {
+					t.Errorf("stdout lacks line %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }

@@ -92,22 +92,6 @@ type CoevolutionResult struct {
 	Moves   []Move
 }
 
-// axisLabels derives canonical labels with the engine's collision-suffix
-// discipline (advAxis/cmAxis) so two identically-labelled specs still get
-// distinct columns in the payoff table.
-func axisLabels(labels []string) []string {
-	out := make([]string, len(labels))
-	counts := make(map[string]int, len(labels))
-	for i, l := range labels {
-		counts[l]++
-		if c := counts[l]; c > 1 {
-			l = fmt.Sprintf("%s#%d", l, c)
-		}
-		out[i] = l
-	}
-	return out
-}
-
 func (c Coevolution) protocol() string {
 	if c.Protocol != "" {
 		return c.Protocol
@@ -248,17 +232,13 @@ func (c Coevolution) Run() (*CoevolutionResult, error) {
 	if c.Reps < 1 {
 		return nil, fmt.Errorf("coevolution: Reps must be >= 1")
 	}
-	attLabels := make([]string, len(c.Attackers))
-	for i, a := range c.Attackers {
-		attLabels[i] = a.Label()
-	}
-	defLabels := make([]string, len(c.Defenders))
-	for i, d := range c.Defenders {
-		defLabels[i] = d.Label()
-	}
+	// The engine's collision-suffixed labels, so two identically-labelled
+	// specs still get distinct columns in the payoff table.
+	_, attLabels := axis(c.Attackers, adversary.Spec{})
+	_, defLabels := axis(c.Defenders, countermeasure.Spec{})
 	res := &CoevolutionResult{
-		AttackerLabels: axisLabels(attLabels),
-		DefenderLabels: axisLabels(defLabels),
+		AttackerLabels: attLabels,
+		DefenderLabels: defLabels,
 		Payoffs:        map[[2]int]*Payoff{},
 	}
 	ai, di := 0, 0
@@ -304,10 +284,10 @@ func (r *CoevolutionResult) PayoffTable() string {
 	}
 	fmt.Fprintf(&b, "coevolution — defender score (delivery − intercepted contiguity), %s\n", state)
 	fmt.Fprintf(&b, "equilibrium: attacker=%s defender=%s\n",
-		r.AttackerLabels[r.Attacker], cmOrBase(r.DefenderLabels[r.Defender]))
+		r.AttackerLabels[r.Attacker], orBase(r.DefenderLabels[r.Defender], "base"))
 	fmt.Fprintf(&b, "%-20s", "attacker \\ defender")
 	for _, d := range r.DefenderLabels {
-		fmt.Fprintf(&b, "%16s", cmOrBase(d))
+		fmt.Fprintf(&b, "%16s", orBase(d, "base"))
 	}
 	b.WriteString("\n")
 	for ai, a := range r.AttackerLabels {
@@ -346,7 +326,7 @@ func (r *CoevolutionResult) PayoffCSV() string {
 	for _, k := range cells {
 		p := r.Payoffs[k]
 		fmt.Fprintf(&b, "%s,%s,%.6f,%.6f,%.6f,%.6f\n",
-			r.AttackerLabels[k[0]], cmOrBase(r.DefenderLabels[k[1]]),
+			r.AttackerLabels[k[0]], orBase(r.DefenderLabels[k[1]], "base"),
 			p.Delivery, p.Intercept, p.ThroughputKbps, p.Score)
 	}
 	return b.String()
@@ -360,7 +340,7 @@ func (r *CoevolutionResult) History() string {
 			if m.Player == "attacker" {
 				return r.AttackerLabels[i]
 			}
-			return cmOrBase(r.DefenderLabels[i])
+			return orBase(r.DefenderLabels[i], "base")
 		}
 		action := "stands on " + label(m.To)
 		if m.From != m.To {

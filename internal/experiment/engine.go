@@ -24,7 +24,6 @@ import (
 
 	"mtsim/internal/metrics"
 	"mtsim/internal/scenario"
-	"mtsim/internal/stats"
 )
 
 // RetryPolicy bounds the attempts the engine makes on a failed cell.
@@ -305,8 +304,8 @@ type job struct {
 // Run dispatches exactly these cells, so a fabric that completes them
 // all lets Run aggregate entirely from cache.
 func (s Sweep) Jobs() []CellJob {
-	specs, labels := s.advAxis()
-	cmSpecs, cmLabels := s.cmAxis()
+	specs, labels := axis(s.Adversaries, s.Base.Adversary)
+	cmSpecs, cmLabels := axis(s.Countermeasures, s.Base.Countermeasure)
 	var jobs []CellJob
 	for _, p := range s.Protocols {
 		for _, v := range s.Speeds {
@@ -458,28 +457,10 @@ func (e Executor) runCell(ctxp **scenario.Context, j job) (*metrics.RunMetrics, 
 // grid completes.
 func (s Sweep) Run() (*Result, error) {
 	exec := s.executor()
-	figs := allFigures()
 	res := &Result{
 		Sweep:  s,
 		Runs:   make(map[CellKey][]*metrics.RunMetrics),
-		aggs:   make(map[CellKey]map[string]*stats.Welford),
-		okReps: make(map[CellKey]int),
 		failed: make(map[CellKey]int),
-	}
-	recs := make(map[CellKey][]runRecord)
-	record := func(key CellKey, m *metrics.RunMetrics) {
-		res.okReps[key]++
-		if !s.DiscardRuns {
-			// Retained runs serve the renderers directly; distilling would
-			// be dead weight.
-			res.Runs[key] = append(res.Runs[key], m)
-			return
-		}
-		rec := runRecord{seed: m.Seed, vals: make([]float64, len(figs))}
-		for i := range figs {
-			rec.vals[i] = figs[i].Metric(m)
-		}
-		recs[key] = append(recs[key], rec)
 	}
 
 	// Enumerate the grid, serving cache hits inline and collecting the
@@ -490,7 +471,7 @@ func (s Sweep) Run() (*Result, error) {
 		if s.Cache != nil {
 			if m, ok := s.Cache.Get(cfg); ok {
 				res.CacheHits++
-				record(key, m)
+				res.Runs[key] = append(res.Runs[key], m)
 				exec.journalAttempt(job{key: key, cfg: cfg}, 0, "cache-hit", "", m.EventsRun, 0)
 				if s.OnRun != nil {
 					s.OnRun(m)
@@ -563,7 +544,7 @@ func (s Sweep) Run() (*Result, error) {
 					}
 				}
 				mu.Lock()
-				record(j.key, m)
+				res.Runs[j.key] = append(res.Runs[j.key], m)
 				mu.Unlock()
 				if s.OnRun != nil {
 					s.OnRun(m)
@@ -587,26 +568,13 @@ feed:
 		return nil, firstErr
 	}
 	// Deterministic ordering regardless of worker completion order: runs
-	// sorted by seed, aggregates folded in seed order, failures sorted by
-	// cell then seed.
+	// sorted by seed, failures sorted by cell then seed.
 	sort.Slice(res.Failed, func(i, j int) bool { return lessFailed(res.Failed[i], res.Failed[j]) })
 	for _, f := range res.Failed {
 		res.failed[f.Key]++
 	}
 	for _, runs := range res.Runs {
 		sort.Slice(runs, func(i, j int) bool { return runs[i].Seed < runs[j].Seed })
-	}
-	for key, rs := range recs {
-		sort.Slice(rs, func(i, j int) bool { return rs[i].seed < rs[j].seed })
-		agg := make(map[string]*stats.Welford, len(figs))
-		for i := range figs {
-			w := &stats.Welford{}
-			for _, rec := range rs {
-				w.Add(rec.vals[i])
-			}
-			agg[figs[i].ID] = w
-		}
-		res.aggs[key] = agg
 	}
 	return res, nil
 }
@@ -634,7 +602,7 @@ func (r *Result) FailedReps(key CellKey) int { return r.failed[key] }
 // cellAllFailed reports a cell with failures and no surviving runs — the
 // renderers mark it instead of printing a misleading zero.
 func (r *Result) cellAllFailed(key CellKey) bool {
-	return r.failed[key] > 0 && r.okReps[key] == 0
+	return r.failed[key] > 0 && len(r.Runs[key]) == 0
 }
 
 // FailedSummary renders the ultimately-failed cells as an aligned table
@@ -646,8 +614,8 @@ func (r *Result) FailedSummary() string {
 	}
 	var b strings.Builder
 	total := 0
-	for _, n := range r.okReps {
-		total += n
+	for _, runs := range r.Runs {
+		total += len(runs)
 	}
 	fmt.Fprintf(&b, "FAILED CELLS — %d of %d runs failed every attempt\n",
 		len(r.Failed), total+len(r.Failed))
@@ -655,7 +623,7 @@ func (r *Result) FailedSummary() string {
 		"protocol", "speed", "adversary", "countermeasure", "seed", "attempts", "final error")
 	for _, f := range r.Failed {
 		fmt.Fprintf(&b, "%-10s %-8g %-18s %-16s %-6d %-9d %s\n",
-			f.Key.Protocol, f.Key.Speed, advOrBase(f.Key.Adversary), cmOrBase(f.Key.Countermeasure),
+			f.Key.Protocol, f.Key.Speed, orBase(f.Key.Adversary, "base adversary"), orBase(f.Key.Countermeasure, "base"),
 			f.Seed, len(f.Attempts), f.Err)
 	}
 	return b.String()

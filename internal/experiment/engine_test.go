@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -157,59 +156,10 @@ func TestSweepCancelsOnFirstError(t *testing.T) {
 	}
 }
 
-// TestDiscardRunsKeepsTables: with DiscardRuns the engine retains no
-// RunMetrics, yet every figure table/CSV renders identically to the
-// retained-runs sweep (same values, same fold order).
-func TestDiscardRunsKeepsTables(t *testing.T) {
-	mk := func(discard bool) *Result {
-		s := Sweep{
-			Base:      quickBase(),
-			Protocols: []string{"AODV", "MTS"},
-			Speeds:    []float64{2, 10},
-			Reps:      3,
-			SeedBase:  1,
-			Adversaries: []adversary.Spec{
-				{Model: adversary.ModelEavesdropper},
-				{Model: adversary.ModelCoalition, K: 2},
-			},
-			DiscardRuns: discard,
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	kept := mk(false)
-	lean := mk(true)
-	if len(lean.Runs) != 0 {
-		t.Fatalf("DiscardRuns retained %d cells of RunMetrics", len(lean.Runs))
-	}
-	if len(kept.Runs) == 0 {
-		t.Fatal("control sweep retained nothing")
-	}
-	for _, fig := range allFigures() {
-		if kept.Table(fig) != lean.Table(fig) {
-			t.Fatalf("%s: DiscardRuns table differs\nkept:\n%s\nlean:\n%s",
-				fig.ID, kept.Table(fig), lean.Table(fig))
-		}
-		if kept.AdversaryCSV(fig, 10) != lean.AdversaryCSV(fig, 10) {
-			t.Fatalf("%s: DiscardRuns adversary CSV differs", fig.ID)
-		}
-	}
-	// The aggregates agree with a direct computation over retained runs.
-	key := CellKey{Protocol: "MTS", Speed: 10, Adversary: "eavesdropper×1"}
-	fig, _ := FigureByID("fig9")
-	want := kept.Mean(key, fig.Metric)
-	if got := lean.FigMean(key, fig); math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-		t.Fatalf("FigMean=%v, runs-based mean=%v", got, want)
-	}
-}
-
 // TestDefaultAdversaryMatchesAxisLabels is the label-drift regression: the
-// label figure tables aggregate over must be exactly advAxis's first
-// label, including for axes whose entries have colliding canonical labels,
-// so Table/Series can never address an empty phantom cell.
+// adversary label figure tables aggregate over must be exactly the axis's
+// first label, including for axes whose entries have colliding canonical
+// labels, so Table/Series can never address an empty phantom cell.
 func TestDefaultAdversaryMatchesAxisLabels(t *testing.T) {
 	cases := []Sweep{
 		{}, // plain paper sweep: blank label
@@ -221,9 +171,9 @@ func TestDefaultAdversaryMatchesAxisLabels(t *testing.T) {
 	}
 	for i, s := range cases {
 		r := &Result{Sweep: s}
-		_, labels := s.advAxis()
-		if got := r.defaultAdversary(); got != labels[0] {
-			t.Fatalf("case %d: defaultAdversary %q, axis label %q", i, got, labels[0])
+		labels := s.AdversaryLabels()
+		if got := r.fixed(CellKey{}).Adversary; got != labels[0] {
+			t.Fatalf("case %d: default adversary %q, axis label %q", i, got, labels[0])
 		}
 	}
 }
@@ -251,15 +201,13 @@ func TestSeriesAggregatesARealCell(t *testing.T) {
 		t.Fatalf("series aggregated a phantom cell: %v", series)
 	}
 	fig, _ := FigureByID("fig9")
-	if res.FigMean(CellKey{Protocol: "MTS", Speed: 10, Adversary: res.defaultAdversary()}, fig) == 0 &&
-		res.Mean(CellKey{Protocol: "MTS", Speed: 10, Adversary: res.defaultAdversary()}, fig.Metric) == 0 {
+	if res.Mean(res.fixed(CellKey{Protocol: "MTS", Speed: 10}), fig.Metric) == 0 {
 		t.Log("note: zero throughput cell (acceptable for tiny sweeps), label addressing still verified above")
 	}
 }
 
 // TestCustomFigureMetricHonoured: a caller-customised Figure that reuses a
-// built-in ID must be rendered from its own Metric on a retained-runs
-// sweep, not silently served the built-in metric's aggregate.
+// built-in ID must be rendered from its own Metric, not the built-in one.
 func TestCustomFigureMetricHonoured(t *testing.T) {
 	s := Sweep{
 		Base:      quickBase(),
@@ -274,8 +222,7 @@ func TestCustomFigureMetricHonoured(t *testing.T) {
 	}
 	fig, _ := FigureByID("fig5")
 	fig.Metric = func(*metrics.RunMetrics) float64 { return 1234.5 }
-	key := CellKey{Protocol: "MTS", Speed: 10}
-	if got := res.FigMean(key, fig); got != 1234.5 {
-		t.Fatalf("custom Figure metric ignored: got %v, want 1234.5", got)
+	if got := res.CSV(fig); got != "maxspeed,MTS_mean,MTS_ci95\n10,1234.500000,0.000000\n" {
+		t.Fatalf("custom Figure metric ignored:\n%s", got)
 	}
 }

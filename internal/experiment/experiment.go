@@ -17,10 +17,6 @@
 //   - The first simulation error cancels all outstanding work (with the
 //     failing cell named in the error) instead of silently finishing the
 //     rest of the grid.
-//   - With DiscardRuns set, every completed run is immediately distilled
-//     into per-figure streaming aggregates and the full RunMetrics are
-//     dropped on the spot, so a sweep's memory footprint is O(cells), not
-//     O(runs × nodes).
 package experiment
 
 import (
@@ -81,13 +77,6 @@ type Sweep struct {
 	// Runner, when non-nil, replaces DefaultRunner for every cell attempt
 	// — the seam internal/faultinject injects chaos through.
 	Runner Runner
-	// DiscardRuns drops each RunMetrics once it has been distilled into
-	// the streaming per-figure aggregates (and, if enabled, the cache).
-	// Result.Runs stays empty; Table, CSV, AdversaryTable and
-	// AdversaryCSV keep working from the aggregates, but Mean, CI and
-	// Series with a custom metric extractor have nothing to consult. Use
-	// it for grids large enough that retaining every run matters.
-	DiscardRuns bool
 	// OnRun, when set, is called after each completed run — including
 	// cache hits — for progress reporting. It may be called from multiple
 	// goroutines and must be safe for concurrent use.
@@ -118,20 +107,12 @@ type CellKey struct {
 	Countermeasure string
 }
 
-// Result holds the outcome of a sweep: every run indexed by cell (unless
-// the sweep discarded them) plus per-cell streaming aggregates of every
-// built-in figure metric, and the cache accounting.
+// Result holds the outcome of a sweep: every run indexed by cell, the
+// failure records and the cache accounting.
 type Result struct {
 	Sweep Sweep
-	// Runs maps each cell to its repetitions, sorted by seed. Empty when
-	// Sweep.DiscardRuns distilled the runs into aggregates instead.
+	// Runs maps each cell to its surviving repetitions, sorted by seed.
 	Runs map[CellKey][]*metrics.RunMetrics
-	// aggs holds one Welford accumulator per (cell, figure ID) for
-	// DiscardRuns sweeps (empty otherwise — retained runs serve the
-	// renderers directly), folded in seed order so the aggregates are
-	// bit-identical no matter in which order the parallel workers
-	// finished.
-	aggs map[CellKey]map[string]*stats.Welford
 	// CacheHits and CacheMisses count cells served from / missing in the
 	// sweep's cache (both 0 when no cache was attached). CachePutErrs
 	// counts results that ran fine but could not be persisted (the sweep
@@ -147,94 +128,71 @@ type Result struct {
 	// always empty without KeepGoing — there the first failure cancels the
 	// sweep and is returned as the error instead).
 	Failed []FailedCell
-	// okReps and failed count surviving / ultimately-failed repetitions
-	// per cell, so the renderers can mark degraded cells instead of
-	// printing misleading zeros.
-	okReps map[CellKey]int
+	// failed counts ultimately-failed repetitions per cell, so the
+	// renderers can mark degraded cells instead of printing misleading
+	// zeros.
 	failed map[CellKey]int
 }
 
-// advAxis returns the effective adversary axis: the declared Adversaries,
-// or a single entry reproducing the base configuration's adversary under
-// the blank label when no axis was declared. Axis entries whose canonical
-// labels collide (e.g. two pinned-node variants of the same model × k)
-// are disambiguated with a "#n" suffix so no two cells ever merge.
-func (s Sweep) advAxis() ([]adversary.Spec, []string) {
-	if len(s.Adversaries) == 0 {
-		return []adversary.Spec{s.Base.Adversary}, []string{""}
+// axis returns one threat-model axis's effective entries and their
+// canonical cell labels: the declared entries, or the base configuration's
+// entry under the blank label when none were declared. Entries whose Spec
+// labels collide (e.g. two pinned-node variants of the same model × k) get
+// a "#n" suffix so no two cells ever merge. It is the one place cell
+// labels are derived.
+func axis[S interface{ Label() string }](declared []S, base S) ([]S, []string) {
+	if len(declared) == 0 {
+		return []S{base}, []string{""}
 	}
-	labels := make([]string, len(s.Adversaries))
-	counts := make(map[string]int, len(s.Adversaries))
-	for i, a := range s.Adversaries {
-		l := a.Label()
+	labels := make([]string, len(declared))
+	counts := make(map[string]int, len(declared))
+	for i, s := range declared {
+		l := s.Label()
 		counts[l]++
 		if c := counts[l]; c > 1 {
 			l = fmt.Sprintf("%s#%d", l, c)
 		}
 		labels[i] = l
 	}
-	return s.Adversaries, labels
-}
-
-// cmAxis is advAxis's defender twin: the declared Countermeasures, or a
-// single entry reproducing the base configuration's countermeasure under
-// the blank label, with the same collision-suffix discipline.
-func (s Sweep) cmAxis() ([]countermeasure.Spec, []string) {
-	if len(s.Countermeasures) == 0 {
-		return []countermeasure.Spec{s.Base.Countermeasure}, []string{""}
-	}
-	labels := make([]string, len(s.Countermeasures))
-	counts := make(map[string]int, len(s.Countermeasures))
-	for i, c := range s.Countermeasures {
-		l := c.Label()
-		counts[l]++
-		if n := counts[l]; n > 1 {
-			l = fmt.Sprintf("%s#%d", l, n)
-		}
-		labels[i] = l
-	}
-	return s.Countermeasures, labels
+	return declared, labels
 }
 
 // AdversaryLabels returns the adversary axis's canonical cell labels in
 // axis order — Spec labels plus the "#n" collision suffixes the engine
-// keys cells with. Renderers taking a label parameter (CountermeasureTable
-// and friends) must be fed these, not re-derived Spec.Label()s, or a
-// sweep with colliding specs would query cells that do not exist.
+// keys cells with. Callers addressing cells by label must use these, not
+// re-derived Spec.Label()s, or a sweep with colliding specs would query
+// cells that do not exist.
 func (s Sweep) AdversaryLabels() []string {
-	_, labels := s.advAxis()
+	_, labels := axis(s.Adversaries, s.Base.Adversary)
 	return labels
 }
 
 // CountermeasureLabels is AdversaryLabels for the defender axis.
 func (s Sweep) CountermeasureLabels() []string {
-	_, labels := s.cmAxis()
+	_, labels := axis(s.Countermeasures, s.Base.Countermeasure)
 	return labels
 }
 
-// allFigures returns every built-in figure definition; the engine distills
-// each completed run into one value per entry.
+// orBase renders a blank no-axis label readably.
+func orBase(label, blank string) string {
+	if label == "" {
+		return blank
+	}
+	return label
+}
+
+// allFigures returns every built-in figure definition.
 func allFigures() []Figure {
 	figs := append(PaperFigures(), AdversaryFigures()...)
 	return append(figs, CountermeasureFigures()...)
 }
 
-// runRecord is the distilled form of one completed run: just its seed (the
-// deterministic fold order) and one value per built-in figure.
-type runRecord struct {
-	seed int64
-	vals []float64
-}
-
-// Mean returns the mean of metric over a cell's repetitions. It consults
-// the retained runs, so it reports 0 after a DiscardRuns sweep — use the
-// figure-based renderers (Table, CSV, FigMean) there.
+// Mean returns the mean of metric over a cell's repetitions.
 func (r *Result) Mean(key CellKey, metric func(*metrics.RunMetrics) float64) float64 {
 	return stats.Mean(r.values(key, metric))
 }
 
-// CI returns the 95% confidence half-width of metric over a cell (0 after
-// a DiscardRuns sweep, like Mean).
+// CI returns the 95% confidence half-width of metric over a cell.
 func (r *Result) CI(key CellKey, metric func(*metrics.RunMetrics) float64) float64 {
 	return stats.CI95(r.values(key, metric))
 }
@@ -248,37 +206,6 @@ func (r *Result) values(key CellKey, metric func(*metrics.RunMetrics) float64) [
 	return out
 }
 
-// FigMean and FigCI report one built-in figure's aggregate for a cell from
-// the streaming accumulators, which survive DiscardRuns.
-func (r *Result) FigMean(key CellKey, fig Figure) float64 {
-	m, _ := r.figMeanCI(key, fig)
-	return m
-}
-
-// FigCI is the 95% confidence half-width companion of FigMean.
-func (r *Result) FigCI(key CellKey, fig Figure) float64 {
-	_, ci := r.figMeanCI(key, fig)
-	return ci
-}
-
-// figMeanCI serves the table renderers: the retained runs when the sweep
-// kept them — fig.Metric is always honoured there, even for a
-// caller-customised Figure that reuses a built-in ID — and the per-figure
-// streaming aggregate (keyed by fig.ID, built-in figures only) after a
-// DiscardRuns sweep.
-func (r *Result) figMeanCI(key CellKey, fig Figure) (mean, ci float64) {
-	if runs := r.Runs[key]; len(runs) > 0 {
-		vals := r.values(key, fig.Metric)
-		return stats.Mean(vals), stats.CI95(vals)
-	}
-	if agg := r.aggs[key]; agg != nil {
-		if w, ok := agg[fig.ID]; ok {
-			return w.Mean(), w.CI95()
-		}
-	}
-	return 0, 0
-}
-
 // cellText renders one 20-character table cell: mean ± CI for a healthy
 // cell, a FAILED marker when every repetition of the cell failed (a zero
 // there would read as a measurement), and a trailing "!" when some
@@ -289,7 +216,8 @@ func (r *Result) cellText(key CellKey, fig Figure) string {
 	if r.cellAllFailed(key) {
 		return fmt.Sprintf("%20s", "FAILED")
 	}
-	mean, ci := r.figMeanCI(key, fig)
+	vals := r.values(key, fig.Metric)
+	mean, ci := stats.Mean(vals), stats.CI95(vals)
 	if r.failed[key] > 0 {
 		return fmt.Sprintf("%12.4f ±%5.3f!", mean, ci)
 	}
@@ -303,192 +231,147 @@ func (r *Result) cellCSV(key CellKey, fig Figure) string {
 	if r.cellAllFailed(key) {
 		return ",,"
 	}
-	mean, ci := r.figMeanCI(key, fig)
-	return fmt.Sprintf(",%.6f,%.6f", mean, ci)
+	vals := r.values(key, fig.Metric)
+	return fmt.Sprintf(",%.6f,%.6f", stats.Mean(vals), stats.CI95(vals))
 }
 
-// defaultAdversary returns the Adversary label figure tables aggregate
-// over: blank for a plain paper sweep, otherwise the first axis entry's
-// label. It must come from advAxis — the single place labels are derived,
-// collision suffixes included — or tables could aggregate a cell key that
-// was never produced.
-func (r *Result) defaultAdversary() string {
-	_, labels := r.Sweep.advAxis()
-	return labels[0]
+// fixed resolves the coordinates a table holds constant: a blank adversary
+// or countermeasure label means that axis's first entry — the blank label
+// itself when the sweep has no such axis, and never a cell that was not
+// produced when it has one.
+func (r *Result) fixed(at CellKey) CellKey {
+	if at.Adversary == "" {
+		at.Adversary = r.Sweep.AdversaryLabels()[0]
+	}
+	if at.Countermeasure == "" {
+		at.Countermeasure = r.Sweep.CountermeasureLabels()[0]
+	}
+	return at
 }
 
-// defaultCountermeasure is defaultAdversary's defender twin: the
-// Countermeasure label single-axis renderers aggregate over.
-func (r *Result) defaultCountermeasure() string {
-	_, labels := r.Sweep.cmAxis()
-	return labels[0]
-}
-
-// Series returns the per-speed means for one protocol, in Speeds order.
-// Like Mean, it needs retained runs (custom extractors cannot be served
-// from the per-figure aggregates).
+// Series returns the per-speed means for one protocol, in Speeds order,
+// at the first entry of each threat-model axis.
 func (r *Result) Series(proto string, metric func(*metrics.RunMetrics) float64) []float64 {
+	at := r.fixed(CellKey{Protocol: proto})
 	out := make([]float64, 0, len(r.Sweep.Speeds))
 	for _, v := range r.Sweep.Speeds {
-		out = append(out, r.Mean(CellKey{Protocol: proto, Speed: v, Adversary: r.defaultAdversary(), Countermeasure: r.defaultCountermeasure()}, metric))
+		at.Speed = v
+		out = append(out, r.Mean(at, metric))
 	}
 	return out
 }
 
+// Axis selects the row dimension of a figure table.
+type Axis int
+
+const (
+	// BySpeed has one row per MAXSPEED: the paper's Figs. 5–11.
+	BySpeed Axis = iota
+	// ByAdversary has one row per adversary (model × k) at a fixed speed —
+	// the Ri-vs-coalition-size view the paper's Fig. 7 generalizes to.
+	ByAdversary
+	// ByCountermeasure has one row per countermeasure at a fixed speed and
+	// adversary — the defender-vs-attacker view (how much each defence
+	// claws back from that adversary).
+	ByCountermeasure
+)
+
 // Table renders the figure data as an aligned text table: one row per
 // speed, one column per protocol, mean ± 95% CI.
-func (r *Result) Table(fig Figure) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s", fig.ID, fig.Title)
-	if fig.Unit != "" {
-		fmt.Fprintf(&b, " (%s)", fig.Unit)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "%-14s", "maxspeed(m/s)")
-	for _, p := range r.Sweep.Protocols {
-		fmt.Fprintf(&b, "%20s", p)
-	}
-	b.WriteString("\n")
-	for _, v := range r.Sweep.Speeds {
-		fmt.Fprintf(&b, "%-14g", v)
-		for _, p := range r.Sweep.Protocols {
-			key := CellKey{Protocol: p, Speed: v, Adversary: r.defaultAdversary(), Countermeasure: r.defaultCountermeasure()}
-			b.WriteString(r.cellText(key, fig))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
+func (r *Result) Table(fig Figure) string { return r.pivot(fig, BySpeed, CellKey{}, false) }
 
 // CSV renders the figure data as CSV (speed, then mean and ci per
 // protocol).
-func (r *Result) CSV(fig Figure) string {
-	var b strings.Builder
-	b.WriteString("maxspeed")
-	for _, p := range r.Sweep.Protocols {
-		fmt.Fprintf(&b, ",%s_mean,%s_ci95", p, p)
-	}
-	b.WriteString("\n")
-	for _, v := range r.Sweep.Speeds {
-		fmt.Fprintf(&b, "%g", v)
-		for _, p := range r.Sweep.Protocols {
-			key := CellKey{Protocol: p, Speed: v, Adversary: r.defaultAdversary(), Countermeasure: r.defaultCountermeasure()}
-			b.WriteString(r.cellCSV(key, fig))
+func (r *Result) CSV(fig Figure) string { return r.pivot(fig, BySpeed, CellKey{}, true) }
+
+// AxisTable renders the figure data as an aligned text table with one row
+// per entry of the rows axis (in axis order), one column per protocol,
+// mean ± 95% CI. at holds the other coordinates: its Speed for adversary
+// and countermeasure rows, its Adversary and Countermeasure for the rows
+// that do not vary them, a blank label meaning that axis's first entry.
+// Its Protocol and its row coordinate are ignored.
+func (r *Result) AxisTable(fig Figure, rows Axis, at CellKey) string {
+	return r.pivot(fig, rows, at, false)
+}
+
+// AxisCSV is AxisTable as CSV (row label, then mean and ci per protocol).
+func (r *Result) AxisCSV(fig Figure, rows Axis, at CellKey) string {
+	return r.pivot(fig, rows, at, true)
+}
+
+// pivot is the one figure-table renderer behind Table, CSV, AxisTable and
+// AxisCSV: one row per entry of the rows axis, one column per protocol,
+// each cell from cellText or (csv) cellCSV. Blank axis labels print as
+// "base adversary" / "base".
+func (r *Result) pivot(fig Figure, rows Axis, at CellKey, csv bool) string {
+	at = r.fixed(at)
+	var (
+		header, title string
+		width         int
+		labels        []string
+		keys          []CellKey
+	)
+	switch rows {
+	case BySpeed:
+		header, width = "maxspeed(m/s)", 14
+		if csv {
+			header = "maxspeed"
 		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// AdversaryTable renders one metric of the adversary axis at a fixed
-// MAXSPEED as an aligned text table: one row per adversary (model × k, in
-// axis order), one column per protocol, mean ± 95% CI — the
-// Ri-vs-coalition-size view the paper's Fig. 7 generalizes to.
-func (r *Result) AdversaryTable(fig Figure, speed float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s", fig.ID, fig.Title)
-	if fig.Unit != "" {
-		fmt.Fprintf(&b, " (%s)", fig.Unit)
-	}
-	fmt.Fprintf(&b, " at %g m/s\n", speed)
-	fmt.Fprintf(&b, "%-18s", "adversary")
-	for _, p := range r.Sweep.Protocols {
-		fmt.Fprintf(&b, "%20s", p)
-	}
-	b.WriteString("\n")
-	specs, labels := r.Sweep.advAxis()
-	for i := range specs {
-		fmt.Fprintf(&b, "%-18s", labels[i])
-		for _, p := range r.Sweep.Protocols {
-			key := CellKey{Protocol: p, Speed: speed, Adversary: labels[i], Countermeasure: r.defaultCountermeasure()}
-			b.WriteString(r.cellText(key, fig))
+		for _, v := range r.Sweep.Speeds {
+			k := at
+			k.Speed = v
+			labels, keys = append(labels, fmt.Sprintf("%g", v)), append(keys, k)
 		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// CountermeasureTable renders one metric of the defender axis at a fixed
-// MAXSPEED under one adversary label as an aligned text table: one row
-// per countermeasure (in axis order), one column per protocol, mean ± 95%
-// CI — the defender-vs-attacker view (how much does each defence claw
-// back from this adversary).
-func (r *Result) CountermeasureTable(fig Figure, speed float64, advLabel string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s", fig.ID, fig.Title)
-	if fig.Unit != "" {
-		fmt.Fprintf(&b, " (%s)", fig.Unit)
-	}
-	fmt.Fprintf(&b, " at %g m/s vs %s\n", speed, advOrBase(advLabel))
-	fmt.Fprintf(&b, "%-20s", "countermeasure")
-	for _, p := range r.Sweep.Protocols {
-		fmt.Fprintf(&b, "%20s", p)
-	}
-	b.WriteString("\n")
-	specs, labels := r.Sweep.cmAxis()
-	for i := range specs {
-		fmt.Fprintf(&b, "%-20s", cmOrBase(labels[i]))
-		for _, p := range r.Sweep.Protocols {
-			key := CellKey{Protocol: p, Speed: speed, Adversary: advLabel, Countermeasure: labels[i]}
-			b.WriteString(r.cellText(key, fig))
+	case ByAdversary:
+		header, width = "adversary", 18
+		title = fmt.Sprintf(" at %g m/s", at.Speed)
+		for _, l := range r.Sweep.AdversaryLabels() {
+			k := at
+			k.Adversary = l
+			labels, keys = append(labels, orBase(l, "base adversary")), append(keys, k)
 		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// CountermeasureCSV renders the defender axis at a fixed MAXSPEED and
-// adversary label as CSV (countermeasure label, then mean and ci per
-// protocol).
-func (r *Result) CountermeasureCSV(fig Figure, speed float64, advLabel string) string {
-	var b strings.Builder
-	b.WriteString("countermeasure")
-	for _, p := range r.Sweep.Protocols {
-		fmt.Fprintf(&b, ",%s_mean,%s_ci95", p, p)
-	}
-	b.WriteString("\n")
-	specs, labels := r.Sweep.cmAxis()
-	for i := range specs {
-		b.WriteString(cmOrBase(labels[i]))
-		for _, p := range r.Sweep.Protocols {
-			key := CellKey{Protocol: p, Speed: speed, Adversary: advLabel, Countermeasure: labels[i]}
-			b.WriteString(r.cellCSV(key, fig))
+	case ByCountermeasure:
+		header, width = "countermeasure", 20
+		title = fmt.Sprintf(" at %g m/s vs %s", at.Speed, orBase(at.Adversary, "base adversary"))
+		for _, l := range r.Sweep.CountermeasureLabels() {
+			k := at
+			k.Countermeasure = l
+			labels, keys = append(labels, orBase(l, "base")), append(keys, k)
 		}
-		b.WriteString("\n")
+	default:
+		panic(fmt.Sprintf("experiment: unknown row axis %d", rows))
 	}
-	return b.String()
-}
 
-// advOrBase and cmOrBase render the blank no-axis label readably.
-func advOrBase(label string) string {
-	if label == "" {
-		return "base adversary"
-	}
-	return label
-}
-
-func cmOrBase(label string) string {
-	if label == "" {
-		return "base"
-	}
-	return label
-}
-
-// AdversaryCSV renders the adversary axis at a fixed MAXSPEED as CSV
-// (adversary label, then mean and ci per protocol).
-func (r *Result) AdversaryCSV(fig Figure, speed float64) string {
 	var b strings.Builder
-	b.WriteString("adversary")
-	for _, p := range r.Sweep.Protocols {
-		fmt.Fprintf(&b, ",%s_mean,%s_ci95", p, p)
+	if csv {
+		b.WriteString(header)
+		for _, p := range r.Sweep.Protocols {
+			fmt.Fprintf(&b, ",%s_mean,%s_ci95", p, p)
+		}
+	} else {
+		fmt.Fprintf(&b, "%s — %s", fig.ID, fig.Title)
+		if fig.Unit != "" {
+			fmt.Fprintf(&b, " (%s)", fig.Unit)
+		}
+		fmt.Fprintf(&b, "%s\n%-*s", title, width, header)
+		for _, p := range r.Sweep.Protocols {
+			fmt.Fprintf(&b, "%20s", p)
+		}
 	}
 	b.WriteString("\n")
-	specs, labels := r.Sweep.advAxis()
-	for i := range specs {
-		b.WriteString(labels[i])
+	for i, key := range keys {
+		if csv {
+			b.WriteString(labels[i])
+		} else {
+			fmt.Fprintf(&b, "%-*s", width, labels[i])
+		}
 		for _, p := range r.Sweep.Protocols {
-			key := CellKey{Protocol: p, Speed: speed, Adversary: labels[i], Countermeasure: r.defaultCountermeasure()}
-			b.WriteString(r.cellCSV(key, fig))
+			key.Protocol = p
+			if csv {
+				b.WriteString(r.cellCSV(key, fig))
+			} else {
+				b.WriteString(r.cellText(key, fig))
+			}
 		}
 		b.WriteString("\n")
 	}

@@ -161,13 +161,13 @@ func TestSweepAdversaryAxis(t *testing.T) {
 	if !ok {
 		t.Fatal("advRi figure missing")
 	}
-	table := res.AdversaryTable(fig, 10)
+	table := res.AxisTable(fig, ByAdversary, CellKey{Speed: 10})
 	for _, want := range []string{"eavesdropper×1", "coalition×2", "coalition×4", "MTS"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("adversary table missing %q:\n%s", want, table)
 		}
 	}
-	csv := res.AdversaryCSV(fig, 10)
+	csv := res.AxisCSV(fig, ByAdversary, CellKey{Speed: 10})
 	if !strings.HasPrefix(csv, "adversary,MTS_mean,MTS_ci95") {
 		t.Fatalf("adversary csv header:\n%s", csv)
 	}
@@ -228,24 +228,25 @@ func TestSweepCountermeasureAxis(t *testing.T) {
 	if !ok {
 		t.Fatal("cmStreamBytes figure missing")
 	}
-	table := res.CountermeasureTable(fig, 10, advLabel)
+	at := CellKey{Speed: 10, Adversary: advLabel}
+	table := res.AxisTable(fig, ByCountermeasure, at)
 	for _, want := range []string{"none", "shuffle×8", "shuffle+aware×8"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("countermeasure table lacks row %q:\n%s", want, table)
 		}
 	}
-	csv := res.CountermeasureCSV(fig, 10, advLabel)
+	csv := res.AxisCSV(fig, ByCountermeasure, at)
 	if !strings.HasPrefix(csv, "countermeasure,MTS_mean,MTS_ci95\n") {
 		t.Fatalf("countermeasure CSV header malformed:\n%s", csv)
 	}
 	baseKey := CellKey{Protocol: "MTS", Speed: 10, Adversary: advLabel, Countermeasure: "none"}
 	shufKey := CellKey{Protocol: "MTS", Speed: 10, Adversary: advLabel, Countermeasure: "shuffle×8"}
-	if res.FigMean(baseKey, fig) == 0 {
+	baseMean, shufMean := res.Mean(baseKey, fig.Metric), res.Mean(shufKey, fig.Metric)
+	if baseMean == 0 {
 		t.Fatal("undefended cell intercepted no contiguous bytes; comparison proves nothing")
 	}
-	if res.FigMean(shufKey, fig) >= res.FigMean(baseKey, fig) {
-		t.Errorf("shuffle cell mean contiguous bytes %.0f not below baseline %.0f",
-			res.FigMean(shufKey, fig), res.FigMean(baseKey, fig))
+	if shufMean >= baseMean {
+		t.Errorf("shuffle cell mean contiguous bytes %.0f not below baseline %.0f", shufMean, baseMean)
 	}
 }
 
@@ -275,7 +276,7 @@ func TestAdvAxisDisambiguatesCollidingLabels(t *testing.T) {
 			{Model: adversary.ModelMobile, K: 2},
 		},
 	}
-	_, labels := s.advAxis()
+	labels := s.AdversaryLabels()
 	want := []string{"coalition×2", "coalition×2#2", "mobile×2"}
 	for i := range want {
 		if labels[i] != want[i] {

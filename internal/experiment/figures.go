@@ -159,17 +159,7 @@ func CountermeasureFigures() []Figure {
 // FigureByID finds a figure definition, searching the paper's figures and
 // the adversary/countermeasure extension figures.
 func FigureByID(id string) (Figure, bool) {
-	for _, f := range PaperFigures() {
-		if f.ID == id {
-			return f, true
-		}
-	}
-	for _, f := range AdversaryFigures() {
-		if f.ID == id {
-			return f, true
-		}
-	}
-	for _, f := range CountermeasureFigures() {
+	for _, f := range allFigures() {
 		if f.ID == id {
 			return f, true
 		}

@@ -32,7 +32,6 @@ func syntheticResult(s Sweep, fail func(CellKey, int) bool) *Result {
 	res := &Result{
 		Sweep:  s,
 		Runs:   make(map[CellKey][]*metrics.RunMetrics),
-		okReps: make(map[CellKey]int),
 		failed: make(map[CellKey]int),
 	}
 	for i, cj := range s.Jobs() {
@@ -56,7 +55,6 @@ func syntheticResult(s Sweep, fail func(CellKey, int) bool) *Result {
 			InterceptionRatio:      0.1 + 0.002*x - 0.01*float64(rep),
 			InterceptedStreamBytes: uint64(1000 + 37*i + 250*rep),
 		})
-		res.okReps[key]++
 	}
 	sort.Slice(res.Failed, func(i, j int) bool { return lessFailed(res.Failed[i], res.Failed[j]) })
 	return res
@@ -133,12 +131,12 @@ func checkRender(t *testing.T, name, got string) {
 }
 
 func TestRenderGolden(t *testing.T) {
-	axis := syntheticResult(axisSweep(), axisFailures)
+	grid := syntheticResult(axisSweep(), axisFailures)
 	plain := syntheticResult(plainSweep(), plainFailures)
 
 	t.Run("table", func(t *testing.T) {
 		var b strings.Builder
-		for _, res := range []*Result{axis, plain} {
+		for _, res := range []*Result{grid, plain} {
 			for _, id := range []string{"fig5", "fig10"} {
 				fig := mustFigure(t, id)
 				b.WriteString(res.Table(fig) + "\n" + res.CSV(fig) + "\n")
@@ -149,23 +147,33 @@ func TestRenderGolden(t *testing.T) {
 	t.Run("adversary", func(t *testing.T) {
 		var b strings.Builder
 		fig := mustFigure(t, "advRi")
-		for _, v := range axis.Sweep.Speeds {
-			b.WriteString(axis.AdversaryTable(fig, v) + "\n" + axis.AdversaryCSV(fig, v) + "\n")
+		for _, v := range grid.Sweep.Speeds {
+			at := CellKey{Speed: v}
+			b.WriteString(grid.AxisTable(fig, ByAdversary, at) + "\n" + grid.AxisCSV(fig, ByAdversary, at) + "\n")
 		}
 		checkRender(t, "adversary", b.String())
+	})
+	t.Run("adversary-base", func(t *testing.T) {
+		// No adversary axis: the blank label renders as "base adversary",
+		// like the countermeasure view and FailedSummary.
+		fig := mustFigure(t, "advRi")
+		at := CellKey{Speed: 15}
+		checkRender(t, "adversary-base", plain.AxisTable(fig, ByAdversary, at)+"\n"+plain.AxisCSV(fig, ByAdversary, at))
 	})
 	t.Run("countermeasure", func(t *testing.T) {
 		var b strings.Builder
 		fig := mustFigure(t, "cmStreamBytes")
-		for _, adv := range axis.Sweep.AdversaryLabels() {
-			b.WriteString(axis.CountermeasureTable(fig, 10, adv) + "\n" + axis.CountermeasureCSV(fig, 10, adv) + "\n")
+		for _, adv := range grid.Sweep.AdversaryLabels() {
+			at := CellKey{Speed: 10, Adversary: adv}
+			b.WriteString(grid.AxisTable(fig, ByCountermeasure, at) + "\n" + grid.AxisCSV(fig, ByCountermeasure, at) + "\n")
 		}
 		// No axes: the blank labels render as "base" / "base adversary".
-		b.WriteString(plain.CountermeasureTable(fig, 5, "") + "\n" + plain.CountermeasureCSV(fig, 5, "") + "\n")
+		at := CellKey{Speed: 5}
+		b.WriteString(plain.AxisTable(fig, ByCountermeasure, at) + "\n" + plain.AxisCSV(fig, ByCountermeasure, at) + "\n")
 		checkRender(t, "countermeasure", b.String())
 	})
 	t.Run("failed", func(t *testing.T) {
-		checkRender(t, "failed", axis.FailedSummary()+"\n"+plain.FailedSummary())
+		checkRender(t, "failed", grid.FailedSummary()+"\n"+plain.FailedSummary())
 	})
 	t.Run("payoff", func(t *testing.T) {
 		r := &CoevolutionResult{

@@ -183,17 +183,17 @@ func (s *Scenario) Retire() {
 // Context is a reusable bundle of the expensive per-run simulation
 // scaffolding: the event scheduler (heap storage and pooled task events),
 // the radio channel (spatial grid, Radio structs, arrival/reception pools)
-// and the metrics collector. A fresh Build allocates all of it from
-// scratch; Context.Build resets and reuses it instead, which is what lets
-// a sweep worker run thousands of consecutive simulations without
-// re-growing megabytes of scaffolding each time.
+// and the metrics collector. A first Build allocates all of it from
+// scratch; later Builds reset and reuse it instead, which is what lets a
+// sweep worker run thousands of consecutive simulations without re-growing
+// megabytes of scaffolding each time.
 //
-// Reuse changes allocation only, never behaviour: a scenario built through
-// a Context is bit-for-bit identical to one built fresh (the golden-metric
-// fixtures are verified through both paths). A Context serves one run at a
-// time — building the next scenario invalidates the previous one, so keep
-// only the returned RunMetrics (which are standalone copies). Not safe for
-// concurrent use; give each worker goroutine its own Context.
+// Reuse changes allocation only, never behaviour: a scenario built on a
+// used Context is bit-for-bit identical to one built on a new one (the
+// golden-metric fixtures are verified both ways). A Context serves one run
+// at a time — building the next scenario invalidates the previous one, so
+// keep only the returned RunMetrics (which are standalone copies). Not
+// safe for concurrent use; give each worker goroutine its own Context.
 type Context struct {
 	sched     *sim.Scheduler
 	ch        *phy.Channel
@@ -268,38 +268,10 @@ func (ctx *Context) prepare(rxRange, csRange float64) (*sim.Scheduler, *phy.Chan
 	return ctx.sched, ctx.ch, ctx.collector
 }
 
-// Build wires a scenario reusing the context's scaffolding. The previous
-// scenario built from this context becomes invalid.
-func (ctx *Context) Build(cfg Config) (*Scenario, error) { return build(ctx, cfg) }
-
-// RunOne builds and runs one configuration on the reused scaffolding.
-func (ctx *Context) RunOne(cfg Config) (*metrics.RunMetrics, error) {
-	s, err := ctx.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(), nil
-}
-
-// Build wires a scenario from the configuration.
-func Build(cfg Config) (*Scenario, error) { return build(nil, cfg) }
-
-// ctxLabelCaches returns the context's per-index label caches, creating
-// them on first use; without a context it returns fresh single-build
-// caches (same bytes, no cross-run reuse).
-func ctxLabelCaches(ctx *Context) (place, mob, node *sim.LabelCache) {
-	if ctx != nil {
-		if ctx.placeLabels == nil {
-			ctx.placeLabels = sim.NewLabelCache("place")
-			ctx.mobLabels = sim.NewLabelCache("mobility")
-			ctx.nodeLabels = sim.NewLabelCache("node")
-		}
-		return ctx.placeLabels, ctx.mobLabels, ctx.nodeLabels
-	}
-	return sim.NewLabelCache("place"), sim.NewLabelCache("mobility"), sim.NewLabelCache("node")
-}
-
-func build(ctx *Context, cfg Config) (*Scenario, error) {
+// Build wires a scenario from the configuration, reusing the context's
+// scaffolding. The previous scenario built from this context becomes
+// invalid.
+func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	n := cfg.Nodes
 	if cfg.Placement != nil {
 		n = len(cfg.Placement)
@@ -337,16 +309,9 @@ func build(ctx *Context, cfg Config) (*Scenario, error) {
 	}
 
 	s := &Scenario{Cfg: cfg}
-	if ctx != nil {
-		s.Sched, s.Channel, s.Collector = ctx.prepare(cfg.RxRange, cfg.CSRange)
-		s.Nodes = ctx.nodes[:0]
-		s.Arena = ctx.arena
-	} else {
-		s.Sched = sim.NewScheduler()
-		s.Collector = metrics.NewCollector()
-		s.Channel = phy.NewChannel(s.Sched, cfg.RxRange, cfg.CSRange)
-		s.Arena = packet.NewArena()
-	}
+	s.Sched, s.Channel, s.Collector = ctx.prepare(cfg.RxRange, cfg.CSRange)
+	s.Nodes = ctx.nodes[:0]
+	s.Arena = ctx.arena
 	s.Arena.SetClock(s.Sched.Now)
 	// Receiver lookup is grid-indexed; size the index to the mobility field
 	// (grown to cover any pinned placements outside it) before radios attach.
@@ -358,18 +323,16 @@ func build(ctx *Context, cfg Config) (*Scenario, error) {
 		bounds.MaxY = math.Max(bounds.MaxY, p.Y)
 	}
 	s.Channel.EnableGrid(bounds, 0)
-	var master *sim.RNG
-	if ctx != nil {
-		master = ctx.rngs.New(cfg.Seed) // derived streams recycle too
-	} else {
-		master = sim.NewRNG(cfg.Seed)
-	}
+	master := ctx.rngs.New(cfg.Seed) // derived streams recycle too
 	uids := &packet.UIDSource{}
 
-	// Per-index derivation labels. Context builds cache them across runs;
-	// a fresh build derives from identical strings (LabelCache produces
-	// exactly "<prefix>/<i>"), so both paths seed the same streams.
-	placeL, mobL, nodeL := ctxLabelCaches(ctx)
+	// Per-index derivation labels ("<prefix>/<i>"), cached across runs.
+	if ctx.placeLabels == nil {
+		ctx.placeLabels = sim.NewLabelCache("place")
+		ctx.mobLabels = sim.NewLabelCache("mobility")
+		ctx.nodeLabels = sim.NewLabelCache("node")
+	}
+	placeL, mobL, nodeL := ctx.placeLabels, ctx.mobLabels, ctx.nodeLabels
 
 	for i := 0; i < n; i++ {
 		id := packet.NodeID(i)
@@ -390,11 +353,9 @@ func build(ctx *Context, cfg Config) (*Scenario, error) {
 		nd := node.New(id, s.Sched, s.Channel, cfg.MAC, mob,
 			master.Derive(nodeL.Label(i)), uids)
 		nd.SetArena(s.Arena)
-		if ctx != nil {
-			// Before SetProtocol: the constructor is what takes a parked
-			// router back out of the recycler.
-			nd.SetStateRecycler(&ctx.routers)
-		}
+		// Before SetProtocol: the constructor is what takes a parked router
+		// back out of the recycler.
+		nd.SetStateRecycler(&ctx.routers)
 		if trustDef != nil {
 			// Also before SetProtocol (see above).
 			nd.InstallTrust(trustDef.Attach(id, s.Sched))
@@ -590,16 +551,14 @@ func build(ctx *Context, cfg Config) (*Scenario, error) {
 		s.Countermeasure = cm
 	}
 
-	if ctx != nil {
-		// Hand the (possibly re-grown) node backing array back for the next
-		// build; the Node structs themselves are per-run. Clear the slack
-		// beyond this run's length so a smaller run does not pin a larger
-		// previous run's node graphs for the context's lifetime.
-		ctx.nodes = s.Nodes
-		tail := ctx.nodes[len(ctx.nodes):cap(ctx.nodes)]
-		for i := range tail {
-			tail[i] = nil
-		}
+	// Hand the (possibly re-grown) node backing array back for the next
+	// build; the Node structs themselves are per-run. Clear the slack beyond
+	// this run's length so a smaller run does not pin a larger previous
+	// run's node graphs for the context's lifetime.
+	ctx.nodes = s.Nodes
+	tail := ctx.nodes[len(ctx.nodes):cap(ctx.nodes)]
+	for i := range tail {
+		tail[i] = nil
 	}
 	for _, nd := range s.Nodes {
 		nd.Start()
@@ -728,6 +687,18 @@ func (s *Scenario) Gather() *metrics.RunMetrics {
 	}
 	return m
 }
+
+// RunOne builds and runs one configuration on the reused scaffolding.
+func (ctx *Context) RunOne(cfg Config) (*metrics.RunMetrics, error) {
+	s, err := ctx.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(), nil
+}
+
+// Build wires a scenario from the configuration on a new Context.
+func Build(cfg Config) (*Scenario, error) { return NewContext().Build(cfg) }
 
 // RunOne is the convenience path: build and run a single configuration.
 func RunOne(cfg Config) (*metrics.RunMetrics, error) {

@@ -57,54 +57,6 @@ func CI95(xs []float64) float64 {
 	return 1.96 * StdDevSample(xs) / math.Sqrt(float64(len(xs)))
 }
 
-// Welford is a streaming mean/variance accumulator (Welford's online
-// algorithm). The experiment engine folds each completed run's metric into
-// one of these instead of retaining every RunMetrics, so a sweep's memory
-// footprint is O(cells), not O(runs). The zero value is an empty
-// accumulator.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64 // sum of squared deviations from the running mean
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 with no observations, matching Mean).
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.mean
-}
-
-// StdDevSample returns the sample standard deviation (0 for n < 2,
-// matching StdDevSample).
-func (w *Welford) StdDevSample() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n-1))
-}
-
-// CI95 returns the half-width of a 95% normal-theory confidence interval
-// for the mean (0 for n < 2, matching CI95).
-func (w *Welford) CI95() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return 1.96 * w.StdDevSample() / math.Sqrt(float64(w.n))
-}
-
 // MinMax returns the extrema (0,0 for an empty slice).
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {

@@ -132,59 +132,4 @@ func TestNaNPropagation(t *testing.T) {
 	if !math.IsNaN(CI95(xs)) {
 		t.Fatal("CI95 must propagate NaN")
 	}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.CI95()) {
-		t.Fatal("Welford must propagate NaN")
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	cases := [][]float64{
-		{},
-		{7},
-		{1, 2},
-		{2, 4, 4, 4, 5, 5, 7, 9},
-		{1e9, 1e9 + 1, 1e9 + 2, 1e9 + 3}, // catastrophic-cancellation regime
-		{-5, 0, 5, 2.5, -2.5},
-	}
-	for _, xs := range cases {
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		if w.N() != len(xs) {
-			t.Fatalf("N=%d want %d", w.N(), len(xs))
-		}
-		if !almostEq(w.Mean(), Mean(xs)) {
-			t.Fatalf("%v: Welford mean %v, batch %v", xs, w.Mean(), Mean(xs))
-		}
-		if !almostEq(w.StdDevSample(), StdDevSample(xs)) {
-			t.Fatalf("%v: Welford sd %v, batch %v", xs, w.StdDevSample(), StdDevSample(xs))
-		}
-		if !almostEq(w.CI95(), CI95(xs)) {
-			t.Fatalf("%v: Welford CI %v, batch %v", xs, w.CI95(), CI95(xs))
-		}
-	}
-}
-
-func TestWelfordProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
-				return true
-			}
-		}
-		var w Welford
-		for _, x := range xs {
-			w.Add(x)
-		}
-		return math.Abs(w.Mean()-Mean(xs)) < 1e-6*(1+math.Abs(Mean(xs))) &&
-			math.Abs(w.CI95()-CI95(xs)) < 1e-6*(1+CI95(xs))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -121,6 +121,16 @@ type CellKey = experiment.CellKey
 // Figure describes one of the paper's evaluation figures.
 type Figure = experiment.Figure
 
+// Axis selects the row dimension of Result.AxisTable and Result.AxisCSV.
+type Axis = experiment.Axis
+
+// Row axes for Result.AxisTable and Result.AxisCSV.
+const (
+	BySpeed          = experiment.BySpeed
+	ByAdversary      = experiment.ByAdversary
+	ByCountermeasure = experiment.ByCountermeasure
+)
+
 // RetryPolicy bounds the attempts the sweep engine makes on a failed
 // cell (Sweep.Retry). Retries re-run the identical configuration and
 // seed — the simulator's determinism makes a retry byte-identical to a

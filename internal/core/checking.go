@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 )
@@ -48,7 +50,7 @@ func (r *Router) checkRound(src packet.NodeID) {
 }
 
 func (r *Router) sendCheck(src packet.NodeID, sp *storedPath) {
-	travel := reverseRoute(sp.route) // D … S
+	travel := routing.ReverseRoute(sp.route) // D … S
 	h := &Check{
 		From:    r.env.ID(),
 		To:      src,
@@ -56,22 +58,12 @@ func (r *Router) sendCheck(src packet.NodeID, sp *storedPath) {
 		PathID:  sp.id,
 		Route:   travel,
 	}
-	// SetSourceRoute copies travel into arena-owned storage: the Check
+	r.Stats.ChecksSent++
+	// The source route is copied into arena-owned storage: the Check
 	// header keeps (and shares, across per-hop copies) the original
 	// slice, so the route must not be recycled when this packet dies.
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindCheck,
-		Size:    checkBase + addrSize*len(travel),
-		Src:     r.env.ID(),
-		Dst:     src,
-		TTL:     routing.DefaultTTL,
-		Routing: h,
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(p, travel)
-	r.Stats.ChecksSent++
-	r.env.SendMac(p, travel[1])
+	routing.SendSourceRouted(r.env, r.ar, travel, packet.Packet{
+		Kind: packet.KindCheck, Size: checkBase + addrSize*len(travel), Dst: src, Routing: h})
 }
 
 func (r *Router) handleCheck(p *packet.Packet, from packet.NodeID) {
@@ -107,7 +99,7 @@ func (r *Router) handleCheck(p *packet.Packet, from packet.NodeID) {
 	// the checking destination — this constructs the forward path
 	// (Fig. 4) — then relay along the source route.
 	r.setFwd(h.From, h.PathID, from, h.CheckID)
-	r.forwardSourceRouted(p)
+	r.relay(p)
 }
 
 // considerSwitch applies the §III-E best-route rule with a grace margin:
@@ -170,65 +162,47 @@ func (r *Router) failCheck(p *packet.Packet) {
 	self := r.env.ID()
 	if self == h.From {
 		// First hop failed; delete directly.
-		r.deletePath(h.From, h.To, h.PathID)
+		r.deletePath(h.PathID)
 		return
 	}
-	idx := -1
-	for i, n := range h.Route {
-		if n == self {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(h.Route, self)
 	if idx <= 0 {
 		return
 	}
-	back := reverseRoute(h.Route[:idx+1]) // self … D
-	errp := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindCheckErr,
-		Size:    checkErrSize,
-		Src:     self,
-		Dst:     h.From,
-		TTL:     routing.DefaultTTL,
-		Routing: &CheckErr{PathID: h.PathID, CheckID: h.CheckID},
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(errp, back)
 	r.Stats.CheckErrs++
-	r.env.SendMac(errp, back[1])
+	routing.SendSourceRouted(r.env, r.ar, routing.ReverseRoute(h.Route[:idx+1]), packet.Packet{ // self … D
+		Kind: packet.KindCheckErr, Size: checkErrSize, Dst: h.From, Routing: &CheckErr{PathID: h.PathID, CheckID: h.CheckID}})
 }
 
 func (r *Router) handleCheckErr(p *packet.Packet, from packet.NodeID) {
 	h := p.Routing.(*CheckErr)
 	if p.Dst == r.env.ID() {
 		// We are the checking destination: delete the failed path.
-		for src, ds := range r.dst {
-			for _, sp := range ds.paths {
-				if sp.id == h.PathID && sp.alive {
-					sp.alive = false
-					r.Stats.PathsDeleted++
-					_ = src
-					return
-				}
-			}
-		}
+		r.deletePath(h.PathID)
 		return
 	}
-	r.forwardSourceRouted(p)
+	r.relay(p)
 }
 
-// deletePath marks a stored path dead at this (destination) node.
-func (r *Router) deletePath(self, src packet.NodeID, pathID int) {
-	ds := r.dst[src]
-	if ds == nil {
-		return
+// deletePath marks a stored path dead at this (destination) node. Path IDs
+// are unique per router (nextPathID), so at most one session holds it and
+// the map's iteration order cannot matter.
+func (r *Router) deletePath(pathID int) {
+	for _, ds := range r.dst {
+		if r.killPath(ds, pathID) {
+			return
+		}
 	}
+}
+
+// killPath marks ds's live path pathID dead, reporting whether it had one.
+func (r *Router) killPath(ds *dstState, pathID int) bool {
 	for _, sp := range ds.paths {
 		if sp.id == pathID && sp.alive {
 			sp.alive = false
 			r.Stats.PathsDeleted++
-			return
+			return true
 		}
 	}
+	return false
 }

@@ -240,10 +240,10 @@ type Router struct {
 	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
-	bid     uint32
-	seen    map[seenKey]bool
-	buffer  *routing.SendBuffer
-	pending map[packet.NodeID]*discovery
+	bid    uint32
+	seen   map[seenKey]bool
+	buffer *routing.SendBuffer
+	disc   *routing.Discovery[*Router]
 
 	src map[packet.NodeID]*srcState         // keyed by destination
 	dst map[packet.NodeID]*dstState         // keyed by source
@@ -275,11 +275,6 @@ type Router struct {
 type seenKey struct {
 	orig packet.NodeID
 	bid  uint32
-}
-
-type discovery struct {
-	attempts int
-	timer    *sim.Event
 }
 
 // staleAfter returns the source-side path freshness horizon.
@@ -473,21 +468,33 @@ func New(env routing.Env, cfg Config) *Router {
 			return r
 		}
 	}
-	ar := routing.ArenaOf(env)
-	return &Router{
-		env:     env,
-		cfg:     cfg,
-		ar:      ar,
-		trust:   routing.TrustOf(env),
-		seen:    make(map[seenKey]bool),
-		pending: make(map[packet.NodeID]*discovery),
-		src:     make(map[packet.NodeID]*srcState),
-		dst:     make(map[packet.NodeID]*dstState),
-		fwd:     make(map[packet.NodeID]map[int]*fwdEntry),
-		mp:      routing.NewMultiPathTable(env.ID()),
-		buffer: routing.NewSendBuffer(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-			func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) }),
+	r := &Router{
+		env:    env,
+		cfg:    cfg,
+		ar:     routing.ArenaOf(env),
+		trust:  routing.TrustOf(env),
+		seen:   make(map[seenKey]bool),
+		src:    make(map[packet.NodeID]*srcState),
+		dst:    make(map[packet.NodeID]*dstState),
+		fwd:    make(map[packet.NodeID]map[int]*fwdEntry),
+		mp:     routing.NewMultiPathTable(env.ID()),
+		buffer: routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
+	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
+	return r
+}
+
+// discoveryPolicy is MTS's part of route discovery: DiscoveryTimeout
+// doubling per attempt, DiscoveryRetries attempts, and a source-side
+// route to the destination ends the search.
+var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
+	Flood:   (*Router).floodRREQ,
+	Timeout: func(r *Router, _ packet.NodeID, n int) sim.Duration { return r.cfg.DiscoveryTimeout << (n - 1) },
+	Retry:   func(r *Router, _ packet.NodeID, n int) bool { return n < r.cfg.DiscoveryRetries },
+	HaveRoute: func(r *Router, dst packet.NodeID) bool {
+		ss := r.src[dst]
+		return ss != nil && ss.haveRoute
+	},
 }
 
 // rebind points a recycled (fully reset) router at the next run's
@@ -497,8 +504,8 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 	r.env, r.cfg, r.ar = env, cfg, ar
 	r.trust = routing.TrustOf(env)
 	r.mp.Rebind(env.ID())
-	r.buffer.Rebind(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-		func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) })
+	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
+	r.disc.Rebind(env)
 }
 
 // RecycleInto implements routing.Recyclable: reset all per-run state,
@@ -507,7 +514,7 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 // slices go to the GC (they may still be aliased by dead headers).
 func (r *Router) RecycleInto(rec *routing.Recycler) {
 	clear(r.seen)
-	clear(r.pending)
+	r.disc.Recycle()
 	for dst, ss := range r.src {
 		clear(ss.paths)
 		if ss.sent != nil {

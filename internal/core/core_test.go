@@ -257,10 +257,8 @@ func TestNewRREQFlushesStoredPaths(t *testing.T) {
 	if len(n.routers[3].StoredPaths(0)) != 2 {
 		t.Fatal("setup: want 2 paths")
 	}
-	// Force a second discovery from the source.
-	d := &discovery{}
-	n.routers[0].pending[3] = d
-	n.routers[0].attempt(3, d)
+	// Force a second discovery from the source (the first completed).
+	n.routers[0].disc.Start(3)
 	n.pump(100 * sim.Millisecond)
 
 	// After the flush the set was rebuilt from the new flood: still 2,

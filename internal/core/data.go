@@ -29,7 +29,7 @@ func (r *Router) handleData(p *packet.Packet, from packet.NodeID) {
 		if p.Kind == packet.KindData {
 			r.env.NotifyRelay(p)
 		}
-		r.forwardSourceRouted(p)
+		r.relay(p)
 		return
 	}
 	next, chosen, ok := r.liveFwd(p.Dst, p.PathID, p.Trail)
@@ -85,28 +85,18 @@ func (r *Router) sendRERR(p *packet.Packet) {
 	for i := len(p.Trail) - 1; i >= 0; i-- {
 		back = append(back, p.Trail[i])
 	}
-	if hasLoop(back) || len(back) < 2 || back[len(back)-1] != p.Src {
+	if routing.HasLoop(back) || len(back) < 2 || back[len(back)-1] != p.Src {
 		return
 	}
-	errp := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRERR,
-		Size:    rerrSize,
-		Src:     self,
-		Dst:     p.Src,
-		TTL:     routing.DefaultTTL,
-		Routing: &RERR{Dst: p.Dst, PathID: p.PathID},
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(errp, back)
 	r.Stats.RERRsSent++
-	r.env.SendMac(errp, back[1])
+	routing.SendSourceRouted(r.env, r.ar, back, packet.Packet{
+		Kind: packet.KindRERR, Size: rerrSize, Dst: p.Src, Routing: &RERR{Dst: p.Dst, PathID: p.PathID}})
 }
 
 func (r *Router) handleRERR(p *packet.Packet, from packet.NodeID) {
 	h := p.Routing.(*RERR)
 	if p.Dst != r.env.ID() {
-		r.forwardSourceRouted(p)
+		r.relay(p)
 		return
 	}
 	// Source: the reported path is dead; fail over to the freshest other
@@ -169,12 +159,12 @@ func (r *Router) failPath(dst packet.NodeID, pathID int) {
 			}
 		}
 		if usable <= 1 {
-			r.startDiscovery(dst)
+			r.disc.Start(dst)
 		}
 		return
 	}
 	ss.haveRoute = false
-	r.startDiscovery(dst)
+	r.disc.Start(dst)
 }
 
 // LinkFailed implements routing.Protocol: MAC retry exhaustion toward
@@ -200,8 +190,8 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 		if p.SourceRoute != nil {
 			// Destination-side return traffic: the stored path failed in
 			// the return direction; mark it dead locally if we own it.
-			if p.Src == self {
-				r.deletePath(self, p.Dst, p.PathID)
+			if ds := r.dst[p.Dst]; p.Src == self && ds != nil {
+				r.killPath(ds, p.PathID)
 			}
 			r.ar.Release(p)
 			return
@@ -219,8 +209,7 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 					return
 				}
 			}
-			r.buffer.Push(p.Dst, p)
-			r.startDiscovery(p.Dst)
+			r.disc.Queue(p)
 			return
 		}
 		// Transit data: invalidate the entry we just used and tell the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 )
@@ -19,9 +21,7 @@ func (r *Router) Send(p *packet.Packet) {
 	// checking packets themselves travel.
 	if ds := r.dst[p.Dst]; ds != nil {
 		if route := r.returnRoute(ds); route != nil {
-			r.ar.SetSourceRoute(p, route)
-			p.SRIndex = 0
-			r.env.SendMac(p, route[1])
+			routing.SendAlong(r.env, r.ar, p, route)
 			return
 		}
 	}
@@ -43,8 +43,7 @@ func (r *Router) Send(p *packet.Packet) {
 			}
 		}
 	}
-	r.buffer.Push(p.Dst, p)
-	r.startDiscovery(p.Dst)
+	r.disc.Queue(p)
 }
 
 // returnRoute picks the reversed stored path for destination-side traffic:
@@ -66,51 +65,20 @@ func (r *Router) returnRoute(ds *dstState) []packet.NodeID {
 	if pick == nil || len(pick.route) < 2 {
 		return nil
 	}
-	return reverseRoute(pick.route)
+	return routing.ReverseRoute(pick.route)
 }
 
-func (r *Router) startDiscovery(dst packet.NodeID) {
-	if _, busy := r.pending[dst]; busy {
-		return
-	}
-	d := &discovery{}
-	r.pending[dst] = d
-	r.attempt(dst, d)
-}
-
-func (r *Router) attempt(dst packet.NodeID, d *discovery) {
-	d.attempts++
+// floodRREQ broadcasts a fresh route request (a new broadcast ID) for dst.
+func (r *Router) floodRREQ(dst packet.NodeID, _ int) {
 	r.Stats.Discoveries++
 	r.bid++
 	self := r.env.ID()
 	h := &RREQ{Orig: self, Target: dst, BID: r.bid, Record: []packet.NodeID{self}}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREQ,
-		Size:    rreqBase + addrSize,
-		Src:     self,
-		Dst:     dst,
-		TTL:     routing.DefaultTTL,
-		Routing: h,
-	})
 	r.seen[seenKey{self, h.BID}] = true
 	// A fresh discovery invalidates what we knew: the RREQ will flush the
 	// destination's stored paths, so the old path set must not be reused.
-	r.env.SendMac(p, packet.Broadcast)
-
-	timeout := r.cfg.DiscoveryTimeout << (d.attempts - 1)
-	d.timer = r.env.Scheduler().After(timeout, func() {
-		if ss := r.src[dst]; ss != nil && ss.haveRoute {
-			delete(r.pending, dst)
-			return
-		}
-		if d.attempts >= r.cfg.DiscoveryRetries {
-			delete(r.pending, dst)
-			r.buffer.DropAll(dst)
-			return
-		}
-		r.attempt(dst, d)
-	})
+	routing.Originate(r.env, r.ar, packet.Broadcast, packet.Packet{
+		Kind: packet.KindRREQ, Size: rreqBase + addrSize, Dst: dst, TTL: routing.DefaultTTL, Routing: h})
 }
 
 func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
@@ -130,21 +98,12 @@ func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 		return
 	}
 	r.seen[key] = true
-	for _, n := range h.Record {
-		if n == self {
-			return
-		}
-	}
-	if p.TTL <= 1 {
+	if slices.Contains(h.Record, self) || p.TTL <= 1 {
 		return
 	}
-	fwd := r.ar.Copy(p, r.env.UIDs())
-	fwd.TTL--
-	nh := &RREQ{Orig: h.Orig, Target: h.Target, BID: h.BID, Hops: h.Hops + 1,
-		Record: append(packet.CloneRoute(h.Record), self)}
-	fwd.Routing = nh
-	fwd.Size = rreqBase + addrSize*len(nh.Record)
-	r.env.SendMacAfter(r.env.RNG().Jitter(routing.MaxBroadcastJitter), fwd, packet.Broadcast)
+	record := append(packet.CloneRoute(h.Record), self)
+	routing.Rebroadcast(r.env, r.ar, p, &RREQ{Orig: h.Orig, Target: h.Target, BID: h.BID, Hops: h.Hops + 1,
+		Record: record}, rreqBase+addrSize*len(record))
 }
 
 // rreqAtDestination processes every RREQ copy reaching the target: the
@@ -158,7 +117,7 @@ func (r *Router) rreqAtDestination(h *RREQ, from packet.NodeID) {
 		r.dst[h.Orig] = ds
 	}
 	route := append(packet.CloneRoute(h.Record), self) // S … D
-	if hasLoop(route) {
+	if routing.HasLoop(route) {
 		return
 	}
 
@@ -223,23 +182,11 @@ func (r *Router) disjoint(ds *dstState, route []packet.NodeID) bool {
 // installs a forward entry toward this destination (the reverse-path
 // construction of Figs. 1–2).
 func (r *Router) sendRREP(sp *storedPath, h *RREQ) {
-	back := reverseRoute(sp.route) // D … S
-	if len(back) < 2 {
-		// Single-hop: deliver state directly to the neighbour source.
+	if len(sp.route) < 2 {
 		return
 	}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREP,
-		Size:    rrepBase + addrSize*len(sp.route),
-		Src:     r.env.ID(),
-		Dst:     h.Orig,
-		TTL:     routing.DefaultTTL,
-		Routing: &RREP{Route: sp.route, BID: h.BID, PathID: sp.id},
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(p, back)
-	r.env.SendMac(p, back[1])
+	routing.SendSourceRouted(r.env, r.ar, routing.ReverseRoute(sp.route), packet.Packet{Kind: packet.KindRREP,
+		Size: rrepBase + addrSize*len(sp.route), Dst: h.Orig, Routing: &RREP{Route: sp.route, BID: h.BID, PathID: sp.id}})
 }
 
 func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
@@ -267,16 +214,11 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 	// Relay: install the forward entry toward the destination via the
 	// neighbour the RREP came from (which is one hop closer to it).
 	r.setFwd(dest, h.PathID, from, 0)
-	r.forwardSourceRouted(p)
+	r.relay(p)
 }
 
 func (r *Router) completeDiscovery(dst packet.NodeID) {
-	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
-		delete(r.pending, dst)
-	}
+	r.disc.Complete(dst)
 	ss := r.src[dst]
 	if ss == nil || !ss.haveRoute {
 		return
@@ -303,42 +245,13 @@ func (r *Router) completeDiscovery(dst packet.NodeID) {
 	}
 }
 
-// forwardSourceRouted advances any source-routed MTS packet (RREP, Check,
-// CheckErr, RERR, return data) one hop.
-func (r *Router) forwardSourceRouted(p *packet.Packet) {
-	self := r.env.ID()
-	idx := -1
-	for i, n := range p.SourceRoute {
-		if n == self {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || idx+1 >= len(p.SourceRoute) || p.TTL <= 1 {
+// relay advances any source-routed MTS packet (RREP, Check, CheckErr,
+// RERR, return data) one hop. Unlike the baselines, MTS also drops a
+// packet whose TTL is spent.
+func (r *Router) relay(p *packet.Packet) {
+	if p.TTL <= 1 {
 		r.env.NotifyDrop(p, "bad-source-route")
 		return
 	}
-	fwd := r.ar.Copy(p, r.env.UIDs())
-	fwd.TTL--
-	fwd.SRIndex = idx + 1
-	r.env.SendMac(fwd, p.SourceRoute[idx+1])
-}
-
-func hasLoop(r []packet.NodeID) bool {
-	seen := make(map[packet.NodeID]bool, len(r))
-	for _, n := range r {
-		if seen[n] {
-			return true
-		}
-		seen[n] = true
-	}
-	return false
-}
-
-func reverseRoute(r []packet.NodeID) []packet.NodeID {
-	out := make([]packet.NodeID, len(r))
-	for i, n := range r {
-		out[len(r)-1-i] = n
-	}
-	return out
+	routing.ForwardSourceRouted(r.env, r.ar, p)
 }

@@ -53,46 +53,3 @@ func TestStoredPathsPairwiseDisjointProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: reverseRoute is an involution and preserves multiset.
-func TestReverseRouteInvolutionProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		route := make([]packet.NodeID, len(raw))
-		for i, v := range raw {
-			route[i] = packet.NodeID(v)
-		}
-		rr := reverseRoute(reverseRoute(route))
-		if len(rr) != len(route) {
-			return false
-		}
-		for i := range route {
-			if rr[i] != route[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: hasLoop detects exactly the routes with repeated nodes.
-func TestHasLoopProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		route := make([]packet.NodeID, len(raw))
-		seen := map[uint8]bool{}
-		dup := false
-		for i, v := range raw {
-			route[i] = packet.NodeID(v)
-			if seen[v] {
-				dup = true
-			}
-			seen[v] = true
-		}
-		return hasLoop(route) == dup
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

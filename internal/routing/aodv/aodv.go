@@ -108,26 +108,27 @@ type routeEntry struct {
 	expiry   sim.Time
 }
 
-type discovery struct {
+// ring is one destination's expanding-ring search state.
+type ring struct {
 	ttl        int // current ring TTL
 	fullFloods int // attempts at NetDiameter TTL
-	timer      *sim.Event
 }
 
 // Router is one node's AODV instance.
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
 	trust routing.TrustOracle // nil: legacy behaviour, bit-for-bit
 
 	seq uint32
 	bid uint32
 
-	table   map[packet.NodeID]*routeEntry
-	seen    map[rreqKey]bool
-	pending map[packet.NodeID]*discovery
-	buffer  *routing.SendBuffer
+	table  map[packet.NodeID]*routeEntry
+	seen   map[rreqKey]bool
+	rings  map[packet.NodeID]ring // by destination, set on each discovery's first flood
+	buffer *routing.SendBuffer
+	disc   *routing.Discovery[*Router]
 
 	// mp remembers, per destination, the next hops of route offers that
 	// were exactly as fresh and exactly as short as the installed route —
@@ -158,7 +159,7 @@ type rreqKey struct {
 const recycleKey = "aodv"
 
 // New creates an AODV router bound to env, reusing a recycled instance's
-// state (table/seen/pending buckets, entry pool, send-buffer buckets)
+// state (table/seen/ring buckets, entry pool, send-buffer buckets)
 // when env carries a routing.Recycler with one parked.
 func New(env routing.Env, cfg Config) *Router {
 	if rec := routing.RecyclerOf(env); rec != nil {
@@ -168,19 +169,28 @@ func New(env routing.Env, cfg Config) *Router {
 			return r
 		}
 	}
-	ar := routing.ArenaOf(env)
-	return &Router{
-		env:     env,
-		cfg:     cfg,
-		ar:      ar,
-		trust:   routing.TrustOf(env),
-		table:   make(map[packet.NodeID]*routeEntry),
-		seen:    make(map[rreqKey]bool),
-		pending: make(map[packet.NodeID]*discovery),
-		mp:      routing.NewMultiPathTable(env.ID()),
-		buffer: routing.NewSendBuffer(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-			func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) }),
+	r := &Router{
+		env:    env,
+		cfg:    cfg,
+		ar:     routing.ArenaOf(env),
+		trust:  routing.TrustOf(env),
+		table:  make(map[packet.NodeID]*routeEntry),
+		seen:   make(map[rreqKey]bool),
+		rings:  make(map[packet.NodeID]ring),
+		mp:     routing.NewMultiPathTable(env.ID()),
+		buffer: routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
+	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
+	return r
+}
+
+// discoveryPolicy is AODV's part of route discovery: the expanding-ring
+// search, and a live table entry ends it.
+var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
+	Flood:     (*Router).floodRREQ,
+	Timeout:   (*Router).ringTimeout,
+	Retry:     (*Router).widenRing,
+	HaveRoute: func(r *Router, dst packet.NodeID) bool { return r.route(dst) != nil },
 }
 
 // rebind points a recycled (fully reset) router at the next run's
@@ -190,8 +200,8 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 	r.env, r.cfg, r.ar = env, cfg, ar
 	r.trust = routing.TrustOf(env)
 	r.mp.Rebind(env.ID())
-	r.buffer.Rebind(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-		func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) })
+	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
+	r.disc.Rebind(env)
 }
 
 // RecycleInto implements routing.Recyclable: reset all per-run state and
@@ -204,7 +214,8 @@ func (r *Router) RecycleInto(rec *routing.Recycler) {
 		delete(r.table, dst)
 	}
 	clear(r.seen)
-	clear(r.pending)
+	clear(r.rings)
+	r.disc.Recycle()
 	r.buffer.Recycle()
 	r.mp.Recycle()
 	r.seq, r.bid = 0, 0
@@ -315,17 +326,7 @@ func (r *Router) Send(p *packet.Packet) {
 		r.env.SendMac(p, e.next)
 		return
 	}
-	r.buffer.Push(p.Dst, p)
-	r.startDiscovery(p.Dst)
-}
-
-func (r *Router) startDiscovery(dst packet.NodeID) {
-	if _, busy := r.pending[dst]; busy {
-		return
-	}
-	d := &discovery{ttl: r.initialTTL(dst)}
-	r.pending[dst] = d
-	r.attempt(dst, d)
+	r.disc.Queue(p)
 }
 
 // initialTTL starts the expanding ring at TTL_START, or at the last known
@@ -341,7 +342,12 @@ func (r *Router) initialTTL(dst packet.NodeID) int {
 	return ttl
 }
 
-func (r *Router) attempt(dst packet.NodeID, d *discovery) {
+// floodRREQ broadcasts a route request for dst bounded by the current
+// ring TTL; the first flood of a discovery starts the ring.
+func (r *Router) floodRREQ(dst packet.NodeID, n int) {
+	if n == 1 {
+		r.rings[dst] = ring{ttl: r.initialTTL(dst)}
+	}
 	r.Discoveries++
 	r.seq++
 	r.bid++
@@ -355,42 +361,40 @@ func (r *Router) attempt(dst packet.NodeID, d *discovery) {
 		h.TargetSeq = e.seq
 		h.TargetSeqKnown = true
 	}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREQ,
-		Size:    rreqBytes,
-		Src:     r.env.ID(),
-		Dst:     dst,
-		TTL:     d.ttl,
-		Routing: h,
-	})
 	r.seen[rreqKey{h.Orig, h.BID}] = true
-	r.env.SendMac(p, packet.Broadcast)
+	routing.Originate(r.env, r.ar, packet.Broadcast, packet.Packet{
+		Kind: packet.KindRREQ, Size: rreqBytes, Dst: dst, TTL: r.rings[dst].ttl, Routing: h})
+}
 
-	timeout := r.cfg.ringTraversalTime(d.ttl)
-	if d.ttl >= r.cfg.NetDiameter {
+// ringTimeout is how long a flood at the current ring TTL waits for a
+// reply.
+func (r *Router) ringTimeout(dst packet.NodeID, _ int) sim.Duration {
+	g := r.rings[dst]
+	timeout := r.cfg.ringTraversalTime(g.ttl)
+	if g.ttl >= r.cfg.NetDiameter {
 		// Full-diameter attempts back off exponentially (draft §8.3).
-		timeout <<= d.fullFloods
+		timeout <<= g.fullFloods
 	}
-	d.timer = r.env.Scheduler().After(timeout, func() {
-		if r.route(dst) != nil {
-			delete(r.pending, dst)
-			return
+	return timeout
+}
+
+// widenRing moves an unanswered search to the next ring, or gives up
+// after RREQRetries extra full-diameter floods.
+func (r *Router) widenRing(dst packet.NodeID, _ int) bool {
+	g := r.rings[dst]
+	switch {
+	case g.ttl >= r.cfg.NetDiameter:
+		g.fullFloods++
+		if g.fullFloods > r.cfg.RREQRetries {
+			return false
 		}
-		if d.ttl >= r.cfg.NetDiameter {
-			d.fullFloods++
-			if d.fullFloods > r.cfg.RREQRetries {
-				delete(r.pending, dst)
-				r.buffer.DropAll(dst)
-				return
-			}
-		} else if d.ttl >= r.cfg.TTLThreshold {
-			d.ttl = r.cfg.NetDiameter
-		} else {
-			d.ttl += r.cfg.TTLIncrement
-		}
-		r.attempt(dst, d)
-	})
+	case g.ttl >= r.cfg.TTLThreshold:
+		g.ttl = r.cfg.NetDiameter
+	default:
+		g.ttl += r.cfg.TTLIncrement
+	}
+	r.rings[dst] = g
+	return true
 }
 
 // Receive implements routing.Protocol.
@@ -457,27 +461,14 @@ func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 	if p.TTL <= 1 {
 		return
 	}
-	fwd := r.ar.Copy(p, r.env.UIDs())
-	fwd.TTL--
 	nh := *h
 	nh.Hops++
-	fwd.Routing = &nh
-	// Jitter de-synchronises neighbours that all heard the same copy.
-	r.env.SendMacAfter(r.env.RNG().Jitter(routing.MaxBroadcastJitter), fwd, packet.Broadcast)
+	routing.Rebroadcast(r.env, r.ar, p, &nh, p.Size)
 }
 
 func (r *Router) sendRREP(orig, target packet.NodeID, targetSeq uint32, hops int, via packet.NodeID) {
-	h := &RREP{Orig: orig, Target: target, TargetSeq: targetSeq, Hops: hops}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREP,
-		Size:    rrepBytes,
-		Src:     r.env.ID(),
-		Dst:     orig,
-		TTL:     routing.DefaultTTL,
-		Routing: h,
-	})
-	r.env.SendMac(p, via)
+	routing.Originate(r.env, r.ar, via, packet.Packet{Kind: packet.KindRREP, Size: rrepBytes, Dst: orig,
+		TTL: routing.DefaultTTL, Routing: &RREP{Orig: orig, Target: target, TargetSeq: targetSeq, Hops: hops}})
 }
 
 func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
@@ -508,12 +499,7 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 }
 
 func (r *Router) completeDiscovery(dst packet.NodeID) {
-	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
-		delete(r.pending, dst)
-	}
+	r.disc.Complete(dst)
 	e := r.route(dst)
 	if e == nil {
 		return
@@ -545,18 +531,9 @@ func (r *Router) handleRERR(p *packet.Packet, from packet.NodeID) {
 }
 
 func (r *Router) broadcastRERR(list []Unreachable) {
-	h := &RERR{Unreachable: list}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRERR,
-		Size:    rerrBase + rerrPer*len(list),
-		Src:     r.env.ID(),
-		Dst:     packet.Broadcast,
-		TTL:     1,
-		Routing: h,
-	})
 	r.RERRsSent++
-	r.env.SendMac(p, packet.Broadcast)
+	routing.Originate(r.env, r.ar, packet.Broadcast, packet.Packet{Kind: packet.KindRERR,
+		Size: rerrBase + rerrPer*len(list), Dst: packet.Broadcast, TTL: 1, Routing: &RERR{Unreachable: list}})
 }
 
 func (r *Router) handleData(p *packet.Packet, from packet.NodeID) {
@@ -640,8 +617,7 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 			return
 		}
 		if p.Src == r.env.ID() {
-			r.buffer.Push(p.Dst, p)
-			r.startDiscovery(p.Dst)
+			r.disc.Queue(p)
 			return
 		}
 		r.env.NotifyDrop(p, "link-failure")

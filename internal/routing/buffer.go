@@ -7,15 +7,16 @@ import (
 
 // SendBuffer holds data packets awaiting route discovery, per destination,
 // with a capacity bound and an age limit — the analogue of ns-2's send
-// buffer. All three protocols use one. The buffer owns its packets: every
-// eviction releases the packet back to the arena after notifying onDrop,
+// buffer. All four protocols use one, drained through their Discovery.
+// The buffer owns its packets: every eviction reports the drop to the
+// environment (Env.NotifyDrop) and releases the packet back to the arena,
 // so protocols cannot forget the release and leak.
 type SendBuffer struct {
 	cap    int
 	maxAge sim.Duration
+	env    Env
 	sched  *sim.Scheduler
 	ar     *packet.Arena
-	onDrop func(p *packet.Packet, reason string)
 
 	byDst map[packet.NodeID][]buffered
 }
@@ -25,18 +26,13 @@ type buffered struct {
 	at sim.Time
 }
 
-// NewSendBuffer creates a buffer holding at most capacity packets per
-// destination, each for at most maxAge. ar (may be nil) receives evicted
-// packets' storage; onDrop (may be nil) is told about evictions first.
-func NewSendBuffer(sched *sim.Scheduler, capacity int, maxAge sim.Duration, ar *packet.Arena, onDrop func(*packet.Packet, string)) *SendBuffer {
-	return &SendBuffer{
-		cap:    capacity,
-		maxAge: maxAge,
-		sched:  sched,
-		ar:     ar,
-		onDrop: onDrop,
-		byDst:  make(map[packet.NodeID][]buffered),
-	}
+// NewSendBuffer creates a buffer for env holding at most capacity packets
+// per destination, each for at most maxAge. Evicted packets are reported
+// to env and their storage returned to env's arena (if it carries one).
+func NewSendBuffer(env Env, capacity int, maxAge sim.Duration) *SendBuffer {
+	b := &SendBuffer{byDst: make(map[packet.NodeID][]buffered)}
+	b.Rebind(env, capacity, maxAge)
+	return b
 }
 
 // Push buffers p for dst, evicting the oldest packet if full.
@@ -94,15 +90,15 @@ func (b *SendBuffer) Size() int {
 	return n
 }
 
-// Rebind points a recycled buffer at the next run's scheduler, limits,
-// arena and drop hook, keeping the byDst map's buckets. The buffer must
-// be empty (Retire or Recycle first).
-func (b *SendBuffer) Rebind(sched *sim.Scheduler, capacity int, maxAge sim.Duration, ar *packet.Arena, onDrop func(*packet.Packet, string)) {
+// Rebind points a recycled buffer at the next run's environment and
+// limits, keeping the byDst map's buckets. The buffer must be empty
+// (Retire or Recycle first).
+func (b *SendBuffer) Rebind(env Env, capacity int, maxAge sim.Duration) {
 	b.cap = capacity
 	b.maxAge = maxAge
-	b.sched = sched
-	b.ar = ar
-	b.onDrop = onDrop
+	b.env = env
+	b.sched = env.Scheduler()
+	b.ar = ArenaOf(env)
 }
 
 // Recycle empties the buffer without releasing anything: the run is dead
@@ -124,8 +120,6 @@ func (b *SendBuffer) expire(q []buffered) []buffered {
 }
 
 func (b *SendBuffer) drop(p *packet.Packet, reason string) {
-	if b.onDrop != nil {
-		b.onDrop(p, reason)
-	}
+	b.env.NotifyDrop(p, reason)
 	b.ar.Release(p)
 }

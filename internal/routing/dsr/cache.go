@@ -1,6 +1,8 @@
 package dsr
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 )
@@ -63,13 +65,13 @@ func (c *routeCache) Add(path []packet.NodeID) bool {
 	if len(path) < 2 || path[0] != c.owner {
 		return false
 	}
-	if hasLoop(path) {
+	if routing.HasLoop(path) {
 		return false
 	}
 	dst := path[len(path)-1]
 	count := 0
 	for _, r := range c.routes {
-		if equalRoute(r, path) {
+		if slices.Equal(r, path) {
 			return false // already cached
 		}
 		if r[len(r)-1] == dst {
@@ -164,7 +166,7 @@ func (c *routeCache) GetTrusted(dst packet.NodeID, oracle routing.TrustOracle) [
 func (c *routeCache) GetAvoidingLink(dst, a, b packet.NodeID) []packet.NodeID {
 	var best []packet.NodeID
 	for _, r := range c.routes {
-		if r[len(r)-1] != dst || containsLink(r, a, b) {
+		if r[len(r)-1] != dst || routing.ContainsLink(r, a, b) {
 			continue
 		}
 		if best == nil || len(r) < len(best) {
@@ -180,7 +182,7 @@ func (c *routeCache) RemoveLink(a, b packet.NodeID) int {
 	kept := c.routes[:0]
 	removed := 0
 	for _, r := range c.routes {
-		if containsLink(r, a, b) {
+		if routing.ContainsLink(r, a, b) {
 			c.ar.ReleaseRoute(r)
 			removed++
 		} else {
@@ -202,40 +204,6 @@ func (c *routeCache) RemoveLink(a, b packet.NodeID) int {
 // Len returns the number of cached routes (tests).
 func (c *routeCache) Len() int { return len(c.routes) }
 
-func containsLink(r []packet.NodeID, a, b packet.NodeID) bool {
-	for i := 0; i+1 < len(r); i++ {
-		if (r[i] == a && r[i+1] == b) || (r[i] == b && r[i+1] == a) {
-			return true
-		}
-	}
-	return false
-}
-
-func equalRoute(a, b []packet.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// hasLoop reports whether r visits any node twice. Routes are a handful of
-// hops, so a nested scan is cheaper than building a set on every call.
-func hasLoop(r []packet.NodeID) bool {
-	for i := 1; i < len(r); i++ {
-		for _, n := range r[:i] {
-			if n == r[i] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // concatenate joins prefix (ending at x) and suffix (starting at x) into a
 // single loop-free route, or nil if the result would contain a loop.
 func concatenate(prefix, suffix []packet.NodeID) []packet.NodeID {
@@ -245,17 +213,8 @@ func concatenate(prefix, suffix []packet.NodeID) []packet.NodeID {
 	out := make([]packet.NodeID, 0, len(prefix)+len(suffix)-1)
 	out = append(out, prefix...)
 	out = append(out, suffix[1:]...)
-	if hasLoop(out) {
+	if routing.HasLoop(out) {
 		return nil
-	}
-	return out
-}
-
-// reverseRoute returns a reversed copy.
-func reverseRoute(r []packet.NodeID) []packet.NodeID {
-	out := make([]packet.NodeID, len(r))
-	for i, n := range r {
-		out[len(r)-1-i] = n
 	}
 	return out
 }

@@ -14,6 +14,8 @@
 package dsr
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 	"mtsim/internal/sim"
@@ -76,23 +78,18 @@ type RERR struct {
 	From, To packet.NodeID
 }
 
-type discovery struct {
-	attempts int
-	timer    *sim.Event
-}
-
 // Router is one node's DSR instance.
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
-	cache   *routeCache
-	reqID   uint32
-	seen    map[seenKey]bool
-	pending map[packet.NodeID]*discovery
-	buffer  *routing.SendBuffer
+	cache  *routeCache
+	reqID  uint32
+	seen   map[seenKey]bool
+	buffer *routing.SendBuffer
+	disc   *routing.Discovery[*Router]
 
 	// pathBuf is scratch for assembling candidate cache routes ([self,
 	// tail...]); routeCache.Add copies, so the scratch never escapes.
@@ -125,17 +122,27 @@ func New(env routing.Env, cfg Config) *Router {
 		}
 	}
 	ar := routing.ArenaOf(env)
-	return &Router{
-		env:     env,
-		cfg:     cfg,
-		ar:      ar,
-		trust:   routing.TrustOf(env),
-		cache:   newRouteCache(env.ID(), cfg.CachePerDst, cfg.CacheGlobal, ar),
-		seen:    make(map[seenKey]bool),
-		pending: make(map[packet.NodeID]*discovery),
-		buffer: routing.NewSendBuffer(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-			func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) }),
+	r := &Router{
+		env:    env,
+		cfg:    cfg,
+		ar:     ar,
+		trust:  routing.TrustOf(env),
+		cache:  newRouteCache(env.ID(), cfg.CachePerDst, cfg.CacheGlobal, ar),
+		seen:   make(map[seenKey]bool),
+		buffer: routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
+	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
+	return r
+}
+
+// discoveryPolicy is DSR's part of route discovery: a backoff doubling
+// from BackoffInit up to BackoffMax, DiscoveryRetries attempts, and any
+// cached route ends the search.
+var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
+	Flood:     (*Router).floodRREQ,
+	Timeout:   (*Router).backoff,
+	Retry:     func(r *Router, _ packet.NodeID, n int) bool { return n < r.cfg.DiscoveryRetries },
+	HaveRoute: (*Router).HasRoute,
 }
 
 // rebind points a recycled (fully reset) router at the next run's
@@ -145,8 +152,8 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 	r.env, r.cfg, r.ar = env, cfg, ar
 	r.trust = routing.TrustOf(env)
 	r.cache.rebind(env.ID(), cfg.CachePerDst, cfg.CacheGlobal, ar)
-	r.buffer.Rebind(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-		func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) })
+	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
+	r.disc.Rebind(env)
 }
 
 // RecycleInto implements routing.Recyclable: reset all per-run state and
@@ -157,8 +164,8 @@ func (r *Router) RecycleInto(rec *routing.Recycler) {
 	r.cache.Drain()
 	r.cache.mp.Recycle()
 	r.buffer.Recycle()
+	r.disc.Recycle()
 	clear(r.seen)
-	clear(r.pending)
 	r.reqID = 0
 	r.pathBuf = r.pathBuf[:0]
 	r.Discoveries, r.CacheReplies, r.Salvages, r.SnoopedRoutes = 0, 0, 0, 0
@@ -189,11 +196,10 @@ func (r *Router) Send(p *packet.Packet) {
 		return
 	}
 	if route := r.pickRoute(p.Dst, routing.FlowKey(p)); route != nil {
-		r.sendAlong(p, route)
+		routing.SendAlong(r.env, r.ar, p, route)
 		return
 	}
-	r.buffer.Push(p.Dst, p)
-	r.startDiscovery(p.Dst)
+	r.disc.Queue(p)
 }
 
 // pickRoute selects the route for one of this node's own packets: the
@@ -208,73 +214,33 @@ func (r *Router) pickRoute(dst packet.NodeID, flow uint64) []packet.NodeID {
 	return r.cache.GetTrusted(dst, r.trust)
 }
 
-// sendAlong stamps the source route onto p and transmits to the first hop.
-func (r *Router) sendAlong(p *packet.Packet, route []packet.NodeID) {
-	r.ar.SetSourceRoute(p, route)
-	p.SRIndex = 0
-	r.env.SendMac(p, route[1])
-}
-
-func (r *Router) startDiscovery(dst packet.NodeID) {
-	if _, busy := r.pending[dst]; busy {
-		return
-	}
-	d := &discovery{}
-	r.pending[dst] = d
-	r.attempt(dst, d)
-}
-
-func (r *Router) attempt(dst packet.NodeID, d *discovery) {
-	d.attempts++
+// floodRREQ broadcasts a fresh route request for dst.
+func (r *Router) floodRREQ(dst packet.NodeID, _ int) {
 	r.Discoveries++
 	r.reqID++
 	self := r.env.ID()
 	h := &RREQ{Orig: self, Target: dst, ID: r.reqID, Record: []packet.NodeID{self}}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREQ,
-		Size:    rreqBase + addrSize,
-		Src:     self,
-		Dst:     dst,
-		TTL:     routing.DefaultTTL,
-		Routing: h,
-	})
 	r.seen[seenKey{self, h.ID}] = true
-	r.env.SendMac(p, packet.Broadcast)
+	routing.Originate(r.env, r.ar, packet.Broadcast, packet.Packet{
+		Kind: packet.KindRREQ, Size: rreqBase + addrSize, Dst: dst, TTL: routing.DefaultTTL, Routing: h})
+}
 
-	backoff := r.cfg.BackoffInit << (d.attempts - 1)
-	if backoff > r.cfg.BackoffMax {
-		backoff = r.cfg.BackoffMax
-	}
-	d.timer = r.env.Scheduler().After(backoff, func() {
-		if r.cache.Get(dst) != nil {
-			delete(r.pending, dst)
-			return
-		}
-		if d.attempts >= r.cfg.DiscoveryRetries {
-			delete(r.pending, dst)
-			r.buffer.DropAll(dst)
-			return
-		}
-		r.attempt(dst, d)
-	})
+// backoff is attempt n's wait for a reply: BackoffInit doubled per
+// attempt, capped at BackoffMax.
+func (r *Router) backoff(_ packet.NodeID, n int) sim.Duration {
+	return min(r.cfg.BackoffInit<<(n-1), r.cfg.BackoffMax)
 }
 
 // completeDiscovery flushes buffered traffic once a route exists.
 func (r *Router) completeDiscovery(dst packet.NodeID) {
-	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
-		delete(r.pending, dst)
-	}
+	r.disc.Complete(dst)
 	if r.cache.Get(dst) == nil {
 		return
 	}
 	// Per-packet lookup: equally short routes spread across the buffered
 	// flows instead of all draining down one.
 	for _, q := range r.buffer.Pop(dst) {
-		r.sendAlong(q, r.pickRoute(dst, routing.FlowKey(q)))
+		routing.SendAlong(r.env, r.ar, q, r.pickRoute(dst, routing.FlowKey(q)))
 	}
 }
 
@@ -295,13 +261,8 @@ func (r *Router) Receive(p *packet.Packet, from packet.NodeID) {
 func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 	h := p.Routing.(*RREQ)
 	self := r.env.ID()
-	if h.Orig == self {
-		return
-	}
-	for _, n := range h.Record {
-		if n == self {
-			return // already on this request's path
-		}
+	if h.Orig == self || slices.Contains(h.Record, self) {
+		return // our own request, or already on its path
 	}
 	key := seenKey{h.Orig, h.ID}
 	if r.seen[key] {
@@ -333,48 +294,24 @@ func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 	if p.TTL <= 1 {
 		return
 	}
-	fwd := r.ar.Copy(p, r.env.UIDs())
-	fwd.TTL--
-	nh := &RREQ{Orig: h.Orig, Target: h.Target, ID: h.ID,
-		Record: append(packet.CloneRoute(h.Record), self)}
-	fwd.Routing = nh
-	fwd.Size = rreqBase + addrSize*len(nh.Record)
-	r.env.SendMacAfter(r.env.RNG().Jitter(routing.MaxBroadcastJitter), fwd, packet.Broadcast)
+	record := append(packet.CloneRoute(h.Record), self)
+	routing.Rebroadcast(r.env, r.ar, p, &RREQ{Orig: h.Orig, Target: h.Target, ID: h.ID, Record: record},
+		rreqBase+addrSize*len(record))
 }
 
 // sendRREP unicasts a reply carrying the full route back to its origin
 // (route[0]) along the reversed route.
 func (r *Router) sendRREP(route []packet.NodeID) {
-	self := r.env.ID()
-	back := reverseRoute(route)
+	back := routing.ReverseRoute(route)
 	// Trim the reversed route so it starts at self (the replier may be an
 	// intermediate node replying from cache).
-	start := -1
-	for i, n := range back {
-		if n == self {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
+	start := slices.Index(back, r.env.ID())
+	if start < 0 || len(back)-start < 2 {
 		return
 	}
 	back = back[start:]
-	if len(back) < 2 {
-		return
-	}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREP,
-		Size:    rrepBase + addrSize*len(route),
-		Src:     self,
-		Dst:     back[len(back)-1],
-		TTL:     routing.DefaultTTL,
-		Routing: &RREP{Route: route},
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(p, back)
-	r.env.SendMac(p, back[1])
+	routing.SendSourceRouted(r.env, r.ar, back, packet.Packet{Kind: packet.KindRREP,
+		Size: rrepBase + addrSize*len(route), Dst: back[len(back)-1], Routing: &RREP{Route: route}})
 }
 
 func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
@@ -388,7 +325,7 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 		r.completeDiscovery(h.Route[len(h.Route)-1])
 		return
 	}
-	r.forwardSourceRouted(p)
+	routing.ForwardSourceRouted(r.env, r.ar, p)
 }
 
 func (r *Router) handleRERR(p *packet.Packet, from packet.NodeID) {
@@ -397,7 +334,7 @@ func (r *Router) handleRERR(p *packet.Packet, from packet.NodeID) {
 	if p.Dst == r.env.ID() {
 		return
 	}
-	r.forwardSourceRouted(p)
+	routing.ForwardSourceRouted(r.env, r.ar, p)
 }
 
 func (r *Router) handleData(p *packet.Packet, from packet.NodeID) {
@@ -417,46 +354,23 @@ func (r *Router) handleData(p *packet.Packet, from packet.NodeID) {
 		r.env.NotifyRelay(p)
 	}
 	r.learnFromRoute(p.SourceRoute)
-	r.forwardSourceRouted(p)
-}
-
-// forwardSourceRouted advances a packet along its embedded route.
-func (r *Router) forwardSourceRouted(p *packet.Packet) {
-	self := r.env.ID()
-	idx := -1
-	for i, n := range p.SourceRoute {
-		if n == self {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || idx+1 >= len(p.SourceRoute) {
-		r.env.NotifyDrop(p, "bad-source-route")
-		return
-	}
-	fwd := r.ar.Copy(p, r.env.UIDs())
-	fwd.TTL--
-	fwd.SRIndex = idx + 1
-	r.env.SendMac(fwd, p.SourceRoute[idx+1])
+	routing.ForwardSourceRouted(r.env, r.ar, p)
 }
 
 // learnFromRoute caches the sub-routes this node can extract from a full
 // route it participates in: the suffix ahead of it and the reversed prefix
 // behind it.
 func (r *Router) learnFromRoute(route []packet.NodeID) {
-	self := r.env.ID()
-	for i, n := range route {
-		if n != self {
-			continue
-		}
-		if i+1 < len(route) {
-			r.cache.Add(route[i:]) // Add copies; aliasing the header is fine
-		}
-		if i > 0 {
-			// [self, route[i-1], ..., route[0]] — route[i] is self.
-			r.cache.Add(r.scratchSelfPlusReversed(route[:i]))
-		}
+	i := slices.Index(route, r.env.ID())
+	if i < 0 {
 		return
+	}
+	if i+1 < len(route) {
+		r.cache.Add(route[i:]) // Add copies; aliasing the header is fine
+	}
+	if i > 0 {
+		// [self, route[i-1], ..., route[0]] — route[i] is self.
+		r.cache.Add(r.scratchSelfPlusReversed(route[:i]))
 	}
 }
 
@@ -490,13 +404,7 @@ func (r *Router) TapFrame(f *packet.Frame) {
 		return
 	}
 	route := p.SourceRoute
-	txIdx := -1
-	for i, n := range route {
-		if n == f.TxFrom {
-			txIdx = i
-			break
-		}
-	}
+	txIdx := slices.Index(route, f.TxFrom)
 	if txIdx < 0 {
 		return
 	}
@@ -533,11 +441,10 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 		// GetForFlow re-hashes over whatever survived RemoveLink, so a flow
 		// whose pinned route just broke lands on a surviving equal-cost one.
 		if route := r.pickRoute(p.Dst, routing.FlowKey(p)); route != nil {
-			r.sendAlong(p, route)
+			routing.SendAlong(r.env, r.ar, p, route)
 			return
 		}
-		r.buffer.Push(p.Dst, p)
-		r.startDiscovery(p.Dst)
+		r.disc.Queue(p)
 	default:
 		r.salvage(p, next)
 	}
@@ -546,30 +453,12 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 // sendRERR unicasts a route error to p's source along the reversed prefix
 // of p's source route.
 func (r *Router) sendRERR(p *packet.Packet, from, to packet.NodeID) {
-	self := r.env.ID()
-	idx := -1
-	for i, n := range p.SourceRoute {
-		if n == self {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(p.SourceRoute, r.env.ID())
 	if idx <= 0 {
 		return
 	}
-	back := reverseRoute(p.SourceRoute[:idx+1])
-	err := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRERR,
-		Size:    rerrSize,
-		Src:     self,
-		Dst:     p.Src,
-		TTL:     routing.DefaultTTL,
-		Routing: &RERR{From: from, To: to},
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(err, back)
-	r.env.SendMac(err, back[1])
+	routing.SendSourceRouted(r.env, r.ar, routing.ReverseRoute(p.SourceRoute[:idx+1]), packet.Packet{
+		Kind: packet.KindRERR, Size: rerrSize, Dst: p.Src, Routing: &RERR{From: from, To: to}})
 }
 
 // salvage re-routes a transit packet around a failed link using the local
@@ -589,9 +478,7 @@ func (r *Router) salvage(p *packet.Packet, failedNext packet.NodeID) {
 	r.Salvages++
 	fwd := r.ar.Copy(p, r.env.UIDs())
 	fwd.Salvage++
-	r.ar.SetSourceRoute(fwd, route)
-	fwd.SRIndex = 0
-	r.env.SendMac(fwd, route[1])
+	routing.SendAlong(r.env, r.ar, fwd, route)
 	r.ar.Release(p)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"mtsim/internal/packet"
+	"mtsim/internal/routing"
 	"mtsim/internal/routing/routingtest"
 	"mtsim/internal/sim"
 )
@@ -416,46 +417,12 @@ func TestConcatenateProperty(t *testing.T) {
 		if out == nil {
 			return true
 		}
-		if hasLoop(out) {
+		if routing.HasLoop(out) {
 			return false
 		}
 		return out[0] == prefix[0] && out[len(out)-1] == suffix[len(suffix)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHasLoop(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		route []packet.NodeID
-		want  bool
-	}{
-		{"empty", nil, false},
-		{"one node", []packet.NodeID{7}, false},
-		{"loop-free", []packet.NodeID{1, 2, 3, 4}, false},
-		{"loop at first position", []packet.NodeID{1, 1, 2, 3}, true},
-		{"loop at last position", []packet.NodeID{1, 2, 3, 3}, true},
-		{"loop in the middle", []packet.NodeID{1, 2, 3, 2, 4}, true},
-		{"first node revisited last", []packet.NodeID{1, 2, 3, 1}, true},
-	} {
-		if got := hasLoop(tc.route); got != tc.want {
-			t.Errorf("%s: hasLoop(%v) = %v, want %v", tc.name, tc.route, got, tc.want)
-		}
-	}
-}
-
-func TestReverseRouteProperty(t *testing.T) {
-	f := func(a []uint8) bool {
-		r := make([]packet.NodeID, len(a))
-		for i, v := range a {
-			r[i] = packet.NodeID(v)
-		}
-		rr := reverseRoute(reverseRoute(r))
-		return equalRoute(r, rr)
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

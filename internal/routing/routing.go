@@ -1,11 +1,16 @@
 // Package routing defines the interface between a node and its routing
-// protocol, plus helpers shared by all protocol implementations (send
-// buffers for packets awaiting route discovery, sequence-number comparison,
-// broadcast jitter conventions).
+// protocol, plus the mechanics all protocol implementations share: the
+// route-discovery driver (Discovery: RREQ retry timer, per-destination
+// bookkeeping, give-up path) over a send buffer for packets awaiting a
+// route, control-packet origination and re-flooding (Originate,
+// Rebroadcast), the source-route toolkit (SendAlong, SendSourceRouted,
+// ForwardSourceRouted, ReverseRoute, HasLoop, ContainsLink),
+// sequence-number comparison and broadcast jitter conventions.
 //
-// Three protocols implement Protocol: DSR and AODV (the paper's baselines,
-// internal/routing/dsr and internal/routing/aodv) and MTS (the paper's
-// contribution, internal/core).
+// Four protocols implement Protocol: DSR and AODV (the paper's baselines,
+// internal/routing/dsr and internal/routing/aodv), SMR (the multipath
+// scheme of the paper's related work, internal/routing/smr) and MTS (the
+// paper's contribution, internal/core).
 package routing
 
 import (
@@ -48,7 +53,8 @@ type Env interface {
 
 // Protocol is a routing protocol instance bound to one node.
 type Protocol interface {
-	// Name returns the protocol's short name ("DSR", "AODV", "MTS").
+	// Name returns the protocol's short name ("DSR", "AODV", "SMR",
+	// "MTS").
 	Name() string
 	// Start is called once at simulation start, before any traffic.
 	Start()

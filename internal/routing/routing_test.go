@@ -1,10 +1,12 @@
-package routing
+package routing_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"mtsim/internal/packet"
+	"mtsim/internal/routing"
+	"mtsim/internal/routing/routingtest"
 	"mtsim/internal/sim"
 )
 
@@ -12,10 +14,16 @@ func mkPkt(u *packet.UIDSource) *packet.Packet {
 	return &packet.Packet{UID: u.Next(), Kind: packet.KindData, Size: 1040}
 }
 
+// newBufferEnv is a lone node's fake environment: its Dropped list
+// records the buffer's eviction reasons.
+func newBufferEnv(sched *sim.Scheduler) *routingtest.Env {
+	return routingtest.NewEnv(0, sched, &packet.UIDSource{})
+}
+
 func TestSendBufferPushPop(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	b := NewSendBuffer(sched, 4, 8*sim.Second, nil, nil)
+	b := routing.NewSendBuffer(newBufferEnv(sched), 4, 8*sim.Second)
 	p1, p2 := mkPkt(&uids), mkPkt(&uids)
 	b.Push(5, p1)
 	b.Push(5, p2)
@@ -34,10 +42,8 @@ func TestSendBufferPushPop(t *testing.T) {
 func TestSendBufferOverflowEvictsOldest(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	var drops []string
-	b := NewSendBuffer(sched, 2, 8*sim.Second, nil, func(p *packet.Packet, r string) {
-		drops = append(drops, r)
-	})
+	env := newBufferEnv(sched)
+	b := routing.NewSendBuffer(env, 2, 8*sim.Second)
 	p1, p2, p3 := mkPkt(&uids), mkPkt(&uids), mkPkt(&uids)
 	b.Push(1, p1)
 	b.Push(1, p2)
@@ -46,16 +52,16 @@ func TestSendBufferOverflowEvictsOldest(t *testing.T) {
 	if len(got) != 2 || got[0] != p2 || got[1] != p3 {
 		t.Fatalf("pop after overflow = %v", got)
 	}
-	if len(drops) != 1 || drops[0] != "sendbuf-overflow" {
-		t.Fatalf("drops = %v", drops)
+	if len(env.Dropped) != 1 || env.Dropped[0] != "sendbuf-overflow" {
+		t.Fatalf("drops = %v", env.Dropped)
 	}
 }
 
 func TestSendBufferExpiry(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	var drops int
-	b := NewSendBuffer(sched, 8, 2*sim.Second, nil, func(*packet.Packet, string) { drops++ })
+	env := newBufferEnv(sched)
+	b := routing.NewSendBuffer(env, 8, 2*sim.Second)
 	b.Push(1, mkPkt(&uids))
 	sched.RunUntil(sim.Time(3 * sim.Second))
 	b.Push(1, mkPkt(&uids)) // triggers expiry scan
@@ -63,28 +69,28 @@ func TestSendBufferExpiry(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("fresh packets = %d, want 1", len(got))
 	}
-	if drops != 1 {
-		t.Fatalf("expired drops = %d", drops)
+	if len(env.Dropped) != 1 || env.Dropped[0] != "sendbuf-timeout" {
+		t.Fatalf("expired drops = %v", env.Dropped)
 	}
 }
 
 func TestSendBufferDropAll(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	var drops int
-	b := NewSendBuffer(sched, 8, 8*sim.Second, nil, func(*packet.Packet, string) { drops++ })
+	env := newBufferEnv(sched)
+	b := routing.NewSendBuffer(env, 8, 8*sim.Second)
 	b.Push(1, mkPkt(&uids))
 	b.Push(1, mkPkt(&uids))
 	b.DropAll(1)
-	if drops != 2 || b.Len(1) != 0 {
-		t.Fatalf("drops=%d len=%d", drops, b.Len(1))
+	if len(env.Dropped) != 2 || b.Len(1) != 0 {
+		t.Fatalf("drops=%v len=%d", env.Dropped, b.Len(1))
 	}
 }
 
 func TestSendBufferPerDestinationIsolation(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	b := NewSendBuffer(sched, 2, 8*sim.Second, nil, nil)
+	b := routing.NewSendBuffer(newBufferEnv(sched), 2, 8*sim.Second)
 	b.Push(1, mkPkt(&uids))
 	b.Push(2, mkPkt(&uids))
 	b.Push(2, mkPkt(&uids))
@@ -103,12 +109,12 @@ func TestSendBufferPerDestinationIsolation(t *testing.T) {
 func TestSeqNewerAntisymmetryProperty(t *testing.T) {
 	f := func(a, b uint32) bool {
 		if a == b {
-			return !SeqNewer(a, b) && !SeqNewer(b, a)
+			return !routing.SeqNewer(a, b) && !routing.SeqNewer(b, a)
 		}
 		if a-b == 1<<31 {
 			return true // boundary: both directions agree by convention
 		}
-		return SeqNewer(a, b) != SeqNewer(b, a)
+		return routing.SeqNewer(a, b) != routing.SeqNewer(b, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -116,7 +122,7 @@ func TestSeqNewerAntisymmetryProperty(t *testing.T) {
 }
 
 func TestSeqNewerSuccessorProperty(t *testing.T) {
-	f := func(a uint32) bool { return SeqNewer(a+1, a) }
+	f := func(a uint32) bool { return routing.SeqNewer(a+1, a) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}

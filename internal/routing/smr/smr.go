@@ -23,6 +23,8 @@
 package smr
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 	"mtsim/internal/sim"
@@ -106,23 +108,18 @@ type collectState struct {
 	replied bool
 }
 
-type discovery struct {
-	attempts int
-	timer    *sim.Event
-}
-
 // Router is one node's SMR instance.
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
 	reqID   uint32
 	seen    map[seenKey]*rreqSeen
 	collect map[packet.NodeID]*collectState // by originator
-	pending map[packet.NodeID]*discovery
 	buffer  *routing.SendBuffer
+	disc    *routing.Discovery[*Router]
 
 	// routes[dst] holds up to two active source routes. The route slices
 	// are arena-owned (AcquireRoute) — they are private copies, never
@@ -174,20 +171,29 @@ func New(env routing.Env, cfg Config) *Router {
 			return r
 		}
 	}
-	ar := routing.ArenaOf(env)
-	return &Router{
+	r := &Router{
 		env:     env,
 		cfg:     cfg,
-		ar:      ar,
+		ar:      routing.ArenaOf(env),
 		trust:   routing.TrustOf(env),
 		seen:    make(map[seenKey]*rreqSeen),
 		collect: make(map[packet.NodeID]*collectState),
-		pending: make(map[packet.NodeID]*discovery),
 		routes:  make(map[packet.NodeID]*routeSet),
 		mp:      routing.NewMultiPathTable(env.ID()),
-		buffer: routing.NewSendBuffer(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-			func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) }),
+		buffer:  routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
+	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
+	return r
+}
+
+// discoveryPolicy is SMR's part of route discovery: DiscoveryTimeout
+// doubling per attempt, DiscoveryRetries attempts, and any route in the
+// set ends the search.
+var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
+	Flood:     (*Router).floodRREQ,
+	Timeout:   func(r *Router, _ packet.NodeID, n int) sim.Duration { return r.cfg.DiscoveryTimeout << (n - 1) },
+	Retry:     func(r *Router, _ packet.NodeID, n int) bool { return n < r.cfg.DiscoveryRetries },
+	HaveRoute: func(r *Router, dst packet.NodeID) bool { return r.RouteCount(dst) > 0 },
 }
 
 // rebind points a recycled (fully reset) router at the next run's
@@ -197,8 +203,8 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 	r.env, r.cfg, r.ar = env, cfg, ar
 	r.trust = routing.TrustOf(env)
 	r.mp.Rebind(env.ID())
-	r.buffer.Rebind(env.Scheduler(), cfg.SendBufCap, cfg.SendBufAge, ar,
-		func(p *packet.Packet, reason string) { env.NotifyDrop(p, reason) })
+	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
+	r.disc.Rebind(env)
 }
 
 // RecycleInto implements routing.Recyclable: reset all per-run state and
@@ -211,7 +217,7 @@ func (r *Router) RecycleInto(rec *routing.Recycler) {
 	r.mp.Recycle()
 	clear(r.seen)
 	clear(r.collect)
-	clear(r.pending)
+	r.disc.Recycle()
 	r.reqID = 0
 	r.Discoveries, r.SecondRoutes, r.SplitToggles = 0, 0, 0
 	r.env = nil
@@ -276,13 +282,10 @@ func (r *Router) Send(p *packet.Packet) {
 	}
 	if rs := r.routes[p.Dst]; rs != nil && len(rs.routes) > 0 {
 		route := r.pickRoute(p.Dst, rs, routing.FlowKey(p))
-		r.ar.SetSourceRoute(p, route)
-		p.SRIndex = 0
-		r.env.SendMac(p, route[1])
+		routing.SendAlong(r.env, r.ar, p, route)
 		return
 	}
-	r.buffer.Push(p.Dst, p)
-	r.startDiscovery(p.Dst)
+	r.disc.Queue(p)
 }
 
 // pickRoute applies the data-plane mode. In backup mode a pair of equally
@@ -323,46 +326,15 @@ func (r *Router) pickRoute(dst packet.NodeID, rs *routeSet, flow uint64) []packe
 	return route
 }
 
-func (r *Router) startDiscovery(dst packet.NodeID) {
-	if _, busy := r.pending[dst]; busy {
-		return
-	}
-	d := &discovery{}
-	r.pending[dst] = d
-	r.attempt(dst, d)
-}
-
-func (r *Router) attempt(dst packet.NodeID, d *discovery) {
-	d.attempts++
+// floodRREQ broadcasts a fresh route request for dst.
+func (r *Router) floodRREQ(dst packet.NodeID, _ int) {
 	r.Discoveries++
 	r.reqID++
 	self := r.env.ID()
 	h := &RREQ{Orig: self, Target: dst, ID: r.reqID, Record: []packet.NodeID{self}}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREQ,
-		Size:    rreqBase + addrSize,
-		Src:     self,
-		Dst:     dst,
-		TTL:     routing.DefaultTTL,
-		Routing: h,
-	})
 	r.seen[seenKey{self, h.ID}] = &rreqSeen{firstFrom: self, count: 1}
-	r.env.SendMac(p, packet.Broadcast)
-
-	timeout := r.cfg.DiscoveryTimeout << (d.attempts - 1)
-	d.timer = r.env.Scheduler().After(timeout, func() {
-		if rs := r.routes[dst]; rs != nil && len(rs.routes) > 0 {
-			delete(r.pending, dst)
-			return
-		}
-		if d.attempts >= r.cfg.DiscoveryRetries {
-			delete(r.pending, dst)
-			r.buffer.DropAll(dst)
-			return
-		}
-		r.attempt(dst, d)
-	})
+	routing.Originate(r.env, r.ar, packet.Broadcast, packet.Packet{
+		Kind: packet.KindRREQ, Size: rreqBase + addrSize, Dst: dst, TTL: routing.DefaultTTL, Routing: h})
 }
 
 // Receive implements routing.Protocol.
@@ -383,13 +355,8 @@ func (r *Router) Receive(p *packet.Packet, from packet.NodeID) {
 func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 	h := p.Routing.(*RREQ)
 	self := r.env.ID()
-	if h.Orig == self {
+	if h.Orig == self || slices.Contains(h.Record, self) {
 		return
-	}
-	for _, n := range h.Record {
-		if n == self {
-			return
-		}
 	}
 	if h.Target == self {
 		r.rreqAtDestination(h)
@@ -411,13 +378,9 @@ func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 	if p.TTL <= 1 {
 		return
 	}
-	fwd := r.ar.Copy(p, r.env.UIDs())
-	fwd.TTL--
-	nh := &RREQ{Orig: h.Orig, Target: h.Target, ID: h.ID,
-		Record: append(packet.CloneRoute(h.Record), self)}
-	fwd.Routing = nh
-	fwd.Size = rreqBase + addrSize*len(nh.Record)
-	r.env.SendMacAfter(r.env.RNG().Jitter(routing.MaxBroadcastJitter), fwd, packet.Broadcast)
+	record := append(packet.CloneRoute(h.Record), self)
+	routing.Rebroadcast(r.env, r.ar, p, &RREQ{Orig: h.Orig, Target: h.Target, ID: h.ID, Record: record},
+		rreqBase+addrSize*len(record))
 }
 
 // rreqAtDestination replies to the first copy immediately and opens the
@@ -479,29 +442,18 @@ func overlap(a, b []packet.NodeID) int {
 }
 
 func (r *Router) sendRREP(route []packet.NodeID, index int, id uint32) {
-	back := reverseRoute(route)
-	if len(back) < 2 {
+	if len(route) < 2 {
 		return
 	}
-	p := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRREP,
-		Size:    rrepBase + addrSize*len(route),
-		Src:     r.env.ID(),
-		Dst:     route[0],
-		TTL:     routing.DefaultTTL,
-		Routing: &RREP{Route: route, Index: index, ID: id},
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(p, back)
-	r.env.SendMac(p, back[1])
+	routing.SendSourceRouted(r.env, r.ar, routing.ReverseRoute(route), packet.Packet{Kind: packet.KindRREP,
+		Size: rrepBase + addrSize*len(route), Dst: route[0], Routing: &RREP{Route: route, Index: index, ID: id}})
 }
 
 func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 	h := p.Routing.(*RREP)
 	self := r.env.ID()
 	if p.Dst != self {
-		r.forwardSourceRouted(p)
+		routing.ForwardSourceRouted(r.env, r.ar, p)
 		return
 	}
 	dst := h.Route[len(h.Route)-1]
@@ -516,10 +468,8 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 		rs.id = h.ID
 		r.mp.InvalidateDst(dst)
 	}
-	for _, existing := range rs.routes {
-		if equalRoute(existing, h.Route) {
-			return
-		}
+	if slices.ContainsFunc(rs.routes, func(existing []packet.NodeID) bool { return slices.Equal(existing, h.Route) }) {
+		return
 	}
 	if len(rs.routes) < 2 {
 		rs.routes = append(rs.routes, r.ar.AcquireRoute(h.Route))
@@ -529,21 +479,13 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 }
 
 func (r *Router) completeDiscovery(dst packet.NodeID) {
-	if d, ok := r.pending[dst]; ok {
-		if d.timer != nil {
-			r.env.Scheduler().Cancel(d.timer)
-		}
-		delete(r.pending, dst)
-	}
+	r.disc.Complete(dst)
 	rs := r.routes[dst]
 	if rs == nil || len(rs.routes) == 0 {
 		return
 	}
 	for _, q := range r.buffer.Pop(dst) {
-		route := r.pickRoute(dst, rs, routing.FlowKey(q))
-		r.ar.SetSourceRoute(q, route)
-		q.SRIndex = 0
-		r.env.SendMac(q, route[1])
+		routing.SendAlong(r.env, r.ar, q, r.pickRoute(dst, rs, routing.FlowKey(q)))
 	}
 }
 
@@ -554,7 +496,7 @@ func (r *Router) handleRERR(p *packet.Packet, from packet.NodeID) {
 	if p.Dst == self {
 		return
 	}
-	r.forwardSourceRouted(p)
+	routing.ForwardSourceRouted(r.env, r.ar, p)
 }
 
 // dropRoutesVia removes routes using the broken link from every route
@@ -563,7 +505,7 @@ func (r *Router) dropRoutesVia(a, b packet.NodeID) {
 	for dst, rs := range r.routes {
 		kept := rs.routes[:0]
 		for _, route := range rs.routes {
-			if containsLink(route, a, b) {
+			if routing.ContainsLink(route, a, b) {
 				r.ar.ReleaseRoute(route)
 			} else {
 				kept = append(kept, route)
@@ -598,26 +540,7 @@ func (r *Router) handleData(p *packet.Packet, from packet.NodeID) {
 	if p.Kind == packet.KindData {
 		r.env.NotifyRelay(p)
 	}
-	r.forwardSourceRouted(p)
-}
-
-func (r *Router) forwardSourceRouted(p *packet.Packet) {
-	self := r.env.ID()
-	idx := -1
-	for i, n := range p.SourceRoute {
-		if n == self {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || idx+1 >= len(p.SourceRoute) {
-		r.env.NotifyDrop(p, "bad-source-route")
-		return
-	}
-	fwd := r.ar.Copy(p, r.env.UIDs())
-	fwd.TTL--
-	fwd.SRIndex = idx + 1
-	r.env.SendMac(fwd, p.SourceRoute[idx+1])
+	routing.ForwardSourceRouted(r.env, r.ar, p)
 }
 
 // LinkFailed implements routing.Protocol.
@@ -638,15 +561,11 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 		// route set is exhausted).
 		if rs := r.routes[p.Dst]; rs != nil && len(rs.routes) > 0 {
 			route := r.pickRoute(p.Dst, rs, routing.FlowKey(p))
-			q := r.ar.Copy(p, r.env.UIDs())
-			r.ar.SetSourceRoute(q, route)
-			q.SRIndex = 0
-			r.env.SendMac(q, route[1])
+			routing.SendAlong(r.env, r.ar, r.ar.Copy(p, r.env.UIDs()), route)
 			r.ar.Release(p)
 			return
 		}
-		r.buffer.Push(p.Dst, p)
-		r.startDiscovery(p.Dst)
+		r.disc.Queue(p)
 		return
 	}
 	r.env.NotifyDrop(p, "link-failure")
@@ -654,30 +573,12 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 }
 
 func (r *Router) sendRERR(p *packet.Packet, from, to packet.NodeID) {
-	self := r.env.ID()
-	idx := -1
-	for i, n := range p.SourceRoute {
-		if n == self {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(p.SourceRoute, r.env.ID())
 	if idx <= 0 {
 		return
 	}
-	back := reverseRoute(p.SourceRoute[:idx+1])
-	err := r.ar.NewPacketFrom(packet.Packet{
-		UID:     r.env.UIDs().Next(),
-		Kind:    packet.KindRERR,
-		Size:    rerrSize,
-		Src:     self,
-		Dst:     p.Src,
-		TTL:     routing.DefaultTTL,
-		Routing: &RERR{From: from, To: to},
-		SRIndex: 0,
-	})
-	r.ar.SetSourceRoute(err, back)
-	r.env.SendMac(err, back[1])
+	routing.SendSourceRouted(r.env, r.ar, routing.ReverseRoute(p.SourceRoute[:idx+1]), packet.Packet{
+		Kind: packet.KindRERR, Size: rerrSize, Dst: p.Src, Routing: &RERR{From: from, To: to}})
 }
 
 // Buffered reports how many data packets are parked in the send buffer
@@ -704,35 +605,6 @@ func (r *Router) Routes(dst packet.NodeID) [][]packet.NodeID {
 	out := make([][]packet.NodeID, 0, len(rs.routes))
 	for _, route := range rs.routes {
 		out = append(out, packet.CloneRoute(route))
-	}
-	return out
-}
-
-func containsLink(r []packet.NodeID, a, b packet.NodeID) bool {
-	for i := 0; i+1 < len(r); i++ {
-		if (r[i] == a && r[i+1] == b) || (r[i] == b && r[i+1] == a) {
-			return true
-		}
-	}
-	return false
-}
-
-func equalRoute(a, b []packet.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func reverseRoute(r []packet.NodeID) []packet.NodeID {
-	out := make([]packet.NodeID, len(r))
-	for i, n := range r {
-		out[len(r)-1-i] = n
 	}
 	return out
 }

@@ -169,9 +169,10 @@ func (r *Router) failCheck(p *packet.Packet) {
 	if idx <= 0 {
 		return
 	}
+	back := routing.ReverseRoute(h.Route[:idx+1]) // self … D
 	r.Stats.CheckErrs++
-	routing.SendSourceRouted(r.env, r.ar, routing.ReverseRoute(h.Route[:idx+1]), packet.Packet{ // self … D
-		Kind: packet.KindCheckErr, Size: checkErrSize, Dst: h.From, Routing: &CheckErr{PathID: h.PathID, CheckID: h.CheckID}})
+	routing.SendSourceRouted(r.env, r.ar, back, packet.Packet{Kind: packet.KindCheckErr, Size: checkErrSize,
+		Dst: h.From, Routing: &CheckErr{PathID: h.PathID, CheckID: h.CheckID}})
 }
 
 func (r *Router) handleCheckErr(p *packet.Packet, from packet.NodeID) {

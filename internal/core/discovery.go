@@ -185,7 +185,8 @@ func (r *Router) sendRREP(sp *storedPath, h *RREQ) {
 	if len(sp.route) < 2 {
 		return
 	}
-	routing.SendSourceRouted(r.env, r.ar, routing.ReverseRoute(sp.route), packet.Packet{Kind: packet.KindRREP,
+	back := routing.ReverseRoute(sp.route) // D … S
+	routing.SendSourceRouted(r.env, r.ar, back, packet.Packet{Kind: packet.KindRREP,
 		Size: rrepBase + addrSize*len(sp.route), Dst: h.Orig, Routing: &RREP{Route: sp.route, BID: h.BID, PathID: sp.id}})
 }
 

@@ -30,10 +30,10 @@ type DiscoveryPolicy[R any] struct {
 // reply lands (then drains the buffer itself); when the policy gives up,
 // the driver drops everything buffered for the destination.
 //
-// A timer that fires while a route exists — one learned some other way
-// than the reply, or a reply whose Complete did not run — ends the
-// discovery without draining the buffer: those packets wait for the next
-// Complete or age out.
+// A timer that fires while a route exists (one the protocol learned
+// without a reply that called Complete) ends the discovery without
+// draining the buffer: those packets wait for the next Complete or age
+// out.
 type Discovery[R any] struct {
 	env     Env
 	buffer  *SendBuffer

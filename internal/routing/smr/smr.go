@@ -468,8 +468,10 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 		rs.id = h.ID
 		r.mp.InvalidateDst(dst)
 	}
-	if slices.ContainsFunc(rs.routes, func(existing []packet.NodeID) bool { return slices.Equal(existing, h.Route) }) {
-		return
+	for _, existing := range rs.routes {
+		if slices.Equal(existing, h.Route) {
+			return
+		}
 	}
 	if len(rs.routes) < 2 {
 		rs.routes = append(rs.routes, r.ar.AcquireRoute(h.Route))

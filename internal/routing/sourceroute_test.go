@@ -121,7 +121,8 @@ func TestOriginateAndRebroadcast(t *testing.T) {
 	if len(out) != 1 || out[0].Next != packet.Broadcast {
 		t.Fatalf("sent %v, want one broadcast", out)
 	}
-	if p := out[0].P; p.UID != 1 || p.Kind != packet.KindRREQ || p.Size != 20 || p.Src != 4 || p.Dst != 9 || p.TTL != 3 {
+	if p := out[0].P; p.UID != 1 || p.Kind != packet.KindRREQ || p.Size != 20 || p.Src != 4 ||
+		p.Dst != 9 || p.TTL != 3 {
 		t.Fatalf("originated %+v", p)
 	}
 
@@ -161,5 +162,28 @@ func TestForwardSourceRouted(t *testing.T) {
 	if len(env.Outbox) != 0 || !slices.Equal(env.Dropped,
 		[]string{"bad-source-route", "bad-source-route", "bad-source-route"}) {
 		t.Fatalf("route ending here or without us: sent %v, dropped %v", env.Outbox, env.Dropped)
+	}
+}
+
+// The source-routed data path reuses arena storage: once the arena is
+// warm, forwarding a packet and stamping a new route on it allocate
+// nothing.
+func TestSourceRoutedDataPathAllocFree(t *testing.T) {
+	var uids packet.UIDSource
+	env := routingtest.NewEnv(2, sim.NewScheduler(), &uids)
+	env.Pool = packet.NewArena()
+	p := env.Pool.NewPacketFrom(packet.Packet{Kind: packet.KindData, TTL: 5})
+	env.Pool.SetSourceRoute(p, []packet.NodeID{1, 2, 3})
+	tail := []packet.NodeID{2, 3}
+	step := func() {
+		routing.ForwardSourceRouted(env, env.Pool, p)
+		fwd := env.Outbox[0].P
+		routing.SendAlong(env, env.Pool, fwd, tail)
+		env.Outbox = env.Outbox[:0]
+		env.Pool.Release(fwd)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("%.1f allocs per forward + restamp, want 0", allocs)
 	}
 }

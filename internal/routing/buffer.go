@@ -7,8 +7,8 @@ import (
 
 // SendBuffer holds data packets awaiting route discovery, per destination,
 // with a capacity bound and an age limit — the analogue of ns-2's send
-// buffer. All four protocols use one, drained through their Discovery.
-// The buffer owns its packets: every eviction reports the drop to the
+// buffer. All four protocols use one; their Discovery drops its packets
+// for a destination when the search gives up. The buffer owns its packets: every eviction reports the drop to the
 // environment (Env.NotifyDrop) and releases the packet back to the arena,
 // so protocols cannot forget the release and leak.
 type SendBuffer struct {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mtsim/internal/packet"
+	"mtsim/internal/routing"
 	"mtsim/internal/routing/routingtest"
 	"mtsim/internal/sim"
 )
@@ -50,6 +52,42 @@ func TestStoredPathsPairwiseDisjointProperty(t *testing.T) {
 		return len(live) <= r.cfg.MaxPaths
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the route reversal MTS uses for RREPs and checking packets is an
+// involution that preserves length and order.
+func TestReverseRouteInvolutionProperty(t *testing.T) {
+	f := func(raw []uint8) bool {
+		route := make([]packet.NodeID, len(raw))
+		for i, v := range raw {
+			route[i] = packet.NodeID(v)
+		}
+		return slices.Equal(routing.ReverseRoute(routing.ReverseRoute(route)), route)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the loop check MTS applies to RREQ and data routes detects
+// exactly the routes with repeated nodes.
+func TestHasLoopProperty(t *testing.T) {
+	f := func(raw []uint8) bool {
+		route := make([]packet.NodeID, len(raw))
+		seen := map[uint8]bool{}
+		dup := false
+		for i, v := range raw {
+			route[i] = packet.NodeID(v)
+			if seen[v] {
+				dup = true
+			}
+			seen[v] = true
+		}
+		return routing.HasLoop(route) == dup
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package dsr
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -423,6 +424,21 @@ func TestConcatenateProperty(t *testing.T) {
 		return out[0] == prefix[0] && out[len(out)-1] == suffix[len(suffix)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the route reversal DSR uses for RREPs and route errors is an
+// involution.
+func TestReverseRouteProperty(t *testing.T) {
+	f := func(a []uint8) bool {
+		r := make([]packet.NodeID, len(a))
+		for i, v := range a {
+			r[i] = packet.NodeID(v)
+		}
+		return slices.Equal(routing.ReverseRoute(routing.ReverseRoute(r)), r)
+	}
+	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke sweep-demo sweepd-demo coevolution-demo clean
+.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke sweep-demo coevolution-demo clean
 
 build:
 	$(GO) build ./...
@@ -71,14 +71,6 @@ coevolution-demo:
 	$(GO) run ./examples/coevolution > .coevolution-demo.out
 	diff -u examples/coevolution/OUTPUT.txt .coevolution-demo.out
 	rm -f .coevolution-demo.out
-
-# Distributed sweep fabric demo (cmd/sweepd, internal/sweepfabric):
-# boots a coordinator, shards a mini-sweep across two separate worker
-# processes, and asserts the warm re-query is served from the
-# rendered-query memo with zero cells simulated (the script fails
-# otherwise — it is the CI fabric job's local equivalent).
-sweepd-demo:
-	bash scripts/sweepd_demo.sh
 
 clean:
 	$(GO) clean ./...

@@ -49,14 +49,6 @@
 //
 //	experiments -keep-going -max-retries 2 -run-timeout 5m -journal attempts.jsonl -out results
 //
-// Distributed sweeps (see internal/sweepfabric and cmd/sweepd): -fabric
-// points the sweep at a sweepd coordinator — cells are enqueued there,
-// simulated by the fabric's worker fleet (plus -fabric-workers loops run
-// in this process), and aggregated from the shared content-addressed
-// cache. Determinism makes the output byte-identical to a local run:
-//
-//	experiments -fabric http://127.0.0.1:7077 -fabric-workers 2 -out results
-//
 // Profiling: -profile-dir writes a CPU profile of the whole invocation
 // (all sweep workers) to <dir>/cpu.pprof for `go tool pprof`, so a slow
 // grid ships its own perf artifact:
@@ -65,7 +57,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -78,7 +69,6 @@ import (
 	"time"
 
 	"mtsim"
-	"mtsim/internal/sweepfabric"
 )
 
 func main() {
@@ -126,12 +116,6 @@ func main() {
 			"append one JSONL record per run attempt (successes, failures, cache hits) to this file")
 		profileDir = flag.String("profile-dir", "",
 			"write a CPU profile of the whole invocation to <dir>/cpu.pprof (inspect with `go tool pprof`); covers the sweep workers, so long grids emit their own perf artifact")
-		fabric = flag.String("fabric", "",
-			"sweepd coordinator URL (e.g. http://127.0.0.1:7077): the sweep's cells are enqueued to the fabric, simulated by its worker fleet, and aggregated from the shared cache — byte-identical to a local run (see cmd/sweepd)")
-		fabricWorkers = flag.Int("fabric-workers", 0,
-			"in-process worker loops contributed to the -fabric coordinator while this sweep waits (0 = rely on the fleet)")
-		fabricTimeout = flag.Duration("fabric-timeout", 10*time.Minute,
-			"how long -fabric waits for the fleet to finish the grid")
 	)
 	flag.Parse()
 
@@ -299,13 +283,7 @@ func main() {
 		}
 	}
 
-	total := len(sweep.Protocols) * len(sweep.Speeds) * sweep.Reps
-	if n := len(sweep.Adversaries); n > 0 {
-		total *= n
-	}
-	if n := len(sweep.Countermeasures); n > 0 {
-		total *= n
-	}
+	total := len(sweep.Jobs())
 	var done int64
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "running %d simulations (%s × %v m/s × %d reps, %.0fs each)...\n",
@@ -314,12 +292,6 @@ func main() {
 			n := atomic.AddInt64(&done, 1)
 			fmt.Fprintf(os.Stderr, "\r%3d/%d done", n, total)
 		}
-	}
-	if *fabric != "" {
-		// Fabric mode: the fleet fills the shared store, then the
-		// ordinary Run below aggregates entirely from cache — the same
-		// code path as a local sweep, so the output is byte-identical.
-		fail(runFabric(&sweep, *fabric, *fabricWorkers, *fabricTimeout, cache, *quiet))
 	}
 
 	start := time.Now()
@@ -467,93 +439,6 @@ func validateOnly(only string) error {
 	}
 	return fmt.Errorf("-only %q is not a known artefact; valid values: %s",
 		only, strings.Join(valid, ", "))
-}
-
-// runFabric pushes the sweep's grid through a sweepd coordinator and
-// repoints the sweep's cache at the fabric: a local tier (the -cache-dir
-// store, if any) over the coordinator's shared store. When it returns,
-// every cell is a cache hit and sweep.Run simulates nothing.
-func runFabric(sweep *mtsim.Sweep, baseURL string, workers int, timeout time.Duration, local *mtsim.RunCache, quiet bool) error {
-	client := sweepfabric.NewClient(baseURL)
-	if err := client.WaitReady(10 * time.Second); err != nil {
-		return err
-	}
-	jobs := sweep.Jobs()
-	sum, err := client.Enqueue(jobs)
-	if err != nil {
-		return err
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "fabric: %d cells (%d new, %d already cached, %d in flight) at %s\n",
-			len(jobs), sum.Queued, sum.AlreadyDone, sum.AlreadyPending, baseURL)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	if workers > 0 {
-		w := &sweepfabric.Worker{
-			Coordinator: client,
-			Name:        fmt.Sprintf("experiments:%d", os.Getpid()),
-			Parallel:    workers,
-			Batch:       2,
-			Cache:       cacheOrNil(local),
-			Exec: mtsim.Executor{
-				Runner:   sweep.Runner,
-				Retry:    sweep.Retry,
-				Watchdog: sweep.Watchdog,
-				Journal:  sweep.Journal,
-			},
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); w.Run(ctx) }() //nolint:errcheck
-	}
-
-	deadline := time.Now().Add(timeout)
-	for {
-		st, err := client.Wait(sum.Keys, 2*time.Second)
-		if err != nil {
-			cancel()
-			wg.Wait()
-			return err
-		}
-		if len(st.Failed) > 0 {
-			cancel()
-			wg.Wait()
-			return fmt.Errorf("fabric: %d cells failed permanently (first: %s after %d attempts: %s)",
-				len(st.Failed), st.Failed[0].Key[:12], st.Failed[0].Attempts, st.Failed[0].Err)
-		}
-		if st.Remaining == 0 {
-			break
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "\rfabric: %d/%d cells ready", st.Done, len(sum.Keys))
-		}
-		if time.Now().After(deadline) {
-			cancel()
-			wg.Wait()
-			return fmt.Errorf("fabric: %d cells still cold after %s — are workers connected to %s?",
-				st.Remaining, timeout, baseURL)
-		}
-	}
-	cancel()
-	wg.Wait()
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "\rfabric: %d/%d cells ready\n", len(sum.Keys), len(sum.Keys))
-	}
-	sweep.Cache = &sweepfabric.TieredCache{
-		Local:  cacheOrNil(local),
-		Remote: &sweepfabric.RemoteCache{Client: client},
-	}
-	return nil
-}
-
-// cacheOrNil keeps a nil *RunCache from becoming a non-nil interface.
-func cacheOrNil(c *mtsim.RunCache) mtsim.SweepCache {
-	if c == nil {
-		return nil
-	}
-	return c
 }
 
 func splitList(s string) []string {

@@ -281,11 +281,10 @@ func (j *Journal) Close() error {
 	return j.c.Close()
 }
 
-// CellJob is one grid cell as the fabric ships it around: the
-// aggregation key plus the complete configuration (seed included). The
-// configuration is plain data — it survives a JSON round trip with its
-// content address (runcache.Key) unchanged, which is what lets a
-// coordinator lease cells to workers on other processes and hosts.
+// CellJob is one grid cell: the aggregation key plus the complete
+// configuration (seed included). The configuration is plain data — it
+// survives a JSON round trip with its content address (runcache.Key)
+// unchanged.
 type CellJob struct {
 	Key    CellKey         `json:"key"`
 	Config scenario.Config `json:"config"`
@@ -299,10 +298,9 @@ type job struct {
 
 // Jobs enumerates the sweep's full grid in the engine's deterministic
 // dispatch order — protocol × speed × adversary × countermeasure ×
-// repetition, repetition r seeded SeedBase+r. It is the job source a
-// distributed coordinator (internal/sweepfabric) partitions into leases:
-// Run dispatches exactly these cells, so a fabric that completes them
-// all lets Run aggregate entirely from cache.
+// repetition, repetition r seeded SeedBase+r. Run dispatches exactly
+// these cells, so a cache that holds them all lets Run aggregate without
+// simulating.
 func (s Sweep) Jobs() []CellJob {
 	specs, labels := axis(s.Adversaries, s.Base.Adversary)
 	cmSpecs, cmLabels := axis(s.Countermeasures, s.Base.Countermeasure)
@@ -330,29 +328,12 @@ func (s Sweep) Jobs() []CellJob {
 	return jobs
 }
 
-// Executor is the engine's per-cell fault-tolerance machinery — panic
-// isolation, deterministic retries, the run watchdog, attempt journal —
-// factored out of Sweep so out-of-process workers (internal/sweepfabric)
-// run leased cells through exactly the attempt path a local sweep uses.
-// The zero Executor runs each cell once with DefaultRunner, unwatched.
-type Executor struct {
-	Runner   Runner
-	Retry    RetryPolicy
-	Watchdog Watchdog
-	Journal  *Journal
-}
-
-// executor bundles the sweep's fault-tolerance knobs for its workers.
-func (s Sweep) executor() Executor {
-	return Executor{Runner: s.Runner, Retry: s.Retry, Watchdog: s.Watchdog, Journal: s.Journal}
-}
-
 // journalAttempt writes one attempt (or cache hit) to the journal, if any.
-func (e Executor) journalAttempt(j job, attempt int, outcome, errMsg string, events uint64, wall time.Duration) {
-	if e.Journal == nil {
+func (s Sweep) journalAttempt(j job, attempt int, outcome, errMsg string, events uint64, wall time.Duration) {
+	if s.Journal == nil {
 		return
 	}
-	e.Journal.Record(AttemptRecord{
+	s.Journal.Record(AttemptRecord{
 		Protocol:       j.key.Protocol,
 		Speed:          j.key.Speed,
 		Adversary:      j.key.Adversary,
@@ -380,17 +361,17 @@ func cellError(j job, err error, attempts int) error {
 // attempt executes one try of a cell with panic isolation: a panic
 // anywhere in the simulator unwinds to here and becomes a *PanicError
 // instead of killing the worker (and with it the whole sweep).
-func (e Executor) attempt(ctx *scenario.Context, cfg scenario.Config) (m *metrics.RunMetrics, err error) {
+func (s Sweep) attempt(ctx *scenario.Context, cfg scenario.Config) (m *metrics.RunMetrics, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	run := e.Runner
+	run := s.Runner
 	if run == nil {
 		run = DefaultRunner
 	}
-	return run(ctx, cfg, e.Watchdog)
+	return run(ctx, cfg, s.Watchdog)
 }
 
 // attemptEvents reports how many simulated events a failed attempt
@@ -405,35 +386,31 @@ func attemptEvents(err error) uint64 {
 	return 0
 }
 
-// RunCell drives one cell through the retry policy. The context pointer
+// runCell drives one cell through the retry policy. The context pointer
 // is replaced with a fresh one after a panic — a panic unwound the
 // simulator mid-run, so the reusable scaffolding is in an unknown state
 // and must not serve another run. Retries use the identical
 // configuration and seed: determinism makes retry ≡ fresh run.
-func (e Executor) RunCell(ctxp **scenario.Context, key CellKey, cfg scenario.Config) (*metrics.RunMetrics, []Attempt, error) {
-	return e.runCell(ctxp, job{key: key, cfg: cfg})
-}
-
-func (e Executor) runCell(ctxp **scenario.Context, j job) (*metrics.RunMetrics, []Attempt, error) {
-	max := e.Retry.attempts()
+func (s Sweep) runCell(ctxp **scenario.Context, j job) (*metrics.RunMetrics, []Attempt, error) {
+	max := s.Retry.attempts()
 	var attempts []Attempt
 	var lastErr error
 	for a := 1; a <= max; a++ {
 		start := time.Now()
-		m, err := e.attempt(*ctxp, j.cfg)
+		m, err := s.attempt(*ctxp, j.cfg)
 		if err == nil {
-			e.journalAttempt(j, a, "ok", "", m.EventsRun, time.Since(start))
+			s.journalAttempt(j, a, "ok", "", m.EventsRun, time.Since(start))
 			return m, attempts, nil
 		}
 		kind := errKind(err)
-		e.journalAttempt(j, a, kind, err.Error(), attemptEvents(err), time.Since(start))
+		s.journalAttempt(j, a, kind, err.Error(), attemptEvents(err), time.Since(start))
 		lastErr = err
 		attempts = append(attempts, Attempt{Attempt: a, Kind: kind, Err: err.Error()})
 		if kind == KindPanic {
 			*ctxp = scenario.NewContext()
 		}
 		if a < max {
-			e.Retry.sleep(a)
+			s.Retry.sleep(a)
 		}
 	}
 	return nil, attempts, cellError(j, lastErr, len(attempts))
@@ -456,7 +433,6 @@ func (e Executor) runCell(ctxp **scenario.Context, j job) (*metrics.RunMetrics, 
 // (with its attempt history) in Result.Failed while the rest of the
 // grid completes.
 func (s Sweep) Run() (*Result, error) {
-	exec := s.executor()
 	res := &Result{
 		Sweep:  s,
 		Runs:   make(map[CellKey][]*metrics.RunMetrics),
@@ -472,7 +448,7 @@ func (s Sweep) Run() (*Result, error) {
 			if m, ok := s.Cache.Get(cfg); ok {
 				res.CacheHits++
 				res.Runs[key] = append(res.Runs[key], m)
-				exec.journalAttempt(job{key: key, cfg: cfg}, 0, "cache-hit", "", m.EventsRun, 0)
+				s.journalAttempt(job{key: key, cfg: cfg}, 0, "cache-hit", "", m.EventsRun, 0)
 				if s.OnRun != nil {
 					s.OnRun(m)
 				}
@@ -515,7 +491,7 @@ func (s Sweep) Run() (*Result, error) {
 					continue // sweep aborted: drain without simulating
 				default:
 				}
-				m, attempts, err := exec.runCell(&ctx, j)
+				m, attempts, err := s.runCell(&ctx, j)
 				if err != nil {
 					if s.KeepGoing {
 						mu.Lock()

@@ -57,12 +57,12 @@ func TestWatchdogKillJournalsEventCount(t *testing.T) {
 	// quickBase runs ~22 events at this seed; a 10-event budget reliably
 	// trips mid-run (matching the chaos suite's squeezed budgets).
 	const budget = 10
-	exec := Executor{
+	s := Sweep{
 		Watchdog: Watchdog{MaxEvents: budget},
 		Journal:  NewJournal(&buf),
 	}
 	ctx := scenario.NewContext()
-	_, attempts, err := exec.RunCell(&ctx, CellKey{Protocol: "MTS", Speed: cfg.MaxSpeed}, cfg)
+	_, attempts, err := s.runCell(&ctx, job{key: CellKey{Protocol: "MTS", Speed: cfg.MaxSpeed}, cfg: cfg})
 	if err == nil {
 		t.Fatalf("a %d-event budget did not kill the run", budget)
 	}
@@ -94,8 +94,7 @@ func TestWatchdogKillJournalsEventCount(t *testing.T) {
 
 // TestJobsMatchesRunDispatch: Jobs() must enumerate exactly the grid Run
 // executes — same cells, same order, same seeds — and every job's config
-// must survive a JSON round trip with its content address unchanged
-// (the property that lets a coordinator lease cells across processes).
+// must survive a JSON round trip with its content address unchanged.
 func TestJobsMatchesRunDispatch(t *testing.T) {
 	s := Sweep{
 		Base:      quickBase(),

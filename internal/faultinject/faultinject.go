@@ -15,11 +15,9 @@ package faultinject
 
 import (
 	"fmt"
-	"net/http"
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"mtsim/internal/experiment"
 	"mtsim/internal/metrics"
@@ -170,60 +168,6 @@ func (in *Injector) Runner(next experiment.Runner) experiment.Runner {
 			return next(ctx, cfg, sw)
 		}
 	}
-}
-
-// FlakyTransport is the chaos harness's HTTP face: an http.RoundTripper
-// that drops a seeded fraction of requests before they reach the wire,
-// so the sweep fabric's lease/complete/fail paths (internal/sweepfabric)
-// are exercised under transport loss. Whether request n is dropped is a
-// pure splitmix draw on (Seed, n) — the failure SET is reproducible,
-// though which logical operation lands on which sequence number depends
-// on goroutine scheduling. That is exactly the property the chaos suite
-// needs: the fabric must produce byte-identical aggregates no matter
-// which requests die, because client retries, lease expiry and
-// content-addressed idempotent completion each recover a lost leg.
-type FlakyTransport struct {
-	// Next performs the surviving requests; nil means
-	// http.DefaultTransport.
-	Next http.RoundTripper
-	// Seed selects the chaos universe for the drop draws.
-	Seed int64
-	// Rate is the per-request drop probability in [0,1].
-	Rate float64
-
-	seq     atomic.Uint64
-	dropped atomic.Int64
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *FlakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	n := t.seq.Add(1)
-	if splitmixDraw(uint64(t.Seed), n) < t.Rate {
-		t.dropped.Add(1)
-		return nil, fmt.Errorf("faultinject: injected transport failure (request %d: %s %s)",
-			n, req.Method, req.URL.Path)
-	}
-	next := t.Next
-	if next == nil {
-		next = http.DefaultTransport
-	}
-	return next.RoundTrip(req)
-}
-
-// Dropped reports how many requests the transport has killed.
-func (t *FlakyTransport) Dropped() int64 { return t.dropped.Load() }
-
-// splitmixDraw maps (seed, n) to a uniform value in [0,1) via the
-// splitmix64 finalizer — the same generator the simulator's RNG tree
-// uses for stream splitting.
-func splitmixDraw(seed, n uint64) float64 {
-	z := seed + n*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return float64(z>>11) / float64(uint64(1)<<53)
 }
 
 // CacheFaults declares deterministic cache-I/O chaos, drawn per cell

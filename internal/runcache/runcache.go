@@ -60,7 +60,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -236,12 +235,12 @@ func (s *Store) sweepOrphans() {
 // Dir returns the cache's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// ValidKey reports whether key is a well-formed content address: exactly
-// 64 lowercase hex digits, the shape every KeySalted output has. Every
-// externally supplied key (fabric HTTP requests, merge sources) must pass
-// this gate before it reaches the filesystem — a malformed key is never a
-// path (no traversal, no short-key slicing), it is simply not an entry.
-func ValidKey(key string) bool {
+// validKey reports whether key is a well-formed content address: exactly
+// 64 lowercase hex digits, the shape every KeySalted output has. Every key
+// must pass this gate before it reaches the filesystem — a malformed key
+// is never a path (no traversal, no short-key slicing), it is simply not
+// an entry.
+func validKey(key string) bool {
 	if len(key) != 64 {
 		return false
 	}
@@ -255,7 +254,7 @@ func ValidKey(key string) bool {
 }
 
 // path maps a key to its on-disk location. Callers must have validated
-// key (ValidKey) — keys minted by KeySalted always pass.
+// key (validKey) — keys minted by KeySalted always pass.
 func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+".json")
 }
@@ -270,7 +269,7 @@ func (s *Store) Get(cfg scenario.Config) (*metrics.RunMetrics, bool) {
 	if err != nil {
 		return nil, false
 	}
-	_, e, ok := s.readValidated(key)
+	e, ok := s.readValidated(key)
 	if !ok {
 		return nil, false
 	}
@@ -280,15 +279,13 @@ func (s *Store) Get(cfg scenario.Config) (*metrics.RunMetrics, bool) {
 // readValidated reads one entry by key and applies the store's full
 // validation discipline: corrupt documents are quarantined, entries from
 // another schema version or architecture miss in place, I/O failures
-// degrade to counted misses. It is the shared core of Get and GetRaw, so
-// raw entries served to fabric peers are exactly as trustworthy as
-// locally decoded ones.
-func (s *Store) readValidated(key string) ([]byte, *entry, bool) {
-	if !ValidKey(key) {
+// degrade to counted misses.
+func (s *Store) readValidated(key string) (*entry, bool) {
+	if !validKey(key) {
 		// Not a content address — nothing on disk can be its entry, and
 		// it must never be turned into a path (an attacker-shaped key
 		// could otherwise traverse, or quarantine-move, arbitrary files).
-		return nil, nil, false
+		return nil, false
 	}
 	raw, err := os.ReadFile(s.path(key))
 	if err != nil {
@@ -299,12 +296,12 @@ func (s *Store) readValidated(key string) ([]byte, *entry, bool) {
 			s.health.DegradedReads++
 			s.mu.Unlock()
 		}
-		return nil, nil, false
+		return nil, false
 	}
 	var e entry
 	if err := json.Unmarshal(raw, &e); err != nil {
 		s.quarantine(key)
-		return nil, nil, false
+		return nil, false
 	}
 	if e.Schema != s.salt || e.GOARCH != runtime.GOARCH {
 		// A valid entry from another simulator version or architecture —
@@ -312,75 +309,13 @@ func (s *Store) readValidated(key string) ([]byte, *entry, bool) {
 		s.mu.Lock()
 		s.health.StaleMisses++
 		s.mu.Unlock()
-		return nil, nil, false
+		return nil, false
 	}
 	if e.Key != key || e.Metrics == nil {
 		s.quarantine(key)
-		return nil, nil, false
+		return nil, false
 	}
-	return raw, &e, true
-}
-
-// GetRaw returns the raw on-disk document for a key, under the same
-// validation, quarantine and staleness rules as Get. It is the read side
-// of entry exchange between fabric peers (internal/sweepfabric): the
-// document carries its own schema, architecture and key, so the receiver
-// can re-validate with PutRaw or DecodeEntry.
-func (s *Store) GetRaw(key string) ([]byte, bool) {
-	raw, _, ok := s.readValidated(key)
-	return raw, ok
-}
-
-// PutRaw stores a raw entry document under key after validating that it
-// is a well-formed entry for exactly this key, this store's schema
-// version and this architecture. Anything else is rejected with an error
-// rather than written: a merge or a remote publish can never smuggle a
-// stale or foreign result into a serving store.
-func (s *Store) PutRaw(key string, doc []byte) error {
-	if !ValidKey(key) {
-		return fmt.Errorf("runcache: %q is not a content address", key)
-	}
-	var e entry
-	if err := json.Unmarshal(doc, &e); err != nil {
-		return fmt.Errorf("runcache: invalid entry document for %s: %w", key, err)
-	}
-	if e.Key != key {
-		return fmt.Errorf("runcache: entry key %s does not match %s", e.Key, key)
-	}
-	if e.Schema != s.salt {
-		return fmt.Errorf("runcache: entry schema %q does not match store schema %q", e.Schema, s.salt)
-	}
-	if e.GOARCH != runtime.GOARCH {
-		return fmt.Errorf("runcache: entry arch %q does not match %q", e.GOARCH, runtime.GOARCH)
-	}
-	if e.Metrics == nil {
-		return fmt.Errorf("runcache: entry %s carries no metrics", key)
-	}
-	return s.writeDoc(key, doc)
-}
-
-// DecodeEntry validates a raw entry document fetched from a peer —
-// well-formed, keyed wantKey, current SchemaVersion, this architecture —
-// and returns its metrics. It is the client-side twin of PutRaw for
-// callers that consume remote entries without a local store.
-func DecodeEntry(doc []byte, wantKey string) (*metrics.RunMetrics, error) {
-	var e entry
-	if err := json.Unmarshal(doc, &e); err != nil {
-		return nil, fmt.Errorf("runcache: invalid entry document: %w", err)
-	}
-	if e.Key != wantKey {
-		return nil, fmt.Errorf("runcache: entry key %s does not match %s", e.Key, wantKey)
-	}
-	if e.Schema != SchemaVersion {
-		return nil, fmt.Errorf("runcache: entry schema %q does not match %q", e.Schema, SchemaVersion)
-	}
-	if e.GOARCH != runtime.GOARCH {
-		return nil, fmt.Errorf("runcache: entry arch %q does not match %q", e.GOARCH, runtime.GOARCH)
-	}
-	if e.Metrics == nil {
-		return nil, fmt.Errorf("runcache: entry %s carries no metrics", wantKey)
-	}
-	return e.Metrics, nil
+	return &e, true
 }
 
 // quarantine moves a corrupt entry aside to <dir>/quarantine/<key>.json:
@@ -445,7 +380,7 @@ func (s *Store) Put(cfg scenario.Config, m *metrics.RunMetrics) error {
 }
 
 // writeDoc atomically writes one entry document into the key's shard
-// (temp file + rename), the shared write path of Put and PutRaw.
+// (temp file + rename).
 func (s *Store) writeDoc(key string, doc []byte) error {
 	dst := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
@@ -495,68 +430,4 @@ func (s *Store) Len() int {
 		}
 	}
 	return n
-}
-
-// Keys enumerates the content addresses of every live entry on disk, in
-// sorted order (quarantined corpses and temp files excluded). It is the
-// discovery side of pull-based sync: a peer lists keys, fetches the ones
-// it lacks with GetRaw, and imports them with PutRaw.
-func (s *Store) Keys() []string {
-	var keys []string
-	shards, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	for _, sh := range shards {
-		if !sh.IsDir() || sh.Name() == quarantineDir {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, sh.Name()))
-		if err != nil {
-			continue
-		}
-		for _, f := range files {
-			if filepath.Ext(f.Name()) == ".json" {
-				keys = append(keys, strings.TrimSuffix(f.Name(), ".json"))
-			}
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Has reports whether a live entry file exists for key (no document
-// validation — a cheap existence probe for merge planning; GetRaw
-// validates). Malformed keys are simply absent, never paths.
-func (s *Store) Has(key string) bool {
-	if !ValidKey(key) {
-		return false
-	}
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
-// MergeFrom copies into s every entry present in src and absent here —
-// the pull-based sync primitive behind distributed sweeps: because
-// entries are content-addressed by their full configuration and the
-// simulator is deterministic, merging two caches can never conflict,
-// only union. Entries src refuses to serve (corrupt, stale schema,
-// foreign architecture) are skipped and counted, never imported. The
-// first import error aborts the merge with the counts so far.
-func (s *Store) MergeFrom(src *Store) (added, skipped int, err error) {
-	for _, key := range src.Keys() {
-		if s.Has(key) {
-			continue
-		}
-		raw, ok := src.GetRaw(key)
-		if !ok {
-			skipped++
-			continue
-		}
-		if err := s.PutRaw(key, raw); err != nil {
-			return added, skipped, err
-		}
-		added++
-	}
-	return added, skipped, nil
 }

@@ -441,3 +441,47 @@ func TestEntryPathMatchesLayout(t *testing.T) {
 		t.Fatalf("EntryPath %q, want %q", p, want)
 	}
 }
+
+// TestMalformedKeysNeverReachTheFilesystem pins the store's key gate:
+// anything that is not a 64-digit lowercase-hex content address must be a
+// plain miss — never sliced (a sub-2-byte key used to panic in path),
+// never joined into a path (traversal), and above all never quarantined:
+// readValidated moves invalid entries aside with os.Rename, which for a
+// traversal key would move an arbitrary reachable *.json file out from
+// under its owner.
+func TestMalformedKeysNeverReachTheFilesystem(t *testing.T) {
+	parent := t.TempDir()
+	store, err := Open(filepath.Join(parent, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A victim outside the cache directory whose content fails entry
+	// validation — exactly the file an ungated quarantine would move.
+	victim := filepath.Join(parent, "victim.json")
+	if err := os.WriteFile(victim, []byte("not an entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// filepath.Join(dir, key[:2], key+".json") for this key resolves to
+	// parent/victim.json — one level above the cache root.
+	traversal := "zz/../../../victim"
+	for _, key := range []string{traversal, "", "a", "zz", strings.Repeat("A", 64), strings.Repeat("g", 64)} {
+		if _, ok := store.readValidated(key); ok {
+			t.Fatalf("readValidated(%q) accepted a malformed key", key)
+		}
+	}
+	// The victim was neither served nor quarantined.
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("victim file disturbed by a traversal lookup: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(store.Dir(), quarantineDir)); !os.IsNotExist(err) {
+		t.Fatal("a malformed key created the quarantine directory")
+	}
+	// And real addresses still pass the gate.
+	real, err := Key(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !validKey(real) {
+		t.Fatalf("validKey rejected a genuine content address %q", real)
+	}
+}

@@ -155,21 +155,10 @@ type Journal = experiment.Journal
 // AttemptRecord is one line of a Journal.
 type AttemptRecord = experiment.AttemptRecord
 
-// Executor is the engine's per-cell fault-tolerance machinery (panic
-// isolation, deterministic retries, run watchdog, attempt journal),
-// reusable outside Sweep.Run — the sweep fabric's workers
-// (internal/sweepfabric, cmd/sweepd) drive leased cells through it.
-type Executor = experiment.Executor
-
-// CellJob is one sweep grid cell as the fabric ships it around: the
-// aggregation key plus the complete configuration. Sweep.Jobs
-// enumerates them in the engine's dispatch order.
+// CellJob is one sweep grid cell: the aggregation key plus the complete
+// configuration. Sweep.Jobs enumerates them in the engine's dispatch
+// order.
 type CellJob = experiment.CellJob
-
-// SweepCache is the engine-facing cache seam (Sweep.Cache): result
-// lookup before dispatch, persistence after completion. *RunCache
-// implements it; so do the sweep fabric's remote and tiered caches.
-type SweepCache = experiment.Cache
 
 // Coevolution is the iterated best-response harness closing the
 // attacker–defender loop: alternate attacker/defender moves over

@@ -65,7 +65,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mtsim"
@@ -284,13 +283,18 @@ func main() {
 	}
 
 	total := len(sweep.Jobs())
-	var done int64
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "running %d simulations (%s × %v m/s × %d reps, %.0fs each)...\n",
 			total, *protocols, sweep.Speeds, sweep.Reps, *duration)
+		// Workers finish cells concurrently; counting and printing under
+		// one lock keeps the progress line monotone.
+		var progress sync.Mutex
+		done := 0
 		sweep.OnRun = func(m *mtsim.Metrics) {
-			n := atomic.AddInt64(&done, 1)
-			fmt.Fprintf(os.Stderr, "\r%3d/%d done", n, total)
+			progress.Lock()
+			defer progress.Unlock()
+			done++
+			fmt.Fprintf(os.Stderr, "\r%3d/%d done", done, total)
 		}
 	}
 

@@ -125,8 +125,8 @@ func DefaultRunner(ctx *scenario.Context, cfg scenario.Config, w Watchdog) (*met
 	return m, nil
 }
 
-// Cache is the engine-facing slice of runcache.Store: result lookup
-// before dispatch, persistence after completion. It is an interface so
+// Cache is the engine-facing slice of runcache.Store: result lookup by
+// the worker that receives a cell, persistence after completion. It is an interface so
 // fault injection (and future remote stores) can stand in for the
 // on-disk implementation; *runcache.Store satisfies it. Implementations
 // must be safe for concurrent use by the sweep's workers.
@@ -186,7 +186,8 @@ type FailedCell struct {
 
 // AttemptRecord is one line of the JSONL attempt journal: every attempt
 // of every simulated cell (successes included) plus cache hits, with the
-// cell flattened for easy post-mortem filtering. Wall time and event
+// cell flattened for easy post-mortem filtering. Records arrive in
+// completion order, interleaved across workers, not in Jobs() order. Wall time and event
 // counts are observability data, not results — they never feed the
 // aggregates, so journal contents do not perturb determinism.
 type AttemptRecord struct {
@@ -203,7 +204,8 @@ type AttemptRecord struct {
 }
 
 // Journal is an append-only JSONL log of sweep attempts, safe for
-// concurrent use by the workers. Writes are best-effort — a sick journal
+// concurrent use by the workers, in the order attempts and cache hits
+// complete. Writes are best-effort — a sick journal
 // never fails a sweep — with the first write error retained for
 // inspection via Err.
 type Journal struct {
@@ -290,12 +292,6 @@ type CellJob struct {
 	Config scenario.Config `json:"config"`
 }
 
-// job is CellJob's internal shorthand in the worker-pool plumbing.
-type job struct {
-	key CellKey
-	cfg scenario.Config
-}
-
 // Jobs enumerates the sweep's full grid in the engine's deterministic
 // dispatch order — protocol × speed × adversary × countermeasure ×
 // repetition, repetition r seeded SeedBase+r. Run dispatches exactly
@@ -329,16 +325,16 @@ func (s Sweep) Jobs() []CellJob {
 }
 
 // journalAttempt writes one attempt (or cache hit) to the journal, if any.
-func (s Sweep) journalAttempt(j job, attempt int, outcome, errMsg string, events uint64, wall time.Duration) {
+func (s Sweep) journalAttempt(j CellJob, attempt int, outcome, errMsg string, events uint64, wall time.Duration) {
 	if s.Journal == nil {
 		return
 	}
 	s.Journal.Record(AttemptRecord{
-		Protocol:       j.key.Protocol,
-		Speed:          j.key.Speed,
-		Adversary:      j.key.Adversary,
-		Countermeasure: j.key.Countermeasure,
-		Seed:           j.cfg.Seed,
+		Protocol:       j.Key.Protocol,
+		Speed:          j.Key.Speed,
+		Adversary:      j.Key.Adversary,
+		Countermeasure: j.Key.Countermeasure,
+		Seed:           j.Config.Seed,
 		Attempt:        attempt,
 		Outcome:        outcome,
 		Error:          errMsg,
@@ -349,9 +345,9 @@ func (s Sweep) journalAttempt(j job, attempt int, outcome, errMsg string, events
 
 // cellError attributes a cell's final error with everything a post-mortem
 // needs: protocol, speed, both axis labels, seed, and the attempt count.
-func cellError(j job, err error, attempts int) error {
+func cellError(j CellJob, err error, attempts int) error {
 	base := fmt.Errorf("%s speed=%g adversary=%q countermeasure=%q seed=%d: %w",
-		j.key.Protocol, j.key.Speed, j.key.Adversary, j.key.Countermeasure, j.cfg.Seed, err)
+		j.Key.Protocol, j.Key.Speed, j.Key.Adversary, j.Key.Countermeasure, j.Config.Seed, err)
 	if attempts > 1 {
 		return fmt.Errorf("%w (after %d attempts)", base, attempts)
 	}
@@ -391,13 +387,13 @@ func attemptEvents(err error) uint64 {
 // simulator mid-run, so the reusable scaffolding is in an unknown state
 // and must not serve another run. Retries use the identical
 // configuration and seed: determinism makes retry ≡ fresh run.
-func (s Sweep) runCell(ctxp **scenario.Context, j job) (*metrics.RunMetrics, []Attempt, error) {
+func (s Sweep) runCell(ctxp **scenario.Context, j CellJob) (*metrics.RunMetrics, []Attempt, error) {
 	max := s.Retry.attempts()
 	var attempts []Attempt
 	var lastErr error
 	for a := 1; a <= max; a++ {
 		start := time.Now()
-		m, err := s.attempt(*ctxp, j.cfg)
+		m, err := s.attempt(*ctxp, j.Config)
 		if err == nil {
 			s.journalAttempt(j, a, "ok", "", m.EventsRun, time.Since(start))
 			return m, attempts, nil
@@ -420,10 +416,13 @@ func (s Sweep) runCell(ctxp **scenario.Context, j job) (*metrics.RunMetrics, []A
 // protocol, speed and adversary, pairing the comparisons: identical
 // mobility and traffic endpoints across protocols and threat models.
 //
-// Cells present in Sweep.Cache are served without simulating; the rest
-// are dispatched to a worker pool where each worker reuses one
-// scenario.Context across its runs. Each cell runs under the engine's
-// fault-tolerance layer: panics are isolated into cell-attributed
+// Every cell of Jobs() is dispatched to a pool of at most Parallelism
+// workers. The worker that receives a cell probes Sweep.Cache for it and
+// aggregates a hit without simulating, so a warm sweep reads the cache
+// on every worker at once. A miss is simulated on the worker's one
+// scenario.Context, built on its first miss and reused across its runs;
+// a fully warm sweep builds none. Each simulated cell runs under the
+// engine's fault-tolerance layer: panics are isolated into cell-attributed
 // errors, failed cells are retried under Sweep.Retry (same seed — the
 // simulator's determinism makes a retry byte-identical to a clean run),
 // and the Watchdog kills livelocked or hung runs cleanly. Without
@@ -439,26 +438,7 @@ func (s Sweep) Run() (*Result, error) {
 		failed: make(map[CellKey]int),
 	}
 
-	// Enumerate the grid, serving cache hits inline and collecting the
-	// cells that actually need simulating.
-	var jobs []job
-	for _, cj := range s.Jobs() {
-		key, cfg := cj.Key, cj.Config
-		if s.Cache != nil {
-			if m, ok := s.Cache.Get(cfg); ok {
-				res.CacheHits++
-				res.Runs[key] = append(res.Runs[key], m)
-				s.journalAttempt(job{key: key, cfg: cfg}, 0, "cache-hit", "", m.EventsRun, 0)
-				if s.OnRun != nil {
-					s.OnRun(m)
-				}
-				continue
-			}
-			res.CacheMisses++
-		}
-		jobs = append(jobs, job{key: key, cfg: cfg})
-	}
-
+	jobs := s.Jobs()
 	workers := s.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -474,29 +454,49 @@ func (s Sweep) Run() (*Result, error) {
 	done := make(chan struct{})
 	var abortOnce sync.Once
 	abort := func() { abortOnce.Do(func() { close(done) }) }
-	jobCh := make(chan job)
+	jobCh := make(chan CellJob)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One reusable simulation context per worker: consecutive runs
-			// reset the scheduler/channel/collector instead of reallocating
-			// them (bit-identical results; see scenario.Context). runCell
-			// replaces it with a fresh one if a panic poisons it.
-			ctx := scenario.NewContext()
+			// One reusable simulation context per worker, built on its
+			// first miss: consecutive runs reset the scheduler/channel/
+			// collector instead of reallocating them (bit-identical
+			// results; see scenario.Context). runCell replaces it with a
+			// fresh one if a panic poisons it.
+			var ctx *scenario.Context
 			for j := range jobCh {
 				select {
 				case <-done:
-					continue // sweep aborted: drain without simulating
+					continue // sweep aborted: drain without probing or simulating
 				default:
+				}
+				if s.Cache != nil {
+					if m, ok := s.Cache.Get(j.Config); ok {
+						mu.Lock()
+						res.CacheHits++
+						res.Runs[j.Key] = append(res.Runs[j.Key], m)
+						mu.Unlock()
+						s.journalAttempt(j, 0, "cache-hit", "", m.EventsRun, 0)
+						if s.OnRun != nil {
+							s.OnRun(m)
+						}
+						continue
+					}
+					mu.Lock()
+					res.CacheMisses++
+					mu.Unlock()
+				}
+				if ctx == nil {
+					ctx = scenario.NewContext()
 				}
 				m, attempts, err := s.runCell(&ctx, j)
 				if err != nil {
 					if s.KeepGoing {
 						mu.Lock()
 						res.Failed = append(res.Failed, FailedCell{
-							Key: j.key, Seed: j.cfg.Seed, Attempts: attempts, Err: err,
+							Key: j.Key, Seed: j.Config.Seed, Attempts: attempts, Err: err,
 						})
 						mu.Unlock()
 						continue
@@ -510,7 +510,7 @@ func (s Sweep) Run() (*Result, error) {
 					continue
 				}
 				if s.Cache != nil {
-					if perr := s.Cache.Put(j.cfg, m); perr != nil {
+					if perr := s.Cache.Put(j.Config, m); perr != nil {
 						mu.Lock()
 						res.CachePutErrs++
 						if res.CacheFirstPutErr == nil {
@@ -520,7 +520,7 @@ func (s Sweep) Run() (*Result, error) {
 					}
 				}
 				mu.Lock()
-				res.Runs[j.key] = append(res.Runs[j.key], m)
+				res.Runs[j.Key] = append(res.Runs[j.Key], m)
 				mu.Unlock()
 				if s.OnRun != nil {
 					s.OnRun(m)

@@ -1,15 +1,19 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mtsim/internal/adversary"
 	"mtsim/internal/metrics"
 	"mtsim/internal/packet"
 	"mtsim/internal/runcache"
+	"mtsim/internal/scenario"
 )
 
 func cachedSweep(t *testing.T, dir string) Sweep {
@@ -84,6 +88,105 @@ func TestSweepWarmCacheRunsNothing(t *testing.T) {
 		if cold.CSV(fig) != warm.CSV(fig) {
 			t.Fatalf("%s: warm CSV differs", fig.ID)
 		}
+	}
+}
+
+// rendezvousCache holds every Get until a second Get is in flight, so a
+// sweep that probes its cells one at a time stalls on the first probe;
+// after rendezvousTimeout it records the stall and lets every probe through.
+type rendezvousCache struct {
+	Cache
+	inFlight atomic.Int32
+	met      chan struct{}
+	once     sync.Once
+	timedOut atomic.Bool
+}
+
+const rendezvousTimeout = 5 * time.Second
+
+func (c *rendezvousCache) Get(cfg scenario.Config) (*metrics.RunMetrics, bool) {
+	defer c.inFlight.Add(-1)
+	if c.inFlight.Add(1) >= 2 {
+		c.once.Do(func() { close(c.met) })
+	}
+	select {
+	case <-c.met:
+	case <-time.After(rendezvousTimeout):
+		c.timedOut.Store(true)
+		c.once.Do(func() { close(c.met) })
+	}
+	return c.Cache.Get(cfg)
+}
+
+// requireHitJournal checks that the journal holds exactly one attempt-0
+// cache-hit record per cell of the sweep. Workers journal in completion
+// order, so records and cells are compared as multisets.
+func requireHitJournal(t *testing.T, s Sweep, journal []byte) {
+	t.Helper()
+	type cell struct {
+		key  CellKey
+		seed int64
+	}
+	want := map[cell]int{}
+	for _, cj := range s.Jobs() {
+		want[cell{cj.Key, cj.Config.Seed}]++
+	}
+	got := map[cell]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(journal)), "\n") {
+		var rec AttemptRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Outcome != "cache-hit" || rec.Attempt != 0 {
+			t.Fatalf("warm-cache journal record %+v, want attempt-0 cache-hit", rec)
+		}
+		key := CellKey{rec.Protocol, rec.Speed, rec.Adversary, rec.Countermeasure}
+		got[cell{key, rec.Seed}]++
+	}
+	if len(got) != len(want) {
+		t.Fatalf("journal covers %d cells, want %d", len(got), len(want))
+	}
+	for c, n := range want {
+		if got[c] != n {
+			t.Fatalf("cell %+v seed %d journalled %d times, want %d", c.key, c.seed, got[c], n)
+		}
+	}
+}
+
+// TestWarmSweepProbesOnEveryWorker: cache probes run on the workers, not
+// serially ahead of them, so at Parallelism 2 two probes are in flight at
+// once; at Parallelism 1 the same warm sweep is still served wholly from
+// the cache.
+func TestWarmSweepProbesOnEveryWorker(t *testing.T) {
+	dir := t.TempDir()
+	cold := cachedSweep(t, dir)
+	if _, err := cold.Run(); err != nil {
+		t.Fatal(err)
+	}
+	total := len(cold.Jobs())
+
+	for _, par := range []int{2, 1} {
+		s := cachedSweep(t, dir)
+		s.Parallelism = par
+		var rc *rendezvousCache
+		if par == 2 {
+			rc = &rendezvousCache{Cache: s.Cache, met: make(chan struct{})}
+			s.Cache = rc
+		}
+		var journal bytes.Buffer
+		s.Journal = NewJournal(&journal)
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc != nil && rc.timedOut.Load() {
+			t.Fatalf("Parallelism 2: no second probe joined the first within %v — probes are serial",
+				rendezvousTimeout)
+		}
+		if res.CacheHits != total || res.CacheMisses != 0 {
+			t.Fatalf("Parallelism %d: hits=%d misses=%d, want %d/0", par, res.CacheHits, res.CacheMisses, total)
+		}
+		requireHitJournal(t, s, journal.Bytes())
 	}
 }
 

@@ -7,13 +7,15 @@
 //
 // The engine is built for sweep-scale throughput:
 //
-//   - Each grid cell is looked up in an optional content-addressed result
-//     cache (internal/runcache) before dispatch and persisted after
-//     completion, so repeated sweeps skip identical cells and an
+//   - Each grid cell is looked up by the worker that receives it in an
+//     optional content-addressed result cache (internal/runcache) and
+//     persisted after completion, so repeated sweeps skip identical
+//     cells, a warm sweep reads the cache on every worker, and an
 //     interrupted sweep resumes from the completed runs on disk.
-//   - Each worker owns one reusable scenario.Context, so consecutive runs
-//     reset the expensive simulation scaffolding (scheduler heap, event
-//     pools, spatial grid, radios) instead of reallocating it.
+//   - Each worker owns one reusable scenario.Context, built on its first
+//     cache miss, so consecutive runs reset the expensive simulation
+//     scaffolding (scheduler heap, event pools, spatial grid, radios)
+//     instead of reallocating it.
 //   - The first simulation error cancels all outstanding work (with the
 //     failing cell named in the error) instead of silently finishing the
 //     rest of the grid.
@@ -48,12 +50,14 @@ type Sweep struct {
 	// blank. Crossed with Adversaries it forms the defender-vs-attacker
 	// grid behind experiments -only countermeasure.
 	Countermeasures []countermeasure.Spec
-	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
+	// Parallelism bounds the sweep's workers, and with them concurrent
+	// cache probes as well as concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
 	// Cache, when non-nil, short-circuits every grid cell whose result is
 	// already stored (the run is skipped entirely, its cached metrics are
 	// aggregated as if just computed) and persists every newly computed
-	// result. Because the store is content-addressed by the full
+	// result. Each worker probes the cache for the cell it receives, so
+	// Get and Put are called from up to Parallelism goroutines at once. Because the store is content-addressed by the full
 	// configuration and seed, this doubles as checkpoint/restore: a killed
 	// sweep re-run with the same cache resumes after its completed cells.
 	// *runcache.Store is the on-disk implementation; the interface exists

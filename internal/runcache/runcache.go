@@ -3,10 +3,11 @@
 // (which includes the seed) plus a code-version salt. The simulator is
 // deterministic — identical configuration and seed always produce
 // identical RunMetrics — so a cached result is not an approximation of a
-// re-run, it IS the re-run. The experiment engine consults the cache
-// before dispatching each sweep cell, which makes repeated sweeps nearly
-// free and turns every completed run into a checkpoint: a killed sweep
-// re-invoked with the same cache directory resumes from what is on disk.
+// re-run, it IS the re-run. The experiment engine's workers consult the
+// cache before simulating each sweep cell, which makes repeated sweeps
+// nearly free and turns every completed run into a checkpoint: a killed
+// sweep re-invoked with the same cache directory resumes from what is on
+// disk.
 //
 // # Keying
 //
@@ -19,7 +20,10 @@
 // field list to forget to update (the field-sensitivity test in this
 // package proves every field perturbs the hash). Fields of a kind the
 // encoder does not understand (funcs, maps, channels, pointers) make Key
-// fail loudly rather than silently dropping out of the key.
+// fail loudly rather than silently dropping out of the key. The stream is
+// built in one reused buffer and hashed once, so a key costs a few
+// microseconds and no allocations beyond its result; TestKeyGolden pins
+// its exact bytes.
 //
 // SchemaVersion salts every key. Bump it whenever simulator behaviour
 // changes (golden fixtures move), and every stale cache entry misses.
@@ -54,12 +58,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -83,65 +87,101 @@ func Key(cfg scenario.Config) (string, error) {
 // KeySalted is Key under a caller-chosen version salt (tests; parallel
 // cache namespaces).
 func KeySalted(cfg scenario.Config, salt string) (string, error) {
-	h := sha256.New()
-	writeString(h, salt)
-	if err := hashValue(h, reflect.ValueOf(cfg), "Config"); err != nil {
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
+	e.buf = appendString(e.buf[:0], salt)
+	e.path = append(e.path[:0], "Config"...)
+	if err := e.encode(reflect.ValueOf(cfg)); err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	sum := sha256.Sum256(e.buf)
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:]), nil
 }
 
-func writeString(h hash.Hash, s string) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
+// encoder builds the canonical byte stream of one configuration in a
+// single buffer, hashed once at the end. Both buffers are reused across
+// keys (encoders), so a key costs no allocations beyond its result.
+type encoder struct {
+	buf  []byte // the canonical stream
+	path []byte // the field path of the value being encoded
 }
 
-func writeUint64(h hash.Hash, v uint64) {
-	var n [8]byte
-	binary.LittleEndian.PutUint64(n[:], v)
-	h.Write(n[:])
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// fieldPaths caches, per struct type, the path suffix ".Name" of each
+// field, so walking a struct appends names instead of building strings.
+var fieldPaths sync.Map // reflect.Type → []string
+
+func structFieldPaths(t reflect.Type) []string {
+	if names, ok := fieldPaths.Load(t); ok {
+		return names.([]string)
+	}
+	names := make([]string, t.NumField())
+	for i := range names {
+		names[i] = "." + t.Field(i).Name
+	}
+	fieldPaths.Store(t, names)
+	return names
 }
 
-// hashValue folds one value into the hash, tagged with its field path and
-// kind so no two distinct configurations share an encoding.
-func hashValue(h hash.Hash, v reflect.Value, path string) error {
-	writeString(h, path)
-	writeUint64(h, uint64(v.Kind()))
+func appendUint64(b []byte, v uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, v)
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(appendUint64(b, uint64(len(s))), s...)
+}
+
+// encode appends one value to the stream, tagged with its field path and
+// kind so no two distinct configurations share an encoding: the path
+// (length-prefixed), the kind, then the payload — leaves as one 64-bit
+// word or a length-prefixed string, slices and structs as their length
+// followed by each element or field under its own path.
+func (e *encoder) encode(v reflect.Value) error {
+	e.buf = append(appendUint64(e.buf, uint64(len(e.path))), e.path...)
+	e.buf = appendUint64(e.buf, uint64(v.Kind()))
 	switch v.Kind() {
 	case reflect.Bool:
+		var b uint64
 		if v.Bool() {
-			writeUint64(h, 1)
-		} else {
-			writeUint64(h, 0)
+			b = 1
 		}
+		e.buf = appendUint64(e.buf, b)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		writeUint64(h, uint64(v.Int()))
+		e.buf = appendUint64(e.buf, uint64(v.Int()))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		writeUint64(h, v.Uint())
+		e.buf = appendUint64(e.buf, v.Uint())
 	case reflect.Float32, reflect.Float64:
-		writeUint64(h, math.Float64bits(v.Float()))
+		e.buf = appendUint64(e.buf, math.Float64bits(v.Float()))
 	case reflect.String:
-		writeString(h, v.String())
+		e.buf = appendString(e.buf, v.String())
 	case reflect.Slice, reflect.Array:
-		writeUint64(h, uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
-			if err := hashValue(h, v.Index(i), fmt.Sprintf("%s[%d]", path, i)); err != nil {
+		n := v.Len()
+		e.buf = appendUint64(e.buf, uint64(n))
+		parent := len(e.path)
+		for i := 0; i < n; i++ {
+			e.path = append(strconv.AppendInt(append(e.path[:parent], '['), int64(i), 10), ']')
+			if err := e.encode(v.Index(i)); err != nil {
 				return err
 			}
 		}
+		e.path = e.path[:parent]
 	case reflect.Struct:
-		t := v.Type()
-		writeUint64(h, uint64(t.NumField()))
-		for i := 0; i < t.NumField(); i++ {
-			if err := hashValue(h, v.Field(i), path+"."+t.Field(i).Name); err != nil {
+		names := structFieldPaths(v.Type())
+		e.buf = appendUint64(e.buf, uint64(len(names)))
+		parent := len(e.path)
+		for i, name := range names {
+			e.path = append(e.path[:parent], name...)
+			if err := e.encode(v.Field(i)); err != nil {
 				return err
 			}
 		}
+		e.path = e.path[:parent]
 	default:
 		return fmt.Errorf("runcache: cannot canonically encode %s (kind %s) — "+
-			"extend the encoder before adding such fields to scenario.Config", path, v.Kind())
+			"extend the encoder before adding such fields to scenario.Config", e.path, v.Kind())
 	}
 	return nil
 }

@@ -1,8 +1,13 @@
 package runcache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +15,10 @@ import (
 	"strings"
 	"testing"
 
+	"mtsim/internal/adversary"
+	"mtsim/internal/countermeasure"
 	"mtsim/internal/geo"
+	"mtsim/internal/packet"
 	"mtsim/internal/scenario"
 	"mtsim/internal/sim"
 )
@@ -49,6 +57,49 @@ func TestKeyDeterministicAndSeedSensitive(t *testing.T) {
 	k4, _ := KeySalted(quickConfig(), "mtsim-run/v999")
 	if k4 == k1 {
 		t.Fatal("salt change did not change the key")
+	}
+}
+
+// richConfig fills every slice the encoder walks (Flows, Placement,
+// Adversary.Nodes) and sets a non-zero adversary K and countermeasure, so
+// its key covers non-empty slices of structs and of named ints as well
+// as every leaf kind DefaultConfig already carries.
+func richConfig() scenario.Config {
+	cfg := quickConfig()
+	cfg.Flows = []scenario.FlowSpec{{Src: 0, Dst: 5}, {Src: 3, Dst: 9}}
+	cfg.Placement = []geo.Point{{X: 10, Y: 20}, {X: 250.5, Y: 0}, {X: 999, Y: 999}}
+	cfg.Adversary = adversary.Spec{
+		Model: adversary.ModelCoalition, K: 3,
+		Nodes: []packet.NodeID{1, 2, 7}, DropRate: 0.25,
+	}
+	cfg.Countermeasure = countermeasure.Spec{
+		Model: countermeasure.ModelShuffle, Depth: 4, Hold: 10 * sim.Millisecond,
+	}
+	return cfg
+}
+
+// TestKeyGolden pins the exact content addresses of two configurations.
+// Every entry in an existing -cache-dir is named by these bytes, so any
+// change to the canonical encoding that is not a deliberate
+// SchemaVersion bump would silently orphan the whole cache; this test
+// catches it. Both keys are salted with SchemaVersion mtsim-run/v4.
+func TestKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  scenario.Config
+		want string
+	}{
+		{"default", scenario.DefaultConfig(), "2e68039f2e1f0b518920d7585a1c52e2340b3531b430a049b208f3ea3c071c29"},
+		{"rich", richConfig(), "3f910a85730afad1032babce74d7839824542d6cf7616abf05b6967cbfe39931"},
+	} {
+		got, err := Key(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: key = %s, want %s (re-pin only in the change that bumps SchemaVersion, now %s)",
+				tc.name, got, tc.want, SchemaVersion)
+		}
 	}
 }
 
@@ -250,9 +301,138 @@ func TestUnsupportedFieldKindFailsLoudly(t *testing.T) {
 	// distinct configurations to one cache entry).
 	type bad struct{ M map[string]int }
 	h := reflect.ValueOf(bad{M: map[string]int{"x": 1}})
-	err := hashValue(sha256.New(), h, "bad")
-	if err == nil || !strings.Contains(err.Error(), "cannot canonically encode") {
+	err := (&encoder{path: []byte("bad")}).encode(h)
+	if err == nil || !strings.Contains(err.Error(), "cannot canonically encode bad.M (kind map)") {
 		t.Fatalf("map field: err = %v", err)
+	}
+}
+
+// referenceStream is the canonical encoding written the plain way: one
+// string-built path per value and one small write per word. The encoder
+// must emit exactly these bytes — a key that drifts from them orphans
+// every existing cache entry.
+func referenceStream(w *bytes.Buffer, v reflect.Value, path string) {
+	word := func(x uint64) {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], x)
+		w.Write(n[:])
+	}
+	str := func(s string) { word(uint64(len(s))); w.WriteString(s) }
+	str(path)
+	word(uint64(v.Kind()))
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			word(1)
+		} else {
+			word(0)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		word(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		word(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		word(math.Float64bits(v.Float()))
+	case reflect.String:
+		str(v.String())
+	case reflect.Slice, reflect.Array:
+		word(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			referenceStream(w, v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+		}
+	case reflect.Struct:
+		word(uint64(v.NumField()))
+		for i := 0; i < v.NumField(); i++ {
+			referenceStream(w, v.Field(i), path+"."+v.Type().Field(i).Name)
+		}
+	default:
+		panic("reference stream: unsupported kind " + v.Kind().String())
+	}
+}
+
+// TestEncoderMatchesReferenceStream compares the encoder's stream with
+// referenceStream byte for byte, on the default, quick and rich configs
+// and on every single-leaf mutation of the rich one (so each field is
+// seen at a non-default value), then checks that the key is the SHA-256
+// of that stream.
+func TestEncoderMatchesReferenceStream(t *testing.T) {
+	cfgs := []scenario.Config{scenario.DefaultConfig(), quickConfig(), richConfig()}
+	var paths []string
+	leafPaths(reflect.ValueOf(richConfig()), "Config", &paths)
+	for _, path := range paths {
+		cfg := richConfig()
+		if !mutateAt(reflect.ValueOf(&cfg).Elem(), path) {
+			t.Fatalf("leaf %s has a kind the test cannot mutate — extend mutate()", path)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	const salt = "salt/v0"
+	for i, cfg := range cfgs {
+		var want bytes.Buffer
+		want.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(salt))))
+		want.WriteString(salt)
+		referenceStream(&want, reflect.ValueOf(cfg), "Config")
+
+		e := &encoder{buf: appendString(nil, salt), path: []byte("Config")}
+		if err := e.encode(reflect.ValueOf(cfg)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(e.buf, want.Bytes()) {
+			t.Fatalf("config %d: encoder stream (%d bytes) differs from the reference (%d bytes)",
+				i, len(e.buf), want.Len())
+		}
+		sum := sha256.Sum256(want.Bytes())
+		if k, _ := KeySalted(cfg, salt); k != hex.EncodeToString(sum[:]) {
+			t.Fatalf("config %d: key %s is not the SHA-256 of the reference stream", i, k)
+		}
+	}
+}
+
+// TestKeyAllocs guards the key's cost: one boxed Config for the
+// reflective walk and one result string, with the stream buffers reused.
+func TestKeyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cfg := scenario.DefaultConfig()
+	if _, err := KeySalted(cfg, SchemaVersion); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { KeySalted(cfg, SchemaVersion) }); n > 3 {
+		t.Fatalf("KeySalted allocates %.0f times per call, want at most 3", n)
+	}
+}
+
+func BenchmarkKey(b *testing.B) {
+	cfg := scenario.DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Key(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGet is one warm lookup: key, read, validate and decode.
+func BenchmarkGet(b *testing.B) {
+	store, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := quickConfig()
+	m, err := scenario.RunOne(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := store.Put(cfg, m); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := store.Get(cfg); !ok {
+			b.Fatal("warm lookup missed")
+		}
 	}
 }
 

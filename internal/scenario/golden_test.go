@@ -82,6 +82,15 @@ func goldenCases() []goldenCase {
 	shuffleAdaptive := goldenConfig("MTS")
 	shuffleAdaptive.Adversary = adversary.Spec{Model: adversary.ModelAdaptive, Interval: 2 * sim.Second}
 	shuffleAdaptive.Countermeasure = countermeasure.Spec{Model: countermeasure.ModelShuffle}
+	// The models no other fixture reaches: the touring tap and the two
+	// dropping relays. AODV is avoided for the droppers because at this
+	// seed its routes never cross them, so it would pin zero drops.
+	mobile := goldenConfig("MTS")
+	mobile.Adversary = adversary.Spec{Model: adversary.ModelMobile, K: 3, Interval: 2 * sim.Second}
+	blackhole := goldenConfig("DSR")
+	blackhole.Adversary = adversary.Spec{Model: adversary.ModelBlackhole, K: 3}
+	grayhole := goldenConfig("MTS")
+	grayhole.Adversary = adversary.Spec{Model: adversary.ModelGrayhole, K: 3}
 	return append(cases,
 		goldenCase{"mts-coalition", base},
 		goldenCase{"mts-coalition-shuffle", shuffle},
@@ -89,6 +98,9 @@ func goldenCases() []goldenCase {
 		goldenCase{"dsr-wormhole-trust", trustWormhole},
 		goldenCase{"aodv-rushing-trust", trustRushing},
 		goldenCase{"mts-adaptive-shuffle", shuffleAdaptive},
+		goldenCase{"mts-mobile", mobile},
+		goldenCase{"dsr-blackhole", blackhole},
+		goldenCase{"mts-grayhole", grayhole},
 	)
 }
 

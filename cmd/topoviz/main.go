@@ -44,7 +44,7 @@ func main() {
 		os.Exit(1)
 	}
 	srcID, dstID := s.Flows[0].Src, s.Flows[0].Dst
-	fmt.Printf("seed %d: flow %d -> %d, eavesdropper %d\n\n", *seed, srcID, dstID, s.Eaves.ID)
+	fmt.Printf("seed %d: flow %d -> %d, eavesdropper %d\n\n", *seed, srcID, dstID, s.Adversary.Members()[0].Node)
 
 	for _, ts := range times {
 		s.Sched.RunUntil(mtsim.Time(mtsim.Seconds(ts)))
@@ -62,6 +62,7 @@ func render(s *mtsim.Scenario, w int) {
 	}
 	fw, fh := s.Cfg.Field.Width(), s.Cfg.Field.Height()
 	links := 0
+	eaves := s.Adversary.Members()[0].Node
 	for i, nd := range s.Nodes {
 		p := nd.Position()
 		x := int(p.X / fw * float64(w-1))
@@ -72,7 +73,7 @@ func render(s *mtsim.Scenario, w int) {
 			c = 'S'
 		case mtsim.NodeID(i) == s.Flows[0].Dst:
 			c = 'D'
-		case mtsim.NodeID(i) == s.Eaves.ID:
+		case mtsim.NodeID(i) == eaves:
 			c = 'E'
 		}
 		if grid[y][x] == '.' || c != 'o' {

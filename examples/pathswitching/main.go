@@ -28,7 +28,7 @@ func main() {
 	srcRouter := s.Nodes[src].Proto.(*core.Router)
 	dstRouter := s.Nodes[dst].Proto.(*core.Router)
 
-	fmt.Printf("flow: node %d -> node %d; eavesdropper: node %d\n\n", src, dst, s.Eaves.ID)
+	fmt.Printf("flow: node %d -> node %d; eavesdropper: node %d\n\n", src, dst, s.Adversary.Members()[0].Node)
 	fmt.Printf("%5s %9s %6s %6s %7s %8s %9s %9s\n",
 		"t(s)", "delivered", "path", "next", "live", "stored", "switches", "checks")
 

@@ -2,28 +2,32 @@
 // (§IV-B) into a pluggable threat-model subsystem. The paper measures the
 // interception ratio Ri = Pe/Pr against one randomly placed passive tap,
 // but its threat model worries about stronger opponents: related work
-// assumes cooperating interceptors (Shuffling) and insider packet-dropping
-// relays (AODVSEC's blackhole/grayhole). This package models them:
+// assumes cooperating interceptors (Shuffling) and insider relays that
+// drop, tunnel or rush (AODVSEC). This package models them as one
+// Adversary type whose interception accounting is a shared eaves.Ledger;
+// only Build's per-model wiring differs:
 //
-//   - Coalition: k colluding eavesdroppers whose Pe is the union of
+//   - eavesdropper, coalition: k static taps whose Pe is the union of
 //     distinct DataIDs intercepted by any member;
-//   - Mobile: one eavesdropper that re-taps a different node every
-//     Interval, sweeping its vantage point across the field;
-//   - Dropper (blackhole/grayhole): compromised relays that participate in
-//     routing but silently drop the data packets they are asked to
-//     forward — always (blackhole) or with probability DropRate
-//     (grayhole) — while still collecting what they overhear.
+//   - mobile, adaptive: one roaming tap over k hosts that re-taps every
+//     Interval — to the next host on its tour, or to whichever host
+//     overheard the most data since the last move;
+//   - blackhole, grayhole: compromised relays that route like honest nodes
+//     but drop the data packets they are asked to forward — always, or
+//     with probability DropRate — while still collecting what they hear;
+//   - wormhole, rushing: relays that manipulate route discovery (a
+//     control-plane tunnel, jitter-free RREQ floods) to attract routes.
 //
 // All models are passive with respect to the random streams of legitimate
 // traffic: taps never touch protocol RNGs or timers, so attaching an
 // adversary perturbs nothing but what it is modelled to perturb (droppers
 // remove frames from the air; pure eavesdroppers change no bit of the
-// run). A Coalition of k=1 reproduces the legacy internal/eaves numbers
-// bit-for-bit.
+// run). A coalition of k=1 is the paper's lone eavesdropper.
 package adversary
 
 import (
 	"fmt"
+	"slices"
 
 	"mtsim/internal/eaves"
 	"mtsim/internal/node"
@@ -136,123 +140,192 @@ func (s Spec) Label() string {
 	return lbl
 }
 
-// Member is one vantage point's interception accounting: the frames it
-// overheard and the distinct logical payloads (DataIDs) among them.
-type Member struct {
-	Node     packet.NodeID
-	Frames   uint64
-	Distinct uint64
-}
-
-// Adversary is one attached threat model, reporting per-run metrics after
-// the simulation has run.
-type Adversary interface {
-	// Model returns the model name (ModelCoalition etc.).
-	Model() string
-	// Members returns the per-vantage-point accounting, in attach order
-	// (for ModelMobile, tour order).
-	Members() []Member
-	// Distinct returns the coalition Pe: the number of distinct data
-	// packets intercepted by at least one vantage point.
-	Distinct() uint64
-	// Frames returns the total overheard data frames over all members,
-	// retransmissions included.
-	Frames() uint64
-	// Ratio returns the interception ratio Ri = Pe/Pr (Eq. 1) for the
-	// union Pe, given the distinct packets the destination received.
-	Ratio(pr uint64) float64
-	// Dropped returns the data packets adversarial relays discarded
-	// (0 for purely passive models).
-	Dropped() uint64
-	// Attracted returns the data frames neighbours addressed *to* a
-	// compromised vantage point — traffic the attack pulled onto itself
-	// (route-attraction attacks: wormhole, rushing; 0 for models that do
-	// not manipulate discovery). First transmission attempts only; MAC
-	// retries are not re-counted.
-	Attracted() uint64
-	// Contiguity reports both contiguity views of the union Pe: the set
-	// view (longest reassemblable run of consecutive DataIDs and the
-	// packets inside such runs) and the stream view (how much arrived
-	// already in consecutive order). See eaves.ContigStats.
-	Contiguity() eaves.ContigStats
-}
-
-// ratio is the shared Ri implementation: Pe/Pr with the degenerate cases
-// (nothing delivered, or no vantage points) defined as 0.
-func ratio(pe, pr uint64) float64 {
-	if pr == 0 {
-		return 0
+// Validate rejects specs Build would refuse or whose knobs the selected
+// model would silently ignore — a grayhole experiment mistyped as a
+// coalition must fail loudly, not report clean-network numbers. The
+// scenario builder calls it before any node is built.
+func (s Spec) Validate() error {
+	model := s.EffectiveModel()
+	if !slices.Contains(Models(), model) {
+		return fmt.Errorf("adversary: unknown model %q", s.Model)
 	}
-	return float64(pe) / float64(pr)
+	if s.DropRate != 0 && model != ModelGrayhole {
+		return fmt.Errorf("adversary: DropRate applies to %q only, not %q", ModelGrayhole, model)
+	}
+	if s.Interval != 0 && model != ModelMobile && model != ModelAdaptive {
+		return fmt.Errorf("adversary: Interval applies to %q or %q only, not %q", ModelMobile, ModelAdaptive, model)
+	}
+	return nil
 }
+
+// Adversary is one attached threat model. Its embedded ledger reports the
+// per-run interception metrics after the simulation has run (Members,
+// Distinct, Frames, Ratio, Dropped, Attracted, Contiguity).
+type Adversary struct {
+	eaves.Ledger
+	model string
+	hosts []*node.Node // vantage points, in member order
+
+	// Roaming taps (mobile, adaptive): the host currently listening, and
+	// for adaptive the data frames each host overheard since the last move.
+	active int
+	recent []uint64
+	moves  uint64
+
+	// Grayhole coin flips; rate 1 is a blackhole.
+	rate float64
+	rng  *sim.RNG
+
+	// Wormhole control packets in tunnel flight.
+	pend       []*tunnelled
+	tunnelledN uint64
+}
+
+// Model returns the model name (ModelCoalition etc.).
+func (a *Adversary) Model() string { return a.model }
+
+// Active returns the node a roaming tap currently listens at (tests, demos).
+func (a *Adversary) Active() packet.NodeID { return a.hosts[a.active].ID() }
+
+// Moves returns how many re-tap decisions a roaming tap has made (tests).
+func (a *Adversary) Moves() uint64 { return a.moves }
 
 // Build attaches the spec's adversary model to the given host nodes
 // (already selected by the scenario builder; len(hosts) == EffectiveK).
-// rng drives model-internal randomness only — a mobile adversary's tour
-// order, a grayhole's coin flips — and must be a stream independent of the
-// legitimate stack's streams so that adding an adversary does not perturb
-// mobility, traffic or protocol behaviour. It may be nil for models that
-// need no randomness.
-func Build(spec Spec, hosts []*node.Node, rng *sim.RNG) (Adversary, error) {
+// The spec must have passed Validate. rng drives model-internal
+// randomness only — a roaming tap's tour order, a grayhole's coin flips —
+// and must be a stream independent of the legitimate stack's streams so
+// that adding an adversary does not perturb mobility, traffic or protocol
+// behaviour. It may be nil for models that need no randomness.
+func Build(spec Spec, hosts []*node.Node, rng *sim.RNG) (*Adversary, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("adversary: no host nodes")
 	}
 	model := spec.EffectiveModel()
-	// Reject knobs the selected model would silently ignore — a grayhole
-	// experiment mistyped as a coalition must fail loudly, not report
-	// clean-network numbers.
-	if spec.DropRate != 0 && model != ModelGrayhole {
-		return nil, fmt.Errorf("adversary: DropRate applies to %q only, not %q", ModelGrayhole, model)
-	}
-	if spec.Interval != 0 && model != ModelMobile && model != ModelAdaptive {
-		return nil, fmt.Errorf("adversary: Interval applies to %q or %q only, not %q", ModelMobile, ModelAdaptive, model)
-	}
+	a := &Adversary{Ledger: eaves.NewLedger(), model: model, hosts: hosts}
 	switch model {
-	case ModelEavesdropper:
-		if len(hosts) != 1 {
+	case ModelEavesdropper, ModelCoalition:
+		if model == ModelEavesdropper && len(hosts) != 1 {
 			return nil, fmt.Errorf("adversary: model %q wants exactly 1 node, have %d", model, len(hosts))
 		}
-		return NewCoalition(model, hosts), nil
-	case ModelCoalition:
-		return NewCoalition(model, hosts), nil
-	case ModelMobile:
-		interval := spec.Interval
-		if interval <= 0 {
-			interval = 10 * sim.Second
+		for _, h := range hosts {
+			a.Tap(h)
 		}
+	case ModelMobile, ModelAdaptive:
 		// An explicitly pinned tour is honoured in the declared order;
 		// only randomly selected hosts get a shuffled tour.
-		tourRNG := rng
 		if len(spec.Nodes) > 0 {
-			tourRNG = nil
+			rng = nil
 		}
-		return NewMobile(hosts, interval, tourRNG), nil
-	case ModelBlackhole:
-		return NewDropper(model, hosts, 1, nil), nil
-	case ModelGrayhole:
-		rate := spec.DropRate
-		if rate <= 0 {
-			rate = 0.5
+		a.roam(spec.Interval, rng)
+	case ModelBlackhole, ModelGrayhole:
+		a.rate = 1
+		if model == ModelGrayhole {
+			a.rate, a.rng = spec.DropRate, rng
+			if a.rate <= 0 {
+				a.rate = 0.5
+			}
 		}
-		return NewDropper(model, hosts, rate, rng), nil
-	case ModelAdaptive:
-		interval := spec.Interval
-		if interval <= 0 {
-			interval = 10 * sim.Second
+		for _, h := range hosts {
+			a.Tap(h)
+			self := h.ID()
+			h.DropFilter = func(p *packet.Packet, next packet.NodeID) bool {
+				return a.shouldDrop(self, p)
+			}
 		}
-		tourRNG := rng
-		if len(spec.Nodes) > 0 {
-			tourRNG = nil
-		}
-		return NewAdaptive(hosts, interval, tourRNG), nil
-	case ModelWormhole:
-		if len(hosts) != 2 {
+	case ModelWormhole, ModelRushing:
+		if model == ModelWormhole && len(hosts) != 2 {
 			return nil, fmt.Errorf("adversary: model %q wants exactly 2 endpoints, have %d", model, len(hosts))
 		}
-		return NewWormhole(hosts[0], hosts[1]), nil
-	case ModelRushing:
-		return NewRushing(hosts), nil
+		for i, h := range hosts {
+			a.Tap(h)
+			a.TapAttracted(h)
+			if model == ModelWormhole {
+				h.InstallRouteFilter(&endpointFilter{w: a, idx: i})
+			} else {
+				h.InstallRouteFilter(rushFilter{})
+			}
+		}
 	default:
 		return nil, fmt.Errorf("adversary: unknown model %q", spec.Model)
 	}
+	return a, nil
+}
+
+// roam attaches a single tap that listens at one host at a time: it
+// starts at the first host of the tour (shuffled by one rng.Perm when rng
+// is non-nil) and re-taps every Interval (default 10 s). Only the active
+// host collects; an adaptive tap also counts, at every host, the data
+// frames it overhears, so the next move can chase the traffic.
+//
+// Determinism: the tour order is the only randomness — at most one Perm at
+// construction and zero draws afterwards (TestAdaptiveRNGDraws).
+func (a *Adversary) roam(interval sim.Duration, rng *sim.RNG) {
+	if rng != nil {
+		perm := rng.Perm(len(a.hosts))
+		tour := make([]*node.Node, len(a.hosts))
+		for i, j := range perm {
+			tour[i] = a.hosts[j]
+		}
+		a.hosts = tour
+	}
+	if a.model == ModelAdaptive {
+		a.recent = make([]uint64, len(a.hosts))
+	}
+	for _, h := range a.hosts {
+		i := a.Join(h)
+		h.AddTap(func(f *packet.Frame) {
+			if !eaves.Counts(f) {
+				return
+			}
+			if a.recent != nil {
+				a.recent[i]++
+			}
+			if i == a.active {
+				a.Hear(i, f.Payload.DataID)
+			}
+		})
+	}
+	if interval <= 0 {
+		interval = 10 * sim.Second
+	}
+	sched := a.hosts[0].Scheduler()
+	var move func()
+	move = func() {
+		a.retap()
+		sched.After(interval, move)
+	}
+	sched.After(interval, move)
+}
+
+// retap moves the roaming tap to the next host on its tour or, for an
+// adaptive tap, to the host that overheard the most data frames since the
+// previous move (ties go to the earlier tour position; an all-quiet field
+// falls back to the next host), then resets the counters so the next
+// decision reflects only fresh evidence.
+func (a *Adversary) retap() {
+	a.moves++
+	next, most := (a.active+1)%len(a.hosts), uint64(0)
+	for i, c := range a.recent {
+		if c > most {
+			next, most = i, c
+		}
+	}
+	a.active = next
+	clear(a.recent)
+}
+
+// shouldDrop implements the insider policy: only transit data packets are
+// dropped. Packets the relay originates itself, and all routing control
+// traffic, pass through — a dropper that broke discovery would never be
+// routed through in the first place.
+func (a *Adversary) shouldDrop(self packet.NodeID, p *packet.Packet) bool {
+	if p.Kind != packet.KindData || p.DataID == 0 || p.Src == self {
+		return false
+	}
+	if a.rate < 1 && a.rng != nil && a.rng.Float64() >= a.rate {
+		return false
+	}
+	a.CountDrop()
+	return true
 }

@@ -55,63 +55,109 @@ func line() []geo.Point {
 	return []geo.Point{{X: 0}, {X: 200}, {X: 400}, {X: 600}, {X: 800}}
 }
 
-// TestCoalitionUnionBounds is the core accounting property: the union Pe
-// is at least the best single member and at most the sum of all members,
-// over pseudo-random traffic the members partially share.
-func TestCoalitionUnionBounds(t *testing.T) {
-	sched, nodes, uids := buildNet(t, line())
-	c := NewCoalition(ModelCoalition, []*node.Node{nodes[1], nodes[3]})
-
-	// Node 0's packets reach only member 1; node 2's reach both members;
-	// node 4's reach only member 3. DataIDs overlap across senders.
+// feed schedules the shared frame feed: 200 data frames over 20 s from
+// nodes 0, 2 and 4 of the line, with overlapping DataIDs. Node 0's frames
+// reach only node 1; node 2's reach nodes 1 and 3; node 4's reach only
+// node 3.
+func feed(sched *sim.Scheduler, nodes []*node.Node, uids *packet.UIDSource) {
 	rng := sim.NewRNG(1234)
+	next := map[packet.NodeID]packet.NodeID{0: 1, 2: 3, 4: 3}
 	for i := 0; i < 200; i++ {
 		src := packet.NodeID(2 * rng.Intn(3)) // 0, 2 or 4
 		id := uint64(1 + rng.Intn(60))
-		nodes[src].SendMac(dataPkt(uids, src, id), src+1)
-	}
-	sched.RunUntil(sim.Time(20 * sim.Second))
-
-	members := c.Members()
-	if len(members) != 2 {
-		t.Fatalf("members = %d, want 2", len(members))
-	}
-	var max, sum, frames uint64
-	for _, m := range members {
-		if m.Distinct > max {
-			max = m.Distinct
-		}
-		sum += m.Distinct
-		frames += m.Frames
-		if m.Distinct == 0 {
-			t.Fatalf("member %d heard nothing — topology broken", m.Node)
-		}
-	}
-	union := c.Distinct()
-	if union < max {
-		t.Fatalf("union %d < max member %d", union, max)
-	}
-	if union > sum {
-		t.Fatalf("union %d > sum of members %d", union, sum)
-	}
-	if max == sum {
-		t.Fatal("members heard identical traffic — test exercises nothing")
-	}
-	if c.Frames() != frames {
-		t.Fatalf("coalition frames %d != sum of member frames %d", c.Frames(), frames)
-	}
-	if c.Dropped() != 0 {
-		t.Fatal("passive coalition reported drops")
+		sched.After(sim.Duration(i)*100*sim.Millisecond, func() {
+			nodes[src].SendMac(dataPkt(uids, src, id), next[src])
+		})
 	}
 }
 
-// TestCoalitionK1MatchesLegacy attaches the legacy lone eavesdropper and a
-// k=1 coalition to the same node: every counter and ratio must agree
-// bit-for-bit on identical overheard traffic.
+// TestCoalitionUnionBounds is the core accounting property, checked for
+// every model on one frame feed the vantage points partially share:
+// Frames is the sum of member frames; a static member counts its own
+// distinct set, so the union Pe lies between the best member and the sum
+// of all members; a roaming member counts payloads first heard at that
+// host, so the members sum exactly to the union.
+func TestCoalitionUnionBounds(t *testing.T) {
+	for _, model := range Models() {
+		t.Run(model, func(t *testing.T) {
+			sched, nodes, uids := buildNet(t, line())
+			hosts := []*node.Node{nodes[1], nodes[3]}
+			if model == ModelEavesdropper {
+				hosts = hosts[:1]
+			}
+			spec := Spec{Model: model}
+			roaming := model == ModelMobile || model == ModelAdaptive
+			if roaming {
+				spec.Interval = 2 * sim.Second
+			}
+			a, err := Build(spec, hosts, sim.NewRNG(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(sched, nodes, uids)
+			sched.RunUntil(sim.Time(25 * sim.Second))
+
+			members := a.Members()
+			if len(members) != len(hosts) {
+				t.Fatalf("members = %d, want %d", len(members), len(hosts))
+			}
+			var best, sum, frames uint64
+			for _, m := range members {
+				best = max(best, m.Distinct)
+				sum += m.Distinct
+				frames += m.Frames
+				if m.Distinct == 0 {
+					t.Fatalf("member %d heard nothing — topology broken", m.Node)
+				}
+			}
+			if a.Frames() != frames {
+				t.Fatalf("frames %d != sum of member frames %d", a.Frames(), frames)
+			}
+			// The feed only relays through the vantage points, so nothing is
+			// dropped; every frame is addressed to one of them, so the
+			// route-attraction models count all 200 first attempts.
+			var attracted uint64
+			if model == ModelWormhole || model == ModelRushing {
+				attracted = 200
+			}
+			if a.Dropped() != 0 || a.Attracted() != attracted {
+				t.Fatalf("dropped %d, attracted %d; want 0, %d", a.Dropped(), a.Attracted(), attracted)
+			}
+			union := a.Distinct()
+			if roaming {
+				if union != sum {
+					t.Fatalf("union %d != sum of first-heard members %d", union, sum)
+				}
+				return
+			}
+			if union < best || union > sum {
+				t.Fatalf("union %d outside [best member %d, member sum %d]", union, best, sum)
+			}
+			if len(members) > 1 && best == sum {
+				t.Fatal("members heard identical traffic — test exercises nothing")
+			}
+		})
+	}
+}
+
+// TestCoalitionK1MatchesLegacy checks the paper's lone eavesdropper
+// against a reference tap on the same node that counts frames and
+// distinct payloads by hand: every counter and ratio must agree exactly on
+// identical overheard traffic.
 func TestCoalitionK1MatchesLegacy(t *testing.T) {
 	sched, nodes, uids := buildNet(t, line())
-	legacy := eaves.Attach(nodes[1])
-	c := NewCoalition(ModelEavesdropper, []*node.Node{nodes[1]})
+	var refFrames uint64
+	refSeen := map[uint64]bool{}
+	nodes[1].AddTap(func(f *packet.Frame) {
+		if eaves.Counts(f) {
+			refFrames++
+			refSeen[f.Payload.DataID] = true
+		}
+	})
+	c, err := Build(Spec{}, nodes[1:2], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	rng := sim.NewRNG(77)
 	for i := 0; i < 120; i++ {
@@ -123,53 +169,42 @@ func TestCoalitionK1MatchesLegacy(t *testing.T) {
 	}
 	sched.RunUntil(sim.Time(30 * sim.Second))
 
-	if legacy.Frames == 0 {
+	refDistinct := uint64(len(refSeen))
+	if refFrames == 0 {
 		t.Fatal("no traffic overheard")
 	}
-	if c.Frames() != legacy.Frames {
-		t.Fatalf("frames: coalition %d, legacy %d", c.Frames(), legacy.Frames)
+	if c.Frames() != refFrames || c.Distinct() != refDistinct {
+		t.Fatalf("eavesdropper (%d frames, %d distinct), reference (%d, %d)",
+			c.Frames(), c.Distinct(), refFrames, refDistinct)
 	}
-	if c.Distinct() != legacy.Distinct() {
-		t.Fatalf("distinct: coalition %d, legacy %d", c.Distinct(), legacy.Distinct())
-	}
-	for _, pr := range []uint64{0, 1, 7, legacy.Distinct(), 100000} {
-		if c.Ratio(pr) != legacy.Ratio(pr) {
-			t.Fatalf("ratio(%d): coalition %v, legacy %v", pr, c.Ratio(pr), legacy.Ratio(pr))
+	for _, pr := range []uint64{1, 7, refDistinct, 100000} {
+		if want := float64(refDistinct) / float64(pr); c.Ratio(pr) != want {
+			t.Fatalf("ratio(%d) = %v, want %v", pr, c.Ratio(pr), want)
 		}
 	}
 	m := c.Members()[0]
-	if m.Node != legacy.ID || m.Frames != legacy.Frames || m.Distinct != legacy.Distinct() {
-		t.Fatalf("member view %+v disagrees with legacy (%d, %d, %d)",
-			m, legacy.ID, legacy.Frames, legacy.Distinct())
-	}
-	if c.Legacy() != c.members[0] {
-		t.Fatal("Legacy() is not the first member")
+	if m.Node != 1 || m.Frames != refFrames || m.Distinct != refDistinct {
+		t.Fatalf("member view %+v disagrees with reference (1, %d, %d)", m, refFrames, refDistinct)
 	}
 }
 
 // TestRatioEdgeCases: Ri is defined as 0 when nothing was delivered
-// (pr == 0) and for an empty (k=0) coalition.
+// (pr == 0) and when nothing was intercepted.
 func TestRatioEdgeCases(t *testing.T) {
-	_, nodes, uids := buildNet(t, line())
-	c := NewCoalition(ModelCoalition, []*node.Node{nodes[1]})
+	_, nodes, _ := buildNet(t, line())
+	c, err := Build(Spec{Model: ModelCoalition}, nodes[1:3], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := c.Ratio(0); got != 0 {
 		t.Fatalf("ratio with pr=0 = %v, want 0", got)
 	}
-
-	empty := NewCoalition(ModelCoalition, nil)
-	if empty.Distinct() != 0 || empty.Frames() != 0 {
-		t.Fatal("empty coalition has non-zero counters")
+	if c.Distinct() != 0 || c.Frames() != 0 {
+		t.Fatal("idle coalition has non-zero counters")
 	}
-	if got := empty.Ratio(10); got != 0 {
-		t.Fatalf("empty coalition ratio = %v, want 0", got)
+	if got := c.Ratio(10); got != 0 {
+		t.Fatalf("idle coalition ratio = %v, want 0", got)
 	}
-	if empty.Legacy() != nil {
-		t.Fatal("empty coalition Legacy() != nil")
-	}
-	if len(empty.Members()) != 0 {
-		t.Fatal("empty coalition has members")
-	}
-	_ = uids
 }
 
 // TestMobileTourAccounting: only the active vantage point collects, the
@@ -178,7 +213,10 @@ func TestRatioEdgeCases(t *testing.T) {
 func TestMobileTourAccounting(t *testing.T) {
 	sched, nodes, uids := buildNet(t, line())
 	// nil rng keeps the declared tour order: node 1, then node 3.
-	m := NewMobile([]*node.Node{nodes[1], nodes[3]}, 5*sim.Second, nil)
+	m, err := Build(Spec{Model: ModelMobile, Interval: 5 * sim.Second}, []*node.Node{nodes[1], nodes[3]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Active() != 1 {
 		t.Fatalf("initial vantage = %d, want 1", m.Active())
 	}
@@ -231,7 +269,10 @@ func TestMobileTourAccounting(t *testing.T) {
 // originations and control traffic pass — and a grayhole drops a fraction.
 func TestDropperPolicy(t *testing.T) {
 	sched, nodes, uids := buildNet(t, line())
-	d := NewDropper(ModelBlackhole, []*node.Node{nodes[1]}, 1, nil)
+	d, err := Build(Spec{Model: ModelBlackhole}, nodes[1:2], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Transit data (originated elsewhere): dropped silently.
 	for i := uint64(1); i <= 5; i++ {
@@ -256,7 +297,10 @@ func TestDropperPolicy(t *testing.T) {
 	// Grayhole at rate 0.5: over many transit packets it drops some but
 	// not all (the exact count is pinned by the seeded RNG).
 	sched2, nodes2, uids2 := buildNet(t, line())
-	g := NewDropper(ModelGrayhole, []*node.Node{nodes2[1]}, 0.5, sim.NewRNG(42))
+	g, err := Build(Spec{Model: ModelGrayhole, DropRate: 0.5}, nodes2[1:2], sim.NewRNG(42))
+	if err != nil {
+		t.Fatal(err)
+	}
 	const total = 200
 	for i := uint64(1); i <= total; i++ {
 		nodes2[1].SendMac(dataPkt(uids2, 0, i), 2)
@@ -305,12 +349,16 @@ func TestSpecDefaults(t *testing.T) {
 	}
 }
 
-// TestBuildValidation: unknown models and empty host sets are rejected;
-// every known model builds.
+// TestBuildValidation: unknown models and knobs the model would ignore
+// fail Validate, host sets Build cannot use fail Build, and every known
+// model builds.
 func TestBuildValidation(t *testing.T) {
 	_, nodes, _ := buildNet(t, line())
-	if _, err := Build(Spec{Model: "quantum"}, nodes[1:2], nil); err == nil {
+	if err := (Spec{Model: "quantum"}).Validate(); err == nil {
 		t.Fatal("unknown model accepted")
+	}
+	if _, err := Build(Spec{Model: "quantum"}, nodes[1:2], nil); err == nil {
+		t.Fatal("unknown model built")
 	}
 	if _, err := Build(Spec{}, nil, nil); err == nil {
 		t.Fatal("empty host set accepted")
@@ -318,11 +366,19 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(Spec{Model: ModelEavesdropper}, nodes[1:3], nil); err == nil {
 		t.Fatal("eavesdropper with 2 hosts accepted")
 	}
-	if _, err := Build(Spec{Model: ModelCoalition, DropRate: 0.4}, nodes[1:3], nil); err == nil {
+	if _, err := Build(Spec{Model: ModelWormhole}, nodes[1:4], nil); err == nil {
+		t.Fatal("wormhole with 3 endpoints accepted")
+	}
+	if err := (Spec{Model: ModelCoalition, DropRate: 0.4}).Validate(); err == nil {
 		t.Fatal("DropRate on a passive coalition accepted")
 	}
-	if _, err := Build(Spec{Model: ModelBlackhole, Interval: sim.Second}, nodes[1:2], nil); err == nil {
+	if err := (Spec{Model: ModelBlackhole, Interval: sim.Second}).Validate(); err == nil {
 		t.Fatal("Interval on a static blackhole accepted")
+	}
+	for _, ok := range []Spec{{}, {K: 3}, {Model: ModelGrayhole, DropRate: 0.3}, {Model: ModelAdaptive, Interval: sim.Second}} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("Validate(%+v) = %v", ok, err)
+		}
 	}
 	rng := sim.NewRNG(1)
 	for _, model := range Models() {

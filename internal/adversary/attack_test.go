@@ -19,7 +19,10 @@ import (
 func TestAdaptiveRNGDraws(t *testing.T) {
 	sched, nodes, uids := buildNet(t, line())
 	rng := sim.NewRNG(42)
-	adv := NewAdaptive([]*node.Node{nodes[1], nodes[2], nodes[3]}, 2*sim.Second, rng)
+	adv, err := Build(Spec{Model: ModelAdaptive, Interval: 2 * sim.Second}, nodes[1:4], rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ref := sim.NewRNG(42)
 	ref.Perm(3) // the one constructor draw
@@ -47,7 +50,10 @@ func TestAdaptiveRNGDraws(t *testing.T) {
 	// A nil rng keeps the declared candidate order (EffectiveModel wiring
 	// relies on this for pinned tours).
 	_, nodes2, _ := buildNet(t, line())
-	quiet := NewAdaptive([]*node.Node{nodes2[3], nodes2[1]}, 2*sim.Second, nil)
+	quiet, err := Build(Spec{Model: ModelAdaptive, Interval: 2 * sim.Second}, []*node.Node{nodes2[3], nodes2[1]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if quiet.Active() != 3 {
 		t.Fatalf("nil-rng initial vantage = %d, want declared first host 3", quiet.Active())
 	}
@@ -90,7 +96,10 @@ func TestWormholeTunnelExactlyOnce(t *testing.T) {
 	neighbour, far := newCountProto(), newCountProto()
 	nodes[1].SetProtocol(neighbour)
 	nodes[2].SetProtocol(far)
-	w := NewWormhole(nodes[0], nodes[2])
+	w, err := Build(Spec{Model: ModelWormhole}, []*node.Node{nodes[0], nodes[2]}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Broadcast control: tunnelled as a clone AND flooded locally.
 	for i := uint64(1); i <= 5; i++ {

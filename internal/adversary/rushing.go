@@ -1,14 +1,12 @@
 package adversary
 
 import (
-	"mtsim/internal/eaves"
-	"mtsim/internal/node"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
 
-// Rushing is k compromised relays mounting AODVSEC's rushing attack on
-// route discovery: every protocol jitters its route-request re-broadcasts
+// rushFilter is installed on k compromised relays mounting AODVSEC's
+// rushing attack on route discovery: every protocol jitters its route-request re-broadcasts
 // (routing.MaxBroadcastJitter) to avoid synchronized collisions, and
 // duplicate suppression means only the FIRST copy of a flood a node hears
 // is processed — so a relay that re-broadcasts instantly wins the race at
@@ -34,69 +32,3 @@ func (rushFilter) RouteJitter(p *packet.Packet, d sim.Duration) sim.Duration {
 	}
 	return d
 }
-
-// Rushing is the attached rushing attack; interception accounting is the
-// insiders' pooled union, like Dropper, plus the attracted-frame count.
-type Rushing struct {
-	members   []*eaves.Eavesdropper
-	union     map[uint64]bool
-	stream    eaves.StreamTracker
-	attracted uint64
-}
-
-// NewRushing compromises the given relays with jitter-stripping route
-// forwarding and insider taps.
-func NewRushing(hosts []*node.Node) *Rushing {
-	r := &Rushing{union: make(map[uint64]bool)}
-	for _, h := range hosts {
-		r.members = append(r.members, eaves.AttachShared(h, r.union, &r.stream))
-		self := h.ID()
-		h.AddTap(func(fr *packet.Frame) {
-			if fr.Kind == packet.FrameData && fr.TxTo == self && !fr.Retry &&
-				fr.Payload != nil && fr.Payload.Kind == packet.KindData {
-				r.attracted++
-			}
-		})
-		h.InstallRouteFilter(rushFilter{})
-	}
-	return r
-}
-
-// Model implements Adversary.
-func (r *Rushing) Model() string { return ModelRushing }
-
-// Members implements Adversary.
-func (r *Rushing) Members() []Member {
-	out := make([]Member, len(r.members))
-	for i, m := range r.members {
-		out[i] = Member{Node: m.ID, Frames: m.Frames, Distinct: m.Distinct()}
-	}
-	return out
-}
-
-// Distinct implements Adversary: the union Pe over all rushers.
-func (r *Rushing) Distinct() uint64 { return uint64(len(r.union)) }
-
-// Frames implements Adversary.
-func (r *Rushing) Frames() uint64 {
-	var total uint64
-	for _, m := range r.members {
-		total += m.Frames
-	}
-	return total
-}
-
-// Ratio implements Adversary.
-func (r *Rushing) Ratio(pr uint64) float64 { return ratio(r.Distinct(), pr) }
-
-// Dropped implements Adversary: rushers forward faithfully — dropping
-// would evict them from the routes they rushed to join.
-func (r *Rushing) Dropped() uint64 { return 0 }
-
-// Attracted implements Adversary.
-func (r *Rushing) Attracted() uint64 { return r.attracted }
-
-// Contiguity implements Adversary over the rushers' pooled union.
-func (r *Rushing) Contiguity() eaves.ContigStats { return eaves.Stats(r.union, &r.stream) }
-
-var _ Adversary = (*Rushing)(nil)

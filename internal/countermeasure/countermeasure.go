@@ -2,8 +2,9 @@
 // internal/adversary: pluggable countermeasures that reduce what an
 // eavesdropping adversary can reconstruct from the traffic it intercepts.
 // Where the adversary subsystem generalizes the paper's lone tap into
-// coalitions, mobile taps and dropping relays, this package models the two
-// defences the related work proposes on top of multipath routing:
+// coalitions, roaming taps and insider relays, this package models the
+// three defences the related work proposes on top of multipath routing,
+// all attached as one Defence whose model decides which parts it holds:
 //
 //   - Data shuffling (the Shuffling baseline of PAPERS.md, arXiv
 //     1307.4076): outgoing TCP segments are buffered into small blocks at
@@ -23,6 +24,11 @@
 //     the taps sit — and caps the worst-case single-relay exposure
 //     (Fig. 7's highest interception ratio).
 //
+//   - Trust-scored path selection (arXiv 2006.01404): every node keeps
+//     per-neighbour trust scores fed by its own watchdog and MAC
+//     evidence (TrustTable), and all four protocols route around
+//     distrusted links.
+//
 // Invariants: the zero Spec attaches nothing, derives no RNG stream and
 // perturbs no bit of a legacy run. Shuffling never creates or destroys
 // packets — it releases exactly the segments it claimed, a permutation
@@ -34,6 +40,7 @@ package countermeasure
 import (
 	"fmt"
 
+	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
 
@@ -149,7 +156,7 @@ func (s Spec) EffectiveThreshold() float64 {
 
 // Validate rejects knobs the selected model would silently ignore — a
 // shuffle experiment mistyped as "aware" must fail loudly, not report
-// undefended contiguity numbers (the same contract adversary.Build
+// undefended contiguity numbers (the same contract adversary.Spec.Validate
 // enforces for DropRate/Interval).
 func (s Spec) Validate() error {
 	if s.Threshold != 0 && s.EffectiveModel() != ModelTrust {
@@ -204,122 +211,88 @@ func (s Spec) Label() string {
 	return lbl
 }
 
-// Countermeasure is one attached defence, reporting per-run accounting
-// after the simulation has run. The aware policy's effect is counted by
-// the MTS router itself (core.Stats.AwareOverrides); this interface
-// carries the shuffling side, which lives outside the routing protocol.
-type Countermeasure interface {
-	// Model returns the model name (ModelShuffle etc.).
-	Model() string
-	// Shuffled returns the number of segments released in permuted order.
-	Shuffled() uint64
-	// Blocks returns the number of shuffle blocks flushed.
-	Blocks() uint64
-	// Retire hands every segment still buffered at the run horizon back
-	// to the arena (leak accounting; see packet.Arena). Idempotent.
-	Retire()
+// Defence is one attached countermeasure: its model, the shufflers at
+// the traffic sources and the per-node trust tables, each present only
+// when the model asks for it. The aware policy's effect is counted by the
+// MTS router itself (core.Stats.AwareOverrides).
+type Defence struct {
+	spec      Spec
+	shufflers []*Shuffler
+	tables    []*TrustTable
 }
 
-// Passive is a countermeasure with no shuffling machinery outside the
-// routing protocol: the explicit ModelNone baseline, or ModelAware, whose
-// whole effect lives in the MTS router's path selection. It still carries
-// the model name so run metrics label the cell correctly.
-type Passive struct{ model string }
-
-// None is the no-countermeasure baseline.
-func None() Passive { return Passive{model: ModelNone} }
-
-// Model implements Countermeasure.
-func (p Passive) Model() string {
-	if p.model == "" {
-		return ModelNone
-	}
-	return p.model
-}
-
-// Shuffled implements Countermeasure.
-func (Passive) Shuffled() uint64 { return 0 }
-
-// Blocks implements Countermeasure.
-func (Passive) Blocks() uint64 { return 0 }
-
-// Retire implements Countermeasure.
-func (Passive) Retire() {}
-
-// Build attaches the spec's defence to the given traffic source nodes
-// (already selected by the scenario builder: the distinct flow sources).
-// rng is the countermeasure's own derived stream — per-node shuffle
-// streams are derived from it by stable labels, so attaching a defender
-// perturbs nothing but what it is modelled to perturb. It may be nil for
-// models that need no randomness (aware-only, none).
-//
-// Note the aware half of a spec is not built here: it is a path-selection
+// New starts the defence a validated spec declares, with nothing attached
+// yet. The aware half of a spec is not built here: it is a path-selection
 // policy inside the MTS router, enabled by the scenario builder through
-// core.Config.AwarePenalty. Build wires what lives outside the protocol.
-func Build(spec Spec, sources []Host, rng *sim.RNG) (Countermeasure, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
+// core.Config.AwarePenalty. The defence wires what lives outside the
+// protocol, through AttachTrust and AttachShufflers.
+func New(spec Spec) *Defence {
+	return &Defence{spec: spec}
+}
+
+// AttachTrust creates and registers one node's trust table when the model
+// keeps trust, and returns nil otherwise. Trust wants a table on every
+// node, installed before the node's routing protocol is constructed
+// (node.InstallTrust): routers capture the node's trust oracle at New.
+func (d *Defence) AttachTrust(self packet.NodeID, sched *sim.Scheduler) *TrustTable {
+	if !d.spec.Trusts() {
+		return nil
 	}
-	if spec.Trusts() {
-		// Trust wants a table on EVERY node, not just the traffic sources;
-		// the scenario builder attaches it via NewTrustDefence.
-		return nil, fmt.Errorf("countermeasure: model %q is built with NewTrustDefence, not Build", ModelTrust)
-	}
+	tbl := NewTrustTable(self, sched, d.spec.EffectiveThreshold())
+	d.tables = append(d.tables, tbl)
+	return tbl
+}
+
+// AttachShufflers installs one shuffler on each traffic source node when
+// the model shuffles, and does nothing otherwise. rng is the defence's own
+// derived stream; per-node shuffle streams are derived from it by stable
+// labels, so attaching a defender perturbs nothing but what it is
+// modelled to perturb.
+func (d *Defence) AttachShufflers(sources []Host, rng *sim.RNG) error {
+	spec := d.spec
 	if !spec.Shuffles() {
-		return Passive{model: spec.EffectiveModel()}, nil
+		return nil
 	}
 	if len(sources) == 0 {
-		return nil, fmt.Errorf("countermeasure: no traffic source nodes to shuffle at")
+		return fmt.Errorf("countermeasure: no traffic source nodes to shuffle at")
 	}
 	if rng == nil {
-		return nil, fmt.Errorf("countermeasure: model %q needs an RNG stream", spec.EffectiveModel())
+		return fmt.Errorf("countermeasure: model %q needs an RNG stream", spec.EffectiveModel())
 	}
-	s := &Shuffling{model: spec.EffectiveModel()}
 	for _, h := range sources {
 		sh := NewShuffler(h, rng.Derive(fmt.Sprintf("shuffle/%d", h.ID())),
 			spec.EffectiveDepth(), spec.EffectiveHold())
-		s.shufflers = append(s.shufflers, sh)
+		d.shufflers = append(d.shufflers, sh)
 	}
-	return s, nil
+	return nil
 }
 
-// Shuffling is the built data-shuffling defence: one Shuffler per traffic
-// source node (plus, for MTS, the dispersal the scenario builder enables
-// in the router configuration).
-type Shuffling struct {
-	model     string
-	shufflers []*Shuffler
-}
+// Model returns the model name (ModelShuffle etc.).
+func (d *Defence) Model() string { return d.spec.EffectiveModel() }
 
-// Model implements Countermeasure.
-func (s *Shuffling) Model() string { return s.model }
-
-// Shuffled implements Countermeasure.
-func (s *Shuffling) Shuffled() uint64 {
+// Shuffled returns the number of segments released in permuted order.
+func (d *Defence) Shuffled() uint64 {
 	var n uint64
-	for _, sh := range s.shufflers {
+	for _, sh := range d.shufflers {
 		n += sh.Shuffled
 	}
 	return n
 }
 
-// Blocks implements Countermeasure.
-func (s *Shuffling) Blocks() uint64 {
+// Blocks returns the number of shuffle blocks flushed.
+func (d *Defence) Blocks() uint64 {
 	var n uint64
-	for _, sh := range s.shufflers {
+	for _, sh := range d.shufflers {
 		n += sh.Blocks
 	}
 	return n
 }
 
-// Retire implements Countermeasure.
-func (s *Shuffling) Retire() {
-	for _, sh := range s.shufflers {
+// Retire hands every segment still buffered at the run horizon back to
+// the arena (leak accounting; see packet.Arena). Trust tables hold no
+// packets. Idempotent.
+func (d *Defence) Retire() {
+	for _, sh := range d.shufflers {
 		sh.Retire()
 	}
 }
-
-var (
-	_ Countermeasure = Passive{}
-	_ Countermeasure = (*Shuffling)(nil)
-)

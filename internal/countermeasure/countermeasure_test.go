@@ -240,29 +240,46 @@ func TestSpecValidateAndLabel(t *testing.T) {
 	}
 }
 
+// TestBuildModels: each model attaches only the parts it declares — no
+// originate filter without shuffling, no trust table without trust — and
+// shuffling refuses to attach without an RNG or sources.
 func TestBuildModels(t *testing.T) {
 	h := newFakeHost()
-	cm, err := Build(Spec{Model: ModelAware}, []Host{h}, nil)
-	if err != nil {
+	aware := New(Spec{Model: ModelAware})
+	if err := aware.AttachShufflers([]Host{h}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if cm.Model() != ModelAware {
-		t.Fatalf("aware build reports model %q", cm.Model())
+	if aware.Model() != ModelAware {
+		t.Fatalf("aware build reports model %q", aware.Model())
 	}
 	if h.filter != nil {
 		t.Fatal("aware-only build installed an originate filter")
 	}
-	if _, err := Build(Spec{Model: ModelShuffle}, []Host{h}, nil); err == nil {
+	if aware.AttachTrust(1, h.sched) != nil {
+		t.Fatal("aware-only build attached a trust table")
+	}
+	if New(Spec{}).Model() != ModelNone {
+		t.Fatal("zero spec does not report the undefended baseline")
+	}
+	if err := New(Spec{Model: ModelShuffle}).AttachShufflers([]Host{h}, nil); err == nil {
 		t.Fatal("shuffle build without an RNG must fail")
 	}
-	if _, err := Build(Spec{Model: ModelShuffle}, nil, sim.NewRNG(1)); err == nil {
+	if err := New(Spec{Model: ModelShuffle}).AttachShufflers(nil, sim.NewRNG(1)); err == nil {
 		t.Fatal("shuffle build without sources must fail")
 	}
-	cm, err = Build(Spec{Model: ModelShuffleAware}, []Host{h}, sim.NewRNG(1))
-	if err != nil {
+	both := New(Spec{Model: ModelShuffleAware})
+	if err := both.AttachShufflers([]Host{h}, sim.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
-	if cm.Model() != ModelShuffleAware || h.filter == nil {
-		t.Fatalf("shuffle+aware build: model %q, filter installed: %v", cm.Model(), h.filter != nil)
+	if both.Model() != ModelShuffleAware || h.filter == nil {
+		t.Fatalf("shuffle+aware build: model %q, filter installed: %v", both.Model(), h.filter != nil)
+	}
+	trust := New(Spec{Model: ModelTrust, Threshold: 0.5})
+	tbl := trust.AttachTrust(1, h.sched)
+	if tbl == nil || tbl.threshold != 0.5 {
+		t.Fatalf("trust build attached table %+v, want threshold 0.5", tbl)
+	}
+	if trust.Shuffled() != 0 || trust.Blocks() != 0 || trust.DistrustedLinks() != 0 {
+		t.Fatal("fresh trust defence reports activity")
 	}
 }

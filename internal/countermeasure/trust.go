@@ -185,42 +185,8 @@ func (t *TrustTable) evidence() (forwards, drops uint64, distrusted int) {
 	return
 }
 
-// TrustDefence is the built trust countermeasure: one table per node,
-// aggregated for run accounting. It holds no packets, so Retire has
-// nothing to drain — it exists to satisfy the Countermeasure lifecycle
-// and to stop the tables at the run horizon.
-type TrustDefence struct {
-	threshold float64
-	tables    []*TrustTable
-}
-
-// NewTrustDefence starts an empty defence with the given distrust cutoff.
-func NewTrustDefence(threshold float64) *TrustDefence {
-	return &TrustDefence{threshold: threshold}
-}
-
-// Attach creates (and registers) one node's trust table; the scenario
-// builder installs the returned table on the node (node.InstallTrust).
-func (d *TrustDefence) Attach(self packet.NodeID, sched *sim.Scheduler) *TrustTable {
-	tbl := NewTrustTable(self, sched, d.threshold)
-	d.tables = append(d.tables, tbl)
-	return tbl
-}
-
-// Model implements Countermeasure.
-func (d *TrustDefence) Model() string { return ModelTrust }
-
-// Shuffled implements Countermeasure: trust reorders nothing.
-func (d *TrustDefence) Shuffled() uint64 { return 0 }
-
-// Blocks implements Countermeasure.
-func (d *TrustDefence) Blocks() uint64 { return 0 }
-
-// Retire implements Countermeasure: the tables hold no packets.
-func (d *TrustDefence) Retire() {}
-
 // Forwards returns the total confirmed-forward evidence across all nodes.
-func (d *TrustDefence) Forwards() uint64 {
+func (d *Defence) Forwards() uint64 {
 	var n uint64
 	for _, t := range d.tables {
 		f, _, _ := t.evidence()
@@ -231,7 +197,7 @@ func (d *TrustDefence) Forwards() uint64 {
 
 // Drops returns the total drop evidence (expired watchdog obligations +
 // link failures) across all nodes.
-func (d *TrustDefence) Drops() uint64 {
+func (d *Defence) Drops() uint64 {
 	var n uint64
 	for _, t := range d.tables {
 		_, dr, _ := t.evidence()
@@ -242,7 +208,7 @@ func (d *TrustDefence) Drops() uint64 {
 
 // DistrustedLinks returns how many (observer, neighbour) pairs sit below
 // the distrust threshold at the run horizon.
-func (d *TrustDefence) DistrustedLinks() uint64 {
+func (d *Defence) DistrustedLinks() uint64 {
 	var n uint64
 	for _, t := range d.tables {
 		_, _, dist := t.evidence()
@@ -250,5 +216,3 @@ func (d *TrustDefence) DistrustedLinks() uint64 {
 	}
 	return n
 }
-
-var _ Countermeasure = (*TrustDefence)(nil)

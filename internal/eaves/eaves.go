@@ -4,6 +4,13 @@
 // data within its radio range". It taps the node's MAC promiscuously and
 // records every TCP data packet it can decode — whether addressed to it,
 // relayed through it, or merely overheard.
+//
+// A Ledger is the interception accounting every threat model shares
+// (internal/adversary): its vantage points, the union of distinct payloads
+// they intercepted between them (the coalition Pe), the in-order stream
+// view of that union, and the data packets the adversary dropped or pulled
+// onto itself. A ledger of one static vantage point is the paper's lone
+// eavesdropper.
 package eaves
 
 import (
@@ -11,41 +18,85 @@ import (
 	"mtsim/internal/packet"
 )
 
-// Eavesdropper counts the data packets one node can intercept.
-type Eavesdropper struct {
-	ID packet.NodeID
-
-	seen   map[uint64]bool // distinct logical payloads (DataID)
-	union  map[uint64]bool // shared coalition union, nil for a lone tap
-	stream *StreamTracker  // shared in-order contiguity view, may be nil
-
-	// Frames counts every overheard data frame, including duplicates and
-	// retransmissions.
-	Frames uint64
+// Member is one vantage point's interception accounting: the frames it
+// overheard and the distinct logical payloads (DataIDs) among them.
+type Member struct {
+	Node     packet.NodeID
+	Frames   uint64
+	Distinct uint64
 }
 
-// Attach installs an eavesdropper tap on the given node.
-func Attach(n *node.Node) *Eavesdropper {
-	return AttachShared(n, nil, nil)
+// vantage is one member and, for a static vantage point, the set of
+// distinct payloads it heard itself.
+type vantage struct {
+	Member
+	seen map[uint64]bool // nil for a roaming vantage point
 }
 
-// AttachShared installs an eavesdropper tap that additionally records every
-// intercepted DataID into union, a set shared by colluding eavesdroppers:
-// the coalition's Pe is the union of distinct payloads over all members
-// (internal/adversary). stream, when non-nil, observes the same
-// interception sequence (first hearings of union-new payloads, in
-// interception order) for the in-order contiguity metrics. A nil union
-// makes it a lone tap, exactly Attach.
-func AttachShared(n *node.Node, union map[uint64]bool, stream *StreamTracker) *Eavesdropper {
-	e := &Eavesdropper{
-		ID:     n.ID(),
-		seen:   make(map[uint64]bool),
-		union:  union,
-		stream: stream,
+// Ledger is the interception accounting of one adversary.
+type Ledger struct {
+	members   []vantage
+	union     map[uint64]bool
+	stream    StreamTracker
+	dropped   uint64
+	attracted uint64
+}
+
+// NewLedger returns an empty ledger.
+func NewLedger() Ledger { return Ledger{union: make(map[uint64]bool)} }
+
+// Tap installs a static vantage point on n: it hears every interceptable
+// frame at n, and its Distinct counts the payloads it heard itself.
+func (l *Ledger) Tap(n *node.Node) {
+	i := len(l.members)
+	l.members = append(l.members, vantage{Member: Member{Node: n.ID()}, seen: make(map[uint64]bool)})
+	n.AddTap(func(f *packet.Frame) {
+		if Counts(f) {
+			l.Hear(i, f.Payload.DataID)
+		}
+	})
+}
+
+// Join adds a roaming vantage point at n and returns its index. It
+// installs no tap: the caller decides when the vantage point is listening
+// and feeds it through Hear. Its Distinct counts the payloads first heard
+// there, so roaming members sum exactly to the union.
+func (l *Ledger) Join(n *node.Node) int {
+	l.members = append(l.members, vantage{Member: Member{Node: n.ID()}})
+	return len(l.members) - 1
+}
+
+// Hear charges one intercepted payload to member i.
+func (l *Ledger) Hear(i int, id uint64) {
+	m := &l.members[i]
+	m.Frames++
+	if !l.union[id] {
+		l.union[id] = true
+		l.stream.Note(id)
+		if m.seen == nil {
+			m.Distinct++
+		}
 	}
-	n.AddTap(e.tap)
-	return e
+	if m.seen != nil {
+		m.seen[id] = true
+	}
 }
+
+// TapAttracted counts, at n, the data frames neighbours address to n —
+// traffic a route-attraction attack pulled onto itself. First
+// transmission attempts only; MAC retries are not re-counted.
+func (l *Ledger) TapAttracted(n *node.Node) {
+	self := n.ID()
+	n.AddTap(func(f *packet.Frame) {
+		if f.Kind == packet.FrameData && f.TxTo == self && !f.Retry &&
+			f.Payload != nil && f.Payload.Kind == packet.KindData {
+			l.attracted++
+		}
+	})
+}
+
+// CountDrop records one data packet the adversary discarded.
+func (l *Ledger) CountDrop() { l.dropped++ }
 
 // Counts reports whether an overheard frame carries interceptable payload:
 // a transport data packet with a logical DataID. Control packets, TCP ACKs
@@ -58,33 +109,54 @@ func Counts(f *packet.Frame) bool {
 	return p.Kind == packet.KindData && p.DataID != 0
 }
 
-func (e *Eavesdropper) tap(f *packet.Frame) {
-	if !Counts(f) {
-		return
-	}
-	e.Frames++
-	id := f.Payload.DataID
-	if e.union != nil {
-		if !e.union[id] {
-			e.union[id] = true
-			if e.stream != nil {
-				e.stream.Note(id)
-			}
+// Members returns the per-vantage-point accounting, in the order the
+// vantage points joined.
+func (l *Ledger) Members() []Member {
+	out := make([]Member, len(l.members))
+	for i, m := range l.members {
+		out[i] = m.Member
+		if m.seen != nil {
+			out[i].Distinct = uint64(len(m.seen))
 		}
-	} else if !e.seen[id] && e.stream != nil {
-		e.stream.Note(id)
 	}
-	e.seen[id] = true
+	return out
 }
 
-// Distinct returns Pe: the number of distinct data packets intercepted.
-func (e *Eavesdropper) Distinct() uint64 { return uint64(len(e.seen)) }
+// Distinct returns the union Pe: the number of distinct data packets
+// intercepted by at least one vantage point.
+func (l *Ledger) Distinct() uint64 { return uint64(len(l.union)) }
 
-// Contiguity analyses this tap's intercepted set; see the package-level
-// Contiguity.
-func (e *Eavesdropper) Contiguity() (longest, contiguous uint64) {
-	return Contiguity(e.seen)
+// Frames returns the overheard data frames summed over every member,
+// retransmissions included.
+func (l *Ledger) Frames() uint64 {
+	var total uint64
+	for _, m := range l.members {
+		total += m.Frames
+	}
+	return total
 }
+
+// Ratio returns the interception ratio Ri = Pe / Pr (Eq. 1) for the union
+// Pe, given the number of distinct packets that arrived at the
+// destination; 0 when nothing arrived.
+func (l *Ledger) Ratio(pr uint64) float64 {
+	if pr == 0 {
+		return 0
+	}
+	return float64(l.Distinct()) / float64(pr)
+}
+
+// Dropped returns the data packets the adversary discarded (0 for purely
+// passive models).
+func (l *Ledger) Dropped() uint64 { return l.dropped }
+
+// Attracted returns the data frames neighbours addressed to a vantage
+// point with an attracted tap (0 for models that install none).
+func (l *Ledger) Attracted() uint64 { return l.attracted }
+
+// Contiguity reports both contiguity views of the union Pe; see
+// ContigStats.
+func (l *Ledger) Contiguity() ContigStats { return Stats(l.union, &l.stream) }
 
 // ContigStats summarises both contiguity views of an interception: the
 // set view (what the attacker could reassemble from everything it ever
@@ -168,13 +240,4 @@ func Contiguity(seen map[uint64]bool) (longest, contiguous uint64) {
 		}
 	}
 	return longest, contiguous
-}
-
-// Ratio returns the interception ratio Ri = Pe / Pr (Eq. 1) given the
-// number of distinct packets that arrived at the destination.
-func (e *Eavesdropper) Ratio(pr uint64) float64 {
-	if pr == 0 {
-		return 0
-	}
-	return float64(e.Distinct()) / float64(pr)
 }

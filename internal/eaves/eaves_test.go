@@ -46,25 +46,35 @@ func dataPkt(uids *packet.UIDSource, dataID uint64) *packet.Packet {
 	}
 }
 
+// tap returns a ledger with one static vantage point on n.
+func tap(n *node.Node) *Ledger {
+	l := NewLedger()
+	l.Tap(n)
+	return &l
+}
+
 func TestEavesdropperCountsDistinctAndFrames(t *testing.T) {
 	sched, nodes, uids := buildNet(t)
-	ev := Attach(nodes[2]) // bystander in range of the 0->1 link
+	ev := tap(nodes[2]) // bystander in range of the 0->1 link
 	nodes[0].SendMac(dataPkt(uids, 1), 1)
 	nodes[0].SendMac(dataPkt(uids, 2), 1)
 	nodes[0].SendMac(dataPkt(uids, 2), 1) // retransmission of payload 2
 	sched.RunUntil(sim.Time(sim.Second))
 
-	if ev.Frames != 3 {
-		t.Fatalf("frames = %d, want 3", ev.Frames)
+	if ev.Frames() != 3 {
+		t.Fatalf("frames = %d, want 3", ev.Frames())
 	}
 	if ev.Distinct() != 2 {
 		t.Fatalf("distinct = %d, want 2", ev.Distinct())
+	}
+	if m := ev.Members()[0]; m != (Member{Node: 2, Frames: 3, Distinct: 2}) {
+		t.Fatalf("member = %+v, want node 2 with 3 frames, 2 distinct", m)
 	}
 }
 
 func TestEavesdropperIgnoresControlAndAcks(t *testing.T) {
 	sched, nodes, uids := buildNet(t)
-	ev := Attach(nodes[2])
+	ev := tap(nodes[2])
 	// Routing control packet.
 	nodes[0].SendMac(&packet.Packet{
 		UID: uids.Next(), Kind: packet.KindRREQ, Size: 64, Src: 0, Dst: 1, TTL: 8,
@@ -80,15 +90,15 @@ func TestEavesdropperIgnoresControlAndAcks(t *testing.T) {
 	}, 1)
 	sched.RunUntil(sim.Time(sim.Second))
 
-	if ev.Frames != 0 || ev.Distinct() != 0 {
+	if ev.Frames() != 0 || ev.Distinct() != 0 {
 		t.Fatalf("eavesdropper counted non-payload traffic: frames=%d distinct=%d",
-			ev.Frames, ev.Distinct())
+			ev.Frames(), ev.Distinct())
 	}
 }
 
 func TestEavesdropperRatio(t *testing.T) {
 	sched, nodes, uids := buildNet(t)
-	ev := Attach(nodes[2])
+	ev := tap(nodes[2])
 	for i := uint64(1); i <= 4; i++ {
 		nodes[0].SendMac(dataPkt(uids, i), 1)
 	}
@@ -99,13 +109,17 @@ func TestEavesdropperRatio(t *testing.T) {
 	if got := ev.Ratio(0); got != 0 {
 		t.Fatalf("ratio with Pr=0 = %v, want 0", got)
 	}
+	empty := NewLedger()
+	if empty.Ratio(10) != 0 || len(empty.Members()) != 0 {
+		t.Fatal("empty ledger reports interception")
+	}
 }
 
 func TestEavesdropperSeesRelayedTraffic(t *testing.T) {
 	// The eavesdropper also counts packets addressed to itself (it relays
 	// like any legitimate node, §IV-B).
 	sched, nodes, uids := buildNet(t)
-	ev := Attach(nodes[2])
+	ev := tap(nodes[2])
 	p := dataPkt(uids, 42)
 	p.Dst = 2
 	nodes[0].SendMac(p, 2)

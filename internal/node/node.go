@@ -42,9 +42,8 @@ type Node struct {
 	taps  []func(f *packet.Frame)
 
 	// Metric hooks, set by the scenario's collector. Any may be nil.
-	OnRelay     func(p *packet.Packet)                     // relayed a data packet (β)
-	OnRouteDrop func(p *packet.Packet, reason string)      // routing-layer drop
-	OnLocal     func(p *packet.Packet, from packet.NodeID) // delivered locally
+	OnRelay     func(p *packet.Packet)                // relayed a data packet (β)
+	OnRouteDrop func(p *packet.Packet, reason string) // routing-layer drop
 
 	// DropFilter, when set, vets every packet the routing layer hands to
 	// the MAC; returning true silently discards the packet (recorded as a
@@ -351,9 +350,6 @@ func (n *Node) DropQueued(pred func(p *packet.Packet, next packet.NodeID) bool) 
 // DeliverLocal implements routing.Env: the packet reached its end-to-end
 // destination.
 func (n *Node) DeliverLocal(p *packet.Packet, from packet.NodeID) {
-	if n.OnLocal != nil {
-		n.OnLocal(p, from)
-	}
 	if p.TCP != nil {
 		if h, ok := n.flows[p.TCP.Flow]; ok {
 			h(p, from)

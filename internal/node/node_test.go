@@ -119,21 +119,6 @@ func TestNodeFlowDispatch(t *testing.T) {
 	}
 }
 
-func TestNodeOnLocalHook(t *testing.T) {
-	sched, n0, n1, _, _ := buildPair(t)
-	var local int
-	n1.OnLocal = func(p *packet.Packet, from packet.NodeID) { local++ }
-	var uids packet.UIDSource
-	n0.Originate(&packet.Packet{
-		UID: uids.Next(), Kind: packet.KindData, Size: 500, Src: 0, Dst: 1, TTL: 8,
-		TCP: &packet.TCPHeader{Flow: 1},
-	})
-	sched.RunUntil(sim.Time(sim.Second))
-	if local != 1 {
-		t.Fatalf("OnLocal calls = %d", local)
-	}
-}
-
 func TestNodeLinkFailurePropagates(t *testing.T) {
 	sched := sim.NewScheduler()
 	ch := phy.NewChannel(sched, 250, 550)

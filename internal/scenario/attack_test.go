@@ -57,11 +57,7 @@ func TestWormholeNoDuplicateDelivery(t *testing.T) {
 			}
 			s.Arena.Check = true
 			m := s.Run()
-			w, ok := s.Adversary.(*adversary.Wormhole)
-			if !ok {
-				t.Fatalf("adversary is %T, want *adversary.Wormhole", s.Adversary)
-			}
-			if w.Tunnelled() == 0 {
+			if s.Adversary.Tunnelled() == 0 {
 				t.Fatal("tunnel carried nothing; the ledger check proved nothing")
 			}
 			if m.AdversaryAttracted == 0 {

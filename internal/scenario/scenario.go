@@ -14,7 +14,6 @@ import (
 	"mtsim/internal/app"
 	"mtsim/internal/core"
 	"mtsim/internal/countermeasure"
-	"mtsim/internal/eaves"
 	"mtsim/internal/geo"
 	"mtsim/internal/mac"
 	"mtsim/internal/metrics"
@@ -68,16 +67,16 @@ type Config struct {
 	// is ignored when Adversary selects a stronger model.
 	Eavesdropper packet.NodeID
 
-	// Adversary selects the threat model (internal/adversary): coalition
-	// of k colluding eavesdroppers, mobile eavesdropper, or
-	// blackhole/grayhole dropping relays. The zero Spec is the paper's
-	// single random eavesdropper, honouring Eavesdropper above.
+	// Adversary selects the threat model (internal/adversary): colluding
+	// static taps, a roaming tap, blackhole/grayhole dropping relays, or a
+	// wormhole or rushing route-discovery attack. The zero Spec is the
+	// paper's single random eavesdropper, honouring Eavesdropper above.
 	Adversary adversary.Spec
 
 	// Countermeasure selects the defence (internal/countermeasure): data
 	// shuffling at the traffic sources (with per-packet dispersal across
-	// MTS's disjoint paths), adversary-aware MTS path selection, or both.
-	// The zero Spec is the paper's undefended baseline and perturbs
+	// MTS's disjoint paths), adversary-aware MTS path selection, both, or
+	// trust-scored path selection at every node. The zero Spec is the paper's undefended baseline and perturbs
 	// nothing.
 	Countermeasure countermeasure.Spec
 
@@ -139,14 +138,12 @@ type Scenario struct {
 	Senders []*tcp.Sender
 	CBRs    []*app.CBR
 	Sinks   []*tcp.Sink
-	// Adversary is the attached threat model; Eaves is the legacy
-	// single-tap view of it (the first coalition member), nil for models
-	// that are not eavesdropper coalitions.
-	Adversary adversary.Adversary
-	Eaves     *eaves.Eavesdropper
-	// Countermeasure is the attached defence (countermeasure.None() for
-	// the undefended baseline).
-	Countermeasure countermeasure.Countermeasure
+	// Adversary is the attached threat model; for the paper's lone
+	// eavesdropper, Adversary.Members()[0].Node is its host.
+	Adversary *adversary.Adversary
+	// Countermeasure is the attached defence (model "none" for the
+	// undefended baseline).
+	Countermeasure *countermeasure.Defence
 	Collector      *metrics.Collector
 	// Arena is the run-scoped packet/frame pool behind the whole data
 	// plane. Tests flip Arena.Check for leak accounting or Arena.Pooling
@@ -161,16 +158,11 @@ type Scenario struct {
 // allocated (Arena.LivePackets()==0): that closure is the leak-detecting
 // harness. The scenario must not be advanced afterwards.
 func (s *Scenario) Retire() {
-	if s.Countermeasure != nil {
-		// Shuffle buffers hold claimed segments outside any node's
-		// custody; release them before the nodes close their books.
-		s.Countermeasure.Retire()
-	}
-	if ret, ok := s.Adversary.(routing.Retirer); ok {
-		// Wormhole tunnels hold claimed control packets in flight between
-		// their endpoints; same obligation as the shuffle buffers above.
-		ret.Retire()
-	}
+	// Shuffle buffers hold claimed segments, and wormhole tunnels claimed
+	// control packets, outside any node's custody; release them before
+	// the nodes close their books.
+	s.Countermeasure.Retire()
+	s.Adversary.Retire()
 	for _, nd := range s.Nodes {
 		nd.Retire()
 	}
@@ -288,8 +280,13 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	// The countermeasure's aware/dispersal halves are MTS path-selection
 	// policy, so they ride in through the router configuration; the
 	// shuffling half attaches to the source nodes after flows are known.
+	// Both specs are validated before any node is built, so a mistyped
+	// knob fails fast.
 	cmSpec := cfg.Countermeasure
 	if err := cmSpec.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if err := cfg.Adversary.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	mtsCfg := cfg.MTS
@@ -299,16 +296,7 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	if cmSpec.Aware() {
 		mtsCfg.AwarePenalty = cmSpec.EffectivePenalty()
 	}
-	// The trust defence attaches a monitor to EVERY node (each scores its
-	// own neighbours), and must do so before protocols are constructed —
-	// routers capture the node's trust oracle at New time. It draws no RNG,
-	// so legacy streams are untouched.
-	var trustDef *countermeasure.TrustDefence
-	if cmSpec.Trusts() {
-		trustDef = countermeasure.NewTrustDefence(cmSpec.EffectiveThreshold())
-	}
-
-	s := &Scenario{Cfg: cfg}
+	s := &Scenario{Cfg: cfg, Countermeasure: countermeasure.New(cmSpec)}
 	s.Sched, s.Channel, s.Collector = ctx.prepare(cfg.RxRange, cfg.CSRange)
 	s.Nodes = ctx.nodes[:0]
 	s.Arena = ctx.arena
@@ -356,9 +344,11 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		// Before SetProtocol: the constructor is what takes a parked router
 		// back out of the recycler.
 		nd.SetStateRecycler(&ctx.routers)
-		if trustDef != nil {
-			// Also before SetProtocol (see above).
-			nd.InstallTrust(trustDef.Attach(id, s.Sched))
+		// The trust defence scores every node's neighbours. Also before
+		// SetProtocol: routers capture the node's trust oracle at New time.
+		// It draws no RNG, so legacy streams are untouched.
+		if tbl := s.Countermeasure.AttachTrust(id, s.Sched); tbl != nil {
+			nd.InstallTrust(tbl)
 		}
 
 		switch cfg.Protocol {
@@ -457,12 +447,10 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	}
 
 	spec := cfg.Adversary
-	// A spec that sets any non-default knob must go through the full
-	// model path (where mismatched knobs are rejected loudly); only the
-	// genuinely all-default single eavesdropper takes the legacy route.
+	// Only the genuinely all-default single eavesdropper takes the legacy
+	// route (Validate has already rejected knobs it would ignore).
 	legacy := spec.IsZero() ||
-		(spec.Model == adversary.ModelEavesdropper && len(spec.Nodes) == 0 &&
-			spec.K <= 1 && spec.Interval == 0 && spec.DropRate == 0)
+		(spec.Model == adversary.ModelEavesdropper && len(spec.Nodes) == 0 && spec.K <= 1)
 	var hosts []*node.Node
 	var advRNG *sim.RNG
 	if legacy {
@@ -518,20 +506,11 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 	s.Adversary = adv
-	if c, ok := adv.(*adversary.Coalition); ok {
-		s.Eaves = c.Legacy()
-	}
 
-	// Countermeasure. A zero spec derives no RNG stream and attaches
-	// nothing, keeping legacy runs bit-identical; shufflers attach to the
-	// distinct flow sources in flow order.
-	if cmSpec.IsZero() {
-		s.Countermeasure = countermeasure.None()
-	} else if trustDef != nil {
-		// Already attached node-by-node above; Build would reject the model
-		// (it has no source-side shuffler to construct).
-		s.Countermeasure = trustDef
-	} else {
+	// Shufflers attach to the distinct flow sources in flow order. Only a
+	// shuffling defence derives an RNG stream, keeping other runs
+	// bit-identical.
+	if cmSpec.Shuffles() {
 		seenSrc := map[packet.NodeID]bool{}
 		var cmHosts []countermeasure.Host
 		for _, f := range flows {
@@ -540,15 +519,9 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 				cmHosts = append(cmHosts, s.Nodes[f.Src])
 			}
 		}
-		var cmRNG *sim.RNG
-		if cmSpec.Shuffles() {
-			cmRNG = master.Derive("countermeasure")
-		}
-		cm, err := countermeasure.Build(cmSpec, cmHosts, cmRNG)
-		if err != nil {
+		if err := s.Countermeasure.AttachShufflers(cmHosts, master.Derive("countermeasure")); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
-		s.Countermeasure = cm
 	}
 
 	// Hand the (possibly re-grown) node backing array back for the next
@@ -680,10 +653,10 @@ func (s *Scenario) Gather() *metrics.RunMetrics {
 			m.Extra["pathsStored"] += p.Stats.PathsStored
 		}
 	}
-	if td, ok := s.Countermeasure.(*countermeasure.TrustDefence); ok {
-		m.Extra["trustForwards"] = td.Forwards()
-		m.Extra["trustDrops"] = td.Drops()
-		m.Extra["trustDistrusted"] = td.DistrustedLinks()
+	if s.Cfg.Countermeasure.Trusts() {
+		m.Extra["trustForwards"] = s.Countermeasure.Forwards()
+		m.Extra["trustDrops"] = s.Countermeasure.Drops()
+		m.Extra["trustDistrusted"] = s.Countermeasure.DistrustedLinks()
 	}
 	return m
 }

@@ -228,7 +228,7 @@ func TestRandomFlowAndEavesdropperSelection(t *testing.T) {
 	if f.Src == f.Dst {
 		t.Fatal("random flow has identical endpoints")
 	}
-	if s.Eaves.ID == f.Src || s.Eaves.ID == f.Dst {
+	if ev := s.Adversary.Members()[0].Node; ev == f.Src || ev == f.Dst {
 		t.Fatal("eavesdropper is a flow endpoint")
 	}
 }
@@ -240,10 +240,11 @@ func TestEavesdropperInterceptsOnChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Run()
-	if s.Eaves.Distinct() == 0 {
+	ev := s.Adversary.Members()[0]
+	if ev.Distinct == 0 {
 		t.Fatal("on-path eavesdropper intercepted nothing")
 	}
-	if s.Eaves.Frames < s.Eaves.Distinct() {
+	if ev.Frames < ev.Distinct {
 		t.Fatal("frame count below distinct count")
 	}
 	if m.InterceptionRatio <= 0 || m.InterceptionRatio > 1.2 {

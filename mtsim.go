@@ -64,10 +64,12 @@ type Metrics = metrics.RunMetrics
 // RelayRow is one participating node's β/γ entry (Table I).
 type RelayRow = metrics.RelayRow
 
-// AdversarySpec declares a threat model for Config.Adversary: a coalition
-// of k colluding eavesdroppers, a mobile eavesdropper, or
-// blackhole/grayhole dropping relays. The zero Spec is the paper's single
-// random eavesdropper.
+// AdversarySpec declares a threat model for Config.Adversary: k static
+// taps (the paper's eavesdropper, or a colluding coalition), one roaming
+// tap (mobile or adaptive), blackhole/grayhole dropping relays, or the
+// wormhole and rushing route-discovery attacks. Every model is one
+// Scenario.Adversary sharing one interception ledger. The zero Spec is the
+// paper's single random eavesdropper.
 type AdversarySpec = adversary.Spec
 
 // AdversaryMember is one vantage point's interception accounting inside
@@ -91,8 +93,10 @@ func AdversaryModels() []string { return adversary.Models() }
 
 // CountermeasureSpec declares a defence for Config.Countermeasure: data
 // shuffling at the traffic sources (with per-packet dispersal across
-// MTS's disjoint paths), adversary-aware MTS path selection, or both.
-// The zero Spec is the paper's undefended baseline.
+// MTS's disjoint paths), adversary-aware MTS path selection, both, or
+// trust-scored path selection at every node. Every model is one
+// Scenario.Countermeasure. The zero Spec is the paper's undefended
+// baseline.
 type CountermeasureSpec = countermeasure.Spec
 
 // Countermeasure model names for CountermeasureSpec.Model.
@@ -182,7 +186,9 @@ func NewJournal(w io.Writer) *Journal { return experiment.NewJournal(w) }
 func OpenJournal(path string) (*Journal, error) { return experiment.OpenJournal(path) }
 
 // Scenario is a built simulation; use Build for mid-run inspection and
-// custom instrumentation, or Run for the common path.
+// custom instrumentation, or Run for the common path. Its Adversary holds
+// the interception accounting (Adversary.Members()[0].Node is the paper's
+// eavesdropper) and its Countermeasure the attached defence.
 type Scenario = scenario.Scenario
 
 // Sample is one point of a throughput-over-time series (Scenario.RunSampled).

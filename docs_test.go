@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
@@ -146,6 +147,61 @@ func TestMarkdownLinksResolve(t *testing.T) {
 					t.Errorf("%s: link %q points at missing anchor #%s in %s", file, target, frag, resolved)
 				}
 			}
+		}
+	}
+}
+
+var (
+	citedTestRe   = regexp.MustCompile(`\bTest[A-Z][A-Za-z0-9_]*`)
+	definedTestRe = regexp.MustCompile(`(?m)^func (Test[A-Za-z0-9_]*)\(`)
+)
+
+// TestCitedTestsExist fails when a markdown file cites a Test… name that
+// no _test.go file in the repository defines, so a deleted or renamed
+// test cannot stay on record as a guard. CHANGES.md and ISSUE.md are
+// exempt: they record what a change removed, under the old names.
+func TestCitedTestsExist(t *testing.T) {
+	defined := map[string]bool{}
+	cited := map[string][]string{} // test name -> files citing it
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch {
+		case strings.HasSuffix(path, "_test.go"):
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range definedTestRe.FindAllStringSubmatch(string(raw), -1) {
+				defined[m[1]] = true
+			}
+		case strings.HasSuffix(path, ".md") && path != "CHANGES.md" && path != "ISSUE.md":
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, name := range citedTestRe.FindAllString(string(raw), -1) {
+				cited[name] = append(cited[name], path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !defined["TestCitedTestsExist"] {
+		t.Fatal("scan found no test definitions — the walk is not covering the repo")
+	}
+	for name, files := range cited {
+		if !defined[name] {
+			t.Errorf("%s cited in %s, but no _test.go file defines it", name, strings.Join(slices.Compact(files), ", "))
 		}
 	}
 }

@@ -252,14 +252,6 @@ type Router struct {
 	checkID    uint32 // this node's checking-round counter as a destination
 	nextPathID int    // monotone per node; avoids aliasing across flushes
 
-	// mp supplies the ECMP hash used to break failover ties. MTS's usable
-	// set is too volatile to cache (paths age out of usability with the
-	// checking clock), so only the table's selector is used — PickIndex
-	// over the usable paths tied at the freshest lastHeard — never its
-	// candidate store. Held rather than recreated so the derived seed
-	// follows the Recycler contract like every other piece of state.
-	mp *routing.MultiPathTable
-
 	// Free lists for the per-flow state structs and the forwarding layer's
 	// inner maps, refilled when the router is recycled across runs. The
 	// storedPath route slices are deliberately NOT pooled: the destination
@@ -477,7 +469,6 @@ func New(env routing.Env, cfg Config) *Router {
 		src:    make(map[packet.NodeID]*srcState),
 		dst:    make(map[packet.NodeID]*dstState),
 		fwd:    make(map[packet.NodeID]map[int]*fwdEntry),
-		mp:     routing.NewMultiPathTable(env.ID()),
 		buffer: routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
 	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
@@ -503,7 +494,6 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 	ar := routing.ArenaOf(env)
 	r.env, r.cfg, r.ar = env, cfg, ar
 	r.trust = routing.TrustOf(env)
-	r.mp.Rebind(env.ID())
 	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
 	r.disc.Rebind(env)
 }
@@ -545,7 +535,6 @@ func (r *Router) RecycleInto(rec *routing.Recycler) {
 		delete(r.fwd, dst)
 	}
 	r.buffer.Recycle()
-	r.mp.Recycle()
 	r.bid, r.checkID, r.nextPathID = 0, 0, 0
 	r.Stats = Stats{}
 	r.env = nil

@@ -142,7 +142,7 @@ func (r *Router) failPath(dst packet.NodeID, pathID int) {
 	ss.scratch = tied
 	if len(tied) > 0 {
 		sort.Ints(tied) // map order must never leak into behaviour
-		bestID := tied[r.mp.PickIndex(0, dst, len(tied))]
+		bestID := tied[routing.ECMPIndex(r.env.ID(), dst, 0, len(tied))]
 		if ss.current != bestID {
 			r.Stats.Switches++
 		}

@@ -8,6 +8,8 @@
 package aodv
 
 import (
+	"slices"
+
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
 	"mtsim/internal/sim"
@@ -100,7 +102,15 @@ type Unreachable struct {
 }
 
 type routeEntry struct {
-	next     packet.NodeID
+	next packet.NodeID
+	// nexts holds every equal-cost next hop for the installed route, next
+	// included, in arrival order: next hops of offers exactly as fresh and
+	// exactly as short as the installed route — the alternatives plain
+	// AODV throws away. On link failure a surviving one repairs the entry
+	// in place instead of invalidating it, skipping the RERR and the
+	// rediscovery flood. Every accepted offer resets the set to its own
+	// next hop, so it never outlives the sequence number it was heard at.
+	nexts    []packet.NodeID
 	hops     int
 	seq      uint32
 	validSeq bool
@@ -129,16 +139,6 @@ type Router struct {
 	rings  map[packet.NodeID]ring // by destination, set on each discovery's first flood
 	buffer *routing.SendBuffer
 	disc   *routing.Discovery[*Router]
-
-	// mp remembers, per destination, the next hops of route offers that
-	// were exactly as fresh and exactly as short as the installed route —
-	// the alternatives plain AODV throws away. On link failure a surviving
-	// equal-cost next hop repairs the entry in place instead of
-	// invalidating it, skipping the RERR and the rediscovery flood.
-	// Candidates are NodeIDs, so they never go stale by index; freshness
-	// staleness is handled by invalidating the set whenever the installed
-	// route's sequence number moves.
-	mp *routing.MultiPathTable
 
 	// entryPool recycles routeEntry structs across runs of a reused
 	// context (the table is cleared at recycle, not reallocated).
@@ -177,7 +177,6 @@ func New(env routing.Env, cfg Config) *Router {
 		table:  make(map[packet.NodeID]*routeEntry),
 		seen:   make(map[rreqKey]bool),
 		rings:  make(map[packet.NodeID]ring),
-		mp:     routing.NewMultiPathTable(env.ID()),
 		buffer: routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
 	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
@@ -199,7 +198,6 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 	ar := routing.ArenaOf(env)
 	r.env, r.cfg, r.ar = env, cfg, ar
 	r.trust = routing.TrustOf(env)
-	r.mp.Rebind(env.ID())
 	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
 	r.disc.Rebind(env)
 }
@@ -209,7 +207,7 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 // are released (the arena's Reset already reclaimed them).
 func (r *Router) RecycleInto(rec *routing.Recycler) {
 	for dst, e := range r.table {
-		*e = routeEntry{}
+		*e = routeEntry{nexts: e.nexts[:0]}
 		r.entryPool = append(r.entryPool, e)
 		delete(r.table, dst)
 	}
@@ -217,7 +215,6 @@ func (r *Router) RecycleInto(rec *routing.Recycler) {
 	clear(r.rings)
 	r.disc.Recycle()
 	r.buffer.Recycle()
-	r.mp.Recycle()
 	r.seq, r.bid = 0, 0
 	r.Discoveries, r.RERRsSent, r.Repairs = 0, 0, 0
 	r.env = nil
@@ -292,26 +289,28 @@ func (r *Router) update(dst, next packet.NodeID, hops int, seq uint32, validSeq 
 		// for in-place repair when the installed one breaks. Equal sequence
 		// number plus equal hop count preserves AODV's distance invariant,
 		// so switching to it later cannot form a loop.
-		if validSeq && e.validSeq && seq == e.seq && hops == e.hops && next != e.next {
-			r.mp.Register(dst, int32(hops), int32(next))
+		if validSeq && e.validSeq && seq == e.seq && hops == e.hops {
+			e.addNext(next)
 		}
 		return e
 	}
-	// Freshness moved (or the entry was dead): every remembered alternative
-	// predates this sequence number and must go. An equally fresh but
-	// shorter route keeps the set only notionally — Register's lower cost
-	// resets it below.
-	if !e.valid || !validSeq || !e.validSeq || seq != e.seq {
-		r.mp.InvalidateDst(dst)
-	}
+	// Fresher, or equally fresh and shorter: every remembered alternative
+	// is now worse than the new route.
 	e.next = next
+	e.nexts = append(e.nexts[:0], next)
 	e.hops = hops
 	e.seq = seq
 	e.validSeq = validSeq
 	e.valid = true
-	r.mp.Register(dst, int32(hops), int32(next))
 	r.touch(e)
 	return e
+}
+
+// addNext records an equal-cost next hop unless it is already known.
+func (e *routeEntry) addNext(next packet.NodeID) {
+	if !slices.Contains(e.nexts, next) {
+		e.nexts = append(e.nexts, next)
+	}
 }
 
 // Send implements routing.Protocol: originate an end-to-end packet.
@@ -425,12 +424,12 @@ func (r *Router) handleRREQ(p *packet.Packet, from packet.NodeID) {
 		// under exactly the invariant update's harvest uses. Duplicates
 		// are where such alternatives actually surface (the first copy
 		// installs the route; later copies arrive via other neighbours),
-		// so without this the multipath table would hold only the
-		// installed next hop. Offer it to the table only: the route
-		// table, relaying decision and RNG streams are untouched.
+		// so without this the entry would hold only the installed next
+		// hop. Only the equal-cost set grows: the installed route,
+		// relaying decision and RNG streams are untouched.
 		if e := r.route(h.Orig); e != nil && e.validSeq &&
-			e.seq == h.OrigSeq && e.hops == h.Hops+1 && from != e.next {
-			r.mp.Register(h.Orig, int32(e.hops), int32(from))
+			e.seq == h.OrigSeq && e.hops == h.Hops+1 {
+			e.addNext(from)
 		}
 		return
 	}
@@ -521,7 +520,7 @@ func (r *Router) handleRERR(p *packet.Packet, from packet.NodeID) {
 			e.validSeq = true
 			// The RERR carries a newer sequence number, so every remembered
 			// equal-cost next hop for this destination is now stale.
-			r.mp.InvalidateDst(u.Dst)
+			e.nexts = e.nexts[:0]
 			propagate = append(propagate, u)
 		}
 	}
@@ -575,17 +574,17 @@ func (r *Router) seqFor(dst packet.NodeID) uint32 {
 
 // LinkFailed implements routing.Protocol: MAC retry exhaustion toward next.
 func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
-	// The failed neighbour is no longer a candidate for anything.
-	r.mp.DropCandidate(int32(next))
 	flow := routing.FlowKey(p)
 	var lost []Unreachable
 	for dst, e := range r.table {
+		// The failed neighbour is no longer a candidate for anything.
+		e.nexts = slices.DeleteFunc(e.nexts, func(n packet.NodeID) bool { return n == next })
 		if e.valid && e.next == next {
 			// Repair in place from a surviving equal-cost next hop: same
 			// sequence number, same hop count, so the entry stays exactly as
 			// fresh and the distance invariant holds — no RERR, no flood.
-			if alt, ok := r.mp.Select(flow, dst); ok {
-				e.next = packet.NodeID(alt)
+			if len(e.nexts) > 0 {
+				e.next = e.nexts[routing.ECMPIndex(r.env.ID(), dst, flow, len(e.nexts))]
 				r.touch(e)
 				r.Repairs++
 				continue
@@ -628,9 +627,6 @@ func (r *Router) LinkFailed(p *packet.Packet, next packet.NodeID) {
 // Buffered reports how many data packets are parked in the send buffer
 // awaiting discovery (retire-drainage audits).
 func (r *Router) Buffered() int { return r.buffer.Size() }
-
-// MultiPath exposes the router's equal-cost table (tests, stats).
-func (r *Router) MultiPath() *routing.MultiPathTable { return r.mp }
 
 // RouteTo exposes the current next hop for tests and visualisation.
 func (r *Router) RouteTo(dst packet.NodeID) (next packet.NodeID, hops int, ok bool) {

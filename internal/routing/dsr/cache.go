@@ -20,31 +20,26 @@ import (
 // the arena exactly once. Cached routes are never shared into routing
 // headers (RREPs carry their own freshly built routes), which is what
 // makes the mid-run release safe.
+//
+// Every lookup, ECMP selection included, scans routes as they are at
+// that moment: nothing is derived from them, so no mutation has anything
+// to invalidate.
 type routeCache struct {
 	owner  packet.NodeID
 	perDst int
 	global int
 	ar     *packet.Arena // nil: plain allocation, evictions go to the GC
 	routes [][]packet.NodeID
-
-	// mp caches, per destination, the indices of all equally short routes
-	// so GetForFlow can hash-pick among them without rescanning. Candidates
-	// are indices into routes, so any mutation that can shift indices
-	// (FIFO eviction, RemoveLink compaction) invalidates everything, and a
-	// per-destination mutation (Add) invalidates that destination.
-	mp *routing.MultiPathTable
 }
 
 func newRouteCache(owner packet.NodeID, perDst, global int, ar *packet.Arena) *routeCache {
-	return &routeCache{owner: owner, perDst: perDst, global: global, ar: ar,
-		mp: routing.NewMultiPathTable(owner)}
+	return &routeCache{owner: owner, perDst: perDst, global: global, ar: ar}
 }
 
 // rebind re-parameterises a recycled cache for the next run. The cache
 // must be empty (Drain first).
 func (c *routeCache) rebind(owner packet.NodeID, perDst, global int, ar *packet.Arena) {
 	c.owner, c.perDst, c.global, c.ar = owner, perDst, global, ar
-	c.mp.Rebind(owner)
 }
 
 // Drain releases every cached route back to the arena and empties the
@@ -55,7 +50,6 @@ func (c *routeCache) Drain() {
 		c.routes[i] = nil
 	}
 	c.routes = c.routes[:0]
-	c.mp.InvalidateAll()
 }
 
 // Add caches a full path [owner, ..., dst], copying it into arena-owned
@@ -92,18 +86,15 @@ func (c *routeCache) Add(path []packet.NodeID) bool {
 		}
 		c.ar.ReleaseRoute(c.routes[worst])
 		c.routes[worst] = c.ar.AcquireRoute(path)
-		c.mp.InvalidateDst(dst)
 		return true
 	}
 	if len(c.routes) >= c.global {
-		// FIFO eviction of the oldest route shifts every index.
+		// FIFO eviction of the oldest route.
 		c.ar.ReleaseRoute(c.routes[0])
 		c.routes[0] = nil
 		c.routes = c.routes[1:]
-		c.mp.InvalidateAll()
 	}
 	c.routes = append(c.routes, c.ar.AcquireRoute(path))
-	c.mp.InvalidateDst(dst)
 	return true
 }
 
@@ -121,24 +112,33 @@ func (c *routeCache) Get(dst packet.NodeID) []packet.NodeID {
 }
 
 // GetForFlow is Get with ECMP spread: when several equally short routes
-// to dst are cached, the flow's hash picks one, so each flow sticks to a
-// single shortest route while different flows fan out across all of
-// them. Registration is lazy — the first lookup after an invalidation
-// rescans the cache and registers every equal-shortest index. The
-// returned slice obeys Get's aliasing rules.
+// to dst are cached, the flow's hash picks one of them in cache order, so
+// each flow sticks to a single shortest route while different flows fan
+// out across all of them. The returned slice obeys Get's aliasing rules.
 func (c *routeCache) GetForFlow(dst packet.NodeID, flow uint64) []packet.NodeID {
-	if !c.mp.Ready(dst) {
-		for i, r := range c.routes {
-			if r[len(r)-1] == dst {
-				c.mp.Register(dst, int32(len(r)), int32(i))
-			}
+	shortest, n := 0, 0
+	for _, r := range c.routes {
+		switch {
+		case r[len(r)-1] != dst:
+		case n == 0 || len(r) < shortest:
+			shortest, n = len(r), 1
+		case len(r) == shortest:
+			n++
 		}
 	}
-	idx, ok := c.mp.Select(flow, dst)
-	if !ok {
+	if n == 0 {
 		return nil
 	}
-	return c.routes[idx]
+	k := routing.ECMPIndex(c.owner, dst, flow, n)
+	for _, r := range c.routes {
+		if r[len(r)-1] == dst && len(r) == shortest {
+			if k == 0 {
+				return r
+			}
+			k--
+		}
+	}
+	return nil // not reached: the first pass counted n such routes
 }
 
 // GetTrusted returns the cached route to dst minimising trust-weighted
@@ -195,9 +195,6 @@ func (c *routeCache) RemoveLink(a, b packet.NodeID) int {
 		c.routes[i] = nil
 	}
 	c.routes = kept
-	if removed > 0 {
-		c.mp.InvalidateAll() // compaction shifted the surviving indices
-	}
 	return removed
 }
 

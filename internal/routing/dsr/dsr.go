@@ -162,7 +162,6 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 // route free list survives Reset.
 func (r *Router) RecycleInto(rec *routing.Recycler) {
 	r.cache.Drain()
-	r.cache.mp.Recycle()
 	r.buffer.Recycle()
 	r.disc.Recycle()
 	clear(r.seen)
@@ -491,9 +490,6 @@ func (r *Router) CacheLen() int { return r.cache.Len() }
 
 // HasRoute reports whether a route to dst is cached (tests).
 func (r *Router) HasRoute(dst packet.NodeID) bool { return r.cache.Get(dst) != nil }
-
-// MultiPath exposes the cache's ECMP table (tests, stats harvesting).
-func (r *Router) MultiPath() *routing.MultiPathTable { return r.cache.mp }
 
 var (
 	_ routing.Protocol   = (*Router)(nil)

@@ -132,15 +132,6 @@ type Router struct {
 	// rsPool recycles empty routeSet structs across runs.
 	rsPool []*routeSet
 
-	// mp hash-pins flows to a route when a set's primary and standby are
-	// equally long (ModeBackup): instead of every flow riding routes[0],
-	// each flow sticks to one of the equal-cost pair, halving what a single
-	// link failure takes down. Candidates are indices into rs.routes, so
-	// every set mutation invalidates that destination. Split mode keeps its
-	// per-packet round-robin — alternation is the scheme's defining (and
-	// deliberately TCP-hostile) behaviour.
-	mp *routing.MultiPathTable
-
 	// Stats
 	Discoveries  uint64
 	SecondRoutes uint64
@@ -179,7 +170,6 @@ func New(env routing.Env, cfg Config) *Router {
 		seen:    make(map[seenKey]*rreqSeen),
 		collect: make(map[packet.NodeID]*collectState),
 		routes:  make(map[packet.NodeID]*routeSet),
-		mp:      routing.NewMultiPathTable(env.ID()),
 		buffer:  routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
 	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
@@ -202,7 +192,6 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 	ar := routing.ArenaOf(env)
 	r.env, r.cfg, r.ar = env, cfg, ar
 	r.trust = routing.TrustOf(env)
-	r.mp.Rebind(env.ID())
 	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
 	r.disc.Rebind(env)
 }
@@ -214,7 +203,6 @@ func (r *Router) rebind(env routing.Env, cfg Config) {
 func (r *Router) RecycleInto(rec *routing.Recycler) {
 	r.drainRoutes()
 	r.buffer.Recycle()
-	r.mp.Recycle()
 	clear(r.seen)
 	clear(r.collect)
 	r.disc.Recycle()
@@ -234,7 +222,6 @@ func (r *Router) drainRoutes() {
 		r.rsPool = append(r.rsPool, rs)
 		delete(r.routes, dst)
 	}
-	r.mp.InvalidateAll()
 }
 
 // emptyRouteSet releases rs's routes and resets its round-robin pointer.
@@ -292,7 +279,9 @@ func (r *Router) Send(p *packet.Packet) {
 // long routes is a genuine equal-cost set, so the flow's hash picks the
 // route — each flow stays pinned to one of the two (no reordering), while
 // different flows spread across both. An unequal pair keeps strict
-// primary/standby semantics.
+// primary/standby semantics. Split mode keeps its per-packet round-robin:
+// alternation is the scheme's defining (and deliberately TCP-hostile)
+// behaviour.
 func (r *Router) pickRoute(dst packet.NodeID, rs *routeSet, flow uint64) []packet.NodeID {
 	// Trust defence: both modes collapse to the route with the lowest
 	// trust-weighted cost (hop count plus per-relay distrust penalty) —
@@ -309,14 +298,7 @@ func (r *Router) pickRoute(dst packet.NodeID, rs *routeSet, flow uint64) []packe
 	}
 	if r.cfg.Mode == ModeBackup || len(rs.routes) == 1 {
 		if len(rs.routes) > 1 && len(rs.routes[1]) == len(rs.routes[0]) {
-			if !r.mp.Ready(dst) {
-				for i, route := range rs.routes {
-					r.mp.Register(dst, int32(len(route)), int32(i))
-				}
-			}
-			if idx, ok := r.mp.Select(flow, dst); ok {
-				return rs.routes[idx]
-			}
+			return rs.routes[routing.ECMPIndex(r.env.ID(), dst, flow, 2)]
 		}
 		return rs.routes[0]
 	}
@@ -466,7 +448,6 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 		// and reuse the struct.
 		r.emptyRouteSet(rs)
 		rs.id = h.ID
-		r.mp.InvalidateDst(dst)
 	}
 	for _, existing := range rs.routes {
 		if slices.Equal(existing, h.Route) {
@@ -475,7 +456,6 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 	}
 	if len(rs.routes) < 2 {
 		rs.routes = append(rs.routes, r.ar.AcquireRoute(h.Route))
-		r.mp.InvalidateDst(dst)
 	}
 	r.completeDiscovery(dst)
 }
@@ -515,9 +495,6 @@ func (r *Router) dropRoutesVia(a, b packet.NodeID) {
 		}
 		for i := len(kept); i < len(rs.routes); i++ {
 			rs.routes[i] = nil
-		}
-		if len(kept) != len(rs.routes) {
-			r.mp.InvalidateDst(dst) // indices shifted (or the set emptied)
 		}
 		rs.routes = kept
 		if len(rs.routes) == 0 {
@@ -586,9 +563,6 @@ func (r *Router) sendRERR(p *packet.Packet, from, to packet.NodeID) {
 // Buffered reports how many data packets are parked in the send buffer
 // awaiting discovery (retire-drainage audits).
 func (r *Router) Buffered() int { return r.buffer.Size() }
-
-// MultiPath exposes the router's equal-cost table (tests, stats).
-func (r *Router) MultiPath() *routing.MultiPathTable { return r.mp }
 
 // RouteCount returns the number of active routes toward dst (tests).
 func (r *Router) RouteCount(dst packet.NodeID) int {

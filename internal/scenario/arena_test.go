@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"encoding/json"
 	"testing"
 
 	"mtsim/internal/adversary"
 	"mtsim/internal/countermeasure"
+	"mtsim/internal/metrics"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
@@ -51,6 +53,22 @@ func assertChannelDrained(t *testing.T, s *Scenario) {
 	}
 }
 
+// assertMatchesFresh fails the test unless m, the metrics of a run built
+// on a reused Context, are byte-identical to a fresh Build of the same
+// config. The leak suites walk one context through adversary × defence
+// combinations that no golden fixture reaches, so this is where state
+// leaking from one run into the next would show.
+func assertMatchesFresh(t *testing.T, cfg Config, m *metrics.RunMetrics) {
+	t.Helper()
+	reused, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh := metricsJSON(t, cfg, Build); string(fresh) != string(reused) {
+		t.Errorf("reused-context metrics diverge from a fresh build\nfresh:  %s\nreused: %s", fresh, reused)
+	}
+}
+
 // arenaLeakConfig is a full mobile 50-node run, short enough to grid over
 // every protocol × adversary model.
 func arenaLeakConfig(proto string) Config {
@@ -68,27 +86,31 @@ func arenaLeakConfig(proto string) Config {
 // end: every acquired packet and frame released exactly once. MAC queues,
 // in-flight exchanges, jittered re-broadcasts and send buffers are
 // drained by Scenario.Retire; everything else must have hit an explicit
-// release point during the run.
+// release point during the run. One context serves every run, in a
+// fixed order, and each run must match a fresh build of its config.
 func TestArenaLeakAccountingAllProtocols(t *testing.T) {
-	adversaries := map[string]adversary.Spec{
-		"legacy":    {},
-		"coalition": {Model: adversary.ModelCoalition, K: 3},
-		"mobile":    {Model: adversary.ModelMobile, K: 3, Interval: 2 * sim.Second},
-		"blackhole": {Model: adversary.ModelBlackhole, K: 2},
-		"grayhole":  {Model: adversary.ModelGrayhole, K: 2, DropRate: 0.5},
+	adversaries := []struct {
+		name string
+		spec adversary.Spec
+	}{
+		{"legacy", adversary.Spec{}},
+		{"coalition", adversary.Spec{Model: adversary.ModelCoalition, K: 3}},
+		{"mobile", adversary.Spec{Model: adversary.ModelMobile, K: 3, Interval: 2 * sim.Second}},
+		{"blackhole", adversary.Spec{Model: adversary.ModelBlackhole, K: 2}},
+		{"grayhole", adversary.Spec{Model: adversary.ModelGrayhole, K: 2, DropRate: 0.5}},
 		// The route-discovery attackers hold state of their own: adaptive
 		// re-taps on a timer, the wormhole claims control packets into its
 		// tunnel (Retire must drain any still in flight at the horizon).
-		"adaptive": {Model: adversary.ModelAdaptive, K: 3, Interval: 2 * sim.Second},
-		"wormhole": {Model: adversary.ModelWormhole},
-		"rushing":  {Model: adversary.ModelRushing, K: 2},
+		{"adaptive", adversary.Spec{Model: adversary.ModelAdaptive, K: 3, Interval: 2 * sim.Second}},
+		{"wormhole", adversary.Spec{Model: adversary.ModelWormhole}},
+		{"rushing", adversary.Spec{Model: adversary.ModelRushing, K: 2}},
 	}
 	ctx := NewContext()
 	for _, proto := range AllProtocols() {
-		for name, spec := range adversaries {
-			t.Run(proto+"/"+name, func(t *testing.T) {
+		for _, adv := range adversaries {
+			t.Run(proto+"/"+adv.name, func(t *testing.T) {
 				cfg := arenaLeakConfig(proto)
-				cfg.Adversary = spec
+				cfg.Adversary = adv.spec
 				s, err := ctx.Build(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -101,6 +123,7 @@ func TestArenaLeakAccountingAllProtocols(t *testing.T) {
 				s.Retire()
 				assertArenaClean(t, s.Arena)
 				assertChannelDrained(t, s)
+				assertMatchesFresh(t, cfg, m)
 			})
 		}
 	}
@@ -112,7 +135,8 @@ func TestArenaLeakAccountingAllProtocols(t *testing.T) {
 // pairing must still close the arena ledger. Shuffle runs cover the
 // claim/inject path on all five protocols; the MTS-only rows cover
 // aware-dispersal; the slow-hold row retires a scenario whose shuffle
-// blocks are still buffered at the horizon.
+// blocks are still buffered at the horizon. As in the adversary suite,
+// every run on the shared context must match a fresh build.
 func TestArenaLeakAccountingCountermeasures(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -154,6 +178,7 @@ func TestArenaLeakAccountingCountermeasures(t *testing.T) {
 			s.Retire()
 			assertArenaClean(t, s.Arena)
 			assertChannelDrained(t, s)
+			assertMatchesFresh(t, cfg, m)
 		})
 	}
 }

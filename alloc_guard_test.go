@@ -5,12 +5,13 @@ import "testing"
 // runAllocCeiling is the regression ceiling for one context-reused MTS
 // run of the BenchmarkRunSetupReuse configuration (50 nodes, 10 m/s,
 // 20 s). The packet arena landed this at ~16.7 k allocs/op (from ~107 k
-// before it); the control-plane arena (router recycling, pooled route
-// buffers, cached RNG labels) brought the steady state down to ~14.6 k.
-// The ceiling carries ~23 % headroom over the recorded value so routine
-// noise passes while losing either arena (or a new per-packet allocation
-// on the hot path) fails loudly. If you raise this, update the
-// PERFORMANCE.md "control-plane arena" table in the same commit.
+// before it). Pooled route buffers and cached RNG labels hold the steady
+// state at ~15.1 k; routers are built fresh on every run, so their maps
+// and structs are part of that figure. The ceiling carries ~19 % headroom
+// over the recorded value so routine noise passes while losing the
+// packet arena (or a new per-packet allocation on the hot path) fails
+// loudly. If you raise this, update the PERFORMANCE.md "control-plane
+// arena" table in the same commit.
 const runAllocCeiling = 18_000
 
 // TestRunAllocationCeiling is the allocation-regression guard behind the

@@ -348,7 +348,8 @@ func BenchmarkSweepWallClock(b *testing.B) {
 // BenchmarkRunSetupReuse isolates the per-worker context reuse: the same
 // simulation through a fresh Build every time vs through one RunContext
 // that resets the scheduler/channel/grid scaffolding instead of
-// reallocating it. The allocs/op delta is the scaffolding being recycled.
+// reallocating it. The allocs/op delta is the scaffolding being reused;
+// routers are built fresh on both paths.
 func BenchmarkRunSetupReuse(b *testing.B) {
 	cfg := benchBase()
 	cfg.Protocol = "MTS"
@@ -378,9 +379,10 @@ func BenchmarkRunSetupReuse(b *testing.B) {
 // a 1000-node, 20-flow MTS run at the paper's node density, built through
 // a reused context and executed under watchdog defaults (an unlimited
 // Budget, exactly like the CLI). allocs/op here is the whole-run figure
-// the PERFORMANCE.md "control-plane arena" table quotes at scale; a
-// regression in router recycling shows up as this number scaling with
-// node count again.
+// the PERFORMANCE.md "control-plane arena" table quotes at scale. Routers
+// are built fresh on every run, so their maps scale with node count; a
+// regression in the pooled route buffers or RNG reuse shows up as this
+// number growing faster than that.
 // The batched/unbatched split compares the arrival-batching win at scale:
 // both modes simulate identical traffic (metrics are byte-identical apart
 // from EventsRun), so the ns/op gap is pure scheduler pressure — ~40

@@ -75,7 +75,7 @@ func (r *Router) handleCheck(p *packet.Packet, from packet.NodeID) {
 		// arrive marks the currently fastest path (§III-E).
 		ss := r.src[h.From]
 		if ss == nil {
-			ss = r.newSrcState()
+			ss = newSrcState()
 			r.src[h.From] = ss
 		}
 		now := r.env.Scheduler().Now()

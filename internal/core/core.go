@@ -252,14 +252,8 @@ type Router struct {
 	checkID    uint32 // this node's checking-round counter as a destination
 	nextPathID int    // monotone per node; avoids aliasing across flushes
 
-	// Free lists for the per-flow state structs and the forwarding layer's
-	// inner maps, refilled when the router is recycled across runs. The
-	// storedPath route slices are deliberately NOT pooled: the destination
-	// shares them into in-flight RREP and Check headers (see sendCheck).
-	srcPool    []*srcState
-	dstPool    []*dstState
-	fwdMapPool []map[int]*fwdEntry
-	fePool     []*fwdEntry
+	// fePool is a free list of forwarding entries, refilled by dropFwd.
+	fePool []*fwdEntry
 
 	Stats Stats
 }
@@ -446,20 +440,8 @@ func (r *Router) switchTarget(ss *srcState, nominated int) int {
 	return best
 }
 
-// recycleKey identifies parked MTS routers in a routing.Recycler.
-const recycleKey = "mts"
-
-// New creates an MTS router bound to env, reusing a recycled instance's
-// state (maps, per-flow struct pools, send-buffer buckets) when env
-// carries a routing.Recycler with one parked.
+// New creates an MTS router bound to env.
 func New(env routing.Env, cfg Config) *Router {
-	if rec := routing.RecyclerOf(env); rec != nil {
-		if v := rec.Get(recycleKey); v != nil {
-			r := v.(*Router)
-			r.rebind(env, cfg)
-			return r
-		}
-	}
 	r := &Router{
 		env:    env,
 		cfg:    cfg,
@@ -488,81 +470,8 @@ var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
 	},
 }
 
-// rebind points a recycled (fully reset) router at the next run's
-// environment and parameters.
-func (r *Router) rebind(env routing.Env, cfg Config) {
-	ar := routing.ArenaOf(env)
-	r.env, r.cfg, r.ar = env, cfg, ar
-	r.trust = routing.TrustOf(env)
-	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
-	r.disc.Rebind(env)
-}
-
-// RecycleInto implements routing.Recyclable: reset all per-run state,
-// refill the struct pools and park the instance. No packets are released
-// (the arena's Reset already reclaimed them) and the stored-path route
-// slices go to the GC (they may still be aliased by dead headers).
-func (r *Router) RecycleInto(rec *routing.Recycler) {
-	clear(r.seen)
-	r.disc.Recycle()
-	for dst, ss := range r.src {
-		clear(ss.paths)
-		if ss.sent != nil {
-			clear(ss.sent)
-		}
-		ss.current, ss.haveRoute, ss.lastSwitchRound = 0, false, 0
-		ss.pendingSwitch = nil
-		ss.sentTotal, ss.rotate = 0, 0
-		ss.scratch = ss.scratch[:0]
-		r.srcPool = append(r.srcPool, ss)
-		delete(r.src, dst)
-	}
-	for src, ds := range r.dst {
-		for i := range ds.paths {
-			ds.paths[i] = nil
-		}
-		*ds = dstState{paths: ds.paths[:0], lastDataPath: -1}
-		r.dstPool = append(r.dstPool, ds)
-		delete(r.dst, src)
-	}
-	for dst, m := range r.fwd {
-		for id, e := range m {
-			*e = fwdEntry{}
-			r.fePool = append(r.fePool, e)
-			delete(m, id)
-		}
-		r.fwdMapPool = append(r.fwdMapPool, m)
-		delete(r.fwd, dst)
-	}
-	r.buffer.Recycle()
-	r.bid, r.checkID, r.nextPathID = 0, 0, 0
-	r.Stats = Stats{}
-	r.env = nil
-	r.trust = nil
-	rec.Put(recycleKey, r)
-}
-
-// newSrcState takes a reset srcState from the pool, or allocates one.
-func (r *Router) newSrcState() *srcState {
-	if n := len(r.srcPool); n > 0 {
-		ss := r.srcPool[n-1]
-		r.srcPool[n-1] = nil
-		r.srcPool = r.srcPool[:n-1]
-		return ss
-	}
-	return &srcState{paths: make(map[int]*srcPath)}
-}
-
-// newDstState takes a reset dstState from the pool, or allocates one.
-func (r *Router) newDstState() *dstState {
-	if n := len(r.dstPool); n > 0 {
-		ds := r.dstPool[n-1]
-		r.dstPool[n-1] = nil
-		r.dstPool = r.dstPool[:n-1]
-		return ds
-	}
-	return &dstState{lastDataPath: -1}
-}
+// newSrcState allocates the source-side state for one destination.
+func newSrcState() *srcState { return &srcState{paths: make(map[int]*srcPath)} }
 
 // Retire implements routing.Retirer: hand back buffered packets at run end.
 func (r *Router) Retire() { r.buffer.Retire() }
@@ -601,13 +510,7 @@ func (r *Router) Receive(p *packet.Packet, from packet.NodeID) {
 func (r *Router) setFwd(dst packet.NodeID, pathID int, next packet.NodeID, checkID uint32) {
 	m := r.fwd[dst]
 	if m == nil {
-		if n := len(r.fwdMapPool); n > 0 {
-			m = r.fwdMapPool[n-1]
-			r.fwdMapPool[n-1] = nil
-			r.fwdMapPool = r.fwdMapPool[:n-1]
-		} else {
-			m = make(map[int]*fwdEntry)
-		}
+		m = make(map[int]*fwdEntry)
 		r.fwd[dst] = m
 	}
 	e := m[pathID]
@@ -685,7 +588,4 @@ func (r *Router) liveFwd(dst packet.NodeID, pathID int, trail []packet.NodeID) (
 	return best.next, bestID, true
 }
 
-var (
-	_ routing.Protocol   = (*Router)(nil)
-	_ routing.Recyclable = (*Router)(nil)
-)
+var _ routing.Protocol = (*Router)(nil)

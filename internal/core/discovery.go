@@ -113,7 +113,7 @@ func (r *Router) rreqAtDestination(h *RREQ, from packet.NodeID) {
 	self := r.env.ID()
 	ds := r.dst[h.Orig]
 	if ds == nil {
-		ds = r.newDstState()
+		ds = &dstState{lastDataPath: -1}
 		r.dst[h.Orig] = ds
 	}
 	route := append(packet.CloneRoute(h.Record), self) // S … D
@@ -199,7 +199,7 @@ func (r *Router) handleRREP(p *packet.Packet, from packet.NodeID) {
 		// Source: adopt the path.
 		ss := r.src[dest]
 		if ss == nil {
-			ss = r.newSrcState()
+			ss = newSrcState()
 			r.src[dest] = ss
 		}
 		ss.paths[h.PathID] = &srcPath{

@@ -23,7 +23,7 @@ func TestFailoverTieBreakPinned(t *testing.T) {
 		r := New(routingtest.NewEnv(0, sched, &uids), DefaultConfig())
 		sched.RunUntil(sim.Time(sim.Second))
 		fresh, older := sim.Time(sim.Second), sim.Time(sim.Second/2)
-		ss := r.newSrcState()
+		ss := newSrcState()
 		ss.haveRoute = true
 		ss.current = 0
 		ss.paths[0] = &srcPath{next: 10, lastHeard: fresh, alive: true}

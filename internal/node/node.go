@@ -21,12 +21,11 @@ type FlowHandler = func(p *packet.Packet, from packet.NodeID)
 
 // Node is one simulated host.
 type Node struct {
-	id       packet.NodeID
-	sched    *sim.Scheduler
-	rng      *sim.RNG
-	uids     *packet.UIDSource
-	arena    *packet.Arena
-	recycler *routing.Recycler
+	id    packet.NodeID
+	sched *sim.Scheduler
+	rng   *sim.RNG
+	uids  *packet.UIDSource
+	arena *packet.Arena
 
 	// pend are the delayed (jittered) sends not yet handed to the MAC;
 	// the node owns their packets until the timer fires.
@@ -137,15 +136,6 @@ func (n *Node) SetArena(a *packet.Arena) {
 // Arena implements routing.ArenaCarrier (and the transport layer's
 // equivalent assertion); nil when the node was assembled without one.
 func (n *Node) Arena() *packet.Arena { return n.arena }
-
-// SetStateRecycler binds the context's router-state recycler. Like
-// SetArena it must be called before SetProtocol: the protocol
-// constructor is what takes a parked instance back out.
-func (n *Node) SetStateRecycler(r *routing.Recycler) { n.recycler = r }
-
-// StateRecycler implements routing.RecyclerCarrier; nil when the node
-// was assembled without a reused context.
-func (n *Node) StateRecycler() *routing.Recycler { return n.recycler }
 
 // SetProtocol binds the routing protocol. Must be called before Start.
 func (n *Node) SetProtocol(p routing.Protocol) {
@@ -373,9 +363,8 @@ func (n *Node) NotifyDrop(p *packet.Packet, reason string) {
 
 // Compile-time interface checks.
 var (
-	_ mac.Upper               = (*Node)(nil)
-	_ routing.Env             = (*Node)(nil)
-	_ routing.ArenaCarrier    = (*Node)(nil)
-	_ routing.RecyclerCarrier = (*Node)(nil)
-	_ routing.TrustCarrier    = (*Node)(nil)
+	_ mac.Upper            = (*Node)(nil)
+	_ routing.Env          = (*Node)(nil)
+	_ routing.ArenaCarrier = (*Node)(nil)
+	_ routing.TrustCarrier = (*Node)(nil)
 )

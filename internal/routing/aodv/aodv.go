@@ -140,10 +140,6 @@ type Router struct {
 	buffer *routing.SendBuffer
 	disc   *routing.Discovery[*Router]
 
-	// entryPool recycles routeEntry structs across runs of a reused
-	// context (the table is cleared at recycle, not reallocated).
-	entryPool []*routeEntry
-
 	// Stats
 	Discoveries uint64
 	RERRsSent   uint64
@@ -155,20 +151,8 @@ type rreqKey struct {
 	bid  uint32
 }
 
-// recycleKey identifies parked AODV routers in a routing.Recycler.
-const recycleKey = "aodv"
-
-// New creates an AODV router bound to env, reusing a recycled instance's
-// state (table/seen/ring buckets, entry pool, send-buffer buckets)
-// when env carries a routing.Recycler with one parked.
+// New creates an AODV router bound to env.
 func New(env routing.Env, cfg Config) *Router {
-	if rec := routing.RecyclerOf(env); rec != nil {
-		if v := rec.Get(recycleKey); v != nil {
-			r := v.(*Router)
-			r.rebind(env, cfg)
-			return r
-		}
-	}
 	r := &Router{
 		env:    env,
 		cfg:    cfg,
@@ -190,47 +174,6 @@ var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
 	Timeout:   (*Router).ringTimeout,
 	Retry:     (*Router).widenRing,
 	HaveRoute: func(r *Router, dst packet.NodeID) bool { return r.route(dst) != nil },
-}
-
-// rebind points a recycled (fully reset) router at the next run's
-// environment and parameters.
-func (r *Router) rebind(env routing.Env, cfg Config) {
-	ar := routing.ArenaOf(env)
-	r.env, r.cfg, r.ar = env, cfg, ar
-	r.trust = routing.TrustOf(env)
-	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
-	r.disc.Rebind(env)
-}
-
-// RecycleInto implements routing.Recyclable: reset all per-run state and
-// park the instance. Route entries return to the entry pool; no packets
-// are released (the arena's Reset already reclaimed them).
-func (r *Router) RecycleInto(rec *routing.Recycler) {
-	for dst, e := range r.table {
-		*e = routeEntry{nexts: e.nexts[:0]}
-		r.entryPool = append(r.entryPool, e)
-		delete(r.table, dst)
-	}
-	clear(r.seen)
-	clear(r.rings)
-	r.disc.Recycle()
-	r.buffer.Recycle()
-	r.seq, r.bid = 0, 0
-	r.Discoveries, r.RERRsSent, r.Repairs = 0, 0, 0
-	r.env = nil
-	r.trust = nil
-	rec.Put(recycleKey, r)
-}
-
-// newEntry takes a zeroed routeEntry from the pool, or allocates one.
-func (r *Router) newEntry() *routeEntry {
-	if n := len(r.entryPool); n > 0 {
-		e := r.entryPool[n-1]
-		r.entryPool[n-1] = nil
-		r.entryPool = r.entryPool[:n-1]
-		return e
-	}
-	return &routeEntry{}
 }
 
 // Retire implements routing.Retirer: hand back buffered packets at run end.
@@ -275,7 +218,7 @@ func (r *Router) update(dst, next packet.NodeID, hops int, seq uint32, validSeq 
 	}
 	e := r.table[dst]
 	if e == nil {
-		e = r.newEntry()
+		e = &routeEntry{}
 		r.table[dst] = e
 	}
 	accept := !e.valid ||
@@ -637,7 +580,4 @@ func (r *Router) RouteTo(dst packet.NodeID) (next packet.NodeID, hops int, ok bo
 	return e.next, e.hops, true
 }
 
-var (
-	_ routing.Protocol   = (*Router)(nil)
-	_ routing.Recyclable = (*Router)(nil)
-)
+var _ routing.Protocol = (*Router)(nil)

@@ -30,9 +30,14 @@ type buffered struct {
 // per destination, each for at most maxAge. Evicted packets are reported
 // to env and their storage returned to env's arena (if it carries one).
 func NewSendBuffer(env Env, capacity int, maxAge sim.Duration) *SendBuffer {
-	b := &SendBuffer{byDst: make(map[packet.NodeID][]buffered)}
-	b.Rebind(env, capacity, maxAge)
-	return b
+	return &SendBuffer{
+		cap:    capacity,
+		maxAge: maxAge,
+		env:    env,
+		sched:  env.Scheduler(),
+		ar:     ArenaOf(env),
+		byDst:  make(map[packet.NodeID][]buffered),
+	}
 }
 
 // Push buffers p for dst, evicting the oldest packet if full.
@@ -88,25 +93,6 @@ func (b *SendBuffer) Size() int {
 		n += len(q)
 	}
 	return n
-}
-
-// Rebind points a recycled buffer at the next run's environment and
-// limits, keeping the byDst map's buckets. The buffer must be empty
-// (Retire or Recycle first).
-func (b *SendBuffer) Rebind(env Env, capacity int, maxAge sim.Duration) {
-	b.cap = capacity
-	b.maxAge = maxAge
-	b.env = env
-	b.sched = env.Scheduler()
-	b.ar = ArenaOf(env)
-}
-
-// Recycle empties the buffer without releasing anything: the run is dead
-// and the arena's Reset already reclaimed every packet, so releasing
-// here would double-count. Retire (mid-lifecycle drainage) releases;
-// Recycle (post-mortem state reclamation) only forgets.
-func (b *SendBuffer) Recycle() {
-	clear(b.byDst)
 }
 
 func (b *SendBuffer) expire(q []buffered) []buffered {

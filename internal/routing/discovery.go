@@ -55,14 +55,6 @@ func NewDiscovery[R any](env Env, buffer *SendBuffer, router R, policy *Discover
 		pending: make(map[packet.NodeID]inFlight)}
 }
 
-// Rebind points a recycled driver at the next run's environment. The
-// driver must be idle (Recycle first).
-func (d *Discovery[R]) Rebind(env Env) { d.env = env }
-
-// Recycle forgets every running discovery without cancelling timers: the
-// run is dead and its scheduler is reset with it.
-func (d *Discovery[R]) Recycle() { clear(d.pending) }
-
 // Queue parks p in the send buffer until a route to p.Dst is found,
 // starting a discovery unless one is already running.
 func (d *Discovery[R]) Queue(p *packet.Packet) {

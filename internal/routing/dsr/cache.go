@@ -36,14 +36,8 @@ func newRouteCache(owner packet.NodeID, perDst, global int, ar *packet.Arena) *r
 	return &routeCache{owner: owner, perDst: perDst, global: global, ar: ar}
 }
 
-// rebind re-parameterises a recycled cache for the next run. The cache
-// must be empty (Drain first).
-func (c *routeCache) rebind(owner packet.NodeID, perDst, global int, ar *packet.Arena) {
-	c.owner, c.perDst, c.global, c.ar = owner, perDst, global, ar
-}
-
 // Drain releases every cached route back to the arena and empties the
-// cache. Idempotent; called at retire and at context recycling.
+// cache. Idempotent; called at retire.
 func (c *routeCache) Drain() {
 	for i, r := range c.routes {
 		c.ar.ReleaseRoute(r)

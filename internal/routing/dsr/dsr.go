@@ -107,20 +107,8 @@ type seenKey struct {
 	id   uint32
 }
 
-// recycleKey identifies parked DSR routers in a routing.Recycler.
-const recycleKey = "dsr"
-
-// New creates a DSR router bound to env, reusing a recycled instance's
-// state (maps, cache storage, send-buffer buckets) when env carries a
-// routing.Recycler with one parked.
+// New creates a DSR router bound to env.
 func New(env routing.Env, cfg Config) *Router {
-	if rec := routing.RecyclerOf(env); rec != nil {
-		if v := rec.Get(recycleKey); v != nil {
-			r := v.(*Router)
-			r.rebind(env, cfg)
-			return r
-		}
-	}
 	ar := routing.ArenaOf(env)
 	r := &Router{
 		env:    env,
@@ -143,34 +131,6 @@ var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
 	Timeout:   (*Router).backoff,
 	Retry:     func(r *Router, _ packet.NodeID, n int) bool { return n < r.cfg.DiscoveryRetries },
 	HaveRoute: (*Router).HasRoute,
-}
-
-// rebind points a recycled (fully reset) router at the next run's
-// environment and parameters.
-func (r *Router) rebind(env routing.Env, cfg Config) {
-	ar := routing.ArenaOf(env)
-	r.env, r.cfg, r.ar = env, cfg, ar
-	r.trust = routing.TrustOf(env)
-	r.cache.rebind(env.ID(), cfg.CachePerDst, cfg.CacheGlobal, ar)
-	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
-	r.disc.Rebind(env)
-}
-
-// RecycleInto implements routing.Recyclable: reset all per-run state and
-// park the instance. Packets are not released here (the arena's Reset
-// already reclaimed them); the cache's route buffers are, because the
-// route free list survives Reset.
-func (r *Router) RecycleInto(rec *routing.Recycler) {
-	r.cache.Drain()
-	r.buffer.Recycle()
-	r.disc.Recycle()
-	clear(r.seen)
-	r.reqID = 0
-	r.pathBuf = r.pathBuf[:0]
-	r.Discoveries, r.CacheReplies, r.Salvages, r.SnoopedRoutes = 0, 0, 0, 0
-	r.env = nil
-	r.trust = nil
-	rec.Put(recycleKey, r)
 }
 
 // Retire implements routing.Retirer: hand back buffered packets and the
@@ -491,7 +451,4 @@ func (r *Router) CacheLen() int { return r.cache.Len() }
 // HasRoute reports whether a route to dst is cached (tests).
 func (r *Router) HasRoute(dst packet.NodeID) bool { return r.cache.Get(dst) != nil }
 
-var (
-	_ routing.Protocol   = (*Router)(nil)
-	_ routing.Recyclable = (*Router)(nil)
-)
+var _ routing.Protocol = (*Router)(nil)

@@ -124,12 +124,13 @@ type Router struct {
 	// routes[dst] holds up to two active source routes. The route slices
 	// are arena-owned (AcquireRoute) — they are private copies, never
 	// shared into routing headers, released exactly once when a route is
-	// dropped, its set replaced, or the router retired/recycled. The
+	// dropped, its set replaced, or the router retired. The
 	// collectState routes are deliberately NOT arena-owned: the selection
 	// window shares them into in-flight RREP headers.
 	routes map[packet.NodeID]*routeSet
 
-	// rsPool recycles empty routeSet structs across runs.
+	// rsPool is a free list of emptied routeSet structs, refilled by link
+	// removal and by drainRoutes.
 	rsPool []*routeSet
 
 	// Stats
@@ -149,19 +150,8 @@ type seenKey struct {
 	id   uint32
 }
 
-// recycleKey identifies parked SMR routers in a routing.Recycler.
-const recycleKey = "smr"
-
-// New creates an SMR router bound to env, reusing a recycled instance's
-// state when env carries a routing.Recycler with one parked.
+// New creates an SMR router bound to env.
 func New(env routing.Env, cfg Config) *Router {
-	if rec := routing.RecyclerOf(env); rec != nil {
-		if v := rec.Get(recycleKey); v != nil {
-			r := v.(*Router)
-			r.rebind(env, cfg)
-			return r
-		}
-	}
 	r := &Router{
 		env:     env,
 		cfg:     cfg,
@@ -184,33 +174,6 @@ var discoveryPolicy = routing.DiscoveryPolicy[*Router]{
 	Timeout:   func(r *Router, _ packet.NodeID, n int) sim.Duration { return r.cfg.DiscoveryTimeout << (n - 1) },
 	Retry:     func(r *Router, _ packet.NodeID, n int) bool { return n < r.cfg.DiscoveryRetries },
 	HaveRoute: func(r *Router, dst packet.NodeID) bool { return r.RouteCount(dst) > 0 },
-}
-
-// rebind points a recycled (fully reset) router at the next run's
-// environment and parameters.
-func (r *Router) rebind(env routing.Env, cfg Config) {
-	ar := routing.ArenaOf(env)
-	r.env, r.cfg, r.ar = env, cfg, ar
-	r.trust = routing.TrustOf(env)
-	r.buffer.Rebind(env, cfg.SendBufCap, cfg.SendBufAge)
-	r.disc.Rebind(env)
-}
-
-// RecycleInto implements routing.Recyclable: reset all per-run state and
-// park the instance. Arena-owned route-set buffers are released (the
-// route free list survives arena Reset); packets are not (the arena's
-// Reset already reclaimed them).
-func (r *Router) RecycleInto(rec *routing.Recycler) {
-	r.drainRoutes()
-	r.buffer.Recycle()
-	clear(r.seen)
-	clear(r.collect)
-	r.disc.Recycle()
-	r.reqID = 0
-	r.Discoveries, r.SecondRoutes, r.SplitToggles = 0, 0, 0
-	r.env = nil
-	r.trust = nil
-	rec.Put(recycleKey, r)
 }
 
 // drainRoutes releases every route-set buffer to the arena and parks the
@@ -585,7 +548,4 @@ func (r *Router) Routes(dst packet.NodeID) [][]packet.NodeID {
 	return out
 }
 
-var (
-	_ routing.Protocol   = (*Router)(nil)
-	_ routing.Recyclable = (*Router)(nil)
-)
+var _ routing.Protocol = (*Router)(nil)

@@ -138,11 +138,11 @@ func TestRushingSameSeedDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrustContextReuseBitIdentical locks the trust defence into the
-// recycler contract: a context whose routers were parked by a trustless
-// run must rebind them to a trust-carrying environment (and back) with
-// byte-identical metrics against fresh builds — the observable proof
-// that RecycleInto nils the oracle and rebind re-reads routing.TrustOf.
+// TestTrustContextReuseBitIdentical locks the trust defence into context
+// reuse: a context that served a trustless run must serve a
+// trust-carrying run (and then a trustless one again) with byte-identical
+// metrics against fresh builds — no trust state of one run may reach the
+// next.
 func TestTrustContextReuseBitIdentical(t *testing.T) {
 	trustCfg := arenaLeakConfig("DSR")
 	trustCfg.Adversary = adversary.Spec{Model: adversary.ModelWormhole}
@@ -153,15 +153,15 @@ func TestTrustContextReuseBitIdentical(t *testing.T) {
 	freshPlain := metricsJSON(t, plainCfg, Build)
 
 	ctx := NewContext()
-	// Park the routers with a trustless run first, then alternate: every
-	// rebind must pick up (or drop) the oracle with no residue.
+	// A trustless run first, then alternate: every run must pick up (or
+	// drop) the trust oracle with no residue.
 	if got := metricsJSON(t, plainCfg, ctx.Build); string(got) != string(freshPlain) {
 		t.Fatalf("reused trustless run diverges\nfresh:  %s\nreused: %s", freshPlain, got)
 	}
 	if got := metricsJSON(t, trustCfg, ctx.Build); string(got) != string(freshTrust) {
-		t.Fatalf("trust run on recycled trustless routers diverges\nfresh:  %s\nreused: %s", freshTrust, got)
+		t.Fatalf("trust run after a trustless run diverges\nfresh:  %s\nreused: %s", freshTrust, got)
 	}
 	if got := metricsJSON(t, plainCfg, ctx.Build); string(got) != string(freshPlain) {
-		t.Fatalf("trustless run on recycled trust-run routers diverges — RecycleInto leaked the oracle\nfresh:  %s\nreused: %s", freshPlain, got)
+		t.Fatalf("trustless run after a trust run diverges — the oracle leaked\nfresh:  %s\nreused: %s", freshPlain, got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"mtsim/internal/geo"
 	"mtsim/internal/packet"
-	"mtsim/internal/routing"
 	"mtsim/internal/sim"
 )
 
@@ -37,7 +36,8 @@ func partitionedConfig(proto string) Config {
 // run horizon must hit the arena ledger exactly once when
 // Scenario.Retire drains the node — no leak (a live packet after
 // retire), no double release. The context is reused across protocols, so
-// the audit also covers buffers that were recycled from a previous run.
+// each audit after the first runs on packets restocked by the previous
+// run's arena Reset.
 func TestRetireDrainsRouterBuffers(t *testing.T) {
 	ctx := NewContext()
 	ctx.Arena().Check = true
@@ -64,49 +64,6 @@ func TestRetireDrainsRouterBuffers(t *testing.T) {
 	}
 }
 
-// TestRouterRecyclerReusesInstances proves the control-plane arena
-// actually recycles: the routers of a context's second build are the
-// very same instances (pointer-identical) as the first run's, taken back
-// out of the context's recycler, and a protocol switch does not bleed
-// one protocol's parked state into another's.
-func TestRouterRecyclerReusesInstances(t *testing.T) {
-	cfg := arenaLeakConfig("MTS")
-	ctx := NewContext()
-	s1, err := ctx.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := make(map[routing.Protocol]bool, len(s1.Nodes))
-	for _, nd := range s1.Nodes {
-		first[nd.Proto] = true
-	}
-	s1.Run()
-	s1.Retire()
-
-	s2, err := ctx.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nd := range s2.Nodes {
-		if !first[nd.Proto] {
-			t.Fatalf("node %d: second run allocated a fresh router instead of recycling", i)
-		}
-	}
-
-	// A different protocol draws from its own (empty) pool: every router
-	// is new, none is a recycled MTS instance.
-	dsrCfg := arenaLeakConfig("DSR")
-	s3, err := ctx.Build(dsrCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, nd := range s3.Nodes {
-		if first[nd.Proto] {
-			t.Fatalf("node %d: DSR build handed out a parked MTS router", i)
-		}
-	}
-}
-
 // spotCheck1000Config is the acceptance scenario: 1000 nodes at the
 // paper's 50-node density (side grows with sqrt(n)), 20 TCP flows, run
 // under watchdog defaults (the CLI's unlimited Budget).
@@ -130,9 +87,9 @@ func spotCheck1000Config() Config {
 // TestArenaSpotCheck1000Nodes is the large-scale leak spot-check: a
 // 1000-node, 20-flow run with the full ledger armed must close its books
 // at retire — zero live packets, zero double releases, zero foreign
-// releases — and a second run on the recycled control plane must produce
-// byte-identical metrics (the functional definition of "fully reset
-// router state after Retire").
+// releases — and a second run on the same reused context must produce
+// byte-identical metrics (the functional definition of "nothing of the
+// first run survives into the second").
 func TestArenaSpotCheck1000Nodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000-node spot check skipped in -short mode")
@@ -165,6 +122,6 @@ func TestArenaSpotCheck1000Nodes(t *testing.T) {
 	run1 := runOnce()
 	run2 := runOnce()
 	if string(run1) != string(run2) {
-		t.Errorf("recycled 1000-node run diverges from its first run\nrun1: %s\nrun2: %s", run1, run2)
+		t.Errorf("second 1000-node run on the reused context diverges from its first run\nrun1: %s\nrun2: %s", run1, run2)
 	}
 }

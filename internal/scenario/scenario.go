@@ -21,7 +21,6 @@ import (
 	"mtsim/internal/node"
 	"mtsim/internal/packet"
 	"mtsim/internal/phy"
-	"mtsim/internal/routing"
 	"mtsim/internal/routing/aodv"
 	"mtsim/internal/routing/dsr"
 	"mtsim/internal/routing/smr"
@@ -194,10 +193,6 @@ type Context struct {
 	rngs      sim.RNGRecycler
 	arena     *packet.Arena
 
-	// routers parks the previous run's reset routing-protocol instances
-	// (their maps, send-buffer buckets and struct pools) for this run's
-	// constructors to take back — the control-plane analogue of the arena.
-	routers routing.Recycler
 	// Cached per-index RNG derivation labels: the strings are pure
 	// functions of the index, so re-running a context re-derives the same
 	// streams from the same cached bytes instead of re-Sprintf-ing them.
@@ -243,20 +238,6 @@ func (ctx *Context) prepare(rxRange, csRange float64) (*sim.Scheduler, *phy.Chan
 	// math/rand state each, well over a hundred per scenario) re-seed for
 	// this one.
 	ctx.rngs.Recycle()
-	// Likewise its routers: each parks its fully reset control-plane state
-	// (route tables, seen sets, send-buffer buckets) in ctx.routers for
-	// this run's protocol constructors to take back. This must happen here
-	// — after the arena Reset reclaimed the data plane, and regardless of
-	// whether the previous scenario was Retired — and must release no
-	// packets (RecycleInto's contract), or the ledger would double-count.
-	for _, nd := range ctx.nodes {
-		if nd == nil {
-			continue
-		}
-		if rc, ok := nd.Proto.(routing.Recyclable); ok {
-			rc.RecycleInto(&ctx.routers)
-		}
-	}
 	return ctx.sched, ctx.ch, ctx.collector
 }
 
@@ -341,10 +322,7 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		nd := node.New(id, s.Sched, s.Channel, cfg.MAC, mob,
 			master.Derive(nodeL.Label(i)), uids)
 		nd.SetArena(s.Arena)
-		// Before SetProtocol: the constructor is what takes a parked router
-		// back out of the recycler.
-		nd.SetStateRecycler(&ctx.routers)
-		// The trust defence scores every node's neighbours. Also before
+		// The trust defence scores every node's neighbours. Before
 		// SetProtocol: routers capture the node's trust oracle at New time.
 		// It draws no RNG, so legacy streams are untouched.
 		if tbl := s.Countermeasure.AttachTrust(id, s.Sched); tbl != nil {

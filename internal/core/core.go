@@ -196,8 +196,10 @@ type srcState struct {
 
 // storedPath is the destination's record of one disjoint path.
 type storedPath struct {
-	id    int
-	route []packet.NodeID // S … D
+	id int
+	// route is S … D. It is deliberately not pooled: the destination
+	// shares it into in-flight RREP and Check headers (see sendCheck).
+	route []packet.NodeID
 	alive bool
 }
 

@@ -22,9 +22,11 @@ test-race:
 	$(GO) test -race ./...
 
 # Fault-injection lane: the seeded chaos suite (internal/faultinject),
-# plain and under the race detector — sweeps under injected panics,
-# watchdog kills, and torn cache writes must aggregate bit-identically
-# to fault-free sweeps (docs/ARCHITECTURE.md "Failure semantics").
+# plain and under the race detector — a sweep under injected panics,
+# watchdog kills, and torn cache writes must record exactly the faulted
+# cells, and a fault-free resume over its cache must aggregate
+# bit-identically to a fault-free sweep (docs/ARCHITECTURE.md "Failure
+# semantics").
 test-chaos:
 	$(GO) test -v ./internal/faultinject/
 	$(GO) test -race ./internal/faultinject/
@@ -46,19 +48,28 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/...
 
-# Demonstrate the content-addressed run cache (internal/runcache): the
-# first invocation simulates and fills the cache, the second serves every
-# cell from disk — asserted: the demo FAILS unless the second run reports
-# all 8 hits and 0 misses (guards the CLI cache wiring, not just the
-# engine, which TestSweepWarmCacheRunsNothing already covers).
+# Demonstrate the content-addressed run cache (internal/runcache) and the
+# recovery path a failed sweep takes, end to end through the CLI. Pass 1
+# runs under a 10-event watchdog budget with -keep-going: every cell is
+# killed, the demo FAILS unless it exits 3 and caches nothing. Pass 2
+# simulates the grid and fills the cache; pass 3, -resume, must serve
+# every cell from disk — the demo FAILS unless it reports all 8 hits and
+# 0 misses (guards the CLI cache wiring, not just the engine, which
+# TestSweepWarmCacheRunsNothing already covers). The binary is built
+# once because `go run` reports every non-zero exit status as 1.
 SWEEP_DEMO_FLAGS = -duration 8 -reps 2 -speeds 2,10 -protocols AODV,MTS -only fig9 -cache-dir .sweep-demo-cache
+SWEEP_DEMO_BIN = .sweep-demo-bin/experiments
 sweep-demo:
-	rm -rf .sweep-demo-cache
-	$(GO) run ./cmd/experiments $(SWEEP_DEMO_FLAGS)
-	$(GO) run ./cmd/experiments $(SWEEP_DEMO_FLAGS) -resume 2>.sweep-demo-cache/stderr.log; \
+	rm -rf .sweep-demo-cache .sweep-demo-bin
+	$(GO) build -o $(SWEEP_DEMO_BIN) ./cmd/experiments
+	$(SWEEP_DEMO_BIN) $(SWEEP_DEMO_FLAGS) -run-events 10 -keep-going; \
+	  status=$$?; [ $$status -eq 3 ] || { echo "sweep-demo: watchdog pass exited $$status, want 3" >&2; exit 1; }
+	[ -z "$$(find .sweep-demo-cache -name '*.json')" ] || { echo "sweep-demo: watchdog pass cached killed runs" >&2; exit 1; }
+	$(SWEEP_DEMO_BIN) $(SWEEP_DEMO_FLAGS)
+	$(SWEEP_DEMO_BIN) $(SWEEP_DEMO_FLAGS) -resume 2>.sweep-demo-cache/stderr.log; \
 	  status=$$?; cat .sweep-demo-cache/stderr.log >&2; \
 	  [ $$status -eq 0 ] && grep -q '8 hits, 0 misses' .sweep-demo-cache/stderr.log
-	rm -rf .sweep-demo-cache
+	rm -rf .sweep-demo-cache .sweep-demo-bin
 
 # Attacker–defender co-evolution demo (internal/experiment): plays the
 # iterated best-response game from examples/coevolution and re-diffs the
@@ -74,4 +85,4 @@ coevolution-demo:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .sweep-demo-cache
+	rm -rf .sweep-demo-cache .sweep-demo-bin

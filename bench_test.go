@@ -2,9 +2,9 @@
 // per table/figure: each logs the aggregated series for its figure (from a
 // shared reduced sweep — the full-length reproduction is cmd/experiments)
 // and measures the cost of the representative simulation behind it.
-// Ablation benchmarks cover the design choices DESIGN.md calls out: the
-// checking period, the stored-path bound, best-route switching, RTS/CTS,
-// and AODV's expanding ring.
+// Ablation benchmarks cover the checking period, the stored-path bound and
+// best-route switching (docs/PAPER_MAP.md maps each to the paper), plus
+// RTS/CTS and AODV's expanding ring.
 package mtsim
 
 import (

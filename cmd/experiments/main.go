@@ -42,12 +42,19 @@
 // Fault-tolerant sweeps (see internal/experiment): -keep-going completes
 // the healthy grid and records failed cells instead of cancelling on the
 // first failure (exit status 3, with a failed-cell summary on stderr, if
-// any cell ultimately failed); -max-retries re-attempts failed cells
-// (same seed — a retry is byte-identical to a clean run); -run-timeout
-// and -run-events arm the per-run watchdog against hung and livelocked
-// simulations; -journal appends one JSONL record per attempt:
+// any cell failed); -run-timeout and -run-events arm the per-run watchdog
+// against hung and livelocked simulations; -journal appends one JSONL
+// record per simulated cell and cache hit. A failed cell is not retried
+// in place — the simulator is deterministic, so it would fail the same
+// way again. Failed cells are never cached, so once the cause is dealt
+// with, -resume over the same cache simulates exactly the missing cells:
 //
-//	experiments -keep-going -max-retries 2 -run-timeout 5m -journal attempts.jsonl -out results
+//	experiments -keep-going -run-timeout 5m -journal attempts.jsonl -cache-dir .mtsim-cache -out results
+//	experiments -resume -journal attempts.jsonl -cache-dir .mtsim-cache -out results
+//
+// -keep-going does not apply to -only coevolution, which is rejected: a
+// best response computed from a payoff with missing repetitions would
+// steer the game. A failed game is resumed the same way, with -resume.
 //
 // Profiling: -profile-dir writes a CPU profile of the whole invocation
 // (all sweep workers) to <dir>/cpu.pprof for `go tool pprof`, so a slow
@@ -104,15 +111,13 @@ func main() {
 		resume = flag.Bool("resume", false,
 			"resume an interrupted sweep from -cache-dir (asserts a cache is in use; completed cells are never recomputed)")
 		keepGoing = flag.Bool("keep-going", false,
-			"complete the healthy grid and record failed cells instead of cancelling the sweep on the first failure; exit status 3 if any cell ultimately failed")
-		maxRetries = flag.Int("max-retries", 0,
-			"re-attempts per failed cell before giving up on it (same configuration and seed: a retry is byte-identical to a clean run)")
+			"complete the healthy grid and record failed cells instead of cancelling the sweep on the first failure; exit status 3 if any cell failed (re-simulate them with -resume)")
 		runTimeout = flag.Duration("run-timeout", 0,
 			"wall-clock watchdog per run (e.g. 5m): hung runs are killed cleanly and count as failed cells (0 = unlimited)")
 		runEvents = flag.Uint64("run-events", 0,
 			"simulated-event watchdog budget per run: livelocked runs are killed cleanly (0 = unlimited)")
 		journalPath = flag.String("journal", "",
-			"append one JSONL record per run attempt (successes, failures, cache hits) to this file")
+			"append one JSONL record per simulated cell (successes and failures) and per cache hit to this file")
 		profileDir = flag.String("profile-dir", "",
 			"write a CPU profile of the whole invocation to <dir>/cpu.pprof (inspect with `go tool pprof`); covers the sweep workers, so long grids emit their own perf artifact")
 	)
@@ -121,6 +126,9 @@ func main() {
 	// Validate -only before any simulation: a typo like "fig12" must be
 	// a fast, loud failure, not a full sweep that renders nothing.
 	fail(validateOnly(*only))
+	if *keepGoing && *only == "coevolution" {
+		fail(fmt.Errorf("-keep-going does not apply to -only coevolution (a payoff missing repetitions would steer the game); re-run a failed game with -cache-dir and -resume to simulate only its missing cells"))
+	}
 
 	if *profileDir != "" {
 		fail(startCPUProfile(*profileDir))
@@ -129,9 +137,6 @@ func main() {
 
 	if *resume && (*cacheDir == "" || *noCache) {
 		fail(fmt.Errorf("-resume needs -cache-dir (and is incompatible with -no-cache): resumption works by serving completed cells from the cache"))
-	}
-	if *maxRetries < 0 {
-		fail(fmt.Errorf("-max-retries must be >= 0"))
 	}
 
 	base := mtsim.DefaultConfig()
@@ -192,13 +197,6 @@ func main() {
 	}
 	sweep.KeepGoing = *keepGoing
 	sweep.Watchdog = mtsim.Watchdog{MaxEvents: *runEvents, WallClock: *runTimeout}
-	if *maxRetries > 0 {
-		sweep.Retry = mtsim.RetryPolicy{
-			MaxAttempts: *maxRetries + 1,
-			Backoff:     time.Second,
-			MaxBackoff:  30 * time.Second,
-		}
-	}
 	if *journalPath != "" {
 		j, err := mtsim.OpenJournal(*journalPath)
 		fail(err)
@@ -207,8 +205,8 @@ func main() {
 
 	if *only == "coevolution" {
 		// Iterated best response over the attacker × defender strategy
-		// sets at a single protocol and speed; the sweep's cache/retry/
-		// journal plumbing carries over to every evaluation sweep.
+		// sets at a single protocol and speed; the sweep's cache, watchdog
+		// and journal plumbing carries over to every evaluation sweep.
 		coev := mtsim.Coevolution{
 			Base:        base,
 			Speed:       *cmSpeed,
@@ -217,7 +215,6 @@ func main() {
 			MaxRounds:   *coevRounds,
 			Parallelism: *parallel,
 			Cache:       sweep.Cache,
-			Retry:       sweep.Retry,
 			Watchdog:    sweep.Watchdog,
 			Journal:     sweep.Journal,
 		}
@@ -229,12 +226,8 @@ func main() {
 		}
 		start := time.Now()
 		cres, err := coev.Run()
-		if err != nil {
-			if sweep.Journal != nil {
-				sweep.Journal.Close()
-			}
-			fail(err)
-		}
+		closeJournal(sweep.Journal)
+		fail(err)
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "coevolution finished in %v\n\n",
 				time.Since(start).Round(time.Millisecond))
@@ -243,9 +236,6 @@ func main() {
 		fmt.Print(out)
 		writeFile(*outDir, "coevolution.txt", out)
 		writeFile(*outDir, "coevolution_payoffs.csv", cres.PayoffCSV())
-		if sweep.Journal != nil {
-			sweep.Journal.Close()
-		}
 		return
 	}
 
@@ -304,11 +294,7 @@ func main() {
 		// The non-KeepGoing first-error exit bypasses conclude();
 		// flush the journal here so the attempt log survives the crash
 		// it just recorded.
-		if sweep.Journal != nil {
-			if cerr := sweep.Journal.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "experiments: journal:", cerr)
-			}
-		}
+		closeJournal(sweep.Journal)
 		fail(err)
 	}
 	if !*quiet {
@@ -340,15 +326,13 @@ func main() {
 	// cells prints the post-mortem summary on stderr and exits non-zero so
 	// scripts and CI notice the degraded results.
 	conclude := func() {
-		if sweep.Journal != nil {
-			sweep.Journal.Close()
-		}
+		closeJournal(sweep.Journal)
 		if len(res.Failed) == 0 {
 			return
 		}
 		fmt.Fprintln(os.Stderr)
 		fmt.Fprint(os.Stderr, res.FailedSummary())
-		fmt.Fprintf(os.Stderr, "results above are degraded: %d runs failed every attempt\n", len(res.Failed))
+		fmt.Fprintf(os.Stderr, "results above are degraded: %d runs failed; with -cache-dir, -resume re-simulates only them\n", len(res.Failed))
 		stopCPUProfile() // os.Exit skips defers; flush the profile first
 		os.Exit(3)
 	}
@@ -428,6 +412,23 @@ func main() {
 		writeFile(*outDir, "figures.txt", md.String())
 	}
 	conclude()
+}
+
+// closeJournal flushes the -journal file on every exit that wrote to it.
+// A journal that lost records misleads the post-mortem it exists for, so
+// the first failed write (or a failed close) is a warning on stderr,
+// never silenced by -q; it does not change the exit status.
+func closeJournal(j *mtsim.Journal) {
+	if j == nil {
+		return
+	}
+	err := j.Err()
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "warning: journal incomplete: %d records written; first failure: %v\n", j.Records(), err)
+	}
 }
 
 // validateOnly rejects unknown -only values before anything simulates.

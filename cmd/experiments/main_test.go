@@ -137,3 +137,63 @@ func TestAxisViewsRender(t *testing.T) {
 		})
 	}
 }
+
+// TestKeepGoingRejectedForCoevolution: the game has no degraded mode (a
+// payoff missing repetitions would steer the best response), so
+// -keep-going with -only coevolution must fail before anything runs —
+// no cache opened, no journal written — and point at -resume.
+func TestKeepGoingRejectedForCoevolution(t *testing.T) {
+	dir := t.TempDir()
+	cacheDir, journal := dir+"/cache", dir+"/attempts.jsonl"
+	out, err := runExperiments(t, "-only coevolution -keep-going -duration 3 -reps 1 -coev-rounds 1 -cache-dir "+cacheDir+" -journal "+journal)
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) {
+		t.Fatalf("-keep-going -only coevolution exited 0; the flag was silently ignored\noutput: %s", out)
+	}
+	if !strings.Contains(string(out), "-keep-going") || !strings.Contains(string(out), "-resume") {
+		t.Fatalf("rejection does not name the flag and point at -resume:\n%s", out)
+	}
+	for _, path := range []string{cacheDir, journal} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s exists after the rejection: something ran first (stat: %v)", path, err)
+		}
+	}
+	if strings.Contains(string(out), "coevolution finished") {
+		t.Fatalf("the game ran before the rejection:\n%s", out)
+	}
+}
+
+// TestJournalWriteFailureWarns: a -journal that loses records must say
+// so on stderr, even under -q, on the sweep exit, the first-error exit
+// and the coevolution exit. /dev/full accepts the open and fails every
+// write with ENOSPC.
+func TestJournalWriteFailureWarns(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	const tiny = "-q -journal /dev/full -reps 1 -protocols MTS -speeds 10 "
+	for _, tc := range []struct {
+		name, args string
+		exitOK     bool
+		output     string // proof the run reached the exit under test
+	}{
+		{"sweep", tiny + "-duration 3 -only fig5", true, "fig5 — "},
+		// 8 s runs carry traffic, so a 10-event budget kills the first cell.
+		{"first-error", tiny + "-duration 8 -only fig5 -run-events 10", false, "event-budget watchdog"},
+		{"coevolution", tiny + "-duration 3 -only coevolution -coev-attackers eavesdropper -coev-defenders none -coev-rounds 1", true, "equilibrium:"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := runExperiments(t, tc.args)
+			if (err == nil) != tc.exitOK {
+				t.Fatalf("experiments %s: exit error %v, want exit ok = %v\n%s", tc.args, err, tc.exitOK, out)
+			}
+			if !strings.Contains(string(out), tc.output) {
+				t.Fatalf("output lacks %q:\n%s", tc.output, out)
+			}
+			if !strings.Contains(string(out), "warning: journal incomplete") ||
+				!strings.Contains(string(out), "no space left on device") {
+				t.Fatalf("no journal warning on stderr:\n%s", out)
+			}
+		})
+	}
+}

@@ -2,9 +2,10 @@ package mtsim
 
 // Documentation enforcement: every internal package must carry a
 // package-level doc comment stating its role (the godoc pass stays
-// true), and every relative link or anchor in the repository's markdown
-// must resolve (docs rot fails the build). Both checks run in the
-// ordinary `go test ./...` lane, so CI needs no extra tooling.
+// true), every relative link or anchor in the repository's markdown
+// must resolve, and every markdown file a Go comment names must exist
+// (docs rot fails the build). The checks run in the ordinary
+// `go test ./...` lane, so CI needs no extra tooling.
 
 import (
 	"go/parser"
@@ -215,5 +216,51 @@ func TestCitedTestsExist(t *testing.T) {
 		if !defined[name] {
 			t.Errorf("%s cited in %s, but no _test.go file defines it", name, strings.Join(slices.Compact(files), ", "))
 		}
+	}
+}
+
+// mdCitationRe matches a markdown file named in prose: an upper-case
+// base name such as PERFORMANCE.md, with any path before it
+// (docs/ARCHITECTURE.md), taken relative to the repository root.
+var mdCitationRe = regexp.MustCompile(`(?:[\w.-]+/)*[A-Z][A-Z0-9_]*\.md\b`)
+
+// TestGoCommentCitationsExist fails when a comment in the root module's
+// Go files names a markdown file that does not exist, so a doc comment
+// cannot send readers to a document that was never written or was
+// removed. bench/ is a module of its own and is not scanned.
+func TestGoCommentCitationsExist(t *testing.T) {
+	scanned := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "bench" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		scanned++
+		for _, group := range f.Comments {
+			for _, cite := range mdCitationRe.FindAllString(group.Text(), -1) {
+				if _, err := os.Stat(cite); err != nil {
+					t.Errorf("%s: comment cites %s, which does not exist", path, cite)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned < 50 {
+		t.Fatalf("scanned only %d Go files — the walk is not covering the module", scanned)
 	}
 }

@@ -63,10 +63,12 @@ type Coevolution struct {
 
 	// Sweep plumbing, passed through to every evaluation sweep. The Cache
 	// is what makes iteration affordable: a cell revisited in a later
-	// round is a hit, not a re-simulation.
+	// round is a hit, not a re-simulation. It is also how a failed game
+	// recovers: the first failed cell fails the game (a payoff missing
+	// repetitions would steer the best response), and a second game over
+	// the same Cache simulates only the cells the first did not finish.
 	Parallelism int
 	Cache       Cache
-	Retry       RetryPolicy
 	Watchdog    Watchdog
 	Journal     *Journal
 	Runner      Runner
@@ -127,7 +129,6 @@ func (c Coevolution) sweepFor(atts []adversary.Spec, defs []countermeasure.Spec)
 		Countermeasures: defs,
 		Parallelism:     c.Parallelism,
 		Cache:           c.Cache,
-		Retry:           c.Retry,
 		Watchdog:        c.Watchdog,
 		Journal:         c.Journal,
 		Runner:          c.Runner,

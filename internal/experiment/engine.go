@@ -1,13 +1,13 @@
 package experiment
 
 // This file is the fault-tolerance layer of the sweep engine: per-cell
-// panic isolation, deterministic retries under a RetryPolicy, the run
-// watchdog, KeepGoing degradation with per-cell failure records, and the
-// append-only JSONL attempt journal. The simulator is deterministic, so
-// a retry of a failed cell under the same configuration and seed is
-// byte-identical to a never-failed run — fault tolerance here costs zero
-// correctness, and internal/faultinject proves it with a seeded chaos
-// suite.
+// panic isolation, the run watchdog, KeepGoing degradation with per-cell
+// failure records, and the append-only JSONL attempt journal. A failed
+// cell is not retried in place: the simulator is deterministic, so it
+// would fail the same way again. It is recovered instead by a later
+// sweep over the same run cache, which simulates only the cells that are
+// missing and aggregates byte-identically to a never-failed sweep —
+// internal/faultinject proves it with a seeded chaos suite.
 
 import (
 	"encoding/json"
@@ -26,83 +26,18 @@ import (
 	"mtsim/internal/scenario"
 )
 
-// RetryPolicy bounds the attempts the engine makes on a failed cell.
-// Because the simulator is deterministic, retries re-run the exact same
-// configuration and seed: they exist to absorb environmental failures
-// (a hung machine tripping the watchdog, a worker panic from a resource
-// edge, injected chaos), never to change results. The zero policy means
-// one attempt — no retries — which is the pre-fault-tolerance behaviour.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per cell (first try
-	// included); values below 1 mean 1.
-	MaxAttempts int
-	// Backoff is the delay before the second attempt; each further
-	// attempt doubles it (capped exponential, no jitter — the backoff
-	// sequence is as deterministic as the runs themselves). Zero means
-	// immediate retries.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling; 0 means uncapped.
-	MaxBackoff time.Duration
-	// Sleep, when set, replaces time.Sleep for the backoff waits (tests
-	// and chaos suites substitute a recorder or a no-op). It may be
-	// called from multiple worker goroutines.
-	Sleep func(time.Duration)
-}
-
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// Delay returns the backoff before the attempt following the given
-// number of failures (1 failure → Backoff, 2 → 2×Backoff, …, capped).
-func (p RetryPolicy) Delay(failures int) time.Duration {
-	if p.Backoff <= 0 || failures < 1 {
-		return 0
-	}
-	d := p.Backoff
-	for i := 1; i < failures; i++ {
-		d *= 2
-		if d <= 0 { // overflow
-			d = 1<<63 - 1
-			break
-		}
-		if p.MaxBackoff > 0 && d >= p.MaxBackoff {
-			break
-		}
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
-}
-
-func (p RetryPolicy) sleep(failures int) {
-	d := p.Delay(failures)
-	if d <= 0 {
-		return
-	}
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // Watchdog is the per-run deadline pair the engine applies to every
 // simulated cell: a simulated-event budget that catches livelocked runs
 // and a wall-clock budget that catches hung ones. A tripped watchdog
 // kills the cell cleanly (the scenario is retired mid-run, the worker's
-// context stays reusable) and counts as a failed attempt with kind
-// KindTimeout. The zero Watchdog is unlimited.
+// context stays reusable) and fails it with kind KindTimeout. The zero
+// Watchdog is unlimited.
 type Watchdog struct {
 	MaxEvents uint64        // simulated-event budget per run; 0 = unlimited
 	WallClock time.Duration // wall-clock budget per run; 0 = unlimited
 }
 
-// Runner executes one cell attempt on a worker's reusable context. It is
+// Runner simulates one cell on a worker's reusable context. It is
 // the engine's injection seam: internal/faultinject wraps the default
 // runner to panic, error, or squeeze the watchdog budget on selected
 // cells. A Runner must honour the watchdog (DefaultRunner does) and must
@@ -135,7 +70,7 @@ type Cache interface {
 	Put(cfg scenario.Config, m *metrics.RunMetrics) error
 }
 
-// Attempt failure kinds (Attempt.Kind, AttemptRecord.Outcome).
+// Cell failure kinds (FailedCell.Kind, AttemptRecord.Outcome).
 const (
 	KindError   = "error"   // the runner returned an ordinary error
 	KindPanic   = "panic"   // the runner panicked; recovered and isolated
@@ -153,7 +88,7 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// errKind classifies a failed attempt for records and the journal.
+// errKind classifies a failed cell for records and the journal.
 func errKind(err error) string {
 	var pe *PanicError
 	if errors.As(err, &pe) {
@@ -166,28 +101,20 @@ func errKind(err error) string {
 	return KindError
 }
 
-// Attempt is one failed try at a cell, retained in FailedCell.Attempts
-// as the cell's flake history.
-type Attempt struct {
-	Attempt int    `json:"attempt"` // 1-based
-	Kind    string `json:"kind"`    // KindError, KindPanic or KindTimeout
-	Err     string `json:"error"`
-}
-
-// FailedCell records one run that failed every attempt of a KeepGoing
-// sweep: its cell, seed, the full attempt history, and the final
+// FailedCell records one run that failed in a KeepGoing sweep: its cell,
+// seed, failure kind (KindError, KindPanic or KindTimeout), and the
 // cell-attributed error.
 type FailedCell struct {
-	Key      CellKey
-	Seed     int64
-	Attempts []Attempt
-	Err      error
+	Key  CellKey
+	Seed int64
+	Kind string
+	Err  error
 }
 
-// AttemptRecord is one line of the JSONL attempt journal: every attempt
-// of every simulated cell (successes included) plus cache hits, with the
-// cell flattened for easy post-mortem filtering. Records arrive in
-// completion order, interleaved across workers, not in Jobs() order. Wall time and event
+// AttemptRecord is one line of the JSONL attempt journal: every simulated
+// cell (successes included) plus cache hits, with the cell flattened for
+// easy post-mortem filtering. Records arrive in completion order,
+// interleaved across workers, not in Jobs() order. Wall time and event
 // counts are observability data, not results — they never feed the
 // aggregates, so journal contents do not perturb determinism.
 type AttemptRecord struct {
@@ -196,7 +123,6 @@ type AttemptRecord struct {
 	Adversary      string  `json:"adversary,omitempty"`
 	Countermeasure string  `json:"countermeasure,omitempty"`
 	Seed           int64   `json:"seed"`
-	Attempt        int     `json:"attempt"` // 0 for cache hits
 	Outcome        string  `json:"outcome"` // "ok", "cache-hit", KindError, KindPanic, KindTimeout
 	Error          string  `json:"error,omitempty"`
 	Events         uint64  `json:"events,omitempty"` // simulated events (successful runs)
@@ -204,7 +130,7 @@ type AttemptRecord struct {
 }
 
 // Journal is an append-only JSONL log of sweep attempts, safe for
-// concurrent use by the workers, in the order attempts and cache hits
+// concurrent use by the workers, in the order runs and cache hits
 // complete. Writes are best-effort — a sick journal
 // never fails a sweep — with the first write error retained for
 // inspection via Err.
@@ -231,7 +157,7 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{w: f, c: f}, nil
 }
 
-// Record appends one attempt line. A record that cannot be marshalled
+// Record appends one line. A record that cannot be marshalled
 // (NaN speeds are the realistic case — encoding/json rejects them) is
 // dropped like any other failed write: counted against Err, never
 // against the sweep.
@@ -324,8 +250,8 @@ func (s Sweep) Jobs() []CellJob {
 	return jobs
 }
 
-// journalAttempt writes one attempt (or cache hit) to the journal, if any.
-func (s Sweep) journalAttempt(j CellJob, attempt int, outcome, errMsg string, events uint64, wall time.Duration) {
+// journalAttempt writes one run (or cache hit) to the journal, if any.
+func (s Sweep) journalAttempt(j CellJob, outcome, errMsg string, events uint64, wall time.Duration) {
 	if s.Journal == nil {
 		return
 	}
@@ -335,7 +261,6 @@ func (s Sweep) journalAttempt(j CellJob, attempt int, outcome, errMsg string, ev
 		Adversary:      j.Key.Adversary,
 		Countermeasure: j.Key.Countermeasure,
 		Seed:           j.Config.Seed,
-		Attempt:        attempt,
 		Outcome:        outcome,
 		Error:          errMsg,
 		Events:         events,
@@ -343,18 +268,14 @@ func (s Sweep) journalAttempt(j CellJob, attempt int, outcome, errMsg string, ev
 	})
 }
 
-// cellError attributes a cell's final error with everything a post-mortem
-// needs: protocol, speed, both axis labels, seed, and the attempt count.
-func cellError(j CellJob, err error, attempts int) error {
-	base := fmt.Errorf("%s speed=%g adversary=%q countermeasure=%q seed=%d: %w",
+// cellError attributes a cell's error with everything a post-mortem
+// needs: protocol, speed, both axis labels and seed.
+func cellError(j CellJob, err error) error {
+	return fmt.Errorf("%s speed=%g adversary=%q countermeasure=%q seed=%d: %w",
 		j.Key.Protocol, j.Key.Speed, j.Key.Adversary, j.Key.Countermeasure, j.Config.Seed, err)
-	if attempts > 1 {
-		return fmt.Errorf("%w (after %d attempts)", base, attempts)
-	}
-	return base
 }
 
-// attempt executes one try of a cell with panic isolation: a panic
+// attempt simulates a cell with panic isolation: a panic
 // anywhere in the simulator unwinds to here and becomes a *PanicError
 // instead of killing the worker (and with it the whole sweep).
 func (s Sweep) attempt(ctx *scenario.Context, cfg scenario.Config) (m *metrics.RunMetrics, err error) {
@@ -370,7 +291,7 @@ func (s Sweep) attempt(ctx *scenario.Context, cfg scenario.Config) (m *metrics.R
 	return run(ctx, cfg, s.Watchdog)
 }
 
-// attemptEvents reports how many simulated events a failed attempt
+// attemptEvents reports how many simulated events a failed run
 // executed before dying: watchdog kills carry the count in their
 // *scenario.AbortError, so livelock post-mortems in the journal see how
 // far the run got instead of a flat zero.
@@ -382,34 +303,24 @@ func attemptEvents(err error) uint64 {
 	return 0
 }
 
-// runCell drives one cell through the retry policy. The context pointer
-// is replaced with a fresh one after a panic — a panic unwound the
-// simulator mid-run, so the reusable scaffolding is in an unknown state
-// and must not serve another run. Retries use the identical
-// configuration and seed: determinism makes retry ≡ fresh run.
-func (s Sweep) runCell(ctxp **scenario.Context, j CellJob) (*metrics.RunMetrics, []Attempt, error) {
-	max := s.Retry.attempts()
-	var attempts []Attempt
-	var lastErr error
-	for a := 1; a <= max; a++ {
-		start := time.Now()
-		m, err := s.attempt(*ctxp, j.Config)
-		if err == nil {
-			s.journalAttempt(j, a, "ok", "", m.EventsRun, time.Since(start))
-			return m, attempts, nil
-		}
-		kind := errKind(err)
-		s.journalAttempt(j, a, kind, err.Error(), attemptEvents(err), time.Since(start))
-		lastErr = err
-		attempts = append(attempts, Attempt{Attempt: a, Kind: kind, Err: err.Error()})
-		if kind == KindPanic {
-			*ctxp = scenario.NewContext()
-		}
-		if a < max {
-			s.Retry.sleep(a)
-		}
+// runCell simulates one cell once and journals the outcome. After a
+// panic the context pointer is replaced with a fresh one: the panic
+// unwound the simulator mid-run, so the reusable scaffolding is in an
+// unknown state and must not serve another run. A watchdog kill or an
+// ordinary error leaves the context reusable.
+func (s Sweep) runCell(ctxp **scenario.Context, j CellJob) (*metrics.RunMetrics, error) {
+	start := time.Now()
+	m, err := s.attempt(*ctxp, j.Config)
+	if err == nil {
+		s.journalAttempt(j, "ok", "", m.EventsRun, time.Since(start))
+		return m, nil
 	}
-	return nil, attempts, cellError(j, lastErr, len(attempts))
+	kind := errKind(err)
+	s.journalAttempt(j, kind, err.Error(), attemptEvents(err), time.Since(start))
+	if kind == KindPanic {
+		*ctxp = scenario.NewContext()
+	}
+	return nil, cellError(j, err)
 }
 
 // Run executes the sweep. Repetition r uses seed SeedBase+r for every
@@ -423,14 +334,13 @@ func (s Sweep) runCell(ctxp **scenario.Context, j CellJob) (*metrics.RunMetrics,
 // scenario.Context, built on its first miss and reused across its runs;
 // a fully warm sweep builds none. Each simulated cell runs under the
 // engine's fault-tolerance layer: panics are isolated into cell-attributed
-// errors, failed cells are retried under Sweep.Retry (same seed — the
-// simulator's determinism makes a retry byte-identical to a clean run),
-// and the Watchdog kills livelocked or hung runs cleanly. Without
-// KeepGoing the first ultimately-failed cell cancels all outstanding
-// jobs and is returned with its attribution; with KeepGoing the sweep
-// degrades gracefully instead, recording every ultimately-failed cell
-// (with its attempt history) in Result.Failed while the rest of the
-// grid completes.
+// errors and the Watchdog kills livelocked or hung runs cleanly. Without
+// KeepGoing the first failed cell cancels all outstanding jobs and is
+// returned with its attribution; with KeepGoing the sweep degrades
+// gracefully instead, recording every failed cell (with its kind) in
+// Result.Failed while the rest of the grid completes. Failed cells are
+// never cached, so a later sweep over the same Cache re-simulates
+// exactly those cells and nothing else.
 func (s Sweep) Run() (*Result, error) {
 	res := &Result{
 		Sweep:  s,
@@ -478,7 +388,7 @@ func (s Sweep) Run() (*Result, error) {
 						res.CacheHits++
 						res.Runs[j.Key] = append(res.Runs[j.Key], m)
 						mu.Unlock()
-						s.journalAttempt(j, 0, "cache-hit", "", m.EventsRun, 0)
+						s.journalAttempt(j, "cache-hit", "", m.EventsRun, 0)
 						if s.OnRun != nil {
 							s.OnRun(m)
 						}
@@ -491,12 +401,12 @@ func (s Sweep) Run() (*Result, error) {
 				if ctx == nil {
 					ctx = scenario.NewContext()
 				}
-				m, attempts, err := s.runCell(&ctx, j)
+				m, err := s.runCell(&ctx, j)
 				if err != nil {
 					if s.KeepGoing {
 						mu.Lock()
 						res.Failed = append(res.Failed, FailedCell{
-							Key: j.Key, Seed: j.Config.Seed, Attempts: attempts, Err: err,
+							Key: j.Key, Seed: j.Config.Seed, Kind: errKind(err), Err: err,
 						})
 						mu.Unlock()
 						continue
@@ -571,7 +481,7 @@ func lessFailed(a, b FailedCell) bool {
 	return a.Seed < b.Seed
 }
 
-// FailedReps reports how many repetitions of a cell ultimately failed
+// FailedReps reports how many repetitions of a cell failed
 // (0 for a clean cell).
 func (r *Result) FailedReps(key CellKey) int { return r.failed[key] }
 
@@ -581,8 +491,8 @@ func (r *Result) cellAllFailed(key CellKey) bool {
 	return r.failed[key] > 0 && len(r.Runs[key]) == 0
 }
 
-// FailedSummary renders the ultimately-failed cells as an aligned table
-// (cell, seed, attempts, final error), or "" when nothing failed — the
+// FailedSummary renders the failed cells as an aligned table (cell,
+// seed, failure kind, error), or "" when nothing failed — the
 // post-mortem view cmd/experiments prints before exiting non-zero.
 func (r *Result) FailedSummary() string {
 	if len(r.Failed) == 0 {
@@ -593,14 +503,14 @@ func (r *Result) FailedSummary() string {
 	for _, runs := range r.Runs {
 		total += len(runs)
 	}
-	fmt.Fprintf(&b, "FAILED CELLS — %d of %d runs failed every attempt\n",
+	fmt.Fprintf(&b, "FAILED CELLS — %d of %d runs failed\n",
 		len(r.Failed), total+len(r.Failed))
 	fmt.Fprintf(&b, "%-10s %-8s %-18s %-16s %-6s %-9s %s\n",
-		"protocol", "speed", "adversary", "countermeasure", "seed", "attempts", "final error")
+		"protocol", "speed", "adversary", "countermeasure", "seed", "kind", "error")
 	for _, f := range r.Failed {
-		fmt.Fprintf(&b, "%-10s %-8g %-18s %-16s %-6d %-9d %s\n",
+		fmt.Fprintf(&b, "%-10s %-8g %-18s %-16s %-6d %-9s %s\n",
 			f.Key.Protocol, f.Key.Speed, orBase(f.Key.Adversary, "base adversary"), orBase(f.Key.Countermeasure, "base"),
-			f.Seed, len(f.Attempts), f.Err)
+			f.Seed, f.Kind, f.Err)
 	}
 	return b.String()
 }

@@ -137,8 +137,8 @@ func requireHitJournal(t *testing.T, s Sweep, journal []byte) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("journal line %q: %v", line, err)
 		}
-		if rec.Outcome != "cache-hit" || rec.Attempt != 0 {
-			t.Fatalf("warm-cache journal record %+v, want attempt-0 cache-hit", rec)
+		if rec.Outcome != "cache-hit" {
+			t.Fatalf("warm-cache journal record %+v, want a cache-hit", rec)
 		}
 		key := CellKey{rec.Protocol, rec.Speed, rec.Adversary, rec.Countermeasure}
 		got[cell{key, rec.Seed}]++

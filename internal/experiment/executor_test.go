@@ -46,7 +46,7 @@ func TestJournalErrSurfacesMarshalFailure(t *testing.T) {
 	}
 }
 
-// TestWatchdogKillJournalsEventCount: an attempt the watchdog killed
+// TestWatchdogKillJournalsEventCount: a run the watchdog killed
 // must journal the executed event count carried by scenario.AbortError,
 // not a flat zero — livelock post-mortems need to see how far runs got.
 func TestWatchdogKillJournalsEventCount(t *testing.T) {
@@ -62,12 +62,12 @@ func TestWatchdogKillJournalsEventCount(t *testing.T) {
 		Journal:  NewJournal(&buf),
 	}
 	ctx := scenario.NewContext()
-	_, attempts, err := s.runCell(&ctx, CellJob{Key: CellKey{Protocol: "MTS", Speed: cfg.MaxSpeed}, Config: cfg})
+	_, err := s.runCell(&ctx, CellJob{Key: CellKey{Protocol: "MTS", Speed: cfg.MaxSpeed}, Config: cfg})
 	if err == nil {
 		t.Fatalf("a %d-event budget did not kill the run", budget)
 	}
-	if len(attempts) != 1 || attempts[0].Kind != KindTimeout {
-		t.Fatalf("attempts = %+v, want one KindTimeout", attempts)
+	if kind := errKind(err); kind != KindTimeout {
+		t.Fatalf("run failed as %q, want %q: %v", kind, KindTimeout, err)
 	}
 	sc := bufio.NewScanner(&buf)
 	var recs []AttemptRecord

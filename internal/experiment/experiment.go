@@ -63,23 +63,19 @@ type Sweep struct {
 	// *runcache.Store is the on-disk implementation; the interface exists
 	// for fault injection and future remote stores.
 	Cache Cache
-	// Retry bounds how often a failed cell is re-attempted (same
-	// configuration and seed — the simulator's determinism makes a retry
-	// byte-identical to a clean run). The zero value means one attempt.
-	Retry RetryPolicy
 	// Watchdog is the per-run deadline pair (simulated-event budget and
 	// wall clock) applied to every simulated cell. The zero value is
 	// unlimited.
 	Watchdog Watchdog
 	// KeepGoing degrades gracefully instead of cancelling on the first
-	// ultimately-failed cell: the failure (with its attempt history) is
-	// recorded in Result.Failed and the rest of the grid completes.
+	// failed cell: the failure (with its kind) is recorded in
+	// Result.Failed and the rest of the grid completes.
 	KeepGoing bool
-	// Journal, when non-nil, receives one JSONL record per attempt (and
-	// per cache hit) — the sweep's append-only flake history.
+	// Journal, when non-nil, receives one JSONL record per simulated
+	// cell (and per cache hit) — the sweep's append-only flake history.
 	Journal *Journal
-	// Runner, when non-nil, replaces DefaultRunner for every cell attempt
-	// — the seam internal/faultinject injects chaos through.
+	// Runner, when non-nil, replaces DefaultRunner for every simulated
+	// cell — the seam internal/faultinject injects chaos through.
 	Runner Runner
 	// OnRun, when set, is called after each completed run — including
 	// cache hits — for progress reporting. It may be called from multiple
@@ -127,12 +123,12 @@ type Result struct {
 	CacheMisses      int
 	CachePutErrs     int
 	CacheFirstPutErr error
-	// Failed records every run of a KeepGoing sweep that failed all its
-	// attempts, sorted by cell then seed. Empty on a clean sweep (and
+	// Failed records every run of a KeepGoing sweep that failed, sorted
+	// by cell then seed. Empty on a clean sweep (and
 	// always empty without KeepGoing — there the first failure cancels the
 	// sweep and is returned as the error instead).
 	Failed []FailedCell
-	// failed counts ultimately-failed repetitions per cell, so the
+	// failed counts failed repetitions per cell, so the
 	// renderers can mark degraded cells instead of printing misleading
 	// zeros.
 	failed map[CellKey]int

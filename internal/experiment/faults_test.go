@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 	"unicode/utf8"
 
 	"mtsim/internal/metrics"
@@ -31,31 +30,6 @@ func requireArenaClean(t *testing.T, a *packet.Arena, who string) {
 	}
 	if st.DoubleReleases != 0 || st.ForeignReleases != 0 || st.PoisonTrips != 0 {
 		t.Errorf("%s: dirty arena ledger: %+v", who, st)
-	}
-}
-
-// TestRetryPolicyDelay pins the deterministic capped-exponential backoff
-// schedule.
-func TestRetryPolicyDelay(t *testing.T) {
-	p := RetryPolicy{Backoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
-	for failures, want := range map[int]time.Duration{
-		1: 100 * time.Millisecond,
-		2: 200 * time.Millisecond,
-		3: 400 * time.Millisecond,
-		4: 400 * time.Millisecond, // capped
-	} {
-		if got := p.Delay(failures); got != want {
-			t.Errorf("Delay(%d) = %v, want %v", failures, got, want)
-		}
-	}
-	if got := (RetryPolicy{}).Delay(3); got != 0 {
-		t.Errorf("zero policy Delay = %v, want 0", got)
-	}
-	if got := (RetryPolicy{}).attempts(); got != 1 {
-		t.Errorf("zero policy attempts = %d, want 1", got)
-	}
-	if got := (RetryPolicy{MaxAttempts: 4}).attempts(); got != 4 {
-		t.Errorf("attempts = %d, want 4", got)
 	}
 }
 
@@ -115,107 +89,93 @@ func TestSweepCancelRetiresWorkerState(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversPanickingCell: a cell that panics on its first two
-// attempts and succeeds on the third yields a clean sweep whose rendered
-// results are byte-identical to a never-faulted sweep — panic isolation
-// plus deterministic retry costs zero correctness. The backoff schedule
-// and the replaced worker context are asserted along the way.
-func TestRetryRecoversPanickingCell(t *testing.T) {
-	mk := func() Sweep {
-		return Sweep{
-			Base:      quickBase(),
-			Protocols: []string{"AODV", "MTS"},
-			Speeds:    []float64{2, 10},
-			Reps:      2,
-			SeedBase:  1,
-		}
-	}
-	clean, err := mk().Run()
+// TestCellAfterFailureBitIdentical: a failed cell costs its worker
+// nothing. On one worker the first cell panics, errors or is killed by
+// the watchdog and the second is healthy: the failure is recorded and
+// journalled with its kind, and the healthy cell's metrics are
+// byte-identical to a standalone run. An error or a watchdog kill leaves
+// the worker's context reusable; a panic unwinds the simulator, so the
+// engine must hand the next cell a different context.
+func TestCellAfterFailureBitIdentical(t *testing.T) {
+	cfg := quickBase()
+	cfg.Protocol = "MTS"
+	cfg.MaxSpeed = 10
+	cfg.Seed = 2
+	standalone, err := scenario.RunOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, _ := json.Marshal(standalone)
 
-	var (
-		mu       sync.Mutex
-		panics   int
-		delays   []time.Duration
-		contexts = map[*scenario.Context]bool{}
-	)
-	s := mk()
-	s.Retry = RetryPolicy{
-		MaxAttempts: 3,
-		Backoff:     time.Millisecond,
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			delays = append(delays, d)
-			mu.Unlock()
-		},
-	}
-	var journal bytes.Buffer
-	s.Journal = NewJournal(&journal)
-	s.Runner = func(ctx *scenario.Context, cfg scenario.Config, w Watchdog) (*metrics.RunMetrics, error) {
-		mu.Lock()
-		contexts[ctx] = true
-		inject := cfg.Protocol == "MTS" && cfg.MaxSpeed == 10 && cfg.Seed == 1 && panics < 2
-		if inject {
-			panics++
-		}
-		mu.Unlock()
-		if inject {
-			panic("injected mid-run panic")
-		}
-		return DefaultRunner(ctx, cfg, w)
-	}
-	faulted, err := s.Run()
-	if err != nil {
-		t.Fatalf("retries did not recover the panicking cell: %v", err)
-	}
-	if panics != 2 {
-		t.Fatalf("injected %d panics, want 2", panics)
-	}
-	if want := []time.Duration{time.Millisecond, 2 * time.Millisecond}; len(delays) != 2 || delays[0] != want[0] || delays[1] != want[1] {
-		t.Fatalf("backoff delays %v, want %v", delays, want)
-	}
-	// A panic poisons the worker's reusable context, so the engine must
-	// have handed the runner a replacement at least once.
-	if len(contexts) < 2 {
-		t.Fatalf("engine reused a context across a panic (saw %d distinct contexts)", len(contexts))
-	}
-	if len(faulted.Failed) != 0 {
-		t.Fatalf("recovered sweep still recorded failures: %v", faulted.Failed)
-	}
-	for _, fig := range allFigures() {
-		if clean.Table(fig) != faulted.Table(fig) {
-			t.Fatalf("%s: sweep with recovered panics differs from clean sweep\nclean:\n%s\nfaulted:\n%s",
-				fig.ID, clean.Table(fig), faulted.Table(fig))
-		}
-		if clean.CSV(fig) != faulted.CSV(fig) {
-			t.Fatalf("%s: CSV differs after recovered panics", fig.ID)
-		}
-	}
-	// The journal holds the flake history: two panic attempts then an ok.
-	var kinds []string
-	for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
-		var rec AttemptRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("journal line %q: %v", line, err)
-		}
-		if rec.Protocol == "MTS" && rec.Speed == 10 && rec.Seed == 1 {
-			kinds = append(kinds, fmt.Sprintf("%d:%s", rec.Attempt, rec.Outcome))
-		}
-	}
-	if want := []string{"1:panic", "2:panic", "3:ok"}; strings.Join(kinds, ",") != strings.Join(want, ",") {
-		t.Fatalf("journal attempt history %v, want %v", kinds, want)
-	}
-	if s.Journal.Err() != nil {
-		t.Fatalf("journal write error: %v", s.Journal.Err())
+	for _, kind := range []string{KindPanic, KindError, KindTimeout} {
+		t.Run(kind, func(t *testing.T) {
+			var (
+				contexts []*scenario.Context // one worker: no lock needed
+				journal  bytes.Buffer
+			)
+			s := Sweep{
+				Base:        quickBase(),
+				Protocols:   []string{"MTS"},
+				Speeds:      []float64{10},
+				Reps:        2,
+				SeedBase:    1,
+				Parallelism: 1,
+				KeepGoing:   true,
+				Journal:     NewJournal(&journal),
+				Runner: func(ctx *scenario.Context, cfg scenario.Config, w Watchdog) (*metrics.RunMetrics, error) {
+					contexts = append(contexts, ctx)
+					if cfg.Seed == 1 {
+						switch kind {
+						case KindPanic:
+							panic("injected panic")
+						case KindError:
+							return nil, errors.New("injected error")
+						case KindTimeout:
+							w.MaxEvents = 10
+						}
+					}
+					return DefaultRunner(ctx, cfg, w)
+				},
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("KeepGoing sweep errored: %v", err)
+			}
+			if len(res.Failed) != 1 || res.Failed[0].Seed != 1 || res.Failed[0].Kind != kind {
+				t.Fatalf("failed cells %+v, want seed 1 as %q", res.Failed, kind)
+			}
+			runs := res.Runs[CellKey{Protocol: "MTS", Speed: 10}]
+			if len(runs) != 1 {
+				t.Fatalf("%d runs retained, want 1", len(runs))
+			}
+			if got, _ := json.Marshal(runs[0]); string(got) != string(want) {
+				t.Fatalf("cell after a %s differs from a standalone run\nwant: %s\ngot:  %s", kind, want, got)
+			}
+			if len(contexts) != 2 {
+				t.Fatalf("runner saw %d cells, want 2", len(contexts))
+			}
+			if replaced := contexts[0] != contexts[1]; replaced != (kind == KindPanic) {
+				t.Fatalf("context replaced = %v after a %s, want %v", replaced, kind, kind == KindPanic)
+			}
+			var outcomes []string
+			for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
+				var rec AttemptRecord
+				if err := json.Unmarshal([]byte(line), &rec); err != nil {
+					t.Fatalf("journal line %q: %v", line, err)
+				}
+				outcomes = append(outcomes, fmt.Sprintf("%d:%s", rec.Seed, rec.Outcome))
+			}
+			if got, want := strings.Join(outcomes, ","), "1:"+kind+",2:ok"; got != want {
+				t.Fatalf("journal outcomes %s, want %s", got, want)
+			}
+		})
 	}
 }
 
 // TestKeepGoingRecordsFailures: with KeepGoing a sweep with failing
-// cells completes the healthy grid, records each ultimately-failed run
-// with its attempt history, marks degraded cells in the renderers, and
-// summarises the damage.
+// cells completes the healthy grid, records each failed run with its
+// kind, marks degraded cells in the renderers, and summarises the
+// damage.
 func TestKeepGoingRecordsFailures(t *testing.T) {
 	s := Sweep{
 		Base:      quickBase(),
@@ -249,14 +209,14 @@ func TestKeepGoingRecordsFailures(t *testing.T) {
 	if len(res.Failed) != 3 {
 		t.Fatalf("recorded %d failed runs, want 3: %+v", len(res.Failed), res.Failed)
 	}
-	// Sorted by cell then seed, each with its attempt history and a
-	// cell-attributed error.
+	// Sorted by cell then seed, each with its kind and a cell-attributed
+	// error.
 	f := res.Failed[0]
 	if f.Key.Protocol != "AODV" || f.Key.Speed != 2 || f.Seed != 1 {
 		t.Fatalf("failures not sorted by cell then seed: first is %+v", f)
 	}
-	if len(f.Attempts) != 1 || f.Attempts[0].Kind != KindError {
-		t.Fatalf("attempt history %+v, want one %q attempt", f.Attempts, KindError)
+	if f.Kind != KindError {
+		t.Fatalf("failure kind %q, want %q", f.Kind, KindError)
 	}
 	if !strings.Contains(f.Err.Error(), "AODV speed=2") || !strings.Contains(f.Err.Error(), "injected total failure") {
 		t.Fatalf("failed cell error lost attribution: %v", f.Err)
@@ -310,9 +270,7 @@ func TestKeepGoingRecordsFailures(t *testing.T) {
 }
 
 // TestWatchdogEventBudget: the sweep-level watchdog kills livelocked
-// runs via the real mid-run abort path and records them as timeouts;
-// retries re-kill deterministically, so the attempt history shows every
-// try.
+// runs via the real mid-run abort path and records each as one timeout.
 func TestWatchdogEventBudget(t *testing.T) {
 	s := Sweep{
 		Base:      quickBase(),
@@ -322,7 +280,6 @@ func TestWatchdogEventBudget(t *testing.T) {
 		SeedBase:  1,
 		KeepGoing: true,
 		Watchdog:  Watchdog{MaxEvents: 10},
-		Retry:     RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}},
 	}
 	res, err := s.Run()
 	if err != nil {
@@ -332,15 +289,10 @@ func TestWatchdogEventBudget(t *testing.T) {
 		t.Fatalf("recorded %d failures, want 1", len(res.Failed))
 	}
 	f := res.Failed[0]
-	if len(f.Attempts) != 2 {
-		t.Fatalf("watchdog kill retried %d times, want 2 attempts", len(f.Attempts))
+	if f.Kind != KindTimeout {
+		t.Fatalf("failure kind %q, want %q (%+v)", f.Kind, KindTimeout, f)
 	}
-	for _, a := range f.Attempts {
-		if a.Kind != KindTimeout {
-			t.Fatalf("attempt kind %q, want %q (%+v)", a.Kind, KindTimeout, a)
-		}
-	}
-	if !strings.Contains(f.Err.Error(), "event-budget") || !strings.Contains(f.Err.Error(), "after 2 attempts") {
+	if !strings.Contains(f.Err.Error(), "event-budget") || !strings.Contains(f.Err.Error(), "seed=1") {
 		t.Fatalf("timeout error lost attribution: %v", f.Err)
 	}
 	var ae *scenario.AbortError
@@ -389,7 +341,7 @@ func TestCachePutErrSurfaced(t *testing.T) {
 }
 
 // TestJournalRecordsCacheHits: warm-cache cells appear in the journal as
-// attempt-0 cache hits, so the journal is a complete account of where
+// cache hits, so the journal is a complete account of where
 // every cell's metrics came from.
 func TestJournalRecordsCacheHits(t *testing.T) {
 	dir := t.TempDir()
@@ -413,8 +365,8 @@ func TestJournalRecordsCacheHits(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("journal line %q: %v", line, err)
 		}
-		if rec.Outcome != "cache-hit" || rec.Attempt != 0 {
-			t.Fatalf("warm-cache journal record %+v, want attempt-0 cache-hit", rec)
+		if rec.Outcome != "cache-hit" {
+			t.Fatalf("warm-cache journal record %+v, want a cache-hit", rec)
 		}
 		if rec.Protocol == "" || rec.Seed == 0 {
 			t.Fatalf("journal record lost its cell: %+v", rec)
@@ -434,7 +386,7 @@ func TestOpenJournalAppends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.Record(AttemptRecord{Protocol: "MTS", Seed: int64(i + 1), Attempt: 1, Outcome: "ok"})
+		j.Record(AttemptRecord{Protocol: "MTS", Seed: int64(i + 1), Outcome: "ok"})
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,8 @@ type Figure struct {
 	Title  string
 	Unit   string
 	Metric func(*metrics.RunMetrics) float64
-	// Expect documents the paper's qualitative result for EXPERIMENTS.md.
+	// Expect documents the paper's qualitative result; cmd/experiments
+	// prints it beneath the figure's table.
 	Expect string
 }
 

@@ -38,9 +38,8 @@ func syntheticResult(s Sweep, fail func(CellKey, int) bool) *Result {
 		key, rep := cj.Key, int(cj.Config.Seed-s.SeedBase)
 		if fail(key, rep) {
 			res.Failed = append(res.Failed, FailedCell{
-				Key: key, Seed: cj.Config.Seed,
-				Attempts: []Attempt{{Attempt: 1, Kind: KindError, Err: "injected"}},
-				Err:      errors.New("injected failure"),
+				Key: key, Seed: cj.Config.Seed, Kind: KindError,
+				Err: errors.New("injected failure"),
 			})
 			res.failed[key]++
 			continue

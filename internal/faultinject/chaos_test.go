@@ -6,12 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"mtsim/internal/adversary"
 	"mtsim/internal/countermeasure"
 	"mtsim/internal/experiment"
+	"mtsim/internal/metrics"
 	"mtsim/internal/runcache"
 	"mtsim/internal/scenario"
 	"mtsim/internal/sim"
@@ -69,13 +70,40 @@ func chaosJournal(t *testing.T, name string) (*experiment.Journal, func() string
 	return experiment.NewJournal(&buf), buf.String
 }
 
-// TestChaosSweepBitIdentical is the suite's headline property: a sweep
-// under seeded faults at every seam — panicking cells, runs livelocked
-// into the watchdog, erroring and torn cache writes — aggregates
-// bit-identically to the fault-free sweep, because retries re-run
-// deterministic cells and the cache degrades instead of lying. A second
-// sweep over the same (now partially torn) cache then quarantines the
-// corruption and still agrees.
+// guardContexts wraps next so the test fails if the engine ever hands a
+// runner a context that a panic unwound: the engine must replace it.
+func guardContexts(t *testing.T, next experiment.Runner) experiment.Runner {
+	var (
+		mu       sync.Mutex
+		poisoned = map[*scenario.Context]bool{}
+	)
+	return func(ctx *scenario.Context, cfg scenario.Config, w experiment.Watchdog) (*metrics.RunMetrics, error) {
+		mu.Lock()
+		reused := poisoned[ctx]
+		mu.Unlock()
+		if reused {
+			t.Errorf("%s speed=%g seed=%d ran on a context a panic had unwound", cfg.Protocol, cfg.MaxSpeed, cfg.Seed)
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				poisoned[ctx] = true
+				mu.Unlock()
+				panic(r)
+			}
+		}()
+		return next(ctx, cfg, w)
+	}
+}
+
+// TestChaosSweepBitIdentical is the suite's headline property, in two
+// passes over one run cache. Pass 1 is a KeepGoing sweep under seeded
+// faults at every seam — panicking cells, runs livelocked into the
+// watchdog, erroring and torn cache writes: it must record exactly the
+// faulted cells, each with its injected kind. Pass 2 is a fault-free
+// resume over the bare store: it must aggregate bit-identically to the
+// fault-free sweep while re-simulating exactly the cells the faults cost
+// (failed cells, failed cache writes, quarantined torn entries).
 func TestChaosSweepBitIdentical(t *testing.T) {
 	clean, err := chaosSweep().Run()
 	if err != nil {
@@ -88,51 +116,51 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 	}
 	flaky := &FlakyCache{
 		Store:  store,
-		Faults: CacheFaults{Seed: 7, PutErrRate: 0.4, TearRate: 0.4, GetErrRate: 0.3},
+		Faults: CacheFaults{Seed: 16, PutErrRate: 0.4, TearRate: 0.4, GetErrRate: 0.3},
 	}
-	// Seed 11 assigns this grid two panicking cells, two erroring cells,
-	// two livelocked cells and leaves two healthy — every fault kind
-	// exercised in one sweep.
-	inj := New(Plan{
-		Seed:            11,
-		PanicRate:       0.3,
-		ErrorRate:       0.3,
-		SlowRate:        0.3,
-		FailuresPerCell: 2,
-	})
+	// Plan seed 8 assigns this grid one erroring, one panicking (mid-grid,
+	// so its worker runs on afterwards) and one livelocked cell and leaves
+	// five healthy; cache seed 16 fails two of their writes and tears two.
+	inj := New(Plan{Seed: 8, PanicRate: 0.3, ErrorRate: 0.3, SlowRate: 0.3})
 	s := chaosSweep()
 	s.Cache = flaky
-	s.Runner = inj.Runner(nil)
+	s.Runner = guardContexts(t, inj.Runner(nil))
 	s.KeepGoing = true
-	s.Retry = experiment.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond, Sleep: func(time.Duration) {}}
 	journal, readJournal := chaosJournal(t, "chaos-attempts.jsonl")
 	s.Journal = journal
 
 	faulted, err := s.Run()
 	if err != nil {
-		t.Fatalf("chaos sweep errored despite retries: %v", err)
+		t.Fatalf("KeepGoing chaos sweep errored: %v", err)
 	}
 	panics, errs, slows := inj.Counts()
-	if panics == 0 || errs == 0 || slows == 0 {
-		t.Fatalf("chaos plan missed a fault kind (%d panics, %d errors, %d slow runs) — re-pick the seed",
-			panics, errs, slows)
-	}
-	t.Logf("injected faults: %d panics, %d errors, %d slow runs", panics, errs, slows)
-	if len(faulted.Failed) != 0 {
-		t.Fatalf("retries did not absorb every injected fault: %+v", faulted.Failed)
-	}
-	for _, fig := range experiment.PaperFigures() {
-		if clean.Table(fig) != faulted.Table(fig) {
-			t.Fatalf("%s: chaos sweep differs from fault-free sweep\nclean:\n%s\nchaos:\n%s",
-				fig.ID, clean.Table(fig), faulted.Table(fig))
-		}
-		if clean.CSV(fig) != faulted.CSV(fig) {
-			t.Fatalf("%s: chaos CSV differs", fig.ID)
-		}
+	putErrs, tears, getErrs := flaky.Counts()
+	t.Logf("injected: %d panics, %d errors, %d slow runs; cache: %d put errors, %d torn writes, %d read misses",
+		panics, errs, slows, putErrs, tears, getErrs)
+	if panics == 0 || errs == 0 || slows == 0 || putErrs == 0 || tears == 0 {
+		t.Fatal("chaos plan missed a fault kind — re-pick the seeds")
 	}
 
-	// The journal recorded every injected fault as a failed attempt.
-	var injectedLines, okLines int
+	// Pass 1: exactly the faulted cells failed, each with its own kind.
+	if got := len(faulted.Failed); got != panics+errs+slows {
+		t.Fatalf("%d failed cells recorded, injector faulted %d: %+v", got, panics+errs+slows, faulted.Failed)
+	}
+	kinds := map[string]int{}
+	for _, f := range faulted.Failed {
+		kinds[f.Kind]++
+		for _, j := range s.Jobs() {
+			if j.Key == f.Key && j.Config.Seed == f.Seed {
+				if want := inj.Plan.faultKind(j.Config); f.Kind != want {
+					t.Errorf("%+v seed %d failed as %q, injected %q", f.Key, f.Seed, f.Kind, want)
+				}
+			}
+		}
+	}
+	if kinds[experiment.KindPanic] != panics || kinds[experiment.KindError] != errs || kinds[experiment.KindTimeout] != slows {
+		t.Fatalf("failure kinds %v, injected %d/%d/%d", kinds, panics, errs, slows)
+	}
+	// The journal recorded every faulted cell as a failed run.
+	var failedLines, okLines int
 	for _, line := range strings.Split(strings.TrimSpace(readJournal()), "\n") {
 		var rec experiment.AttemptRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -142,114 +170,38 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 		case "ok", "cache-hit":
 			okLines++
 		default:
-			injectedLines++
+			failedLines++
 		}
 	}
-	if injectedLines != panics+errs+slows {
-		t.Fatalf("journal shows %d failed attempts, injector says %d", injectedLines, panics+errs+slows)
-	}
-	total := len(s.Protocols) * len(s.Speeds) * s.Reps
-	if okLines != total {
-		t.Fatalf("journal shows %d successful cells, want %d", okLines, total)
+	total := len(s.Jobs())
+	if failedLines != panics+errs+slows || okLines != total-failedLines {
+		t.Fatalf("journal shows %d failed and %d successful cells, want %d and %d",
+			failedLines, okLines, panics+errs+slows, total-panics-errs-slows)
 	}
 
-	// Round two over the same store: torn entries are quarantined (real
-	// corrupt bytes caught by runcache), erroring reads degrade, and the
-	// recomputed sweep still agrees bit-for-bit.
-	_, tears, _ := flaky.Counts()
-	if tears == 0 {
-		t.Fatal("no torn cache writes injected — raise TearRate or change the seed")
-	}
-	s2 := chaosSweep()
-	s2.Cache = store // the bare store this time: every surviving entry is served
-	warm, err := s2.Run()
+	// Pass 2: a fault-free resume over the bare store serves every
+	// surviving entry, quarantines the torn ones and recomputes the rest.
+	resume := chaosSweep()
+	resume.Cache = store
+	warm, err := resume.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := len(faulted.Failed) + putErrs + tears; warm.CacheMisses != want {
+		t.Fatalf("resume missed %d cells, want %d (%d failed + %d unwritten + %d torn)",
+			warm.CacheMisses, want, len(faulted.Failed), putErrs, tears)
 	}
 	if h := store.Health(); h.Quarantined != tears {
 		t.Fatalf("quarantined %d entries, injected %d torn writes (health %+v)", h.Quarantined, tears, h)
 	}
 	for _, fig := range experiment.PaperFigures() {
 		if clean.Table(fig) != warm.Table(fig) {
-			t.Fatalf("%s: post-quarantine sweep differs from fault-free sweep", fig.ID)
+			t.Fatalf("%s: resumed sweep differs from fault-free sweep\nclean:\n%s\nresumed:\n%s",
+				fig.ID, clean.Table(fig), warm.Table(fig))
 		}
-	}
-}
-
-// TestRetryBitIdentical is the per-cell version of the headline
-// property: a cell that fails N times under injected faults and then
-// succeeds yields RunMetrics byte-identical to a never-faulted run.
-func TestRetryBitIdentical(t *testing.T) {
-	cfg := chaosBase()
-	cfg.Protocol = "MTS"
-	cfg.MaxSpeed = 10
-	cfg.Seed = 3
-	want, err := scenario.RunOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, plan := range []Plan{
-		{Seed: 1, ErrorRate: 1, FailuresPerCell: 2},
-		{Seed: 1, PanicRate: 1, FailuresPerCell: 2},
-		{Seed: 1, SlowRate: 1, FailuresPerCell: 2, SlowEvents: 8},
-	} {
-		inj := New(plan)
-		s := experiment.Sweep{
-			Base:      chaosBase(),
-			Protocols: []string{"MTS"},
-			Speeds:    []float64{10},
-			Reps:      1,
-			SeedBase:  3,
-			Runner:    inj.Runner(nil),
-			Retry:     experiment.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+		if clean.CSV(fig) != warm.CSV(fig) {
+			t.Fatalf("%s: resumed CSV differs", fig.ID)
 		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatalf("plan %+v: retries did not recover: %v", plan, err)
-		}
-		panics, errs, slows := inj.Counts()
-		if panics+errs+slows != 2 {
-			t.Fatalf("plan %+v: injected %d faults, want 2", plan, panics+errs+slows)
-		}
-		runs := res.Runs[experiment.CellKey{Protocol: "MTS", Speed: 10}]
-		if len(runs) != 1 {
-			t.Fatalf("plan %+v: %d runs retained, want 1", plan, len(runs))
-		}
-		w, _ := json.Marshal(want)
-		g, _ := json.Marshal(runs[0])
-		if string(w) != string(g) {
-			t.Fatalf("plan %+v: metrics after %d failed attempts differ from never-faulted run\nwant: %s\ngot:  %s",
-				plan, 2, w, g)
-		}
-	}
-}
-
-// TestChaosWithoutRetriesRecordsFailures: with a single attempt the same
-// plan's faults become Result.Failed entries whose kinds match what was
-// injected — the graceful-degradation path under chaos.
-func TestChaosWithoutRetriesRecordsFailures(t *testing.T) {
-	inj := New(Plan{Seed: 7, PanicRate: 0.3, ErrorRate: 0.3, SlowRate: 0.3})
-	s := chaosSweep()
-	s.Runner = inj.Runner(nil)
-	s.KeepGoing = true
-	res, err := s.Run()
-	if err != nil {
-		t.Fatalf("KeepGoing chaos sweep errored: %v", err)
-	}
-	panics, errs, slows := inj.Counts()
-	if got := len(res.Failed); got != panics+errs+slows {
-		t.Fatalf("%d failed cells recorded, injector faulted %d", got, panics+errs+slows)
-	}
-	var kinds = map[string]int{}
-	for _, f := range res.Failed {
-		if len(f.Attempts) != 1 {
-			t.Fatalf("single-attempt sweep recorded %d attempts: %+v", len(f.Attempts), f)
-		}
-		kinds[f.Attempts[0].Kind]++
-	}
-	if kinds[experiment.KindPanic] != panics || kinds[experiment.KindError] != errs || kinds[experiment.KindTimeout] != slows {
-		t.Fatalf("failure kinds %v, injected %d/%d/%d", kinds, panics, errs, slows)
 	}
 }
 
@@ -293,8 +245,7 @@ func TestFaultSelectionDeterministic(t *testing.T) {
 
 // chaosGame is the co-evolution loop over the chaos grid: two
 // route-discovery attackers against the defence built for them, small
-// enough that a full game (plus retried faults) stays in chaos-lane
-// budget.
+// enough that two full games stay in chaos-lane budget.
 func chaosGame() experiment.Coevolution {
 	return experiment.Coevolution{
 		Base:     chaosBase(),
@@ -315,11 +266,11 @@ func chaosGame() experiment.Coevolution {
 
 // TestChaosCoevolutionBitIdentical extends the headline property to the
 // attacker–defender loop: a game whose cell evaluations panic, error and
-// tear cache writes under seeded chaos must converge to the same
-// equilibrium with a byte-identical payoff table, CSV and move history as
-// the fault-free game — the best-response scan never sees a faulted
-// number because retries re-run deterministic cells and the cache
-// degrades instead of lying.
+// tear cache writes under seeded chaos fails, and a fault-free game over
+// the same store then converges to the same equilibrium with a
+// byte-identical payoff table, CSV and move history as the fault-free
+// game — the best-response scan never sees a faulted number because
+// failed cells are never cached and the cache degrades instead of lying.
 func TestChaosCoevolutionBitIdentical(t *testing.T) {
 	clean, err := chaosGame().Run()
 	if err != nil {
@@ -335,46 +286,44 @@ func TestChaosCoevolutionBitIdentical(t *testing.T) {
 	}
 	flaky := &FlakyCache{
 		Store:  store,
-		Faults: CacheFaults{Seed: 5, PutErrRate: 0.4, TearRate: 0.4, GetErrRate: 0.3},
+		Faults: CacheFaults{Seed: 1, PutErrRate: 0.4, TearRate: 0.4, GetErrRate: 0.3},
 	}
-	inj := New(Plan{
-		Seed:            5,
-		PanicRate:       0.35,
-		ErrorRate:       0.35,
-		SlowRate:        0.3,
-		FailuresPerCell: 2,
-	})
+	// Plan seed 1 lets the first move's row finish (cache seed 1 fails and
+	// tears some of its writes) and errors a cell of the defender's move.
+	inj := New(Plan{Seed: 1, PanicRate: 0.35, ErrorRate: 0.35, SlowRate: 0.3})
 	g := chaosGame()
 	g.Cache = flaky
-	g.Runner = inj.Runner(nil)
-	g.Retry = experiment.RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond, Sleep: func(time.Duration) {}}
-	faulted, err := g.Run()
-	if err != nil {
-		t.Fatalf("chaos game errored despite retries: %v", err)
+	g.Runner = guardContexts(t, inj.Runner(nil))
+	if _, err := g.Run(); err == nil {
+		t.Fatal("chaos game succeeded despite faulted cells")
+	} else if !strings.Contains(err.Error(), "faultinject: injected") && !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("chaos game failed for a reason it did not inject: %v", err)
 	}
-
 	panics, errs, slows := inj.Counts()
-	if panics+errs+slows == 0 {
-		t.Fatal("chaos plan faulted no cell of this game — re-pick the seed")
-	}
 	putErrs, tears, getErrs := flaky.Counts()
 	t.Logf("injected: %d panics, %d errors, %d slow runs; cache: %d put errors, %d torn writes, %d read misses",
 		panics, errs, slows, putErrs, tears, getErrs)
-	if putErrs+tears+getErrs == 0 {
-		t.Fatal("cache chaos missed every cell — re-pick the seed")
+	if putErrs+tears == 0 {
+		t.Fatal("cache chaos missed every cell the faulted game finished — re-pick the seed")
 	}
 
-	if got, want := faulted.PayoffTable(), clean.PayoffTable(); got != want {
-		t.Errorf("chaos game's payoff table differs from the fault-free game\nclean:\n%s\nchaos:\n%s", want, got)
+	resume := chaosGame()
+	resume.Cache = store
+	resumed, err := resume.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := faulted.PayoffCSV(), clean.PayoffCSV(); got != want {
-		t.Errorf("chaos game's payoff CSV differs from the fault-free game")
+	if got, want := resumed.PayoffTable(), clean.PayoffTable(); got != want {
+		t.Errorf("resumed game's payoff table differs from the fault-free game\nclean:\n%s\nresumed:\n%s", want, got)
 	}
-	if got, want := faulted.History(), clean.History(); got != want {
-		t.Errorf("chaos game's move history differs\nclean:\n%s\nchaos:\n%s", want, got)
+	if got, want := resumed.PayoffCSV(), clean.PayoffCSV(); got != want {
+		t.Errorf("resumed game's payoff CSV differs from the fault-free game")
 	}
-	if faulted.Attacker != clean.Attacker || faulted.Defender != clean.Defender {
-		t.Errorf("chaos equilibrium (%d,%d) differs from clean (%d,%d)",
-			faulted.Attacker, faulted.Defender, clean.Attacker, clean.Defender)
+	if got, want := resumed.History(), clean.History(); got != want {
+		t.Errorf("resumed game's move history differs\nclean:\n%s\nresumed:\n%s", want, got)
+	}
+	if resumed.Attacker != clean.Attacker || resumed.Defender != clean.Defender {
+		t.Errorf("resumed equilibrium (%d,%d) differs from clean (%d,%d)",
+			resumed.Attacker, resumed.Defender, clean.Attacker, clean.Defender)
 	}
 }

@@ -3,17 +3,20 @@
 // selected cells panic, error out, or livelock into the watchdog, and to
 // tear or fail cache I/O — all chosen by hashing the cell's full
 // configuration under a chaos seed, so the same Plan faults the same
-// cells on every machine and every run. Faults are transient by design
-// (a faulted cell heals after FailuresPerCell attempts), which is what
-// lets the chaos suite assert the headline robustness property: a sweep
-// under injected faults, with retries enabled, aggregates bit-identical
-// to the fault-free sweep. The injectors fabricate nothing — an injected
+// cells on every machine and every run. A faulted cell fails every time
+// it runs under the Plan; recovery is a fault-free resume over the same
+// run cache, which is what lets the chaos suite assert the headline
+// robustness property: a KeepGoing sweep under injected faults records
+// exactly the faulted cells, and the resume then aggregates
+// bit-identically to the fault-free sweep, re-simulating exactly the
+// cells the faults cost. The injectors fabricate nothing — an injected
 // "slow run" squeezes the real watchdog's event budget so the genuine
 // mid-run kill-and-retire path is exercised, and a torn cache entry is
 // real corrupt bytes on disk for runcache's quarantine to catch.
 package faultinject
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -44,17 +47,6 @@ type Plan struct {
 	// now that batched PHY delivery collapses each transmission's 2·k
 	// arrival events into two.
 	SlowEvents uint64
-	// FailuresPerCell is how many leading attempts of a faulted cell
-	// fail before it heals; values below 1 mean 1. A retry policy with
-	// MaxAttempts > FailuresPerCell therefore absorbs every fault.
-	FailuresPerCell int
-}
-
-func (p Plan) failures() int {
-	if p.FailuresPerCell < 1 {
-		return 1
-	}
-	return p.FailuresPerCell
 }
 
 func (p Plan) slowEvents() uint64 {
@@ -94,79 +86,51 @@ func (p Plan) faultKind(cfg scenario.Config) string {
 	return ""
 }
 
-// Injector applies a Plan at the engine's Runner seam, tracking per-cell
-// attempt counts (so faults heal after FailuresPerCell tries) and how
-// many of each fault kind it actually injected. One Injector covers one
-// sweep; build a fresh one per sweep so healing starts over.
+// Injector applies a Plan at the engine's Runner seam and counts how
+// many faults of each kind it injected.
 type Injector struct {
 	Plan Plan
 
 	mu       sync.Mutex
-	attempts map[string]int
-	panics   int
-	errors   int
-	slows    int
+	injected map[string]int // by fault kind
 }
 
 // New returns an Injector for the given plan.
 func New(p Plan) *Injector {
-	return &Injector{Plan: p, attempts: make(map[string]int)}
+	return &Injector{Plan: p, injected: make(map[string]int)}
 }
 
 // Counts reports how many faults of each kind were injected so far.
 func (in *Injector) Counts() (panics, errs, slows int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.panics, in.errors, in.slows
+	return in.injected[experiment.KindPanic], in.injected[experiment.KindError], in.injected[experiment.KindTimeout]
 }
 
 // Runner wraps next (DefaultRunner when nil) with the plan's faults:
 // assign Injector.Runner(nil) to Sweep.Runner and the chaos applies to
-// every simulated cell attempt.
+// every simulated cell.
 func (in *Injector) Runner(next experiment.Runner) experiment.Runner {
 	if next == nil {
 		next = experiment.DefaultRunner
 	}
 	return func(ctx *scenario.Context, cfg scenario.Config, w experiment.Watchdog) (*metrics.RunMetrics, error) {
 		kind := in.Plan.faultKind(cfg)
-		if kind == "" {
-			return next(ctx, cfg, w)
-		}
-		cell, err := runcache.KeySalted(cfg, "faultinject/cell")
-		if err != nil {
-			return next(ctx, cfg, w)
-		}
 		in.mu.Lock()
-		n := in.attempts[cell]
-		in.attempts[cell] = n + 1
-		healed := n >= in.Plan.failures()
-		if !healed {
-			switch kind {
-			case experiment.KindPanic:
-				in.panics++
-			case experiment.KindError:
-				in.errors++
-			default:
-				in.slows++
-			}
-		}
+		in.injected[kind]++
 		in.mu.Unlock()
-		if healed {
-			return next(ctx, cfg, w)
-		}
 		switch kind {
 		case experiment.KindPanic:
-			panic(fmt.Sprintf("faultinject: injected panic (cell %s)", cell[:8]))
+			panic("faultinject: injected panic")
 		case experiment.KindError:
-			return nil, fmt.Errorf("faultinject: injected error (cell %s)", cell[:8])
-		default:
+			return nil, errors.New("faultinject: injected error")
+		case experiment.KindTimeout:
 			// A "slow" run is the real simulation squeezed under a tiny
 			// event budget: the genuine watchdog kills it mid-run through
 			// the genuine retire path. Nothing is faked.
-			sw := w
-			sw.MaxEvents = in.Plan.slowEvents()
-			return next(ctx, cfg, sw)
+			w.MaxEvents = in.Plan.slowEvents()
 		}
+		return next(ctx, cfg, w)
 	}
 }
 

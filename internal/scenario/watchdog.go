@@ -71,8 +71,8 @@ const watchdogChunk = 2048
 // Determinism: a watched run that completes is indistinguishable from
 // Run (same events in the same order, same metrics); the wall-clock
 // check only ever decides whether to keep going, never what happens
-// next. A retry of a killed run under the same configuration and seed
-// is therefore byte-identical to a never-killed run.
+// next. Re-running a killed cell under the same configuration and seed
+// (a resumed sweep) is therefore byte-identical to a never-killed run.
 func (s *Scenario) RunWatched(b Budget) (*metrics.RunMetrics, error) {
 	horizon := sim.Time(s.Cfg.Duration)
 	if b.unlimited() {

@@ -27,8 +27,8 @@
 //	fmt.Printf("interception ratio: %.3f\n", m.InterceptionRatio)
 //
 // Full sweeps (the paper's Figs. 5–11) are driven by Sweep / PaperSweep;
-// see cmd/experiments for the command-line harness and EXPERIMENTS.md for
-// the recorded paper-vs-measured comparison.
+// see cmd/experiments for the command-line harness and docs/PAPER_MAP.md
+// for where each of the paper's figures and claims lives in the code.
 package mtsim
 
 import (
@@ -135,25 +135,19 @@ const (
 	ByCountermeasure = experiment.ByCountermeasure
 )
 
-// RetryPolicy bounds the attempts the sweep engine makes on a failed
-// cell (Sweep.Retry). Retries re-run the identical configuration and
-// seed — the simulator's determinism makes a retry byte-identical to a
-// never-failed run — under deterministic capped-exponential backoff.
-type RetryPolicy = experiment.RetryPolicy
-
 // Watchdog is the per-run deadline pair (Sweep.Watchdog): a
 // simulated-event budget catching livelocked runs and a wall-clock
 // budget catching hung ones. A tripped watchdog kills the run cleanly
 // and attributes the timeout.
 type Watchdog = experiment.Watchdog
 
-// FailedCell is one run of a KeepGoing sweep that failed every attempt,
-// recorded in Result.Failed with its full attempt history.
+// FailedCell is one run of a KeepGoing sweep that failed, recorded in
+// Result.Failed with its failure kind and cell-attributed error.
 type FailedCell = experiment.FailedCell
 
 // Journal is the sweep engine's append-only JSONL attempt log
-// (Sweep.Journal): one record per attempt of every simulated cell,
-// successes and cache hits included.
+// (Sweep.Journal): one record per simulated cell, successes, failures
+// and cache hits included.
 type Journal = experiment.Journal
 
 // AttemptRecord is one line of a Journal.

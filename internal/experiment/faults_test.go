@@ -172,6 +172,78 @@ func TestCellAfterFailureBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRetryRecoversPanickingCell: a cell that panics mid-grid is
+// recovered by re-running it, and the re-run is a resume over the run
+// cache rather than an in-process retry. The KeepGoing sweep records the
+// panic, caches nothing for that cell, and hands the worker's next cell
+// a replacement context; the fault-free resume re-simulates only that
+// cell and aggregates bit-identically to a sweep that never panicked.
+func TestRetryRecoversPanickingCell(t *testing.T) {
+	dir := t.TempDir()
+	clean := cachedSweep(t, dir)
+	clean.Cache = nil
+	want, err := clean.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var contexts []*scenario.Context // one worker: no lock needed
+	s := cachedSweep(t, dir)
+	s.Parallelism = 1
+	s.KeepGoing = true
+	s.Runner = func(ctx *scenario.Context, cfg scenario.Config, w Watchdog) (*metrics.RunMetrics, error) {
+		if len(contexts) == 0 || contexts[len(contexts)-1] != ctx {
+			contexts = append(contexts, ctx)
+		}
+		if cfg.Protocol == "MTS" && cfg.MaxSpeed == 10 && cfg.Seed == 1 {
+			panic("injected mid-run panic")
+		}
+		return DefaultRunner(ctx, cfg, w)
+	}
+	faulted, err := s.Run()
+	if err != nil {
+		t.Fatalf("KeepGoing sweep errored: %v", err)
+	}
+	if len(faulted.Failed) != 1 || faulted.Failed[0].Kind != KindPanic {
+		t.Fatalf("failed cells %+v, want one %q", faulted.Failed, KindPanic)
+	}
+	// The panicking cell is neither the first nor the last, so exactly one
+	// replacement context must have taken over the single worker.
+	if len(contexts) != 2 {
+		t.Fatalf("runner saw %d distinct contexts, want 2 (one replaced after the panic)", len(contexts))
+	}
+
+	resume := cachedSweep(t, dir)
+	var journal bytes.Buffer
+	resume.Journal = NewJournal(&journal)
+	got, err := resume.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CacheMisses != 1 {
+		t.Fatalf("resume simulated %d cells, want only the panicked one", got.CacheMisses)
+	}
+	var ran []string
+	for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
+		var rec AttemptRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		if rec.Outcome != "cache-hit" {
+			ran = append(ran, fmt.Sprintf("%s/%g/%d:%s", rec.Protocol, rec.Speed, rec.Seed, rec.Outcome))
+		}
+	}
+	if strings.Join(ran, ",") != "MTS/10/1:ok" {
+		t.Fatalf("resume journal shows runs %v, want only MTS/10/1:ok", ran)
+	}
+	for _, fig := range allFigures() {
+		if want.Table(fig) != got.Table(fig) || want.CSV(fig) != got.CSV(fig) {
+			t.Fatalf("%s: resumed sweep differs from the never-panicked sweep\nwant:\n%s\ngot:\n%s",
+				fig.ID, want.Table(fig), got.Table(fig))
+		}
+	}
+}
+
 // TestKeepGoingRecordsFailures: with KeepGoing a sweep with failing
 // cells completes the healthy grid, records each failed run with its
 // kind, marks degraded cells in the renderers, and summarises the

@@ -205,6 +205,123 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRetryBitIdentical: whatever an injected fault does to a cell, the
+// cell's re-run is bit-identical to a run that was never faulted, and the
+// fault costs its worker nothing. The re-run is a fault-free resume over
+// the run cache, which holds nothing for the faulted cell; meanwhile the
+// healthy cell that follows on the same worker is byte-identical to a
+// standalone run.
+func TestRetryBitIdentical(t *testing.T) {
+	standalone := map[int64]string{}
+	for _, seed := range []int64{3, 4} {
+		cfg := chaosBase()
+		cfg.Protocol = "MTS"
+		cfg.MaxSpeed = 10
+		cfg.Seed = seed
+		m, err := scenario.RunOne(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(m)
+		standalone[seed] = string(b)
+	}
+	grid := func(store *runcache.Store) experiment.Sweep {
+		return experiment.Sweep{
+			Base:        chaosBase(),
+			Protocols:   []string{"MTS"},
+			Speeds:      []float64{10},
+			Reps:        2,
+			SeedBase:    3,
+			Parallelism: 1,
+			Cache:       store,
+		}
+	}
+
+	for _, plan := range []Plan{
+		{Seed: 1, ErrorRate: 1},
+		{Seed: 1, PanicRate: 1},
+		{Seed: 1, SlowRate: 1, SlowEvents: 8},
+	} {
+		store, err := runcache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only seed 3 goes through the injector; seed 4 runs on the same
+		// worker right after it.
+		inj := New(plan)
+		faulty := inj.Runner(nil)
+		s := grid(store)
+		s.KeepGoing = true
+		s.Runner = func(ctx *scenario.Context, cfg scenario.Config, w experiment.Watchdog) (*metrics.RunMetrics, error) {
+			if cfg.Seed == 3 {
+				return faulty(ctx, cfg, w)
+			}
+			return experiment.DefaultRunner(ctx, cfg, w)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatalf("plan %+v: KeepGoing sweep errored: %v", plan, err)
+		}
+		if panics, errs, slows := inj.Counts(); panics+errs+slows != 1 {
+			t.Fatalf("plan %+v: injected %d faults, want 1", plan, panics+errs+slows)
+		}
+		if len(res.Failed) != 1 || res.Failed[0].Seed != 3 || res.Failed[0].Kind != plan.faultKind(s.Jobs()[0].Config) {
+			t.Fatalf("plan %+v: failed cells %+v, want seed 3 with the injected kind", plan, res.Failed)
+		}
+		runs := res.Runs[experiment.CellKey{Protocol: "MTS", Speed: 10}]
+		if len(runs) != 1 {
+			t.Fatalf("plan %+v: %d runs retained, want 1", plan, len(runs))
+		}
+		if g, _ := json.Marshal(runs[0]); string(g) != standalone[4] {
+			t.Fatalf("plan %+v: cell after the fault differs from a standalone run\nwant: %s\ngot:  %s",
+				plan, standalone[4], g)
+		}
+
+		resumed, err := grid(store).Run()
+		if err != nil {
+			t.Fatalf("plan %+v: resume failed: %v", plan, err)
+		}
+		if resumed.CacheMisses != 1 {
+			t.Fatalf("plan %+v: resume simulated %d cells, want only the faulted one", plan, resumed.CacheMisses)
+		}
+		for i, m := range resumed.Runs[experiment.CellKey{Protocol: "MTS", Speed: 10}] {
+			if g, _ := json.Marshal(m); string(g) != standalone[int64(3+i)] {
+				t.Fatalf("plan %+v: resumed seed %d differs from a never-faulted run\nwant: %s\ngot:  %s",
+					plan, 3+i, standalone[int64(3+i)], g)
+			}
+		}
+	}
+}
+
+// TestChaosWithoutRetriesRecordsFailures: with no retries each injected
+// fault is exactly one Result.Failed entry whose kind matches what was
+// injected — the graceful-degradation path under runner chaos alone,
+// under a different chaos seed from the headline two-pass test.
+func TestChaosWithoutRetriesRecordsFailures(t *testing.T) {
+	inj := New(Plan{Seed: 7, PanicRate: 0.3, ErrorRate: 0.3, SlowRate: 0.3})
+	s := chaosSweep()
+	s.Runner = inj.Runner(nil)
+	s.KeepGoing = true
+	res, err := s.Run()
+	if err != nil {
+		t.Fatalf("KeepGoing chaos sweep errored: %v", err)
+	}
+	panics, errs, slows := inj.Counts()
+	if panics+errs+slows == 0 {
+		t.Fatal("chaos plan injected no faults — re-pick the seed")
+	}
+	if got := len(res.Failed); got != panics+errs+slows {
+		t.Fatalf("%d failed cells recorded, injector faulted %d", got, panics+errs+slows)
+	}
+	kinds := map[string]int{}
+	for _, f := range res.Failed {
+		kinds[f.Kind]++
+	}
+	if kinds[experiment.KindPanic] != panics || kinds[experiment.KindError] != errs || kinds[experiment.KindTimeout] != slows {
+		t.Fatalf("failure kinds %v, injected %d/%d/%d", kinds, panics, errs, slows)
+	}
+}
+
 // TestFaultSelectionDeterministic: the same plan faults the same cells
 // with the same kinds, run after run — chaos is reproducible by seed.
 func TestFaultSelectionDeterministic(t *testing.T) {

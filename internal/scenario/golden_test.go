@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"mtsim/internal/countermeasure"
 	"mtsim/internal/metrics"
 	"mtsim/internal/sim"
+	"mtsim/internal/trace"
 )
 
 // Regenerate the fixtures after an intentional behaviour change with:
@@ -91,6 +93,13 @@ func goldenCases() []goldenCase {
 	blackhole.Adversary = adversary.Spec{Model: adversary.ModelBlackhole, K: 3}
 	grayhole := goldenConfig("MTS")
 	grayhole.Adversary = adversary.Spec{Model: adversary.ModelGrayhole, K: 3}
+	// A dropper on a trust-defended run: the only fixture where a node
+	// both drops data and keeps a trust table, so it pins that a dropped
+	// packet never opens a watchdog obligation (the drop verdict runs
+	// before trust observes the send; the other way round moves
+	// trustDrops).
+	grayholeTrust := grayhole
+	grayholeTrust.Countermeasure = countermeasure.Spec{Model: countermeasure.ModelTrust}
 	// At twice the speed AODV's one in-place repair hash-picks between
 	// two surviving equal-cost next hops; the plain aodv run repairs with
 	// a single survivor, so only this fixture pins the pick itself.
@@ -107,6 +116,7 @@ func goldenCases() []goldenCase {
 		goldenCase{"mts-mobile", mobile},
 		goldenCase{"dsr-blackhole", blackhole},
 		goldenCase{"mts-grayhole", grayhole},
+		goldenCase{"mts-grayhole-trust", grayholeTrust},
 		goldenCase{"aodv-fast", fast},
 	)
 }
@@ -136,40 +146,108 @@ func TestGoldenMetrics(t *testing.T) {
 			m := s.Run()
 			s.Retire()
 			assertArenaClean(t, s.Arena)
-			got, err := json.MarshalIndent(goldenFile{GOARCH: runtime.GOARCH, Metrics: m}, "", "  ")
+			got := goldenJSON(t, m)
+			path := filepath.Join("testdata", "golden", tc.name+".json")
+			if *updateGolden {
+				writeGolden(t, path, got)
+				return
+			}
+			compareGolden(t, path, got)
+		})
+	}
+}
+
+// goldenTraceCase is the golden case whose packet trace is pinned by
+// digest: DSR's snooping, the trust watchdog and a wormhole endpoint all
+// observe frames on the same nodes there, so any reordering of the
+// observers attached to a node shows up in it.
+const goldenTraceCase = "dsr-wormhole-trust"
+
+// TestGoldenMetricsTraced reruns every golden case with the packet tracer
+// attached to every node. Observers must change nothing: the metrics stay
+// byte-identical to the fixtures, and the trace of goldenTraceCase hashes
+// to the committed digest (its line order is the order in which frames
+// aired and were heard).
+func TestGoldenMetricsTraced(t *testing.T) {
+	ctx := NewContext()
+	for _, tc := range goldenCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := ctx.Build(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-
-			path := filepath.Join("testdata", "golden", tc.name+".json")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			h := sha256.New()
+			tr := trace.New(h, s.Sched)
+			for _, n := range s.Nodes {
+				tr.AttachNode(n)
+			}
+			m := s.Run()
+			s.Retire()
+			if tr.Lines == 0 {
+				t.Fatal("tracer recorded nothing")
+			}
+			if !*updateGolden {
+				compareGolden(t, filepath.Join("testdata", "golden", tc.name+".json"), goldenJSON(t, m))
+			}
+			if tc.name != goldenTraceCase {
 				return
 			}
-
+			got := []byte(fmt.Sprintf("%x %d\n", h.Sum(nil), tr.Lines))
+			path := filepath.Join("testdata", "golden", tc.name+".trace.sha256")
+			if *updateGolden {
+				writeGolden(t, path, got)
+				return
+			}
 			want, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("missing fixture %s (generate with -update): %v", path, err)
+				t.Fatalf("missing trace digest %s (generate with -update): %v", path, err)
 			}
-			var wantFile goldenFile
-			if err := json.Unmarshal(want, &wantFile); err != nil {
-				t.Fatalf("corrupt fixture %s: %v", path, err)
-			}
-			if wantFile.GOARCH != runtime.GOARCH {
-				t.Skipf("fixture generated on %s, running on %s: float metrics are only bit-stable per architecture",
-					wantFile.GOARCH, runtime.GOARCH)
-			}
-			if diff := diffLines(string(want), string(got)); diff != "" {
-				t.Errorf("metrics diverged from %s (regenerate with -update if intended):\n%s",
-					path, diff)
+			if string(want) != string(got) {
+				t.Errorf("trace digest (sha256, lines) diverged from %s:\n  -%s  +%s", path, want, got)
 			}
 		})
+	}
+}
+
+// goldenJSON renders a run's metrics as a fixture file.
+func goldenJSON(t *testing.T, m *metrics.RunMetrics) []byte {
+	t.Helper()
+	got, err := json.MarshalIndent(goldenFile{GOARCH: runtime.GOARCH, Metrics: m}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(got, '\n')
+}
+
+func writeGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, got, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compareGolden fails t when got differs from the fixture at path, and
+// skips it when the fixture was generated on another architecture.
+func compareGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fixture %s (generate with -update): %v", path, err)
+	}
+	var wantFile goldenFile
+	if err := json.Unmarshal(want, &wantFile); err != nil {
+		t.Fatalf("corrupt fixture %s: %v", path, err)
+	}
+	if wantFile.GOARCH != runtime.GOARCH {
+		t.Skipf("fixture generated on %s, running on %s: float metrics are only bit-stable per architecture",
+			wantFile.GOARCH, runtime.GOARCH)
+	}
+	if diff := diffLines(string(want), string(got)); diff != "" {
+		t.Errorf("metrics diverged from %s (regenerate with -update if intended):\n%s",
+			path, diff)
 	}
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,6 +50,10 @@ func TestTracerRecordsExchange(t *testing.T) {
 	}
 }
 
+// TestTracerPreservesMetricsHook attaches the tracer next to the metrics
+// collector and checks both outputs: the run's metrics are identical to
+// an untraced run of the same configuration, and the trace records the
+// frames sent and heard.
 func TestTracerPreservesMetricsHook(t *testing.T) {
 	cfg := scenario.DefaultConfig()
 	cfg.Protocol = "MTS"
@@ -59,6 +64,10 @@ func TestTracerPreservesMetricsHook(t *testing.T) {
 	cfg.Duration = 2 * sim.Second
 	cfg.TCPStart = sim.Time(100 * sim.Millisecond)
 
+	plain, err := scenario.RunOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := scenario.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +78,20 @@ func TestTracerPreservesMetricsHook(t *testing.T) {
 		tr.AttachNode(n)
 	}
 	m := s.Run()
-	// Control overhead is still counted by the collector even though the
-	// tracer wrapped the hook.
 	if m.ControlPkts == 0 {
 		t.Fatal("metrics hook lost after tracer attachment")
+	}
+	if !reflect.DeepEqual(m, plain) {
+		t.Errorf("tracing changed the metrics:\n traced   %+v\n untraced %+v", m, plain)
+	}
+	out := buf.String()
+	if uint64(strings.Count(out, "\n")) != tr.Lines {
+		t.Errorf("Lines = %d, trace has %d lines", tr.Lines, strings.Count(out, "\n"))
+	}
+	for _, want := range []string{"s ", "r ", "RREQ", "DATA"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("trace missing %q; head:\n%s", want, head(out, 10))
+		}
 	}
 }
 

@@ -269,11 +269,20 @@ func (s Sweep) journalAttempt(j CellJob, outcome, errMsg string, events uint64, 
 }
 
 // cellError attributes a cell's error with everything a post-mortem
-// needs: protocol, speed, both axis labels and seed.
-func cellError(j CellJob, err error) error {
-	return fmt.Errorf("%s speed=%g adversary=%q countermeasure=%q seed=%d: %w",
-		j.Key.Protocol, j.Key.Speed, j.Key.Adversary, j.Key.Countermeasure, j.Config.Seed, err)
+// needs: protocol, speed, both axis labels and seed. FailedSummary
+// prints those as columns, so its error column shows only the cause.
+type cellError struct {
+	key  CellKey
+	seed int64
+	err  error
 }
+
+func (e *cellError) Error() string {
+	return fmt.Sprintf("%s speed=%g adversary=%q countermeasure=%q seed=%d: %v",
+		e.key.Protocol, e.key.Speed, e.key.Adversary, e.key.Countermeasure, e.seed, e.err)
+}
+
+func (e *cellError) Unwrap() error { return e.err }
 
 // attempt simulates a cell with panic isolation: a panic
 // anywhere in the simulator unwinds to here and becomes a *PanicError
@@ -320,7 +329,7 @@ func (s Sweep) runCell(ctxp **scenario.Context, j CellJob) (*metrics.RunMetrics,
 	if kind == KindPanic {
 		*ctxp = scenario.NewContext()
 	}
-	return nil, cellError(j, err)
+	return nil, &cellError{key: j.Key, seed: j.Config.Seed, err: err}
 }
 
 // Run executes the sweep. Repetition r uses seed SeedBase+r for every
@@ -508,9 +517,14 @@ func (r *Result) FailedSummary() string {
 	fmt.Fprintf(&b, "%-10s %-8s %-18s %-16s %-6s %-9s %s\n",
 		"protocol", "speed", "adversary", "countermeasure", "seed", "kind", "error")
 	for _, f := range r.Failed {
+		cause := f.Err
+		var ce *cellError
+		if errors.As(cause, &ce) {
+			cause = ce.err
+		}
 		fmt.Fprintf(&b, "%-10s %-8g %-18s %-16s %-6d %-9s %s\n",
 			f.Key.Protocol, f.Key.Speed, orBase(f.Key.Adversary, "base adversary"), orBase(f.Key.Countermeasure, "base"),
-			f.Seed, f.Kind, f.Err)
+			f.Seed, f.Kind, cause)
 	}
 	return b.String()
 }

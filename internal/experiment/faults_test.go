@@ -331,6 +331,16 @@ func TestKeepGoingRecordsFailures(t *testing.T) {
 			t.Fatalf("failed summary missing %q:\n%s", want, sum)
 		}
 	}
+	// The summary names the cell once, in its columns: the error column
+	// carries the cause without the attribution FailedCell.Err keeps.
+	for _, row := range strings.Split(strings.TrimRight(sum, "\n"), "\n")[2:] {
+		if strings.Contains(row, "speed=") || strings.Contains(row, "seed=") {
+			t.Fatalf("failed summary row repeats its cell in the error column: %q", row)
+		}
+		if !strings.HasSuffix(row, " injected total failure") && !strings.HasSuffix(row, " injected partial failure") {
+			t.Fatalf("failed summary row does not end with the bare cause: %q", row)
+		}
+	}
 	clean := Sweep{Base: quickBase(), Protocols: []string{"MTS"}, Speeds: []float64{2}, Reps: 1, SeedBase: 1}
 	cres, err := clean.Run()
 	if err != nil {

@@ -420,8 +420,8 @@ func TestChaosCoevolutionBitIdentical(t *testing.T) {
 	putErrs, tears, getErrs := flaky.Counts()
 	t.Logf("injected: %d panics, %d errors, %d slow runs; cache: %d put errors, %d torn writes, %d read misses",
 		panics, errs, slows, putErrs, tears, getErrs)
-	if putErrs+tears == 0 {
-		t.Fatal("cache chaos missed every cell the faulted game finished — re-pick the seed")
+	if putErrs == 0 || tears == 0 {
+		t.Fatal("cache chaos missed the cells the faulted game finished — re-pick the seed")
 	}
 
 	resume := chaosGame()
@@ -442,5 +442,10 @@ func TestChaosCoevolutionBitIdentical(t *testing.T) {
 	if resumed.Attacker != clean.Attacker || resumed.Defender != clean.Defender {
 		t.Errorf("resumed equilibrium (%d,%d) differs from clean (%d,%d)",
 			resumed.Attacker, resumed.Defender, clean.Attacker, clean.Defender)
+	}
+	// Every torn cell reaches the quarantine once, whether the faulted
+	// game or the resume read it.
+	if h := store.Health(); h.Quarantined != tears {
+		t.Fatalf("quarantined %d entries, injected %d torn writes (health %+v)", h.Quarantined, tears, h)
 	}
 }

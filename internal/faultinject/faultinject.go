@@ -158,7 +158,7 @@ type FlakyCache struct {
 
 	mu      sync.Mutex
 	putErrs int
-	tears   int
+	torn    map[string]bool // entry paths torn at least once
 	getErrs int
 }
 
@@ -166,11 +166,13 @@ func (c *FlakyCache) draw(cfg scenario.Config, which string) float64 {
 	return Plan{Seed: c.Faults.Seed}.draw(cfg, "cache-"+which)
 }
 
-// Counts reports how many cache faults of each kind were injected.
+// Counts reports how many cache faults of each kind were injected. A
+// cell whose entry is torn again when it is re-put counts as one tear:
+// tears is the number of distinct torn cells.
 func (c *FlakyCache) Counts() (putErrs, tears, getErrs int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.putErrs, c.tears, c.getErrs
+	return c.putErrs, len(c.torn), c.getErrs
 }
 
 // Get serves the underlying store, except for cells drawn as erroring
@@ -204,7 +206,10 @@ func (c *FlakyCache) Put(cfg scenario.Config, m *metrics.RunMetrics) error {
 			if raw, err := os.ReadFile(path); err == nil && len(raw) > 2 {
 				if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err == nil {
 					c.mu.Lock()
-					c.tears++
+					if c.torn == nil {
+						c.torn = make(map[string]bool)
+					}
+					c.torn[path] = true
 					c.mu.Unlock()
 				}
 			}

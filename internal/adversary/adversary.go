@@ -229,9 +229,9 @@ func Build(spec Spec, hosts []*node.Node, rng *sim.RNG) (*Adversary, error) {
 		for _, h := range hosts {
 			a.Tap(h)
 			self := h.ID()
-			h.DropFilter = func(p *packet.Packet, next packet.NodeID) bool {
-				return a.shouldDrop(self, p)
-			}
+			h.AddStage(node.Stage{Send: func(p *packet.Packet, _ packet.NodeID) node.Verdict {
+				return a.drop(self, p)
+			}})
 		}
 	case ModelWormhole, ModelRushing:
 		if model == ModelWormhole && len(hosts) != 2 {
@@ -241,9 +241,11 @@ func Build(spec Spec, hosts []*node.Node, rng *sim.RNG) (*Adversary, error) {
 			a.Tap(h)
 			a.TapAttracted(h)
 			if model == ModelWormhole {
-				h.InstallRouteFilter(&endpointFilter{w: a, idx: i})
+				h.AddStage(node.Stage{Send: func(p *packet.Packet, next packet.NodeID) node.Verdict {
+					return a.tunnelControl(i, p, next)
+				}})
 			} else {
-				h.InstallRouteFilter(rushFilter{})
+				h.AddStage(node.Stage{Jitter: rushJitter})
 			}
 		}
 	default:
@@ -274,7 +276,7 @@ func (a *Adversary) roam(interval sim.Duration, rng *sim.RNG) {
 	}
 	for _, h := range a.hosts {
 		i := a.Join(h)
-		h.AddTap(func(f *packet.Frame) {
+		h.AddStage(node.Stage{Tap: func(f *packet.Frame) {
 			if !eaves.Counts(f) {
 				return
 			}
@@ -284,7 +286,7 @@ func (a *Adversary) roam(interval sim.Duration, rng *sim.RNG) {
 			if i == a.active {
 				a.Hear(i, f.Payload.DataID)
 			}
-		})
+		}})
 	}
 	if interval <= 0 {
 		interval = 10 * sim.Second
@@ -315,17 +317,17 @@ func (a *Adversary) retap() {
 	clear(a.recent)
 }
 
-// shouldDrop implements the insider policy: only transit data packets are
-// dropped. Packets the relay originates itself, and all routing control
-// traffic, pass through — a dropper that broke discovery would never be
-// routed through in the first place.
-func (a *Adversary) shouldDrop(self packet.NodeID, p *packet.Packet) bool {
+// drop is a dropping relay's Send stage, the insider policy: only
+// transit data packets are dropped. Packets the relay originates itself,
+// and all routing control traffic, pass through — a dropper that broke
+// discovery would never be routed through in the first place.
+func (a *Adversary) drop(self packet.NodeID, p *packet.Packet) node.Verdict {
 	if p.Kind != packet.KindData || p.DataID == 0 || p.Src == self {
-		return false
+		return node.Pass
 	}
 	if a.rate < 1 && a.rng != nil && a.rng.Float64() >= a.rate {
-		return false
+		return node.Pass
 	}
 	a.CountDrop()
-	return true
+	return node.Drop
 }

@@ -148,12 +148,12 @@ func TestCoalitionK1MatchesLegacy(t *testing.T) {
 	sched, nodes, uids := buildNet(t, line())
 	var refFrames uint64
 	refSeen := map[uint64]bool{}
-	nodes[1].AddTap(func(f *packet.Frame) {
+	nodes[1].AddStage(node.Stage{Tap: func(f *packet.Frame) {
 		if eaves.Counts(f) {
 			refFrames++
 			refSeen[f.Payload.DataID] = true
 		}
-	})
+	}})
 	c, err := Build(Spec{}, nodes[1:2], nil)
 	if err != nil {
 		t.Fatal(err)

@@ -170,24 +170,38 @@ func TestWormholeTunnelExactlyOnce(t *testing.T) {
 
 // TestRushingFilterPolicy pins the rushing attack's narrow footprint:
 // route-request jitter collapses to zero, every other kind keeps its
-// timing, and the filter never claims a packet (timing is the whole
+// timing, and a rushing host claims no packet (timing is the whole
 // attack — ownership transfers would change arena accounting).
 func TestRushingFilterPolicy(t *testing.T) {
-	var f rushFilter
 	rreq := &packet.Packet{Kind: packet.KindRREQ}
-	if d := f.RouteJitter(rreq, 10*sim.Millisecond); d != 0 {
+	if d := rushJitter(rreq, 10*sim.Millisecond); d != 0 {
 		t.Fatalf("RREQ jitter = %v, want 0 (rushed)", d)
 	}
-	for _, k := range []packet.Kind{packet.KindRREP, packet.KindRERR, packet.KindCheck, packet.KindData} {
-		p := &packet.Packet{Kind: k}
-		if d := f.RouteJitter(p, 10*sim.Millisecond); d != 10*sim.Millisecond {
+	kinds := []packet.Kind{packet.KindRREP, packet.KindRERR, packet.KindCheck, packet.KindData}
+	for _, k := range kinds {
+		if d := rushJitter(&packet.Packet{Kind: k}, 10*sim.Millisecond); d != 10*sim.Millisecond {
 			t.Fatalf("kind %v jitter rewritten to %v, want untouched", k, d)
 		}
-		if f.FilterRoute(p, 1) {
-			t.Fatalf("rushing claimed a %v packet", k)
-		}
 	}
-	if f.FilterRoute(rreq, packet.Broadcast) {
-		t.Fatal("rushing claimed an RREQ")
+
+	sched, nodes, uids := buildNet(t, line())
+	if _, err := Build(Spec{Model: ModelRushing}, nodes[1:2], nil); err != nil {
+		t.Fatal(err)
+	}
+	aired := map[packet.Kind]bool{}
+	nodes[1].AddStage(node.Stage{Aired: func(f *packet.Frame) {
+		if f.Payload != nil {
+			aired[f.Payload.Kind] = true
+		}
+	}})
+	nodes[1].SendMac(&packet.Packet{UID: uids.Next(), Kind: packet.KindRREQ, Size: 40, Src: 1, Dst: 4, TTL: 8}, packet.Broadcast)
+	for _, k := range kinds {
+		nodes[1].SendMac(&packet.Packet{UID: uids.Next(), Kind: k, Size: 40, Src: 1, Dst: 0, TTL: 8, DataID: 1}, 0)
+	}
+	sched.RunUntil(sim.Time(sim.Second))
+	for _, k := range append(kinds, packet.KindRREQ) {
+		if !aired[k] {
+			t.Errorf("rushing host did not air its %v packet", k)
+		}
 	}
 }

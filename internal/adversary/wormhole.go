@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"mtsim/internal/node"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
@@ -42,56 +43,43 @@ func (w *Adversary) forget(t *tunnelled) {
 	}
 }
 
-// endpointFilter is one end of a wormhole: a pair of colluding relays
-// joined by an out-of-band tunnel (AODVSEC's wormhole attack). Each endpoint relays honestly on the air,
-// but additionally teleports its outgoing route-discovery control traffic
-// to the far endpoint: a tunnelled RREQ re-broadcast arrives at the peer
-// carrying a record that ends at the near endpoint, so when the peer
-// processes and re-floods it the discovered route contains the phantom
-// one-hop link near→far — typically far shorter than any real path, so
-// sources prefer it. Replies and other unicast control addressed across
-// the phantom link are tunnelled too (the endpoints are usually out of
-// radio range of each other). Data is NOT tunnelled: packets routed into
-// the wormhole die at the near endpoint when its MAC cannot reach the
-// phantom next hop — the classic wormhole-then-drop denial, observable by
-// upstream watchdogs precisely because the DATA frame never airs.
+// tunnelControl is the Send stage of one end of a wormhole: a pair of
+// colluding relays joined by an out-of-band tunnel (AODVSEC's wormhole
+// attack). Each endpoint relays honestly on the air, but additionally
+// teleports its outgoing route-discovery control traffic to the far
+// endpoint: a tunnelled RREQ re-broadcast arrives at the peer carrying a
+// record that ends at the near endpoint, so when the peer processes and
+// re-floods it the discovered route contains the phantom one-hop link
+// near→far — typically far shorter than any real path, so sources prefer
+// it. Data is NOT tunnelled: packets routed into the wormhole die at the
+// near endpoint when its MAC cannot reach the phantom next hop — the
+// classic wormhole-then-drop denial, observable by upstream watchdogs
+// precisely because the DATA frame never airs.
 //
-// The tunnel works through the node.RouteFilter hook, so the data-plane
-// arena contract is untouched: each tunnelled clone is delivered to the
-// peer exactly once (borrowed, per the receive convention) and released
-// exactly once, and Retire drains clones still in flight when a run ends.
+// Broadcast control (RREQ floods) is cloned into the tunnel and still
+// aired locally — the endpoint keeps behaving like an honest relay.
+// Unicast control whose next hop is the far endpoint exists only because
+// of the phantom link, so it is claimed outright and tunnelled; letting
+// the MAC try would just burn retries against an out-of-range peer.
 //
-// It adapts one endpoint to node.RouteFilter.
-type endpointFilter struct {
-	w   *Adversary
-	idx int
-}
-
-// FilterRoute implements node.RouteFilter. Broadcast control (RREQ
-// floods) is cloned into the tunnel and still aired locally — the
-// endpoint keeps behaving like an honest relay. Unicast control whose
-// next hop is the far endpoint exists only because of the phantom link,
-// so it is claimed outright and tunnelled; letting the MAC try would just
-// burn retries against an out-of-range peer.
-func (f *endpointFilter) FilterRoute(p *packet.Packet, next packet.NodeID) bool {
-	return f.w.filter(f.idx, p, next)
-}
-
-// RouteJitter implements node.RouteFilter: wormholes do not touch timing.
-func (f *endpointFilter) RouteJitter(_ *packet.Packet, d sim.Duration) sim.Duration { return d }
-
-func (w *Adversary) filter(from int, p *packet.Packet, next packet.NodeID) bool {
+// The data-plane arena contract is untouched: each tunnelled clone is
+// delivered to the peer exactly once (borrowed, per the receive
+// convention) and released exactly once, and Retire drains clones still
+// in flight when a run ends.
+func (w *Adversary) tunnelControl(from int, p *packet.Packet, next packet.NodeID) node.Verdict {
+	if !p.Kind.IsControl() {
+		return node.Pass
+	}
 	src, dst := w.hosts[from], w.hosts[1-from]
 	switch next {
 	case packet.Broadcast:
-		clone := src.Arena().Copy(p, src.UIDs())
-		w.tunnel(from, clone)
-		return false // the original still floods locally
+		w.tunnel(from, src.Arena().Copy(p, src.UIDs()))
+		return node.Pass // the original still floods locally
 	case dst.ID():
 		w.tunnel(from, p)
-		return true // claimed: crosses the phantom link out of band
+		return node.Claim // crosses the phantom link out of band
 	default:
-		return false
+		return node.Pass
 	}
 }
 

@@ -447,8 +447,8 @@ func New(env routing.Env, cfg Config) *Router {
 	r := &Router{
 		env:    env,
 		cfg:    cfg,
-		ar:     routing.ArenaOf(env),
-		trust:  routing.TrustOf(env),
+		ar:     env.Arena(),
+		trust:  env.Trust(),
 		seen:   make(map[seenKey]bool),
 		src:    make(map[packet.NodeID]*srcState),
 		dst:    make(map[packet.NodeID]*dstState),

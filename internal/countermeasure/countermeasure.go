@@ -40,7 +40,7 @@ package countermeasure
 import (
 	"fmt"
 
-	"mtsim/internal/packet"
+	"mtsim/internal/node"
 	"mtsim/internal/sim"
 )
 
@@ -230,16 +230,17 @@ func New(spec Spec) *Defence {
 	return &Defence{spec: spec}
 }
 
-// AttachTrust creates and registers one node's trust table when the model
-// keeps trust, and returns nil otherwise. Trust wants a table on every
-// node, installed before the node's routing protocol is constructed
-// (node.InstallTrust): routers capture the node's trust oracle at New.
-func (d *Defence) AttachTrust(self packet.NodeID, sched *sim.Scheduler) *TrustTable {
+// AttachTrust registers a trust table as a stage on h when the model
+// keeps trust, and returns it (nil otherwise). Trust wants a table on
+// every node, attached before the node's routing protocol is constructed:
+// routers capture the node's trust oracle at New.
+func (d *Defence) AttachTrust(h Host) *TrustTable {
 	if !d.spec.Trusts() {
 		return nil
 	}
-	tbl := NewTrustTable(self, sched, d.spec.EffectiveThreshold())
+	tbl := NewTrustTable(h.ID(), h.Scheduler(), d.spec.EffectiveThreshold())
 	d.tables = append(d.tables, tbl)
+	h.AddStage(node.Stage{Sent: tbl.NoteSend, LinkFailed: tbl.NoteLinkFailure, Tap: tbl.TapFrame, Trust: tbl})
 	return tbl
 }
 

@@ -3,6 +3,7 @@ package countermeasure
 import (
 	"testing"
 
+	"mtsim/internal/node"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
@@ -27,8 +28,10 @@ func (h *fakeHost) ID() packet.NodeID         { return h.id }
 func (h *fakeHost) Scheduler() *sim.Scheduler { return h.sched }
 func (h *fakeHost) Arena() *packet.Arena      { return h.arena }
 func (h *fakeHost) Inject(p *packet.Packet)   { h.injected = append(h.injected, p) }
-func (h *fakeHost) InstallOriginateFilter(f func(p *packet.Packet) bool) {
-	h.filter = f
+func (h *fakeHost) AddStage(st node.Stage) {
+	if st.Originate != nil {
+		h.filter = st.Originate
+	}
 }
 
 // originate pushes one data segment with the given DataID through the
@@ -255,7 +258,7 @@ func TestBuildModels(t *testing.T) {
 	if h.filter != nil {
 		t.Fatal("aware-only build installed an originate filter")
 	}
-	if aware.AttachTrust(1, h.sched) != nil {
+	if aware.AttachTrust(h) != nil {
 		t.Fatal("aware-only build attached a trust table")
 	}
 	if New(Spec{}).Model() != ModelNone {
@@ -275,7 +278,7 @@ func TestBuildModels(t *testing.T) {
 		t.Fatalf("shuffle+aware build: model %q, filter installed: %v", both.Model(), h.filter != nil)
 	}
 	trust := New(Spec{Model: ModelTrust, Threshold: 0.5})
-	tbl := trust.AttachTrust(1, h.sched)
+	tbl := trust.AttachTrust(h)
 	if tbl == nil || tbl.threshold != 0.5 {
 		t.Fatalf("trust build attached table %+v, want threshold 0.5", tbl)
 	}

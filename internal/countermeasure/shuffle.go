@@ -1,25 +1,24 @@
 package countermeasure
 
 import (
+	"mtsim/internal/node"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
 
-// Host is the slice of a node a shuffler needs: identity, timers, the
-// arena for retiring buffered segments, and the two ends of the originate
-// hook — the filter through which it claims outgoing segments and Inject,
-// through which it releases them to the routing protocol. node.Node
-// implements it; tests use lightweight fakes.
+// Host is the slice of a node a defence needs: identity, timers, the
+// arena for retiring buffered segments, AddStage to register its
+// interceptions (a shuffler's Originate, a trust table's evidence feeds)
+// and Inject, through which a shuffler releases claimed segments to the
+// routing protocol. node.Node implements it; tests use lightweight fakes.
 type Host interface {
 	ID() packet.NodeID
 	Scheduler() *sim.Scheduler
 	Arena() *packet.Arena
+	AddStage(st node.Stage)
 	// Inject hands a packet to the routing protocol, bypassing the
-	// originate filter.
+	// Originate stages.
 	Inject(p *packet.Packet)
-	// InstallOriginateFilter routes every locally originated packet
-	// through f; f returning true claims the packet.
-	InstallOriginateFilter(f func(p *packet.Packet) bool)
 }
 
 // Shuffler buffers the data segments one source node originates and
@@ -55,11 +54,11 @@ func NewShuffler(h Host, rng *sim.RNG, depth int, hold sim.Duration) *Shuffler {
 		depth = 1
 	}
 	s := &Shuffler{host: h, ar: h.Arena(), rng: rng, depth: depth, hold: hold}
-	h.InstallOriginateFilter(s.Filter)
+	h.AddStage(node.Stage{Originate: s.Filter})
 	return s
 }
 
-// Filter implements the originate hook: transport data segments that this
+// Filter is the shuffler's Originate stage: transport data segments that this
 // node itself originates are claimed into the current block; everything
 // else (ACKs, control, transit traffic) passes straight through.
 func (s *Shuffler) Filter(p *packet.Packet) bool {

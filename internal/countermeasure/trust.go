@@ -68,7 +68,7 @@ func (sc *score) expire(now sim.Time) {
 // compromised:
 //
 //   - watchdog sends: handing a unicast data packet to the MAC opens an
-//     obligation on the next hop (node.TrustMonitor.NoteSend);
+//     obligation on the next hop (NoteSend, a Sent stage);
 //   - promiscuous confirmation: overhearing the neighbour re-air that
 //     DataID closes the obligation as a forward (TapFrame — sound because
 //     RTS/CTS means a DATA frame only airs when the next hop actually
@@ -106,11 +106,13 @@ func (t *TrustTable) score(id packet.NodeID) *score {
 	return sc
 }
 
-// NoteSend implements node.TrustMonitor: opens a watchdog obligation on
-// next, unless next is the packet's final destination (destinations
-// consume, they owe no re-air).
+// NoteSend is the table's Sent stage: a unicast data packet handed to
+// the MAC opens a watchdog obligation on next, unless next is the
+// packet's final destination (destinations consume, they owe no re-air).
+// It runs after every Send verdict, so a packet this node dropped itself
+// opens none.
 func (t *TrustTable) NoteSend(p *packet.Packet, next packet.NodeID) {
-	if next == p.Dst || p.DataID == 0 {
+	if p.Kind != packet.KindData || next == packet.Broadcast || next == p.Dst || p.DataID == 0 {
 		return
 	}
 	now := t.sched.Now()
@@ -123,14 +125,15 @@ func (t *TrustTable) NoteSend(p *packet.Packet, next packet.NodeID) {
 	sc.pend = append(sc.pend, obligation{dataID: p.DataID, deadline: now + sim.Time(WatchdogTimeout)})
 }
 
-// NoteLinkFailure implements node.TrustMonitor.
-func (t *TrustTable) NoteLinkFailure(next packet.NodeID) {
+// NoteLinkFailure is the table's LinkFailed stage: MAC retry exhaustion
+// toward next counts as a drop.
+func (t *TrustTable) NoteLinkFailure(_ *packet.Packet, next packet.NodeID) {
 	t.score(next).drops++
 }
 
-// TapFrame is the watchdog ear (node.FrameTap, wired by InstallTrust):
-// overhearing a neighbour transmit a data frame closes any matching
-// obligation as a confirmed forward.
+// TapFrame is the watchdog ear (the table's Tap stage): overhearing a
+// neighbour transmit a data frame closes any matching obligation as a
+// confirmed forward.
 func (t *TrustTable) TapFrame(f *packet.Frame) {
 	if f.Kind != packet.FrameData || f.Payload == nil ||
 		f.Payload.Kind != packet.KindData || f.Payload.DataID == 0 {

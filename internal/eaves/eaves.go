@@ -50,11 +50,11 @@ func NewLedger() Ledger { return Ledger{union: make(map[uint64]bool)} }
 func (l *Ledger) Tap(n *node.Node) {
 	i := len(l.members)
 	l.members = append(l.members, vantage{Member: Member{Node: n.ID()}, seen: make(map[uint64]bool)})
-	n.AddTap(func(f *packet.Frame) {
+	n.AddStage(node.Stage{Tap: func(f *packet.Frame) {
 		if Counts(f) {
 			l.Hear(i, f.Payload.DataID)
 		}
-	})
+	}})
 }
 
 // Join adds a roaming vantage point at n and returns its index. It
@@ -87,12 +87,12 @@ func (l *Ledger) Hear(i int, id uint64) {
 // transmission attempts only; MAC retries are not re-counted.
 func (l *Ledger) TapAttracted(n *node.Node) {
 	self := n.ID()
-	n.AddTap(func(f *packet.Frame) {
+	n.AddStage(node.Stage{Tap: func(f *packet.Frame) {
 		if f.Kind == packet.FrameData && f.TxTo == self && !f.Retry &&
 			f.Payload != nil && f.Payload.Kind == packet.KindData {
 			l.attracted++
 		}
-	})
+	}})
 }
 
 // CountDrop records one data packet the adversary discarded.

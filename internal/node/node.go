@@ -38,68 +38,65 @@ type Node struct {
 	Proto routing.Protocol
 
 	flows map[int]FlowHandler
-	taps  []func(f *packet.Frame)
 
-	// Metric hooks, set by the scenario's collector. Any may be nil.
-	OnRelay     func(p *packet.Packet)                // relayed a data packet (β)
-	OnRouteDrop func(p *packet.Packet, reason string) // routing-layer drop
-
-	// DropFilter, when set, vets every packet the routing layer hands to
-	// the MAC; returning true silently discards the packet (recorded as a
-	// routing drop with reason "adversary"). Adversarial relay models
-	// (blackhole/grayhole) install it; legitimate nodes leave it nil.
-	DropFilter func(p *packet.Packet, next packet.NodeID) bool
-
-	// OriginateFilter, when set, intercepts every locally generated packet
-	// before the routing protocol sees it; returning true means the filter
-	// took ownership (the data-shuffling countermeasure buffers segments
-	// here and releases them later through Inject). Defensive mirror of
-	// DropFilter; ordinary nodes leave it nil.
-	OriginateFilter func(p *packet.Packet) bool
-
-	// RouteFilter, when set, vets every *control* packet (RREQ/RREP/RERR
-	// and MTS checking traffic) on its way to the MAC, and may rewrite the
-	// broadcast jitter of deferred control sends. Route-discovery attacks
-	// (wormhole tunnelling, rushing) install it; legitimate nodes leave it
-	// nil. The data plane never passes through it, so the arena contract
-	// for data packets is untouched.
-	RouteFilter RouteFilter
-
-	// trust, when set, observes forwarding evidence (sends handed to the
-	// MAC, link failures, overheard relays via the promiscuous tap) and
-	// answers routing.TrustCarrier queries. Installed by the trust
-	// countermeasure; nil on undefended nodes.
-	trust TrustMonitor
+	// stages are the registered interceptions in registration order;
+	// trust is the one oracle among them.
+	stages []Stage
+	trust  routing.TrustOracle
 }
 
-// RouteFilter intercepts control-plane transmissions. FilterRoute
-// returning true means the filter took ownership of the packet — the
-// node neither transmits nor releases it (the wormhole tunnels it to the
-// far endpoint and releases it there). RouteJitter may rewrite the
-// jitter of a deferred control send (the rushing attack returns 0 so the
-// compromised relay's rebroadcast wins the duplicate-suppression race);
-// the protocol has already drawn its jitter from its RNG by the time
-// this runs, so RNG streams are unperturbed either way.
-type RouteFilter interface {
-	FilterRoute(p *packet.Packet, next packet.NodeID) bool
-	RouteJitter(p *packet.Packet, d sim.Duration) sim.Duration
+// Stage is one party's interception of a node's traffic: adversaries,
+// defences, the metrics collector and the tracer each register one (or
+// several) through AddStage. Every field is optional; a nil func is never
+// called, and a point no registered stage uses costs nothing.
+type Stage struct {
+	// Originate sees every locally generated packet before the routing
+	// protocol does; returning true claims it (the data-shuffling defence
+	// buffers segments here and releases them later through Inject).
+	Originate func(p *packet.Packet) bool
+	// Send vets every packet the routing layer hands to the MAC. Drop
+	// discards the packet as a routing drop with reason "adversary"
+	// (blackhole, grayhole); Claim means the stage took ownership and the
+	// node neither transmits nor releases it (the wormhole tunnels it).
+	Send func(p *packet.Packet, next packet.NodeID) Verdict
+	// Sent observes a packet that every Send verdict passed, just before
+	// it is handed to the MAC (the trust watchdog's obligations).
+	Sent func(p *packet.Packet, next packet.NodeID)
+	// Jitter may rewrite the delay of a deferred send (the rushing attack
+	// zeroes it for route requests). The protocol has already drawn the
+	// delay from its RNG, so RNG streams are unperturbed either way.
+	Jitter func(p *packet.Packet, d sim.Duration) sim.Duration
+	// Tap sees every frame this node decodes, before address filtering:
+	// eavesdroppers, DSR snooping, the trust watchdog's ear, the tracer.
+	Tap func(f *packet.Frame)
+	// LinkFailed observes MAC retry exhaustion toward next, before the
+	// routing protocol is told.
+	LinkFailed func(p *packet.Packet, next packet.NodeID)
+	// Aired observes every frame this node's MAC puts on the air.
+	Aired func(f *packet.Frame)
+	// Relayed observes a data packet this node relayed (β, Table I).
+	Relayed func(p *packet.Packet)
+	// Dropped observes a routing-layer drop with its reason.
+	Dropped func(p *packet.Packet, reason string)
+	// Trust is the node's trust oracle, which Trust hands to the routing
+	// protocol. At most one stage per node carries one (the last wins).
+	Trust routing.TrustOracle
 }
 
-// TrustMonitor is the node-facing surface of a per-neighbour trust table:
-// a routing.TrustOracle that additionally ingests the forwarding evidence
-// this node can observe first-hand.
-type TrustMonitor interface {
-	routing.TrustOracle
-	// NoteSend records that a unicast data packet was handed to the MAC
-	// with the given next hop — the start of a forwarding obligation the
-	// monitor will hold the neighbour to.
-	NoteSend(p *packet.Packet, next packet.NodeID)
-	// NoteLinkFailure records MAC retry exhaustion toward next.
-	NoteLinkFailure(next packet.NodeID)
-}
+// Verdict is a Send stage's decision on one outgoing packet.
+type Verdict uint8
+
+const (
+	// Pass lets the packet continue to the next stage and the MAC.
+	Pass Verdict = iota
+	// Drop discards the packet, recorded as a routing drop "adversary".
+	Drop
+	// Claim hands the packet to the stage, which now owns it.
+	Claim
+)
 
 // FrameTap is implemented by routing protocols that listen promiscuously
-// (DSR's snooping). The node wires it to the MAC's tap automatically.
+// (DSR's snooping). SetProtocol registers it as a Tap stage.
 type FrameTap interface {
 	TapFrame(f *packet.Frame)
 }
@@ -133,71 +130,77 @@ func (n *Node) SetArena(a *packet.Arena) {
 	n.Mac.SetArena(a)
 }
 
-// Arena implements routing.ArenaCarrier (and the transport layer's
-// equivalent assertion); nil when the node was assembled without one.
+// Arena implements routing.Env (and the transport layer's equivalent
+// assertion); nil when the node was assembled without one.
 func (n *Node) Arena() *packet.Arena { return n.arena }
 
-// SetProtocol binds the routing protocol. Must be called before Start.
+// SetProtocol binds the routing protocol. Must be called before Start,
+// and after any stage carrying Trust: routers capture the oracle at New.
 func (n *Node) SetProtocol(p routing.Protocol) {
 	n.Proto = p
 	if tap, ok := p.(FrameTap); ok {
-		n.AddTap(tap.TapFrame)
+		n.AddStage(Stage{Tap: tap.TapFrame})
 	}
 }
 
-// InstallOriginateFilter sets OriginateFilter (countermeasure.Host).
-func (n *Node) InstallOriginateFilter(f func(p *packet.Packet) bool) {
-	n.OriginateFilter = f
-}
-
-// InstallRouteFilter sets RouteFilter (adversary control-plane attacks).
-func (n *Node) InstallRouteFilter(f RouteFilter) { n.RouteFilter = f }
-
-// InstallTrust binds the trust countermeasure's monitor to this node and
-// wires its promiscuous evidence feed. The monitor then answers Trust()
-// queries from the routing protocol.
-func (n *Node) InstallTrust(m TrustMonitor) {
-	n.trust = m
-	if tap, ok := m.(FrameTap); ok {
-		n.AddTap(tap.TapFrame)
+// AddStage registers st's interceptions. At each point the stages run in
+// registration order, with two fixed orderings whatever the order of
+// registration: in SendMac every Send verdict runs before any Sent
+// observer, and in LinkFailed every stage runs before the protocol.
+func (n *Node) AddStage(st Stage) {
+	n.stages = append(n.stages, st)
+	if st.Tap != nil && n.Mac.Tap == nil {
+		n.Mac.Tap = n.tap
+	}
+	// Every node has the collector's Aired: the MAC calls a lone one
+	// directly and fans out only to several.
+	if st.Aired != nil {
+		if n.Mac.OnSend == nil {
+			n.Mac.OnSend = st.Aired
+		} else {
+			n.Mac.OnSend = n.aired
+		}
+	}
+	if st.Trust != nil {
+		n.trust = st.Trust
 	}
 }
 
-// Trust implements routing.TrustCarrier. The two-step nil check matters:
-// a nil *concrete* monitor stored in the interface field would otherwise
-// leak out as a non-nil routing.TrustOracle.
-func (n *Node) Trust() routing.TrustOracle {
-	if n.trust == nil {
-		return nil
-	}
-	return n.trust
-}
-
-// AddTap registers a promiscuous frame listener (eavesdropper, snooping
-// protocols, trace writers). Multiple listeners are supported.
-func (n *Node) AddTap(h func(f *packet.Frame)) {
-	n.taps = append(n.taps, h)
-	if len(n.taps) == 1 {
-		n.Mac.Tap = func(f *packet.Frame) {
-			for _, t := range n.taps {
-				t(f)
-			}
+// tap is the MAC's promiscuous hook while any stage has a Tap.
+func (n *Node) tap(f *packet.Frame) {
+	for i := range n.stages {
+		if h := n.stages[i].Tap; h != nil {
+			h(f)
 		}
 	}
 }
 
+// aired is the MAC's send hook while several stages have an Aired.
+func (n *Node) aired(f *packet.Frame) {
+	for i := range n.stages {
+		if h := n.stages[i].Aired; h != nil {
+			h(f)
+		}
+	}
+}
+
+// Trust implements routing.Env: the oracle a stage registered, or nil.
+func (n *Node) Trust() routing.TrustOracle { return n.trust }
+
 // Originate hands a locally generated packet to the routing protocol;
-// transport endpoints call this (tcp.Network interface). An installed
-// OriginateFilter may claim the packet first.
+// transport endpoints call this (tcp.Network interface). An Originate
+// stage may claim the packet first.
 func (n *Node) Originate(p *packet.Packet) {
-	if n.OriginateFilter != nil && n.OriginateFilter(p) {
-		return
+	for i := range n.stages {
+		if f := n.stages[i].Originate; f != nil && f(p) {
+			return
+		}
 	}
 	n.Inject(p)
 }
 
-// Inject hands a packet directly to the routing protocol, bypassing any
-// OriginateFilter — the re-entry point a countermeasure uses to release
+// Inject hands a packet directly to the routing protocol, bypassing the
+// Originate stages — the re-entry point a countermeasure uses to release
 // packets it previously claimed from Originate.
 func (n *Node) Inject(p *packet.Packet) {
 	if n.Proto != nil {
@@ -233,8 +236,10 @@ func (n *Node) Deliver(p *packet.Packet, from packet.NodeID) {
 
 // LinkFailed implements mac.Upper.
 func (n *Node) LinkFailed(p *packet.Packet, next packet.NodeID) {
-	if n.trust != nil {
-		n.trust.NoteLinkFailure(next)
+	for i := range n.stages {
+		if f := n.stages[i].LinkFailed; f != nil {
+			f(p, next)
+		}
 	}
 	if n.Proto != nil {
 		n.Proto.LinkFailed(p, next)
@@ -255,26 +260,33 @@ func (n *Node) RNG() *sim.RNG { return n.rng }
 // UIDs implements routing.Env.
 func (n *Node) UIDs() *packet.UIDSource { return n.uids }
 
-// SendMac implements routing.Env.
+// SendMac implements routing.Env. Every Send verdict runs before any
+// Sent observer, so an observer never sees a packet a stage dropped or
+// claimed.
 func (n *Node) SendMac(p *packet.Packet, next packet.NodeID) {
-	if n.DropFilter != nil && n.DropFilter(p, next) {
-		n.NotifyDrop(p, "adversary")
-		n.arena.Release(p)
-		return
+	for i := range n.stages {
+		if f := n.stages[i].Send; f != nil {
+			switch f(p, next) {
+			case Drop:
+				n.NotifyDrop(p, "adversary")
+				n.arena.Release(p)
+				return
+			case Claim:
+				return
+			}
+		}
 	}
-	if n.RouteFilter != nil && p.Kind.IsControl() && n.RouteFilter.FilterRoute(p, next) {
-		return // filter took ownership (tunnelled; released at the far end)
-	}
-	if n.trust != nil && next != packet.Broadcast && p.Kind == packet.KindData {
-		n.trust.NoteSend(p, next)
+	for i := range n.stages {
+		if f := n.stages[i].Sent; f != nil {
+			f(p, next)
+		}
 	}
 	n.Mac.Send(p, next)
 }
 
 // delayedSend is one jittered transmission awaiting its timer: the node
 // owns the packet until the task fires and re-enters SendMac (so the
-// adversary DropFilter still vets it at fire time, exactly as an
-// immediate send would be).
+// Send stages vet it at fire time, exactly as an immediate send).
 type delayedSend struct {
 	n    *Node
 	p    *packet.Packet
@@ -306,8 +318,10 @@ func (n *Node) forgetDelayed(d *delayedSend) {
 // task event (protocol broadcast jitter used to burn one closure + event
 // allocation per flooded hop).
 func (n *Node) SendMacAfter(d sim.Duration, p *packet.Packet, next packet.NodeID) {
-	if n.RouteFilter != nil && p.Kind.IsControl() {
-		d = n.RouteFilter.RouteJitter(p, d)
+	for i := range n.stages {
+		if f := n.stages[i].Jitter; f != nil {
+			d = f(p, d)
+		}
 	}
 	ds := n.dsPool.Get()
 	ds.n, ds.p, ds.next = n, p, next
@@ -349,22 +363,24 @@ func (n *Node) DeliverLocal(p *packet.Packet, from packet.NodeID) {
 
 // NotifyRelay implements routing.Env.
 func (n *Node) NotifyRelay(p *packet.Packet) {
-	if n.OnRelay != nil {
-		n.OnRelay(p)
+	for i := range n.stages {
+		if f := n.stages[i].Relayed; f != nil {
+			f(p)
+		}
 	}
 }
 
 // NotifyDrop implements routing.Env.
 func (n *Node) NotifyDrop(p *packet.Packet, reason string) {
-	if n.OnRouteDrop != nil {
-		n.OnRouteDrop(p, reason)
+	for i := range n.stages {
+		if f := n.stages[i].Dropped; f != nil {
+			f(p, reason)
+		}
 	}
 }
 
 // Compile-time interface checks.
 var (
-	_ mac.Upper            = (*Node)(nil)
-	_ routing.Env          = (*Node)(nil)
-	_ routing.ArenaCarrier = (*Node)(nil)
-	_ routing.TrustCarrier = (*Node)(nil)
+	_ mac.Upper   = (*Node)(nil)
+	_ routing.Env = (*Node)(nil)
 )

@@ -143,7 +143,7 @@ func TestNodeTapFanout(t *testing.T) {
 	// The protocol implements FrameTap, so SetProtocol wired one tap;
 	// add a second listener and verify both observe traffic.
 	var extra int
-	n1.AddTap(func(f *packet.Frame) { extra++ })
+	n1.AddStage(Stage{Tap: func(f *packet.Frame) { extra++ }})
 	var uids packet.UIDSource
 	n0.Originate(&packet.Packet{UID: uids.Next(), Kind: packet.KindData, Size: 1040, Src: 0, Dst: 1, TTL: 8})
 	sched.RunUntil(sim.Time(sim.Second))
@@ -166,4 +166,47 @@ func TestNodeDropQueued(t *testing.T) {
 		t.Fatal("nothing dropped from queue")
 	}
 	_ = sched
+}
+
+// TestStageOrdering pins AddStage's two fixed orderings against stages
+// registered the other way round: a Sent observer registered first never
+// sees a packet a later Send stage dropped or claimed, and a LinkFailed
+// stage hears a failure before the routing protocol does.
+func TestStageOrdering(t *testing.T) {
+	sched := sim.NewScheduler()
+	ch := phy.NewChannel(sched, 250, 550)
+	uids := &packet.UIDSource{}
+	n0 := New(0, sched, ch, mac.Default80211b(),
+		&mobility.Static{P: geo.Point{X: 0, Y: 0}}, sim.NewRNG(1), uids)
+	p0 := &echoProto{env: n0}
+	n0.SetProtocol(p0)
+	var sent []uint64
+	var drops []string
+	var failuresSeenByProto []int
+	n0.AddStage(Stage{
+		Sent:       func(p *packet.Packet, _ packet.NodeID) { sent = append(sent, p.DataID) },
+		LinkFailed: func(*packet.Packet, packet.NodeID) { failuresSeenByProto = append(failuresSeenByProto, len(p0.failed)) },
+	})
+	n0.AddStage(Stage{
+		Send: func(p *packet.Packet, _ packet.NodeID) Verdict {
+			return [...]Verdict{Pass, Drop, Claim}[p.DataID%3]
+		},
+		Dropped: func(_ *packet.Packet, reason string) { drops = append(drops, reason) },
+	})
+	n0.Start()
+	for id := uint64(1); id <= 3; id++ {
+		// No peer exists, so the passed packet ends in a link failure.
+		n0.SendMac(&packet.Packet{UID: uids.Next(), Kind: packet.KindData, Size: 500, Src: 0, Dst: 1, TTL: 8, DataID: id}, 1)
+	}
+	sched.RunUntil(sim.Time(5 * sim.Second))
+	if len(sent) != 1 || sent[0] != 3 {
+		t.Errorf("Sent observed DataIDs %v, want only the passed packet [3]", sent)
+	}
+	if len(drops) != 1 || drops[0] != "adversary" {
+		t.Errorf("drops %v, want one \"adversary\"", drops)
+	}
+	if len(failuresSeenByProto) != 1 || failuresSeenByProto[0] != 0 || len(p0.failed) != 1 {
+		t.Errorf("LinkFailed stage saw %v protocol failures, protocol %d: want the stage first",
+			failuresSeenByProto, len(p0.failed))
+	}
 }

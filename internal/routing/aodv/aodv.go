@@ -156,8 +156,8 @@ func New(env routing.Env, cfg Config) *Router {
 	r := &Router{
 		env:    env,
 		cfg:    cfg,
-		ar:     routing.ArenaOf(env),
-		trust:  routing.TrustOf(env),
+		ar:     env.Arena(),
+		trust:  env.Trust(),
 		table:  make(map[packet.NodeID]*routeEntry),
 		seen:   make(map[rreqKey]bool),
 		rings:  make(map[packet.NodeID]ring),

@@ -35,7 +35,7 @@ func NewSendBuffer(env Env, capacity int, maxAge sim.Duration) *SendBuffer {
 		maxAge: maxAge,
 		env:    env,
 		sched:  env.Scheduler(),
-		ar:     ArenaOf(env),
+		ar:     env.Arena(),
 		byDst:  make(map[packet.NodeID][]buffered),
 	}
 }

@@ -109,12 +109,12 @@ type seenKey struct {
 
 // New creates a DSR router bound to env.
 func New(env routing.Env, cfg Config) *Router {
-	ar := routing.ArenaOf(env)
+	ar := env.Arena()
 	r := &Router{
 		env:    env,
 		cfg:    cfg,
 		ar:     ar,
-		trust:  routing.TrustOf(env),
+		trust:  env.Trust(),
 		cache:  newRouteCache(env.ID(), cfg.CachePerDst, cfg.CacheGlobal, ar),
 		seen:   make(map[seenKey]bool),
 		buffer: routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),

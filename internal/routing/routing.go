@@ -49,6 +49,13 @@ type Env interface {
 	// NotifyDrop records a data packet dropped by the routing layer
 	// (no route, buffer overflow, TTL exhausted).
 	NotifyDrop(p *packet.Packet, reason string)
+	// Arena returns the packet arena protocols acquire and release
+	// packets through; nil (plain test environments) means ordinary
+	// allocation via the nil-arena methods. Routers capture it at New.
+	Arena() *packet.Arena
+	// Trust returns the node's trust oracle, or nil when the trust
+	// defence is off (the common case). Routers capture it at New.
+	Trust() TrustOracle
 }
 
 // Protocol is a routing protocol instance bound to one node.
@@ -66,22 +73,6 @@ type Protocol interface {
 	// LinkFailed is the MAC's retry-exhaustion feedback for a unicast
 	// packet that could not reach next.
 	LinkFailed(p *packet.Packet, next packet.NodeID)
-}
-
-// ArenaCarrier is implemented by environments that own a packet arena
-// (node.Node). Protocols acquire and release packets through the carried
-// arena; plain test environments without one fall back to ordinary
-// allocation via the nil-arena methods.
-type ArenaCarrier interface {
-	Arena() *packet.Arena
-}
-
-// ArenaOf resolves env's packet arena, or nil when env does not carry one.
-func ArenaOf(env Env) *packet.Arena {
-	if c, ok := env.(ArenaCarrier); ok {
-		return c.Arena()
-	}
-	return nil
 }
 
 // Retirer is implemented by protocols that can hand back packets still in
@@ -105,21 +96,6 @@ type TrustOracle interface {
 	// dropped traffic accumulates. Deterministic (pure function of the
 	// evidence seen so far).
 	Cost(neighbour packet.NodeID) float64
-}
-
-// TrustCarrier is implemented by environments that carry a trust oracle
-// (node.Node when the trust countermeasure is active).
-type TrustCarrier interface {
-	Trust() TrustOracle
-}
-
-// TrustOf resolves env's trust oracle, or nil when env does not carry one
-// (the common, undefended case).
-func TrustOf(env Env) TrustOracle {
-	if c, ok := env.(TrustCarrier); ok {
-		return c.Trust()
-	}
-	return nil
 }
 
 // TrustCost scores a complete source route under a trust oracle: its hop

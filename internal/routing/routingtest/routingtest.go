@@ -55,7 +55,7 @@ func (e *Env) RNG() *sim.RNG { return e.Rng }
 // UIDs implements routing.Env.
 func (e *Env) UIDs() *packet.UIDSource { return e.Uids }
 
-// Arena implements routing.ArenaCarrier.
+// Arena implements routing.Env.
 func (e *Env) Arena() *packet.Arena { return e.Pool }
 
 // SendMac implements routing.Env by recording the transmission.
@@ -79,6 +79,9 @@ func (e *Env) DeliverLocal(p *packet.Packet, _ packet.NodeID) {
 
 // NotifyRelay implements routing.Env.
 func (e *Env) NotifyRelay(p *packet.Packet) { e.Relayed = append(e.Relayed, p) }
+
+// Trust implements routing.Env: the fake carries no trust oracle.
+func (e *Env) Trust() routing.TrustOracle { return nil }
 
 // NotifyDrop implements routing.Env.
 func (e *Env) NotifyDrop(_ *packet.Packet, reason string) {

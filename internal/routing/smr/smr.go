@@ -155,8 +155,8 @@ func New(env routing.Env, cfg Config) *Router {
 	r := &Router{
 		env:     env,
 		cfg:     cfg,
-		ar:      routing.ArenaOf(env),
-		trust:   routing.TrustOf(env),
+		ar:      env.Arena(),
+		trust:   env.Trust(),
 		seen:    make(map[seenKey]*rreqSeen),
 		collect: make(map[packet.NodeID]*collectState),
 		routes:  make(map[packet.NodeID]*routeSet),

@@ -325,9 +325,7 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		// The trust defence scores every node's neighbours. Before
 		// SetProtocol: routers capture the node's trust oracle at New time.
 		// It draws no RNG, so legacy streams are untouched.
-		if tbl := s.Countermeasure.AttachTrust(id, s.Sched); tbl != nil {
-			nd.InstallTrust(tbl)
-		}
+		s.Countermeasure.AttachTrust(nd)
 
 		switch cfg.Protocol {
 		case "DSR":
@@ -346,19 +344,21 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 			nd.SetProtocol(smr.New(nd, sc))
 		}
 
-		// Metric hooks.
-		nd.OnRelay = func(p *packet.Packet) { s.Collector.Relay(id) }
-		nd.OnRouteDrop = func(p *packet.Packet, reason string) { s.Collector.Drop(reason) }
-		nd.Mac.OnSend = func(f *packet.Frame) {
-			if f.Kind != packet.FrameData || f.Payload == nil {
-				return
-			}
-			if f.Payload.Kind.IsControl() {
-				s.Collector.ControlSend()
-			} else {
-				s.Collector.DataSend()
-			}
-		}
+		// The metrics collector observes every node.
+		nd.AddStage(node.Stage{
+			Relayed: func(*packet.Packet) { s.Collector.Relay(id) },
+			Dropped: func(_ *packet.Packet, reason string) { s.Collector.Drop(reason) },
+			Aired: func(f *packet.Frame) {
+				if f.Kind != packet.FrameData || f.Payload == nil {
+					return
+				}
+				if f.Payload.Kind.IsControl() {
+					s.Collector.ControlSend()
+				} else {
+					s.Collector.DataSend()
+				}
+			},
+		})
 		s.Nodes = append(s.Nodes, nd)
 	}
 

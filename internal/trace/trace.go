@@ -31,21 +31,17 @@ func New(w io.Writer, sched *sim.Scheduler) *Tracer {
 	return &Tracer{w: w, sched: sched}
 }
 
-// AttachNode hooks one node's MAC send path and promiscuous tap. The
-// existing OnSend hook (e.g. the metrics collector's) is preserved.
+// AttachNode registers the tracer as a stage on one node: every frame
+// the node airs and every frame it hears addressed to it (or broadcast).
 func (t *Tracer) AttachNode(n *node.Node) {
 	id := n.ID()
-	prev := n.Mac.OnSend
-	n.Mac.OnSend = func(f *packet.Frame) {
-		if prev != nil {
-			prev(f)
-		}
-		t.record('s', id, f)
-	}
-	n.AddTap(func(f *packet.Frame) {
-		if f.TxTo == id || f.TxTo == packet.Broadcast {
-			t.record('r', id, f)
-		}
+	n.AddStage(node.Stage{
+		Aired: func(f *packet.Frame) { t.record('s', id, f) },
+		Tap: func(f *packet.Frame) {
+			if f.TxTo == id || f.TxTo == packet.Broadcast {
+				t.record('r', id, f)
+			}
+		},
 	})
 }
 

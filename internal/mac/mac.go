@@ -169,10 +169,10 @@ type Mac struct {
 	dupCache   map[packet.NodeID]uint16
 
 	// Tap, when set, sees every successfully decoded frame before address
-	// filtering — promiscuous mode (eavesdropper, DSR tap, traces).
+	// filtering — promiscuous mode. node.Node sets it from its Tap stages.
 	Tap func(f *packet.Frame)
-	// OnSend, when set, sees every frame this MAC puts on the air
-	// (metrics: control overhead counts per-hop transmissions).
+	// OnSend, when set, sees every frame this MAC puts on the air.
+	// node.Node sets it from its Aired stages.
 	OnSend func(f *packet.Frame)
 
 	Stats Stats

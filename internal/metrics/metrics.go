@@ -32,8 +32,8 @@ import (
 	"mtsim/internal/stats"
 )
 
-// Collector accumulates per-run counters. It is wired into node hooks by
-// the scenario builder; one collector serves one simulation run.
+// Collector accumulates per-run counters. The scenario builder registers
+// it as a stage on every node; one collector serves one simulation run.
 type Collector struct {
 	relays    map[packet.NodeID]uint64 // β per node
 	controlTx uint64

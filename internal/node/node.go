@@ -47,8 +47,8 @@ type Node struct {
 
 // Stage is one party's interception of a node's traffic: adversaries,
 // defences, the metrics collector and the tracer each register one (or
-// several) through AddStage. Every field is optional; a nil func is never
-// called, and a point no registered stage uses costs nothing.
+// several) through AddStage. Every field is optional and a nil func is
+// never called: a point no stage uses costs a nil check per stage.
 type Stage struct {
 	// Originate sees every locally generated packet before the routing
 	// protocol does; returning true claims it (the data-shuffling defence

@@ -152,14 +152,8 @@ func (n *Node) AddStage(st Stage) {
 	if st.Tap != nil && n.Mac.Tap == nil {
 		n.Mac.Tap = n.tap
 	}
-	// Every node has the collector's Aired: the MAC calls a lone one
-	// directly and fans out only to several.
-	if st.Aired != nil {
-		if n.Mac.OnSend == nil {
-			n.Mac.OnSend = st.Aired
-		} else {
-			n.Mac.OnSend = n.aired
-		}
+	if st.Aired != nil && n.Mac.OnSend == nil {
+		n.Mac.OnSend = n.aired
 	}
 	if st.Trust != nil {
 		n.trust = st.Trust
@@ -175,7 +169,7 @@ func (n *Node) tap(f *packet.Frame) {
 	}
 }
 
-// aired is the MAC's send hook while several stages have an Aired.
+// aired is the MAC's send hook while any stage has an Aired.
 func (n *Node) aired(f *packet.Frame) {
 	for i := range n.stages {
 		if h := n.stages[i].Aired; h != nil {

@@ -158,9 +158,11 @@ func TestGoldenMetrics(t *testing.T) {
 }
 
 // goldenTraceCase is the golden case whose packet trace is pinned by
-// digest: DSR's snooping, the trust watchdog and a wormhole endpoint all
-// observe frames on the same nodes there, so any reordering of the
-// observers attached to a node shows up in it.
+// digest. The digest pins the order and content of the frames each node
+// aired and heard with the tracer attached. Only the tracer writes lines,
+// so the other stages on a node (DSR snooping, the trust watchdog, the
+// wormhole endpoint) move the digest only by changing what is aired;
+// their effect on behaviour is pinned by the golden metrics.
 const goldenTraceCase = "dsr-wormhole-trust"
 
 // TestGoldenMetricsTraced reruns every golden case with the packet tracer

@@ -155,6 +155,31 @@ func TestNodeTapFanout(t *testing.T) {
 	}
 }
 
+// TestNodeAiredFanout checks that the MAC's send hook stays nil until a
+// stage has an Aired, and that then every Aired stage sees each aired
+// frame in registration order.
+func TestNodeAiredFanout(t *testing.T) {
+	sched, n0, _, _, _ := buildPair(t)
+	n0.AddStage(Stage{Tap: func(f *packet.Frame) {}})
+	if n0.Mac.OnSend != nil {
+		t.Fatal("send hook set with no Aired stage")
+	}
+	var order []int
+	n0.AddStage(Stage{Aired: func(f *packet.Frame) { order = append(order, 1) }})
+	n0.AddStage(Stage{Aired: func(f *packet.Frame) { order = append(order, 2) }})
+	var uids packet.UIDSource
+	n0.Originate(&packet.Packet{UID: uids.Next(), Kind: packet.KindData, Size: 1040, Src: 0, Dst: 1, TTL: 8})
+	sched.RunUntil(sim.Time(sim.Second))
+	if len(order) < 2 || len(order)%2 != 0 {
+		t.Fatalf("Aired calls %v", order)
+	}
+	for i, v := range order {
+		if v != i%2+1 {
+			t.Fatalf("Aired calls out of registration order: %v", order)
+		}
+	}
+}
+
 func TestNodeDropQueued(t *testing.T) {
 	sched, n0, _, _, _ := buildPair(t)
 	var uids packet.UIDSource

@@ -353,6 +353,57 @@ func TestNAVDefersThirdParty(t *testing.T) {
 	}
 }
 
+func TestIdleOverhearerArmsNoNAVTimer(t *testing.T) {
+	// C overhears the whole RTS/CTS/DATA/ACK exchange between A and B but
+	// has nothing to send: it keeps the NAV as state and never puts an
+	// expiry event on the scheduler.
+	r := newRig([]geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}}, Default80211b())
+	c := r.macs[2]
+	r.macs[0].Send(r.dataPacket(0, 1, 1040), 1)
+	for r.sched.Step() {
+		if c.navEvent.Pending() {
+			t.Fatalf("idle overhearer armed a NAV timer at %v", r.sched.Now())
+		}
+	}
+	if len(r.uppers[1].delivered) != 1 || r.macs[1].Stats.FramesSent[packet.FrameAck] != 1 {
+		t.Fatal("exchange did not complete")
+	}
+	if c.nav == 0 {
+		t.Fatal("overhearer never set its NAV")
+	}
+}
+
+func TestNAVExtensionDefersToLaterExpiry(t *testing.T) {
+	// C overhears an RTS while idle, starts contending inside that NAV,
+	// then overhears a second RTS whose NAV ends later. Its DIFS wait must
+	// start exactly when the second NAV ends, not when the first does.
+	r := newRig([]geo.Point{{X: 0, Y: 0}}, Default80211b())
+	c := r.macs[0]
+	rts := func(nav sim.Duration) *packet.Frame {
+		return &packet.Frame{Kind: packet.FrameRTS, TxFrom: 7, TxTo: 8, NAV: nav}
+	}
+	first := sim.Time(10 * sim.Microsecond).Add(2 * sim.Millisecond)
+	second := sim.Time(30 * sim.Microsecond).Add(3 * sim.Millisecond)
+	r.sched.At(sim.Time(10*sim.Microsecond), func() { c.RxEnd(rts(2*sim.Millisecond), true) })
+	r.sched.At(sim.Time(20*sim.Microsecond), func() {
+		c.Send(r.dataPacket(0, 1, 1040), 1)
+		if !c.navEvent.Pending() {
+			t.Error("contender inside the NAV armed no expiry timer")
+		}
+	})
+	r.sched.At(sim.Time(30*sim.Microsecond), func() { c.RxEnd(rts(3*sim.Millisecond), true) })
+
+	var difsAt sim.Time
+	for difsAt == 0 && r.sched.Step() {
+		if c.difsEvent.Pending() {
+			difsAt = r.sched.Now()
+		}
+	}
+	if difsAt != second {
+		t.Fatalf("DIFS started at %v, want the later NAV expiry %v (first expiry %v)", difsAt, second, first)
+	}
+}
+
 func TestAirtimeMath(t *testing.T) {
 	cfg := Default80211b()
 	r := newRig([]geo.Point{{X: 0, Y: 0}}, cfg)

@@ -17,13 +17,19 @@ func (m *Mac) EnergyDown() {
 	m.reconsider()
 }
 
-// setNAV extends the virtual carrier sense horizon and schedules a
-// re-evaluation at its expiry.
+// setNAV extends the virtual carrier sense horizon. Only a MAC that is
+// contending, or already waits on the expiry, needs a re-evaluation when
+// the NAV ends, so only then is the expiry timer (re-)armed; any other MAC
+// keeps m.nav as state, and reconsider arms the timer if it starts
+// contending before the NAV ends.
 func (m *Mac) setNAV(until sim.Time) {
 	if until <= m.nav {
 		return
 	}
 	m.nav = until
+	if m.state != stContend && !m.navEvent.Pending() {
+		return
+	}
 	if m.state == stContend {
 		m.pauseContention()
 	}

@@ -66,8 +66,12 @@ func (m *Mac) reconsider() {
 	}
 	if m.mediumFree() {
 		m.resumeContention()
-	} else {
-		m.pauseContention()
+		return
+	}
+	m.pauseContention()
+	if m.sched.Now() < m.nav && !m.navEvent.Pending() {
+		// The NAV holds us off: re-evaluate when it ends (see setNAV).
+		m.navEvent = m.sched.AtTaskCancellable(m.nav, m, macNavExpire)
 	}
 }
 

@@ -100,8 +100,8 @@ type Radio struct {
 	posTime  sim.Time
 	posCache geo.Point
 
-	transmitting bool
-	energy       int // count of in-CS-range transmissions currently on air
+	txEnd  sim.Time // end of the radio's latest transmission; sending while now < txEnd
+	energy int      // count of in-CS-range transmissions currently on air
 
 	// current decode in progress (nil if none)
 	rx *reception
@@ -145,15 +145,6 @@ func (r *Radio) SetMaxSpeed(v float64) {
 		r.ch.grid.Update(r.idx, r.positionAt(r.ch.sched.Now()))
 	}
 }
-
-// Run implements sim.Task: the radio's transmission-complete event.
-func (r *Radio) Run(arg int) {
-	if arg == radioTxDone {
-		r.transmitting = false
-	}
-}
-
-const radioTxDone = 0
 
 // Task args for the batched arrival events. Args ≥ unbatchedArgBase encode
 // a per-receiver event for the UseUnbatchedArrivals reference mode:
@@ -471,10 +462,11 @@ func (c *Channel) PositionOf(r *Radio) geo.Point { return r.positionAt(c.sched.N
 
 // Busy reports whether the radio currently senses energy or is transmitting;
 // exposed for the MAC's carrier-sense checks.
-func (r *Radio) Busy() bool { return r.energy > 0 || r.transmitting }
+func (r *Radio) Busy() bool { return r.energy > 0 || r.Transmitting() }
 
-// Transmitting reports whether the radio is currently sending.
-func (r *Radio) Transmitting() bool { return r.transmitting }
+// Transmitting reports whether the radio is currently sending: its latest
+// transmission's airtime has not yet run out.
+func (r *Radio) Transmitting() bool { return r.ch.sched.Now() < r.txEnd }
 
 // recomputePolicy derives the snapshot-refresh schedule from the attached
 // radios' speed bounds: stationary radios are never refreshed, bounded
@@ -542,10 +534,11 @@ func (c *Channel) autoGrid(now sim.Time) {
 // Transmit puts a frame on the air for the given airtime. The caller (MAC)
 // is responsible for medium-access rules; the channel only models physics.
 // The sender's own listener receives no callbacks for its own frame; the MAC
-// schedules its own tx-done event.
+// schedules its own tx-done event, and the radio reads its sending state
+// from the stored end time, so it needs none.
 func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 	now := c.sched.Now()
-	tx.transmitting = true
+	tx.txEnd = now.Add(airtime)
 	tx.FramesSent++
 
 	// Transmitting corrupts any decode in progress at the sender
@@ -634,8 +627,6 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 			c.sched.AfterTask(prop+airtime, b, batchEndArg)
 		}
 	}
-
-	c.sched.AfterTask(airtime, tx, radioTxDone)
 }
 
 // appendRx distance-checks one candidate receiver at position p against
@@ -670,7 +661,7 @@ func (c *Channel) arriveStart(rcv *Radio, f *packet.Frame, decodable, drop bool)
 	if !decodable {
 		return
 	}
-	if rcv.transmitting {
+	if rcv.Transmitting() {
 		return // half duplex: cannot begin decode while sending
 	}
 	if rcv.rx != nil {

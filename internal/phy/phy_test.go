@@ -280,6 +280,51 @@ func TestBusyReflectsEnergy(t *testing.T) {
 	}
 }
 
+func TestTransmittingEndsAtAirtime(t *testing.T) {
+	// The radio's sending state is read from the transmission's stored end
+	// time: it holds through the last nanosecond of airtime and is gone at
+	// start+airtime, whatever else is scheduled at that instant. Transmit
+	// itself schedules only the two batched arrival events, and none when
+	// nothing is in carrier-sense range.
+	const airtime = sim.Millisecond
+	start := sim.Time(3 * sim.Millisecond)
+	s := sim.NewScheduler()
+	c := NewChannel(s, 250, 550)
+	a := c.Attach(0, fixed(0, 0), &recorder{})
+	c.Attach(1, fixed(200, 0), &recorder{})
+	lone := c.Attach(2, fixed(5000, 0), &recorder{})
+
+	check := func(at sim.Time, want bool) {
+		s.At(at, func() {
+			if a.Transmitting() != want || a.Busy() != want {
+				t.Errorf("at start%+v: Transmitting=%v Busy=%v, want %v",
+					at.Sub(start), a.Transmitting(), a.Busy(), want)
+			}
+		})
+	}
+	check(start.Add(airtime-1), true)
+	check(start.Add(airtime), false)
+	s.At(start, func() {
+		before := s.Len()
+		c.Transmit(a, testFrame(0, 1), airtime)
+		if got := s.Len() - before; got != 2 {
+			t.Errorf("Transmit with one receiver scheduled %d events, want 2", got)
+		}
+		if !a.Transmitting() || !a.Busy() {
+			t.Error("sender not transmitting at the start of its airtime")
+		}
+		before = s.Len()
+		c.Transmit(lone, testFrame(2, 0), airtime)
+		if got := s.Len() - before; got != 0 {
+			t.Errorf("Transmit with an empty neighbourhood scheduled %d events, want 0", got)
+		}
+	})
+	s.Run()
+	if lone.Transmitting() || a.Transmitting() {
+		t.Fatal("radios still transmitting after the run")
+	}
+}
+
 func TestZeroRangeChannelStillRuns(t *testing.T) {
 	// A degenerate zero-range channel must build its grid and run (nothing
 	// is ever in range) rather than panic on a zero cell size.
@@ -326,7 +371,10 @@ func TestChannelResetBehavesLikeFresh(t *testing.T) {
 	run := func(s *sim.Scheduler, c *Channel) (frames int, ok bool, sent uint64) {
 		a := c.Attach(0, fixed(0, 0), &recorder{})
 		rb := &recorder{}
-		c.Attach(1, fixed(200, 0), rb)
+		b := c.Attach(1, fixed(200, 0), rb)
+		if a.Busy() || b.Busy() {
+			t.Fatal("freshly attached radio is busy")
+		}
 		c.Transmit(a, testFrame(0, 1), sim.Millisecond)
 		s.Run()
 		return len(rb.frames), len(rb.oks) > 0 && rb.oks[0], a.FramesSent
@@ -344,8 +392,12 @@ func TestChannelResetBehavesLikeFresh(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Attach(packet.NodeID(i), fixed(float64(100*i), 50), &recorder{})
 	}
-	c.Transmit(c.Radios()[0], testFrame(0, 1), sim.Millisecond)
-	s.Run()
+	// Reset mid-transmission: every radio is still sending, so a stored
+	// end time that leaked into a recycled radio would block its decode.
+	for i, r := range c.Radios() {
+		c.Transmit(r, testFrame(packet.NodeID(i), 1), 10*sim.Millisecond)
+	}
+	s.RunUntil(sim.Time(500 * sim.Microsecond))
 
 	s.Reset()
 	c.Reset(250, 550)

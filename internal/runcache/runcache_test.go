@@ -82,15 +82,15 @@ func richConfig() scenario.Config {
 // Every entry in an existing -cache-dir is named by these bytes, so any
 // change to the canonical encoding that is not a deliberate
 // SchemaVersion bump would silently orphan the whole cache; this test
-// catches it. Both keys are salted with SchemaVersion mtsim-run/v4.
+// catches it. Both keys are salted with SchemaVersion mtsim-run/v5.
 func TestKeyGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  scenario.Config
 		want string
 	}{
-		{"default", scenario.DefaultConfig(), "2e68039f2e1f0b518920d7585a1c52e2340b3531b430a049b208f3ea3c071c29"},
-		{"rich", richConfig(), "3f910a85730afad1032babce74d7839824542d6cf7616abf05b6967cbfe39931"},
+		{"default", scenario.DefaultConfig(), "184561e90c69c1f46d88dbdde65c04f20feda018e93c8f084f4dbd3475142f34"},
+		{"rich", richConfig(), "8e3c04dbc33d5dd85e507e07d142a8f74d1d96fdaf7cb32e0b686f7fea132cad"},
 	} {
 		got, err := Key(tc.cfg)
 		if err != nil {

@@ -17,26 +17,21 @@ func (m *Mac) EnergyDown() {
 	m.reconsider()
 }
 
-// setNAV extends the virtual carrier sense horizon. Only a MAC that is
-// contending, or already waits on the expiry, needs a re-evaluation when
-// the NAV ends, so only then is the expiry timer (re-)armed; any other MAC
-// keeps m.nav as state, and reconsider arms the timer if it starts
-// contending before the NAV ends.
+// setNAV extends the virtual carrier sense horizon. Only a contending MAC
+// needs a re-evaluation when the NAV ends: any pending expiry timer is
+// dropped, and reconsider arms a fresh one for a contender.
 func (m *Mac) setNAV(until sim.Time) {
 	if until <= m.nav {
 		return
 	}
 	m.nav = until
-	if m.state != stContend && !m.navEvent.Pending() {
-		return
-	}
-	if m.state == stContend {
-		m.pauseContention()
-	}
 	if m.navEvent.Pending() {
 		m.sched.CancelTask(m.navEvent)
+		m.navEvent = sim.TaskHandle{}
 	}
-	m.navEvent = m.sched.AtTaskCancellable(until, m, macNavExpire)
+	if m.state == stContend {
+		m.reconsider()
+	}
 }
 
 // RxEnd implements phy.Listener: a decodable frame finished arriving.

@@ -70,7 +70,7 @@ func (m *Mac) reconsider() {
 	}
 	m.pauseContention()
 	if m.sched.Now() < m.nav && !m.navEvent.Pending() {
-		// The NAV holds us off: re-evaluate when it ends (see setNAV).
+		// The NAV holds us off: re-evaluate when it ends.
 		m.navEvent = m.sched.AtTaskCancellable(m.nav, m, macNavExpire)
 	}
 }

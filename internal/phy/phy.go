@@ -464,8 +464,7 @@ func (c *Channel) PositionOf(r *Radio) geo.Point { return r.positionAt(c.sched.N
 // exposed for the MAC's carrier-sense checks.
 func (r *Radio) Busy() bool { return r.energy > 0 || r.Transmitting() }
 
-// Transmitting reports whether the radio is currently sending: its latest
-// transmission's airtime has not yet run out.
+// Transmitting reports whether the radio is within its latest airtime.
 func (r *Radio) Transmitting() bool { return r.ch.sched.Now() < r.txEnd }
 
 // recomputePolicy derives the snapshot-refresh schedule from the attached
@@ -534,8 +533,7 @@ func (c *Channel) autoGrid(now sim.Time) {
 // Transmit puts a frame on the air for the given airtime. The caller (MAC)
 // is responsible for medium-access rules; the channel only models physics.
 // The sender's own listener receives no callbacks for its own frame; the MAC
-// schedules its own tx-done event, and the radio reads its sending state
-// from the stored end time, so it needs none.
+// schedules its own tx-done event.
 func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 	now := c.sched.Now()
 	tx.txEnd = now.Add(airtime)

@@ -179,9 +179,8 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending events. Cancel and CancelTask remove
-// an event from the heap at once, so a cancelled event is never counted.
-// It is intended for tests and stats.
+// Len returns the number of pending events (Cancel and CancelTask remove an
+// event at once, so none is counted); it is intended for tests and stats.
 func (s *Scheduler) Len() int { return len(s.heap) }
 
 // FreeListLen reports the size of the task-event free list (tests/stats).

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke sweep-demo coevolution-demo clean
+.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke sweep-demo examples clean
 
 build:
 	$(GO) build ./...
@@ -71,18 +71,26 @@ sweep-demo:
 	  [ $$status -eq 0 ] && grep -q '8 hits, 0 misses' .sweep-demo-cache/stderr.log
 	rm -rf .sweep-demo-cache .sweep-demo-bin
 
-# Attacker–defender co-evolution demo (internal/experiment): plays the
-# iterated best-response game from examples/coevolution and re-diffs the
-# payoff table and move history against the committed output — the
-# equilibrium is evidence, so it must stay reproducible byte for byte,
-# not just compile. Regenerate the committed output after an intentional
-# behaviour change with:
-#	go run ./examples/coevolution > examples/coevolution/OUTPUT.txt
-coevolution-demo:
-	$(GO) run ./examples/coevolution > .coevolution-demo.out
-	diff -u examples/coevolution/OUTPUT.txt .coevolution-demo.out
-	rm -f .coevolution-demo.out
+# Re-runs every example that has a committed output and diffs it against
+# that output: shuffling (defender against attacker), pathswitching (MTS's
+# per-interval delivery, active path, switches and checking rounds),
+# eavesdropper (every protocol's interception ratio and each coalition
+# member's distinct count), relatedwork (90 s SMR, SMR-BACKUP, AODV and
+# MTS runs) and coevolution (the attacker-defender payoff table and move
+# history). Each is evidence, so it must stay reproducible byte for byte,
+# not just compile. Every example runs; the target fails if any output
+# moved. Regenerate one after an intentional behaviour change with:
+#	go run ./examples/NAME > examples/NAME/OUTPUT.txt
+EXAMPLES = shuffling pathswitching eavesdropper relatedwork coevolution
+examples:
+	@mkdir -p .examples-out; status=0; \
+	for ex in $(EXAMPLES); do \
+	  echo "examples: $$ex"; \
+	  $(GO) run ./examples/$$ex > .examples-out/$$ex.out && \
+	    diff -u examples/$$ex/OUTPUT.txt .examples-out/$$ex.out || status=1; \
+	done; \
+	rm -rf .examples-out; exit $$status
 
 clean:
 	$(GO) clean ./...
-	rm -rf .sweep-demo-cache .sweep-demo-bin
+	rm -rf .sweep-demo-cache .sweep-demo-bin .examples-out

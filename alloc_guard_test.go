@@ -10,8 +10,8 @@ import "testing"
 // and structs are part of that figure. The ceiling carries ~19 % headroom
 // over the recorded value so routine noise passes while losing the
 // packet arena (or a new per-packet allocation on the hot path) fails
-// loudly. If you raise this, update the PERFORMANCE.md "control-plane
-// arena" table in the same commit.
+// loudly. If you raise this, record the new figure and its cause in
+// PERFORMANCE.md in the same commit.
 const runAllocCeiling = 18_000
 
 // TestRunAllocationCeiling is the allocation-regression guard behind the

@@ -378,8 +378,8 @@ func BenchmarkRunSetupReuse(b *testing.B) {
 // BenchmarkScale1000Nodes is the control-plane arena's acceptance smoke:
 // a 1000-node, 20-flow MTS run at the paper's node density, built through
 // a reused context and executed under watchdog defaults (an unlimited
-// Budget, exactly like the CLI). allocs/op here is the whole-run figure
-// the PERFORMANCE.md "control-plane arena" table quotes at scale. Routers
+// Budget, exactly like the CLI). allocs/op here is the whole-run
+// allocation figure at scale (PR 7 in PERFORMANCE.md's history). Routers
 // are built fresh on every run, so their maps scale with node count; a
 // regression in the pooled route buffers or RNG reuse shows up as this
 // number growing faster than that.
@@ -437,8 +437,8 @@ func BenchmarkScale1000Nodes(b *testing.B) {
 // grows.
 func BenchmarkSimulatorEventRate(b *testing.B) {
 	for _, nodes := range []int{50, 100, 200} {
-		// The bare nodes=N name is the batched default — the series every
-		// PERFORMANCE.md table tracks across PRs. nodes=N/unbatched runs the
+		// The bare nodes=N name is the batched default — the series
+		// PERFORMANCE.md's history tracks across PRs. nodes=N/unbatched runs the
 		// same scenario through the per-receiver reference arrival path
 		// (phy.UseUnbatchedArrivals), so the gap between the two rows is the
 		// batching win on identical traffic. The reference mode runs more,

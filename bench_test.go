@@ -379,7 +379,8 @@ func BenchmarkRunSetupReuse(b *testing.B) {
 // a 1000-node, 20-flow MTS run at the paper's node density, built through
 // a reused context and executed under watchdog defaults (an unlimited
 // Budget, exactly like the CLI). allocs/op here is the whole-run
-// allocation figure at scale (PR 7 in PERFORMANCE.md's history). Routers
+// allocation figure at scale (the control-plane arena entry in
+// PERFORMANCE.md's history). Routers
 // are built fresh on every run, so their maps scale with node count; a
 // regression in the pooled route buffers or RNG reuse shows up as this
 // number growing faster than that.

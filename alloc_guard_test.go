@@ -3,15 +3,16 @@ package mtsim
 import "testing"
 
 // runAllocCeiling is the regression ceiling for one context-reused MTS
-// run of the BenchmarkRunSetupReuse configuration (50 nodes, 10 m/s,
-// 20 s). The packet arena landed this at ~16.7 k allocs/op (from ~107 k
-// before it). Pooled route buffers and cached RNG labels hold the steady
-// state at ~15.1 k; routers are built fresh on every run, so their maps
-// and structs are part of that figure. The ceiling carries ~19 % headroom
-// over the recorded value so routine noise passes while losing the
-// packet arena (or a new per-packet allocation on the hot path) fails
-// loudly. If you raise this, record the new figure and its cause in
-// PERFORMANCE.md in the same commit.
+// run of the benchBase configuration (50 nodes, 10 m/s, 20 s). The packet
+// arena landed this at ~16.7 k allocs/op (from ~107 k before it). Pooled
+// route buffers, recycled RNG sources and cached RNG labels hold the
+// steady state at ~15.6 k; the scheduler, channel, grid, collector,
+// arena and routers are built fresh on every run, so their storage is
+// part of that figure. The ceiling carries ~15 % headroom over the
+// recorded value so routine noise passes while losing the packet arena
+// (or a new per-packet allocation on the hot path) fails loudly. If you
+// raise this, record the new figure and its cause in PERFORMANCE.md in
+// the same commit.
 const runAllocCeiling = 18_000
 
 // TestRunAllocationCeiling is the allocation-regression guard behind the
@@ -30,8 +31,8 @@ func TestRunAllocationCeiling(t *testing.T) {
 	cfg.MaxSpeed = 10
 	cfg.Seed = 1
 	ctx := NewRunContext()
-	// Warm the context: the first run grows the scaffolding and the
-	// arena's free lists; the guard is about the steady state.
+	// Warm the context: the first run fills the RNG recycler and the
+	// label caches; the guard is about the steady state.
 	if _, err := ctx.RunOne(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -345,36 +345,6 @@ func BenchmarkSweepWallClock(b *testing.B) {
 	}
 }
 
-// BenchmarkRunSetupReuse isolates the per-worker context reuse: the same
-// simulation through a fresh Build every time vs through one RunContext
-// that resets the scheduler/channel/grid scaffolding instead of
-// reallocating it. The allocs/op delta is the scaffolding being reused;
-// routers are built fresh on both paths.
-func BenchmarkRunSetupReuse(b *testing.B) {
-	cfg := benchBase()
-	cfg.Protocol = "MTS"
-	cfg.MaxSpeed = 10
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg.Seed = int64(i + 1)
-			if _, err := Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("context", func(b *testing.B) {
-		ctx := NewRunContext()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg.Seed = int64(i + 1)
-			if _, err := ctx.RunOne(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkScale1000Nodes is the control-plane arena's acceptance smoke:
 // a 1000-node, 20-flow MTS run at the paper's node density, built through
 // a reused context and executed under watchdog defaults (an unlimited

@@ -314,8 +314,8 @@ func attemptEvents(err error) uint64 {
 
 // runCell simulates one cell once and journals the outcome. After a
 // panic the context pointer is replaced with a fresh one: the panic
-// unwound the simulator mid-run, so the reusable scaffolding is in an
-// unknown state and must not serve another run. A watchdog kill or an
+// unwound the simulator mid-run, so the context, which holds that run's
+// RNG sources, must not serve another run. A watchdog kill or an
 // ordinary error leaves the context reusable.
 func (s Sweep) runCell(ctxp **scenario.Context, j CellJob) (*metrics.RunMetrics, error) {
 	start := time.Now()

@@ -35,14 +35,13 @@ func requireArenaClean(t *testing.T, a *packet.Arena, who string) {
 
 // TestSweepCancelRetiresWorkerState covers the first-error cancellation
 // path end to end: an injected failing cell cancels outstanding jobs,
-// the returned error names the cell, and every worker context the sweep
-// ever used retired its packets cleanly (arenas armed in Check mode via
-// the Runner seam).
+// the returned error names the cell, and every run the sweep simulated
+// retired its packets cleanly. The Runner seam does DefaultRunner's work
+// with each run's arena armed in Check mode, and keeps every arena.
 func TestSweepCancelRetiresWorkerState(t *testing.T) {
 	var (
 		mu     sync.Mutex
 		arenas []*packet.Arena
-		seen   = map[*scenario.Context]bool{}
 	)
 	s := Sweep{
 		Base:        quickBase(),
@@ -52,18 +51,23 @@ func TestSweepCancelRetiresWorkerState(t *testing.T) {
 		SeedBase:    1,
 		Parallelism: 2,
 		Runner: func(ctx *scenario.Context, cfg scenario.Config, w Watchdog) (*metrics.RunMetrics, error) {
-			mu.Lock()
-			if !seen[ctx] {
-				seen[ctx] = true
-				a := ctx.Arena()
-				a.Check = true
-				arenas = append(arenas, a)
-			}
-			mu.Unlock()
 			if cfg.Protocol == "AODV" && cfg.MaxSpeed == 5 && cfg.Seed == 2 {
 				return nil, errors.New("injected cell failure")
 			}
-			return DefaultRunner(ctx, cfg, w)
+			sc, err := ctx.Build(cfg)
+			if err != nil {
+				return nil, err
+			}
+			sc.Arena.Check = true
+			mu.Lock()
+			arenas = append(arenas, sc.Arena)
+			mu.Unlock()
+			m, err := sc.RunWatched(scenario.Budget{MaxEvents: w.MaxEvents, WallClock: w.WallClock})
+			if err != nil {
+				return nil, err // RunWatched already retired the scenario
+			}
+			sc.Retire()
+			return m, nil
 		},
 	}
 	var ran int64
@@ -82,10 +86,10 @@ func TestSweepCancelRetiresWorkerState(t *testing.T) {
 		t.Fatalf("all %d cells ran despite cancellation", total)
 	}
 	if len(arenas) == 0 {
-		t.Fatal("runner seam never saw a worker context")
+		t.Fatal("runner seam simulated no run")
 	}
 	for i, a := range arenas {
-		requireArenaClean(t, a, fmt.Sprintf("worker %d", i))
+		requireArenaClean(t, a, fmt.Sprintf("run %d", i))
 	}
 }
 

@@ -25,23 +25,16 @@ type cellItem struct {
 	p  Point
 }
 
-// gridDims derives the cell-array geometry for the given bounds and cell
-// size; NewGrid and Reset must agree on it, so it lives in one place.
-func gridDims(bounds Rect, cellSize float64) (cols, rows int) {
-	if cellSize <= 0 {
-		panic("geo: non-positive cell size")
-	}
-	cols = max(int(math.Ceil(bounds.Width()/cellSize))+1, 1)
-	rows = max(int(math.Ceil(bounds.Height()/cellSize))+1, 1)
-	return cols, rows
-}
-
 // NewGrid creates an index over the given bounds with the given cell size.
 // Items may lie outside the bounds (they are clamped to the edge cells), so
 // bounds affect only query efficiency, never correctness; this tolerates
 // floating-point drift at field borders and nodes wandering off-field.
 func NewGrid(bounds Rect, cellSize float64) *Grid {
-	cols, rows := gridDims(bounds, cellSize)
+	if cellSize <= 0 {
+		panic("geo: non-positive cell size")
+	}
+	cols := max(int(math.Ceil(bounds.Width()/cellSize))+1, 1)
+	rows := max(int(math.Ceil(bounds.Height()/cellSize))+1, 1)
 	return &Grid{
 		cell:   cellSize,
 		origin: Point{bounds.MinX, bounds.MinY},
@@ -101,25 +94,6 @@ func (g *Grid) removeFromCell(id int32, cell int) {
 
 // Len returns the number of indexed items.
 func (g *Grid) Len() int { return len(g.where) }
-
-// Reset empties the grid for reuse under the given geometry, keeping the
-// per-cell item storage and the id map's buckets. It reports false — and
-// changes nothing — when the geometry (cell size, origin, or grid
-// dimensions) differs from the existing one, in which case the caller must
-// allocate a fresh grid. Reusing the storage matters to batch executors
-// (experiment sweeps) that rebuild the same field thousands of times.
-func (g *Grid) Reset(bounds Rect, cellSize float64) bool {
-	cols, rows := gridDims(bounds, cellSize)
-	if cellSize != g.cell || cols != g.cols || rows != g.rows ||
-		(Point{bounds.MinX, bounds.MinY}) != g.origin {
-		return false
-	}
-	for i := range g.cells {
-		g.cells[i] = g.cells[i][:0]
-	}
-	clear(g.where)
-	return true
-}
 
 // Position returns the stored position of an item.
 func (g *Grid) Position(id int32) (Point, bool) {

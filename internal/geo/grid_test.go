@@ -113,38 +113,3 @@ func TestGridOutOfBoundsMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
-
-func TestGridResetReusesStorage(t *testing.T) {
-	b := Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
-	g := NewGrid(b, 100)
-	for i := int32(0); i < 50; i++ {
-		g.Update(i, Point{X: float64(i) * 17, Y: float64(i) * 13})
-	}
-	if !g.Reset(b, 100) {
-		t.Fatal("same geometry must be reusable")
-	}
-	if g.Len() != 0 {
-		t.Fatalf("reset grid holds %d items", g.Len())
-	}
-	if got := g.WithinRange(Point{X: 100, Y: 100}, 1000, nil); len(got) != 0 {
-		t.Fatalf("reset grid answered %v", got)
-	}
-	// Refilled, it behaves like a fresh grid.
-	g.Update(7, Point{X: 500, Y: 500})
-	if got := g.WithinRange(Point{X: 500, Y: 500}, 10, nil); len(got) != 1 || got[0] != 7 {
-		t.Fatalf("after reset+update: %v", got)
-	}
-	// Any geometry change refuses reuse and leaves the grid untouched.
-	if g.Reset(Rect{MinX: 0, MinY: 0, MaxX: 2000, MaxY: 1000}, 100) {
-		t.Fatal("wider bounds must not be reusable")
-	}
-	if g.Reset(b, 90) {
-		t.Fatal("different cell size must not be reusable")
-	}
-	if g.Reset(Rect{MinX: 1, MinY: 0, MaxX: 1001, MaxY: 1000}, 100) {
-		t.Fatal("shifted origin must not be reusable")
-	}
-	if got, ok := g.Position(7); !ok || got != (Point{X: 500, Y: 500}) {
-		t.Fatal("refused reset must not disturb contents")
-	}
-}

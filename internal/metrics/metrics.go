@@ -7,7 +7,8 @@
 //     data packet during the session (Fig. 5);
 //   - the normalized standard deviation of per-node relay counts
 //     (Eqs. 2–4, Table I, Fig. 6): β_i per participating node, α = Σβ_i,
-//     γ_i = β_i/α, σ = sqrt(Σ(γ_i − mean γ)² / N);
+//     γ_i = β_i/α, σ = sqrt(Σ(γ_i − mean γ)² / (N−1)) (the sample form;
+//     see RelayTable);
 //   - highest interception ratio: the worst case where the most-used relay
 //     is the eavesdropper, max β_i / Pr (Fig. 7);
 //   - average end-to-end delay of delivered data (Fig. 8), throughput
@@ -47,15 +48,6 @@ func NewCollector() *Collector {
 		relays: make(map[packet.NodeID]uint64),
 		drops:  make(map[string]uint64),
 	}
-}
-
-// Reset empties the collector for reuse by the next simulation run,
-// keeping the map storage. Equivalent to NewCollector for every observer.
-func (c *Collector) Reset() {
-	clear(c.relays)
-	clear(c.drops)
-	c.controlTx = 0
-	c.dataTx = 0
 }
 
 // Relay records that node relayed one data packet (β_i increment).

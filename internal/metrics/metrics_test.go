@@ -131,29 +131,3 @@ func TestRelayTableProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCollectorReset(t *testing.T) {
-	c := NewCollector()
-	c.Relay(1)
-	c.Relay(1)
-	c.Relay(2)
-	c.ControlSend()
-	c.DataSend()
-	c.Drop("no-route")
-	c.Reset()
-	if c.Participating() != 0 || c.MaxBeta() != 0 || c.ControlTx() != 0 || c.DataTx() != 0 {
-		t.Fatal("reset collector retains counters")
-	}
-	if len(c.Drops()) != 0 {
-		t.Fatalf("reset collector retains drops: %v", c.Drops())
-	}
-	rows, alpha, sigma := c.RelayTable()
-	if len(rows) != 0 || alpha != 0 || sigma != 0 {
-		t.Fatal("reset collector retains relay table")
-	}
-	// Refilled, it matches a fresh collector.
-	c.Relay(3)
-	if c.Participating() != 1 || c.MaxBeta() != 1 {
-		t.Fatal("collector unusable after reset")
-	}
-}

@@ -61,8 +61,7 @@ type frameQuar struct {
 // simulation owns one arena (scenario.Build wires it through every node,
 // MAC and transport endpoint); explicit Release calls at the points where
 // packets die — delivered, dropped, retry-exhausted, retired at run end —
-// feed the free lists, and scenario.Context recycles the whole arena
-// across runs like the scheduler and channel scaffolding.
+// feed the free lists. Every run builds its own arena.
 //
 // Pooling changes allocation only, never behaviour: a recycled object is
 // zeroed before reuse, fresh UIDs come from the same UIDSource calls, and
@@ -72,8 +71,8 @@ type frameQuar struct {
 // degrades to plain allocation / no-op, which is what unit tests that
 // assemble stacks by hand get).
 //
-// Not safe for concurrent use; sweep workers each own one via their
-// scenario.Context.
+// Not safe for concurrent use; like the scheduler it runs on, an arena
+// belongs to one simulation.
 type Arena struct {
 	// Pooling enables recycling (the default from NewArena). With it off
 	// the arena still does full accounting and ownership tracking but
@@ -98,12 +97,6 @@ type Arena struct {
 	// circulation only once the simulation clock has passed readyAt.
 	quarPkts   []pktQuar
 	quarFrames []frameQuar
-
-	// Every distinct struct the arena ever allocated, so Reset can
-	// restock the free lists even when a run ends with objects still in
-	// custody (MAC queues at the horizon). Pooling mode only.
-	allPkts   []*Packet
-	allFrames []*Frame
 
 	stats ArenaStats
 }
@@ -193,11 +186,7 @@ func (a *Arena) getPacket() *Packet {
 		*p = Packet{aflags: flagArena}
 		return p
 	}
-	p := &Packet{aflags: flagArena}
-	if a.Pooling {
-		a.allPkts = append(a.allPkts, p)
-	}
-	return p
+	return &Packet{aflags: flagArena}
 }
 
 // NewPacket returns a zeroed arena-owned packet (a plain allocation for a
@@ -399,11 +388,7 @@ func (a *Arena) getFrame() *Frame {
 		*f = Frame{aflags: flagArena}
 		return f
 	}
-	f := &Frame{aflags: flagArena}
-	if a.Pooling {
-		a.allFrames = append(a.allFrames, f)
-	}
-	return f
+	return &Frame{aflags: flagArena}
 }
 
 // NewFrame returns a zeroed arena-owned MAC frame.
@@ -555,42 +540,4 @@ func (a *Arena) putTCP(h *TCPHeader) {
 	}
 	h.Flow, h.Seq, h.Ack, h.SentAt = -1, -1, false, -1 // poison
 	a.tcps = append(a.tcps, h)
-}
-
-// Reset retires everything the arena ever allocated — including objects
-// still in custody when a run hit its horizon — restocks the free lists
-// and zeroes the accounting, ready for the next run. The previous run
-// must be dead (the scenario.Context contract). Pooling and Check stick.
-func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
-	a.quarPkts = a.quarPkts[:0]
-	a.quarFrames = a.quarFrames[:0]
-	a.pkts = a.pkts[:0]
-	for _, p := range a.allPkts {
-		// Ownership bits survive a quarantined release until the scrub,
-		// so leaked and quarantined components alike recycle here.
-		if p.aflags&flagOwnsSR != 0 {
-			a.putRoute(p.SourceRoute)
-		}
-		if p.aflags&flagOwnsTrail != 0 {
-			a.putRoute(p.Trail)
-		}
-		if p.aflags&flagOwnsTCP != 0 {
-			a.putTCP(p.TCP)
-		}
-		poisonPacket(p)
-		p.aflags = flagArena | flagReleased
-		a.pkts = append(a.pkts, p)
-	}
-	a.frames = a.frames[:0]
-	for _, f := range a.allFrames {
-		f.UID = PoisonUID
-		f.Payload = nil
-		f.aflags = flagArena | flagReleased
-		a.frames = append(a.frames, f)
-	}
-	a.clock = nil
-	a.stats = ArenaStats{}
 }

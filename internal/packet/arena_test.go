@@ -178,35 +178,6 @@ func TestArenaPoolingOffNeverRecycles(t *testing.T) {
 	}
 }
 
-func TestArenaResetReclaimsEverything(t *testing.T) {
-	a := NewArena()
-	now := sim.Time(0)
-	a.SetClock(func() sim.Time { return now })
-	leaked := a.NewPacket()
-	a.SetSourceRoute(leaked, []NodeID{1, 2, 3})
-	quarantined := a.NewPacket()
-	a.ReleaseAfter(quarantined, 100)
-	freed := a.NewPacket()
-	a.Release(freed)
-	f := a.NewFrame()
-	_ = f // leaked frame
-	a.Reset()
-	if st := a.Stats(); st != (ArenaStats{}) {
-		t.Fatalf("stats not zeroed: %+v", st)
-	}
-	// All three packets (and the frame) must be back in circulation.
-	seen := map[*Packet]bool{}
-	for i := 0; i < 3; i++ {
-		seen[a.NewPacket()] = true
-	}
-	if !seen[leaked] || !seen[quarantined] || !seen[freed] {
-		t.Fatal("Reset did not restock all packet storage")
-	}
-	if a.NewFrame() != f {
-		t.Fatal("Reset did not restock frame storage")
-	}
-}
-
 // FuzzPacketCopy drives both copy implementations with arbitrary packet
 // shapes and requires fresh UIDs, equal field values and deep
 // SourceRoute/Trail duplication from each.

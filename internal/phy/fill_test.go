@@ -60,11 +60,15 @@ func recordBatches(t *testing.T, s *sim.Scheduler, c *Channel) []batchRecord {
 	for i := 0; i < 300; i++ {
 		s.RunUntil(sim.Time(i) * sim.Time(25*sim.Millisecond))
 		f := &packet.Frame{UID: uint64(i + 1), Kind: packet.FrameData, TxTo: packet.Broadcast}
-		inflight := len(c.inflight)
+		// Park a batch so Transmit fills this one: it takes the most
+		// recently parked batch, and parks it again at once if no radio is
+		// in range.
+		b := c.getBatch()
+		c.parkBatch(b)
 		c.Transmit(radios[(7*i)%len(radios)], f, sim.Millisecond)
 		var rec batchRecord
-		if len(c.inflight) > inflight {
-			for _, e := range c.inflight[len(c.inflight)-1].rx {
+		if len(b.rx) > 0 {
+			for _, e := range b.rx {
 				rec.rx = append(rec.rx, rxView{e.rcv.idx, e.decodable, e.drop})
 			}
 			// The propagation delay is under the airtime, so the batch's
@@ -124,17 +128,13 @@ func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 	}
 }
 
-// TestGridFillMatchesLinearAfterReset shrinks a channel's population with
-// Reset and grows it back: the scratch sized for the larger field must not
-// leak candidates into the smaller one, and must grow again cleanly.
+// TestGridFillMatchesLinearAfterReset shrinks the population between
+// consecutive channels and grows it back, each round on a fresh channel
+// as every run builds one: each round must match the linear scan.
 func TestGridFillMatchesLinearAfterReset(t *testing.T) {
-	s := sim.NewScheduler()
-	c := NewChannel(s, DefaultRxRange, DefaultCSRange)
-	for i, n := range []int{130, 50, 130} {
-		if i > 0 {
-			s.Reset()
-			c.Reset(DefaultRxRange, DefaultCSRange)
-		}
+	for _, n := range []int{130, 50, 130} {
+		s := sim.NewScheduler()
+		c := NewChannel(s, DefaultRxRange, DefaultCSRange)
 		attachMovers(c, n)
 		compareBatches(t, recordBatches(t, s, c), linearBatches(t, n))
 	}

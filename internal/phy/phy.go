@@ -168,9 +168,9 @@ type batchRx struct {
 // arrivalBatch carries one transmission's whole audience. It is the Task
 // behind both delivery modes: batched (two events walk rx in order) and
 // unbatched reference (2·len(rx) events index into rx one receiver at a
-// time). A batch stays on the channel's in-flight list from Transmit until
-// its last-bit delivery has run — or until Reset/Retire drains it — and
-// then parks on the free list with its receiver slice's capacity kept.
+// time). After its last-bit delivery has run (or at once, when Transmit
+// finds no receiver) a batch parks on the channel's free list with its
+// receiver slice's capacity kept.
 // Batches reference the frame but never own it; frame release stays with
 // the MAC's quarantine (the batch's own lifetime is bounded by
 // MaxPropDelay + airtime, inside the quarantine hold).
@@ -179,7 +179,6 @@ type arrivalBatch struct {
 	frame *packet.Frame
 	rx    []batchRx
 	live  int // outstanding last-bit events (1 batched, len(rx) unbatched)
-	idx   int // position in ch.inflight (swap-remove bookkeeping)
 }
 
 // Run implements sim.Task.
@@ -228,9 +227,7 @@ type Channel struct {
 
 	// Spatial index over radio position snapshots.
 	grid        *geo.Grid
-	spareGrid   *geo.Grid // previous run's grid, reusable by EnableGrid
 	hits        []geo.Hit // reusable WithinRangeHits buffer
-	spare       []*Radio  // recycled Radio structs (Reset → Attach)
 	movers      []*Radio  // radios whose snapshots go stale (maxSpeed > 0)
 	policyDirty bool      // movers/epoch need recomputation
 	slackBudget float64   // max tolerated snapshot drift, metres
@@ -252,7 +249,6 @@ type Channel struct {
 	// the same precomputed batch — the reference for the batched path.
 	unbatched bool
 
-	inflight  []*arrivalBatch     // batches with deliveries still scheduled
 	batchFree []*arrivalBatch     // parked batches (receiver slices kept)
 	recPool   sim.Pool[reception] // recycled receptions (decode state)
 }
@@ -278,91 +274,21 @@ func NewChannel(sched *sim.Scheduler, rxRange, csRange float64) *Channel {
 	}
 }
 
-// Reset detaches every radio and restores the channel to its
-// NewChannel(sched, rxRange, csRange) state while keeping the expensive
-// reusable storage: the spatial grid (reused when the next EnableGrid asks
-// for the same geometry), the receiver scratch buffers, the arrival-batch
-// and reception pools, and the Radio structs themselves (recycled through
-// the next Attach calls). Arrival batches still in flight are drained
-// first — their scheduled events must never fire again (the caller resets
-// the scheduler alongside, as scenario.Context does), and draining drops
-// the frame references so no retired frame stays reachable through the
-// channel. A reset channel behaves bit-for-bit like a fresh one; it exists
-// so batch executors (scenario.Context) can run thousands of simulations
-// without rebuilding the medium each time.
-func (c *Channel) Reset(rxRange, csRange float64) {
-	if csRange < rxRange {
-		csRange = rxRange
-	}
-	c.drainBatches()
-	c.RxRange = rxRange
-	c.CSRange = csRange
-	c.PropSpeed = defaultPropSpeed
-	c.DropFrame = nil
-	if c.grid != nil {
-		// Park the index: it must not be consulted while it still holds the
-		// previous run's snapshots, but EnableGrid can reclaim its storage.
-		c.spareGrid, c.grid = c.grid, nil
-	}
-	for i, r := range c.radios {
-		*r = Radio{}
-		c.spare = append(c.spare, r)
-		c.radios[i] = nil
-	}
-	c.radios = c.radios[:0]
-	for i := range c.movers {
-		c.movers[i] = nil
-	}
-	c.movers = c.movers[:0]
-	c.policyDirty = true
-	c.slackBudget = 0
-	c.slack = 0
-	c.epoch = 0
-	c.nextRefresh = 0
-	c.exact = false
-	c.linear = false
-	c.unbatched = false
-}
-
-// Retire drains any in-flight arrival batches at run end, dropping their
-// frame references and parking them for reuse. It must only be called once
-// the run is dead: the batches' scheduled events are assumed never to fire
-// again (the owning scenario resets the scheduler before any reuse).
-// Idempotent.
-func (c *Channel) Retire() { c.drainBatches() }
-
-// drainBatches force-parks every in-flight batch.
-func (c *Channel) drainBatches() {
-	for len(c.inflight) > 0 {
-		c.parkBatch(c.inflight[len(c.inflight)-1])
-	}
-}
-
-// getBatch takes a parked batch (or allocates one) and tracks it in flight.
+// getBatch takes the most recently parked batch, or allocates one.
 func (c *Channel) getBatch() *arrivalBatch {
-	var b *arrivalBatch
-	if n := len(c.batchFree); n > 0 {
-		b = c.batchFree[n-1]
-		c.batchFree[n-1] = nil
-		c.batchFree = c.batchFree[:n-1]
-	} else {
-		b = &arrivalBatch{}
+	n := len(c.batchFree)
+	if n == 0 {
+		return &arrivalBatch{ch: c}
 	}
-	b.ch = c
-	b.idx = len(c.inflight)
-	c.inflight = append(c.inflight, b)
+	b := c.batchFree[n-1]
+	c.batchFree[n-1] = nil
+	c.batchFree = c.batchFree[:n-1]
 	return b
 }
 
-// parkBatch removes a batch from the in-flight list (swap-remove), clears
-// its frame and receiver references, and returns it to the free list with
-// the receiver slice's capacity intact.
+// parkBatch clears a batch's frame and receiver references and returns it
+// to the free list with the receiver slice's capacity intact.
 func (c *Channel) parkBatch(b *arrivalBatch) {
-	last := len(c.inflight) - 1
-	c.inflight[b.idx] = c.inflight[last]
-	c.inflight[b.idx].idx = b.idx
-	c.inflight[last] = nil
-	c.inflight = c.inflight[:last]
 	b.frame = nil
 	b.live = 0
 	for i := range b.rx {
@@ -371,10 +297,6 @@ func (c *Channel) parkBatch(b *arrivalBatch) {
 	b.rx = b.rx[:0]
 	c.batchFree = append(c.batchFree, b)
 }
-
-// InflightBatches reports how many arrival batches are currently on the
-// air (leak audits and tests).
-func (c *Channel) InflightBatches() int { return len(c.inflight) }
 
 // EnableGrid builds the receiver-lookup index over the given field. Call it
 // before attaching radios (scenario builders) for a well-sized grid;
@@ -390,14 +312,7 @@ func (c *Channel) EnableGrid(bounds geo.Rect, cellSize float64) {
 		// will ever be in range); any positive cell size works.
 		cellSize = 1
 	}
-	switch {
-	case c.grid != nil && c.grid.Reset(bounds, cellSize):
-		// Re-index in place below.
-	case c.spareGrid != nil && c.spareGrid.Reset(bounds, cellSize):
-		c.grid, c.spareGrid = c.spareGrid, nil
-	default:
-		c.grid = geo.NewGrid(bounds, cellSize)
-	}
+	c.grid = geo.NewGrid(bounds, cellSize)
 	now := c.sched.Now()
 	for _, r := range c.radios {
 		c.grid.Update(r.idx, r.positionAt(now))
@@ -424,15 +339,7 @@ func (c *Channel) UseUnbatchedArrivals(on bool) { c.unbatched = on }
 // pos. The listener (the node's MAC) must be set before any transmission
 // can reach the radio.
 func (c *Channel) Attach(id packet.NodeID, pos func(sim.Time) geo.Point, lis Listener) *Radio {
-	var r *Radio
-	if n := len(c.spare); n > 0 {
-		r = c.spare[n-1]
-		c.spare[n-1] = nil
-		c.spare = c.spare[:n-1]
-	} else {
-		r = &Radio{}
-	}
-	*r = Radio{
+	r := &Radio{
 		ID:       id,
 		pos:      pos,
 		lis:      lis,

@@ -362,76 +362,3 @@ func TestMovingNodeOutOfRangeNotReached(t *testing.T) {
 		t.Fatal("frame reached a node that was out of range at tx start")
 	}
 }
-
-func TestChannelResetBehavesLikeFresh(t *testing.T) {
-	// The same two-node exchange, run on a fresh channel and on a channel
-	// that already lived through a different topology and was Reset, must
-	// be observably identical — Reset is the contract scenario.Context
-	// leans on for bit-identical batch reuse.
-	run := func(s *sim.Scheduler, c *Channel) (frames int, ok bool, sent uint64) {
-		a := c.Attach(0, fixed(0, 0), &recorder{})
-		rb := &recorder{}
-		b := c.Attach(1, fixed(200, 0), rb)
-		if a.Busy() || b.Busy() {
-			t.Fatal("freshly attached radio is busy")
-		}
-		c.Transmit(a, testFrame(0, 1), sim.Millisecond)
-		s.Run()
-		return len(rb.frames), len(rb.oks) > 0 && rb.oks[0], a.FramesSent
-	}
-
-	sFresh := sim.NewScheduler()
-	cFresh := NewChannel(sFresh, 250, 550)
-	cFresh.EnableGrid(geo.Rect{MaxX: 1000, MaxY: 1000}, 0)
-	wantFrames, wantOK, wantSent := run(sFresh, cFresh)
-
-	s := sim.NewScheduler()
-	c := NewChannel(s, 100, 100) // different ranges on purpose
-	c.EnableGrid(geo.Rect{MaxX: 1000, MaxY: 1000}, 0)
-	c.DropFrame = func(*packet.Frame, packet.NodeID) bool { return true }
-	for i := 0; i < 5; i++ {
-		c.Attach(packet.NodeID(i), fixed(float64(100*i), 50), &recorder{})
-	}
-	// Reset mid-transmission: every radio is still sending, so a stored
-	// end time that leaked into a recycled radio would block its decode.
-	for i, r := range c.Radios() {
-		c.Transmit(r, testFrame(packet.NodeID(i), 1), 10*sim.Millisecond)
-	}
-	s.RunUntil(sim.Time(500 * sim.Microsecond))
-
-	s.Reset()
-	c.Reset(250, 550)
-	if len(c.Radios()) != 0 {
-		t.Fatalf("reset channel keeps %d radios attached", len(c.Radios()))
-	}
-	c.EnableGrid(geo.Rect{MaxX: 1000, MaxY: 1000}, 0)
-	gotFrames, gotOK, gotSent := run(s, c)
-
-	if gotFrames != wantFrames || gotOK != wantOK || gotSent != wantSent {
-		t.Fatalf("reset channel: frames=%d ok=%v sent=%d, fresh: %d/%v/%d",
-			gotFrames, gotOK, gotSent, wantFrames, wantOK, wantSent)
-	}
-}
-
-func TestChannelResetRecyclesRadios(t *testing.T) {
-	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
-	old := make(map[*Radio]bool)
-	for i := 0; i < 4; i++ {
-		old[c.Attach(packet.NodeID(i), fixed(float64(i), 0), &recorder{})] = true
-	}
-	c.Reset(250, 550)
-	recycled := 0
-	for i := 0; i < 4; i++ {
-		r := c.Attach(packet.NodeID(i), fixed(float64(i), 0), &recorder{})
-		if old[r] {
-			recycled++
-		}
-		if r.FramesSent != 0 || r.Busy() {
-			t.Fatal("recycled radio leaked state")
-		}
-	}
-	if recycled != 4 {
-		t.Fatalf("recycled %d of 4 radio structs", recycled)
-	}
-}

@@ -69,12 +69,12 @@ func TestRunWatchedUnlimitedMatchesRun(t *testing.T) {
 func TestEventBudgetKillsMidRun(t *testing.T) {
 	cfg := abortTestConfig()
 	ctx := NewContext()
-	ctx.Arena().Check = true
 
 	s, err := ctx.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Arena.Check = true
 	const budget = 2000
 	m, err := s.RunWatched(Budget{MaxEvents: budget})
 	if err == nil {
@@ -100,10 +100,12 @@ func TestEventBudgetKillsMidRun(t *testing.T) {
 
 	// And the context is immediately reusable: the next run on it matches
 	// a fresh-context run byte for byte.
-	clean, err := ctx.RunOne(cfg)
+	next, err := ctx.Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	next.Arena.Check = true
+	clean := next.Run()
 	fresh, err := RunOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +115,7 @@ func TestEventBudgetKillsMidRun(t *testing.T) {
 	if string(want) != string(got) {
 		t.Fatalf("run after mid-run abort differs from fresh run\nfresh: %s\nafter: %s", want, got)
 	}
-	if st := ctx.Arena().Stats(); st.DoubleReleases != 0 || st.ForeignReleases != 0 || st.PoisonTrips != 0 {
+	if st := next.Arena.Stats(); st.DoubleReleases != 0 || st.ForeignReleases != 0 || st.PoisonTrips != 0 {
 		t.Fatalf("arena ledger dirtied across abort+reuse: %+v", st)
 	}
 }

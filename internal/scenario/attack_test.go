@@ -65,7 +65,6 @@ func TestWormholeNoDuplicateDelivery(t *testing.T) {
 			}
 			s.Retire()
 			assertArenaClean(t, s.Arena)
-			assertChannelDrained(t, s)
 		})
 	}
 }

@@ -36,17 +36,17 @@ func partitionedConfig(proto string) Config {
 // run horizon must hit the arena ledger exactly once when
 // Scenario.Retire drains the node — no leak (a live packet after
 // retire), no double release. The context is reused across protocols, so
-// each audit after the first runs on packets restocked by the previous
-// run's arena Reset.
+// each audit after the first runs on RNG sources recycled from the
+// previous run.
 func TestRetireDrainsRouterBuffers(t *testing.T) {
 	ctx := NewContext()
-	ctx.Arena().Check = true
 	for _, proto := range AllProtocols() {
 		t.Run(proto, func(t *testing.T) {
 			s, err := ctx.Build(partitionedConfig(proto))
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.Arena.Check = true
 			s.Run()
 			br, ok := s.Nodes[0].Proto.(bufferedRouter)
 			if !ok {
@@ -96,13 +96,13 @@ func TestArenaSpotCheck1000Nodes(t *testing.T) {
 	}
 	cfg := spotCheck1000Config()
 	ctx := NewContext()
-	ctx.Arena().Check = true
 
 	runOnce := func() []byte {
 		s, err := ctx.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.Arena.Check = true
 		m, err := s.RunWatched(Budget{}) // watchdog defaults: unlimited
 		if err != nil {
 			t.Fatal(err)

@@ -165,33 +165,23 @@ func (s *Scenario) Retire() {
 	for _, nd := range s.Nodes {
 		nd.Retire()
 	}
-	// Arrival batches still on the air reference frames the nodes just
-	// released; drain them so no retired frame stays reachable through the
-	// channel (their events never fire again — the run is dead).
-	s.Channel.Retire()
 }
 
-// Context is a reusable bundle of the expensive per-run simulation
-// scaffolding: the event scheduler (heap storage and pooled task events),
-// the radio channel (spatial grid, Radio structs, arrival/reception pools)
-// and the metrics collector. A first Build allocates all of it from
-// scratch; later Builds reset and reuse it instead, which is what lets a
-// sweep worker run thousands of consecutive simulations without re-growing
-// megabytes of scaffolding each time.
+// Context carries what consecutive runs on one goroutine can share: the
+// recycled RNG sources (~5 KiB of math/rand state each, well over a
+// hundred per scenario) and the cached per-index RNG derivation labels.
+// Everything else — scheduler, channel, grid, collector, packet arena,
+// nodes — is built fresh by every Build.
 //
-// Reuse changes allocation only, never behaviour: a scenario built on a
-// used Context is bit-for-bit identical to one built on a new one (the
+// Recycling changes allocation only, never behaviour: a scenario built on
+// a used Context is bit-for-bit identical to one built on a new one (the
 // golden-metric fixtures are verified both ways). A Context serves one run
-// at a time — building the next scenario invalidates the previous one, so
-// keep only the returned RunMetrics (which are standalone copies). Not
-// safe for concurrent use; give each worker goroutine its own Context.
+// at a time — building the next scenario re-seeds the previous one's RNG
+// sources, so keep only the returned RunMetrics (which are standalone
+// copies). Not safe for concurrent use; give each worker goroutine its own
+// Context.
 type Context struct {
-	sched     *sim.Scheduler
-	ch        *phy.Channel
-	collector *metrics.Collector
-	nodes     []*node.Node
-	rngs      sim.RNGRecycler
-	arena     *packet.Arena
+	rngs sim.RNGRecycler
 
 	// Cached per-index RNG derivation labels: the strings are pure
 	// functions of the index, so re-running a context re-derives the same
@@ -204,46 +194,9 @@ type Context struct {
 // NewContext returns an empty context; the first Build populates it.
 func NewContext() *Context { return &Context{} }
 
-// Arena returns the context's packet arena, allocating it on first call
-// so a harness can arm its Check (leak-ledger) mode before the first
-// Build. Pooling and Check flags survive the per-run Reset, which is
-// what lets a sweep-wide leak assertion cover every run a worker's
-// context ever executed.
-func (ctx *Context) Arena() *packet.Arena {
-	if ctx.arena == nil {
-		ctx.arena = packet.NewArena()
-	}
-	return ctx.arena
-}
-
-// prepare hands out the context's scheduler, channel and collector, reset
-// to their freshly-constructed state.
-func (ctx *Context) prepare(rxRange, csRange float64) (*sim.Scheduler, *phy.Channel, *metrics.Collector) {
-	if ctx.sched == nil {
-		ctx.sched = sim.NewScheduler()
-		ctx.ch = phy.NewChannel(ctx.sched, rxRange, csRange)
-		ctx.collector = metrics.NewCollector()
-		if ctx.arena == nil { // may have been pre-armed via Arena()
-			ctx.arena = packet.NewArena()
-		}
-	} else {
-		ctx.sched.Reset()
-		ctx.ch.Reset(rxRange, csRange)
-		ctx.collector.Reset()
-		// The previous run's packets and frames — including any still in
-		// MAC custody at its horizon — restock the free lists.
-		ctx.arena.Reset()
-	}
-	// The previous run is dead by contract, so its RNG sources (~5 KiB of
-	// math/rand state each, well over a hundred per scenario) re-seed for
-	// this one.
-	ctx.rngs.Recycle()
-	return ctx.sched, ctx.ch, ctx.collector
-}
-
-// Build wires a scenario from the configuration, reusing the context's
-// scaffolding. The previous scenario built from this context becomes
-// invalid.
+// Build wires a scenario from the configuration, drawing its RNG streams
+// from the context's recycler. The previous scenario built from this
+// context becomes invalid.
 func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	n := cfg.Nodes
 	if cfg.Placement != nil {
@@ -277,11 +230,17 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	if cmSpec.Aware() {
 		mtsCfg.AwarePenalty = cmSpec.EffectivePenalty()
 	}
-	s := &Scenario{Cfg: cfg, Countermeasure: countermeasure.New(cmSpec)}
-	s.Sched, s.Channel, s.Collector = ctx.prepare(cfg.RxRange, cfg.CSRange)
-	s.Nodes = ctx.nodes[:0]
-	s.Arena = ctx.arena
-	s.Arena.SetClock(s.Sched.Now)
+	sched := sim.NewScheduler()
+	s := &Scenario{
+		Cfg:            cfg,
+		Sched:          sched,
+		Channel:        phy.NewChannel(sched, cfg.RxRange, cfg.CSRange),
+		Nodes:          make([]*node.Node, 0, n),
+		Countermeasure: countermeasure.New(cmSpec),
+		Collector:      metrics.NewCollector(),
+		Arena:          packet.NewArena(),
+	}
+	s.Arena.SetClock(sched.Now)
 	// Receiver lookup is grid-indexed; size the index to the mobility field
 	// (grown to cover any pinned placements outside it) before radios attach.
 	bounds := cfg.Field
@@ -292,7 +251,10 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		bounds.MaxY = math.Max(bounds.MaxY, p.Y)
 	}
 	s.Channel.EnableGrid(bounds, 0)
-	master := ctx.rngs.New(cfg.Seed) // derived streams recycle too
+	// The previous run is dead by contract, so its RNG sources re-seed for
+	// this one; derived streams recycle too.
+	ctx.rngs.Recycle()
+	master := ctx.rngs.New(cfg.Seed)
 	uids := &packet.UIDSource{}
 
 	// Per-index derivation labels ("<prefix>/<i>"), cached across runs.
@@ -502,15 +464,6 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		}
 	}
 
-	// Hand the (possibly re-grown) node backing array back for the next
-	// build; the Node structs themselves are per-run. Clear the slack beyond
-	// this run's length so a smaller run does not pin a larger previous
-	// run's node graphs for the context's lifetime.
-	ctx.nodes = s.Nodes
-	tail := ctx.nodes[len(ctx.nodes):cap(ctx.nodes)]
-	for i := range tail {
-		tail[i] = nil
-	}
 	for _, nd := range s.Nodes {
 		nd.Start()
 	}
@@ -639,7 +592,7 @@ func (s *Scenario) Gather() *metrics.RunMetrics {
 	return m
 }
 
-// RunOne builds and runs one configuration on the reused scaffolding.
+// RunOne builds and runs one configuration on the context.
 func (ctx *Context) RunOne(cfg Config) (*metrics.RunMetrics, error) {
 	s, err := ctx.Build(cfg)
 	if err != nil {

@@ -7,8 +7,8 @@ package sim
 // Events come in two flavours:
 //
 //   - Closure events (At / After) carry a func() and return a handle the
-//     caller may keep for Cancel / Reschedule. They are never recycled, so
-//     a retained *Event stays valid after it fires.
+//     caller may keep for Cancel. They are never recycled, so a retained
+//     *Event stays valid after it fires.
 //   - Task events (AtTask / AfterTask) carry a Task plus a small integer
 //     argument and are fire-and-forget: no handle is returned and the Event
 //     is recycled into a free list the moment it leaves the heap. They cost
@@ -319,29 +319,6 @@ func (s *Scheduler) Cancel(e *Event) {
 	s.recycle(e)
 }
 
-// Reschedule cancels e and returns a fresh event running the same callback
-// at the new time. It is a convenience for restartable timers.
-//
-// It is defensive about event lifecycle so that timer code cannot corrupt
-// the scheduler: rescheduling a nil event returns nil; rescheduling an
-// event that has already fired (index == -1) creates a fresh event from the
-// retained callback without touching the heap or the free list; and
-// rescheduling a pooled task event panics, because a fired task event may
-// already have been recycled and reused for an unrelated event, so the
-// request is not meaningful (task events hand out no handles, so this can
-// only happen through a scheduler bug).
-func (s *Scheduler) Reschedule(e *Event, t Time) *Event {
-	if e == nil {
-		return nil
-	}
-	if e.pooled {
-		panic("sim: reschedule of a pooled task event")
-	}
-	fn := e.fn
-	s.Cancel(e)
-	return s.At(t, fn)
-}
-
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It returns false when the queue is empty. Cancelled events
 // never appear here: Cancel removes them from the heap eagerly.
@@ -417,32 +394,3 @@ func (s *Scheduler) Run() {
 
 // Stop makes the innermost Run/RunUntil return after the current event.
 func (s *Scheduler) Stop() { s.stopped = true }
-
-// Reset returns the scheduler to its freshly-constructed state — clock at
-// zero, no pending events — while keeping the heap's backing array and
-// the task-event free list. Pending pooled task events are recycled into
-// the free list (their Task references cleared so nothing from the
-// previous simulation is pinned); pending closure events are dropped
-// (their retained handles stay valid but refer to a dead simulation).
-//
-// The sequence counter deliberately keeps counting across Reset: only the
-// relative order of seq values is observable (FIFO tie-breaking among
-// same-time events), so continuing the count changes no behaviour, while
-// restarting it would let a TaskHandle retained across Reset alias a
-// recycled Event re-issued under the same seq — voiding CancelTask's
-// stale-handle guarantee. A Reset scheduler is therefore observationally
-// indistinguishable from NewScheduler's, which is what lets a worker
-// reuse one scheduler across runs without perturbing a single bit of the
-// results (scenario.Context relies on this).
-func (s *Scheduler) Reset() {
-	for i := range s.heap {
-		e := s.heap[i].ev
-		e.index = -1
-		s.recycle(e) // no-op for closure events
-		s.heap[i] = heapEntry{}
-	}
-	s.heap = s.heap[:0]
-	s.now = 0
-	s.stopped = false
-	s.Executed = 0
-}

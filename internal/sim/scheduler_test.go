@@ -86,20 +86,6 @@ func TestSchedulerCancelDuringRun(t *testing.T) {
 	}
 }
 
-func TestSchedulerReschedule(t *testing.T) {
-	s := NewScheduler()
-	var at Time
-	e := s.At(Time(Second), func() { at = s.Now() })
-	e = s.Reschedule(e, 5*Time(Second))
-	s.Run()
-	if at != 5*Time(Second) {
-		t.Fatalf("rescheduled event fired at %v", at)
-	}
-	if e.At() != 5*Time(Second) {
-		t.Fatalf("At() = %v", e.At())
-	}
-}
-
 func TestSchedulerRunUntilHorizon(t *testing.T) {
 	s := NewScheduler()
 	var got []Time
@@ -397,55 +383,6 @@ func TestSchedulerTaskEventZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// Regression test for the pooled-scheduler lifecycle: rescheduling an event
-// that has already fired must create a fresh, working event and must not
-// touch the task-event free list (a stale *Event must never corrupt it).
-func TestSchedulerRescheduleAfterFired(t *testing.T) {
-	s := NewScheduler()
-	runs := 0
-	e := s.At(Time(Second), func() { runs++ })
-	s.Run()
-	if runs != 1 || e.index != -1 {
-		t.Fatalf("precondition: runs=%d index=%d", runs, e.index)
-	}
-	// Mix some pooled traffic in so a corrupted free list would be visible.
-	tr := &taskRec{}
-	s.AfterTask(Duration(Millisecond), tr, 7)
-	s.Step()
-	before := s.FreeListLen()
-
-	e2 := s.Reschedule(e, 5*Time(Second))
-	if e2 == nil || e2 == e {
-		t.Fatalf("Reschedule of fired event returned %v", e2)
-	}
-	s.Run()
-	if runs != 2 {
-		t.Fatalf("rescheduled fired event ran %d times, want 2", runs)
-	}
-	if s.FreeListLen() != before {
-		t.Fatalf("free list changed: %d -> %d", before, s.FreeListLen())
-	}
-}
-
-func TestSchedulerRescheduleNil(t *testing.T) {
-	s := NewScheduler()
-	if got := s.Reschedule(nil, Time(Second)); got != nil {
-		t.Fatalf("Reschedule(nil) = %v", got)
-	}
-}
-
-func TestSchedulerReschedulePooledPanics(t *testing.T) {
-	s := NewScheduler()
-	s.AtTask(Time(Second), &taskRec{}, 0)
-	e := s.heap[0].ev // white box: task events hand out no handles
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a pooled task event did not panic")
-		}
-	}()
-	s.Reschedule(e, 2*Time(Second))
-}
-
 func TestSchedulerCancelAfterFired(t *testing.T) {
 	s := NewScheduler()
 	runs := 0
@@ -477,57 +414,6 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
-	}
-}
-
-func TestSchedulerResetMatchesFresh(t *testing.T) {
-	// Run an arbitrary workload, Reset, and verify the scheduler replays a
-	// second workload exactly like a brand-new scheduler would: same
-	// dispatch order, same sequence numbering, same clock.
-	type rec struct{ order []int }
-	load := func(s *Scheduler, r *rec) {
-		tr := &taskRec{}
-		s.At(5, func() { r.order = append(r.order, 1) })
-		s.At(5, func() { r.order = append(r.order, 2) }) // FIFO tie
-		s.AtTask(3, tr, 3)
-		s.After(10, func() { r.order = append(r.order, 4); r.order = append(r.order, tr.got...) })
-		s.RunUntil(20)
-	}
-
-	reused := NewScheduler()
-	// First life: leave pending events in the heap (both flavours) so Reset
-	// has something nontrivial to clear.
-	reused.At(1, func() {})
-	reused.AtTask(100, &taskRec{}, 0)
-	reused.At(200, func() {})
-	reused.RunUntil(50)
-	if reused.Len() == 0 {
-		t.Fatal("test wants pending events at Reset")
-	}
-	reused.Reset()
-
-	if reused.Now() != 0 || reused.Len() != 0 || reused.Executed != 0 {
-		t.Fatalf("reset state: now=%v len=%d executed=%d", reused.Now(), reused.Len(), reused.Executed)
-	}
-	if reused.FreeListLen() == 0 {
-		t.Fatal("reset dropped the pooled task event instead of recycling it")
-	}
-
-	var a, b rec
-	fresh := NewScheduler()
-	load(fresh, &a)
-	load(reused, &b)
-	if len(a.order) != len(b.order) {
-		t.Fatalf("dispatch counts differ: %v vs %v", a.order, b.order)
-	}
-	for i := range a.order {
-		if a.order[i] != b.order[i] {
-			t.Fatalf("dispatch order differs: %v vs %v", a.order, b.order)
-		}
-	}
-	if fresh.Now() != reused.Now() || fresh.Executed != reused.Executed {
-		t.Fatalf("clock/executed differ: %v/%d vs %v/%d",
-			fresh.Now(), fresh.Executed, reused.Now(), reused.Executed)
 	}
 }
 

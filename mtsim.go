@@ -252,11 +252,12 @@ func RunCacheKey(cfg Config) (string, error) { return runcache.Key(cfg) }
 // All zeros is a healthy cache.
 type CacheHealth = runcache.Health
 
-// RunContext reuses the expensive simulation scaffolding (event scheduler,
-// radio channel, spatial grid, pools) across consecutive runs on one
-// goroutine; results are bit-identical to fresh Builds. Sweep workers use
-// one per goroutine automatically — reach for it directly when running
-// many configurations in your own loop.
+// RunContext recycles RNG state (math/rand sources and derivation labels)
+// across consecutive runs on one goroutine; every run still builds its
+// own scheduler, channel, collector and packet arena, and results are
+// bit-identical to fresh Builds. Sweep workers use one per goroutine
+// automatically — reach for it directly when running many configurations
+// in your own loop.
 type RunContext = scenario.Context
 
 // NewRunContext returns an empty reusable simulation context.

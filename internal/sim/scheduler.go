@@ -7,8 +7,8 @@ package sim
 // Events come in two flavours:
 //
 //   - Closure events (At / After) carry a func() and return a handle the
-//     caller may keep for Cancel. They are never recycled, so a retained
-//     *Event stays valid after it fires.
+//     caller may keep for Cancel / Reschedule. They are never recycled, so
+//     a retained *Event stays valid after it fires.
 //   - Task events (AtTask / AfterTask) carry a Task plus a small integer
 //     argument and are fire-and-forget: no handle is returned and the Event
 //     is recycled into a free list the moment it leaves the heap. They cost
@@ -317,6 +317,29 @@ func (s *Scheduler) Cancel(e *Event) {
 	e.cancelled = true
 	s.heap.remove(e.index)
 	s.recycle(e)
+}
+
+// Reschedule cancels e and returns a fresh event running the same callback
+// at the new time. It is a convenience for restartable timers.
+//
+// It is defensive about event lifecycle so that timer code cannot corrupt
+// the scheduler: rescheduling a nil event returns nil; rescheduling an
+// event that has already fired (index == -1) creates a fresh event from the
+// retained callback without touching the heap or the free list; and
+// rescheduling a pooled task event panics, because a fired task event may
+// already have been recycled and reused for an unrelated event, so the
+// request is not meaningful (task events hand out no handles, so this can
+// only happen through a scheduler bug).
+func (s *Scheduler) Reschedule(e *Event, t Time) *Event {
+	if e == nil {
+		return nil
+	}
+	if e.pooled {
+		panic("sim: reschedule of a pooled task event")
+	}
+	fn := e.fn
+	s.Cancel(e)
+	return s.At(t, fn)
 }
 
 // Step executes the single earliest pending event, advancing the clock to

@@ -86,6 +86,20 @@ func TestSchedulerCancelDuringRun(t *testing.T) {
 	}
 }
 
+func TestSchedulerReschedule(t *testing.T) {
+	s := NewScheduler()
+	var at Time
+	e := s.At(Time(Second), func() { at = s.Now() })
+	e = s.Reschedule(e, 5*Time(Second))
+	s.Run()
+	if at != 5*Time(Second) {
+		t.Fatalf("rescheduled event fired at %v", at)
+	}
+	if e.At() != 5*Time(Second) {
+		t.Fatalf("At() = %v", e.At())
+	}
+}
+
 func TestSchedulerRunUntilHorizon(t *testing.T) {
 	s := NewScheduler()
 	var got []Time
@@ -381,6 +395,55 @@ func TestSchedulerTaskEventZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("task scheduling allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+// Regression test for the pooled-scheduler lifecycle: rescheduling an event
+// that has already fired must create a fresh, working event and must not
+// touch the task-event free list (a stale *Event must never corrupt it).
+func TestSchedulerRescheduleAfterFired(t *testing.T) {
+	s := NewScheduler()
+	runs := 0
+	e := s.At(Time(Second), func() { runs++ })
+	s.Run()
+	if runs != 1 || e.index != -1 {
+		t.Fatalf("precondition: runs=%d index=%d", runs, e.index)
+	}
+	// Mix some pooled traffic in so a corrupted free list would be visible.
+	tr := &taskRec{}
+	s.AfterTask(Duration(Millisecond), tr, 7)
+	s.Step()
+	before := s.FreeListLen()
+
+	e2 := s.Reschedule(e, 5*Time(Second))
+	if e2 == nil || e2 == e {
+		t.Fatalf("Reschedule of fired event returned %v", e2)
+	}
+	s.Run()
+	if runs != 2 {
+		t.Fatalf("rescheduled fired event ran %d times, want 2", runs)
+	}
+	if s.FreeListLen() != before {
+		t.Fatalf("free list changed: %d -> %d", before, s.FreeListLen())
+	}
+}
+
+func TestSchedulerRescheduleNil(t *testing.T) {
+	s := NewScheduler()
+	if got := s.Reschedule(nil, Time(Second)); got != nil {
+		t.Fatalf("Reschedule(nil) = %v", got)
+	}
+}
+
+func TestSchedulerReschedulePooledPanics(t *testing.T) {
+	s := NewScheduler()
+	s.AtTask(Time(Second), &taskRec{}, 0)
+	e := s.heap[0].ev // white box: task events hand out no handles
+	defer func() {
+		if recover() == nil {
+			t.Fatal("rescheduling a pooled task event did not panic")
+		}
+	}()
+	s.Reschedule(e, 2*Time(Second))
 }
 
 func TestSchedulerCancelAfterFired(t *testing.T) {

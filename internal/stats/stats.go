@@ -19,6 +19,21 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
+// StdDevPop returns the population standard deviation (divide by N), the
+// form Eq. 4 prints; the collector uses StdDevSample (see above).
+func StdDevPop(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := Mean(xs)
+	s := 0.0
+	for _, x := range xs {
+		d := x - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(xs)))
+}
+
 // StdDevSample returns the sample standard deviation (divide by N-1); used
 // for Eq. 4's σ and for confidence intervals across repetitions.
 func StdDevSample(xs []float64) float64 {
@@ -41,4 +56,21 @@ func CI95(xs []float64) float64 {
 		return 0
 	}
 	return 1.96 * StdDevSample(xs) / math.Sqrt(float64(len(xs)))
+}
+
+// MinMax returns the extrema (0,0 for an empty slice).
+func MinMax(xs []float64) (lo, hi float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	lo, hi = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	return lo, hi
 }

@@ -17,6 +17,20 @@ func TestMean(t *testing.T) {
 	}
 }
 
+func TestStdDevPop(t *testing.T) {
+	// Known example: {2,4,4,4,5,5,7,9} has population stddev 2.
+	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
+	if !almostEq(StdDevPop(xs), 2) {
+		t.Fatalf("pop stddev = %v", StdDevPop(xs))
+	}
+	if StdDevPop(nil) != 0 {
+		t.Fatal("empty")
+	}
+	if !almostEq(StdDevPop([]float64{5}), 0) {
+		t.Fatal("singleton")
+	}
+}
+
 func TestStdDevSample(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	want := 2 * math.Sqrt(8.0/7.0)
@@ -41,7 +55,18 @@ func TestCI95(t *testing.T) {
 	}
 }
 
-// Property: sample stddev is translation-invariant.
+func TestMinMax(t *testing.T) {
+	lo, hi := MinMax([]float64{3, -1, 7, 2})
+	if lo != -1 || hi != 7 {
+		t.Fatalf("minmax = %v %v", lo, hi)
+	}
+	lo, hi = MinMax(nil)
+	if lo != 0 || hi != 0 {
+		t.Fatal("empty minmax")
+	}
+}
+
+// Property: population stddev is translation-invariant and scales with |c|.
 func TestStdDevProperties(t *testing.T) {
 	f := func(raw []int8, shift int8) bool {
 		if len(raw) == 0 {
@@ -53,7 +78,7 @@ func TestStdDevProperties(t *testing.T) {
 			xs[i] = float64(v)
 			ys[i] = float64(v) + float64(shift)
 		}
-		return math.Abs(StdDevSample(xs)-StdDevSample(ys)) < 1e-9
+		return math.Abs(StdDevPop(xs)-StdDevPop(ys)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -67,7 +92,7 @@ func TestStdDevNonNegative(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		return StdDevSample(xs) >= 0
+		return StdDevPop(xs) >= 0 && StdDevSample(xs) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -76,8 +101,11 @@ func TestStdDevNonNegative(t *testing.T) {
 
 func TestEdgeCasesEmptyAndSingleton(t *testing.T) {
 	// n = 0: every estimator is defined as 0, never NaN.
-	if Mean(nil) != 0 || StdDevSample(nil) != 0 || CI95(nil) != 0 {
+	if Mean(nil) != 0 || StdDevPop(nil) != 0 || StdDevSample(nil) != 0 || CI95(nil) != 0 {
 		t.Fatal("n=0 estimators must be 0")
+	}
+	if lo, hi := MinMax(nil); lo != 0 || hi != 0 {
+		t.Fatal("n=0 MinMax must be (0,0)")
 	}
 	// n = 1: a single repetition has no spread estimate; CI95 must be 0
 	// (not NaN from a 0/0), so single-rep sweep tables stay printable.
@@ -98,7 +126,7 @@ func TestNaNPropagation(t *testing.T) {
 	if !math.IsNaN(Mean(xs)) {
 		t.Fatal("mean must propagate NaN")
 	}
-	if !math.IsNaN(StdDevSample(xs)) {
+	if !math.IsNaN(StdDevPop(xs)) || !math.IsNaN(StdDevSample(xs)) {
 		t.Fatal("stddev must propagate NaN")
 	}
 	if !math.IsNaN(CI95(xs)) {

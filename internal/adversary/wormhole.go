@@ -85,7 +85,7 @@ func (w *Adversary) tunnelControl(from int, p *packet.Packet, next packet.NodeID
 
 func (w *Adversary) tunnel(from int, p *packet.Packet) {
 	t := &tunnelled{w: w, from: from, p: p}
-	t.h = w.hosts[from].Scheduler().AfterTaskCancellable(TunnelDelay, t, 0)
+	t.h = w.hosts[from].Scheduler().AfterTask(TunnelDelay, t, 0)
 	w.pend = append(w.pend, t)
 	w.tunnelledN++
 }
@@ -97,7 +97,7 @@ func (w *Adversary) tunnel(from int, p *packet.Packet) {
 func (w *Adversary) Retire() {
 	for len(w.pend) > 0 {
 		t := w.pend[0]
-		w.hosts[0].Scheduler().CancelTask(t.h)
+		w.hosts[0].Scheduler().Cancel(t.h)
 		w.hosts[t.from].Arena().Release(t.p)
 		w.forget(t)
 	}

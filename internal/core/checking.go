@@ -5,13 +5,14 @@ import (
 
 	"mtsim/internal/packet"
 	"mtsim/internal/routing"
+	"mtsim/internal/sim"
 )
 
 // ensureChecking starts the destination's periodic checking timer for the
 // session with src, if not already running (§III-D).
 func (r *Router) ensureChecking(src packet.NodeID) {
 	ds := r.dst[src]
-	if ds == nil || ds.timer != nil {
+	if ds == nil || ds.timer.Pending() {
 		return
 	}
 	// Jitter the first round so concurrent sessions do not synchronise.
@@ -27,7 +28,7 @@ func (r *Router) checkRound(src packet.NodeID) {
 	if ds == nil {
 		return
 	}
-	ds.timer = nil
+	ds.timer = sim.TaskHandle{}
 	// Stop checking for sessions that have gone quiet.
 	if ds.lastData > 0 && r.env.Scheduler().Now().Sub(ds.lastData) > r.cfg.SessionIdle {
 		return
@@ -111,10 +112,8 @@ func (r *Router) considerSwitch(ss *srcState, checkID uint32, pathID int) {
 	if routing.SeqNewer(checkID, ss.lastSwitchRound) {
 		// First arrival of a new round.
 		ss.lastSwitchRound = checkID
-		if ss.pendingSwitch != nil {
-			r.env.Scheduler().Cancel(ss.pendingSwitch)
-			ss.pendingSwitch = nil
-		}
+		r.env.Scheduler().Cancel(ss.pendingSwitch)
+		ss.pendingSwitch = sim.TaskHandle{}
 		if pathID == ss.current {
 			// The current path won the race outright; the aware policy
 			// may still move off it when its first hop has grown
@@ -129,17 +128,17 @@ func (r *Router) considerSwitch(ss *srcState, checkID uint32, pathID int) {
 			return
 		}
 		ss.pendingSwitch = r.env.Scheduler().After(r.cfg.SwitchMargin, func() {
-			ss.pendingSwitch = nil
+			ss.pendingSwitch = sim.TaskHandle{}
 			// Re-score at fire time: usage counts may have moved during
 			// the margin.
 			r.switchTo(ss, r.switchTarget(ss, pathID))
 		})
 		return
 	}
-	if checkID == ss.lastSwitchRound && pathID == ss.current && ss.pendingSwitch != nil {
+	if checkID == ss.lastSwitchRound && pathID == ss.current && ss.pendingSwitch.Pending() {
 		// The current path answered within the margin: keep it.
 		r.env.Scheduler().Cancel(ss.pendingSwitch)
-		ss.pendingSwitch = nil
+		ss.pendingSwitch = sim.TaskHandle{}
 	}
 }
 

@@ -182,7 +182,7 @@ type srcState struct {
 	lastSwitchRound uint32
 	// pendingSwitch defers a round's switch decision by SwitchMargin so
 	// the current path can defend its place (see Config.SwitchMargin).
-	pendingSwitch *sim.Event
+	pendingSwitch sim.TaskHandle
 	// sent counts data packets handed to each first hop (lazily
 	// allocated; drives the AwarePenalty usage-skew scores), rotate is
 	// the Disperse round-robin cursor, and scratch is the reused backing
@@ -207,7 +207,7 @@ type storedPath struct {
 type dstState struct {
 	bid          uint32
 	paths        []*storedPath
-	timer        *sim.Event
+	timer        sim.TaskHandle
 	lastData     sim.Time
 	lastDataPath int
 }

@@ -58,7 +58,7 @@ func (r *Router) noteDataArrival(p *packet.Packet) {
 	}
 	ds.lastData = r.env.Scheduler().Now()
 	ds.lastDataPath = p.PathID
-	if ds.timer == nil {
+	if !ds.timer.Pending() {
 		// Data is flowing again after an idle pause: resume checking.
 		r.ensureChecking(src)
 	}

@@ -40,7 +40,7 @@ type Shuffler struct {
 	hold  sim.Duration
 
 	buf   []*packet.Packet
-	timer *sim.Event
+	timer sim.TaskHandle
 
 	// Shuffled counts segments released in permuted order; Blocks counts
 	// flushes (full and timer-forced).
@@ -70,14 +70,14 @@ func (s *Shuffler) Filter(p *packet.Packet) bool {
 		s.flush()
 		return true
 	}
-	if s.timer == nil && s.hold > 0 {
+	if !s.timer.Pending() && s.hold > 0 {
 		s.timer = s.host.Scheduler().After(s.hold, s.onHold)
 	}
 	return true
 }
 
 func (s *Shuffler) onHold() {
-	s.timer = nil
+	s.timer = sim.TaskHandle{}
 	if len(s.buf) > 0 {
 		s.flush()
 	}
@@ -87,10 +87,8 @@ func (s *Shuffler) onHold() {
 // is drawn fresh per block, so even a repeating block size never settles
 // into a fixed interleaving an observer could invert.
 func (s *Shuffler) flush() {
-	if s.timer != nil {
-		s.host.Scheduler().Cancel(s.timer)
-		s.timer = nil
-	}
+	s.host.Scheduler().Cancel(s.timer)
+	s.timer = sim.TaskHandle{}
 	block := s.buf
 	s.buf = nil // reentrant originations open a fresh block
 	s.Blocks++
@@ -117,10 +115,8 @@ func (s *Shuffler) Pending() int { return len(s.buf) }
 // contract: segments claimed from Originate either re-enter the stack via
 // Inject or die here.
 func (s *Shuffler) Retire() {
-	if s.timer != nil {
-		s.host.Scheduler().Cancel(s.timer)
-		s.timer = nil
-	}
+	s.host.Scheduler().Cancel(s.timer)
+	s.timer = sim.TaskHandle{}
 	for i, p := range s.buf {
 		s.ar.Release(p)
 		s.buf[i] = nil

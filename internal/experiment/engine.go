@@ -380,10 +380,9 @@ func (s Sweep) Run() (*Result, error) {
 		go func() {
 			defer wg.Done()
 			// One reusable simulation context per worker, built on its
-			// first miss: consecutive runs reset the scheduler/channel/
-			// collector instead of reallocating them (bit-identical
-			// results; see scenario.Context). runCell replaces it with a
-			// fresh one if a panic poisons it.
+			// first miss: consecutive runs recycle its RNG sources and
+			// label caches (bit-identical results; see scenario.Context).
+			// runCell replaces it with a fresh one if a panic poisons it.
 			var ctx *scenario.Context
 			for j := range jobCh {
 				select {

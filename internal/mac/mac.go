@@ -217,9 +217,10 @@ func (m *Mac) releaseJobFrame(j *txJob) {
 }
 
 // Timer kinds dispatched through the MAC's sim.Task implementation. All
-// MAC timers run as pooled task events: the 802.11 state machine arms and
-// revokes timers on every frame, so closure events would dominate the
-// simulator's allocation profile.
+// MAC timers are task events on the Mac itself rather than closures: the
+// 802.11 state machine arms and revokes timers on every frame, so a
+// captured closure per timer would dominate the simulator's allocation
+// profile.
 const (
 	macNavExpire = iota
 	macDIFSDone
@@ -241,7 +242,7 @@ func (m *Mac) Run(arg int) {
 	case macDIFSDone:
 		m.difsEvent = sim.TaskHandle{}
 		m.backoffStart = m.sched.Now()
-		m.backoffEvent = m.sched.AfterTaskCancellable(
+		m.backoffEvent = m.sched.AfterTask(
 			sim.Duration(m.backoffSlots)*m.cfg.SlotTime, m, macBackoffDone)
 	case macBackoffDone:
 		m.backoffEvent = sim.TaskHandle{}
@@ -256,12 +257,12 @@ func (m *Mac) Run(arg int) {
 		m.releaseJobFrame(m.cur)
 		m.state = stWaitCTS
 		timeout := m.cfg.SIFS + m.ctsAirtime() + 2*maxPropSlack + m.cfg.SlotTime
-		m.timeoutEvent = m.sched.AfterTaskCancellable(timeout, m, macCTSTimeout)
+		m.timeoutEvent = m.sched.AfterTask(timeout, m, macCTSTimeout)
 	case macTxDoneData:
 		m.releaseJobFrame(m.cur)
 		m.state = stWaitAck
 		timeout := m.cfg.SIFS + m.ackAirtime() + 2*maxPropSlack + m.cfg.SlotTime
-		m.timeoutEvent = m.sched.AfterTaskCancellable(timeout, m, macAckTimeout)
+		m.timeoutEvent = m.sched.AfterTask(timeout, m, macAckTimeout)
 	case macTxDoneBroadcast:
 		if j := m.cur; j != nil {
 			// A broadcast has no MAC-ACK: the payload dies with the

@@ -26,7 +26,7 @@ func (m *Mac) setNAV(until sim.Time) {
 	}
 	m.nav = until
 	if m.navEvent.Pending() {
-		m.sched.CancelTask(m.navEvent)
+		m.sched.Cancel(m.navEvent)
 		m.navEvent = sim.TaskHandle{}
 	}
 	if m.state == stContend {
@@ -87,7 +87,7 @@ func (m *Mac) handleCTS(f *packet.Frame) {
 		return
 	}
 	if m.timeoutEvent.Pending() {
-		m.sched.CancelTask(m.timeoutEvent)
+		m.sched.Cancel(m.timeoutEvent)
 		m.timeoutEvent = sim.TaskHandle{}
 	}
 	m.state = stTxData // committed; a duplicate CTS must not re-trigger
@@ -127,7 +127,7 @@ func (m *Mac) handleAck(f *packet.Frame) {
 		return
 	}
 	if m.timeoutEvent.Pending() {
-		m.sched.CancelTask(m.timeoutEvent)
+		m.sched.Cancel(m.timeoutEvent)
 		m.timeoutEvent = sim.TaskHandle{}
 	}
 	m.finishJob()

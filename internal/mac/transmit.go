@@ -71,7 +71,7 @@ func (m *Mac) reconsider() {
 	m.pauseContention()
 	if m.sched.Now() < m.nav && !m.navEvent.Pending() {
 		// The NAV holds us off: re-evaluate when it ends.
-		m.navEvent = m.sched.AtTaskCancellable(m.nav, m, macNavExpire)
+		m.navEvent = m.sched.AtTask(m.nav, m, macNavExpire)
 	}
 }
 
@@ -81,7 +81,7 @@ func (m *Mac) drawBackoff() int { return m.rng.Intn(m.cw + 1) }
 // elapsed slots.
 func (m *Mac) pauseContention() {
 	if m.difsEvent.Pending() {
-		m.sched.CancelTask(m.difsEvent)
+		m.sched.Cancel(m.difsEvent)
 		m.difsEvent = sim.TaskHandle{}
 	}
 	if m.backoffEvent.Pending() {
@@ -91,7 +91,7 @@ func (m *Mac) pauseContention() {
 			done = m.backoffSlots
 		}
 		m.backoffSlots -= done
-		m.sched.CancelTask(m.backoffEvent)
+		m.sched.Cancel(m.backoffEvent)
 		m.backoffEvent = sim.TaskHandle{}
 	}
 }
@@ -102,7 +102,7 @@ func (m *Mac) resumeContention() {
 	if m.difsEvent.Pending() || m.backoffEvent.Pending() {
 		return // already counting
 	}
-	m.difsEvent = m.sched.AfterTaskCancellable(m.cfg.DIFS, m, macDIFSDone)
+	m.difsEvent = m.sched.AfterTask(m.cfg.DIFS, m, macDIFSDone)
 }
 
 func (m *Mac) onBackoffDone() {

@@ -319,7 +319,7 @@ func (n *Node) SendMacAfter(d sim.Duration, p *packet.Packet, next packet.NodeID
 	}
 	ds := n.dsPool.Get()
 	ds.n, ds.p, ds.next = n, p, next
-	ds.h = n.sched.AfterTaskCancellable(d, ds, 0)
+	ds.h = n.sched.AfterTask(d, ds, 0)
 	n.pend = append(n.pend, ds)
 }
 
@@ -330,7 +330,7 @@ func (n *Node) SendMacAfter(d sim.Duration, p *packet.Packet, next packet.NodeID
 func (n *Node) Retire() {
 	for len(n.pend) > 0 {
 		d := n.pend[0]
-		n.sched.CancelTask(d.h)
+		n.sched.Cancel(d.h)
 		n.arena.Release(d.p)
 		n.forgetDelayed(d) // removes d from n.pend
 	}

@@ -116,23 +116,11 @@ func compareBatches(t *testing.T, grid, linear []batchRecord) {
 }
 
 // TestGridFillMatchesLinearAcrossWords pins the ID-ordered fill at the
-// bitset's word boundaries: populations just under, at and just over one
-// 64-bit word, several words, and a large field must all produce batches
-// identical to the linear scan.
+// bitset's word boundaries: populations inside, just under, at and just
+// over one 64-bit word, several words, and a large field must all produce
+// batches identical to the linear scan.
 func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
-	for _, n := range []int{63, 64, 65, 130, 1000} {
-		s := sim.NewScheduler()
-		c := NewChannel(s, DefaultRxRange, DefaultCSRange)
-		attachMovers(c, n)
-		compareBatches(t, recordBatches(t, s, c), linearBatches(t, n))
-	}
-}
-
-// TestGridFillMatchesLinearAfterReset shrinks the population between
-// consecutive channels and grows it back, each round on a fresh channel
-// as every run builds one: each round must match the linear scan.
-func TestGridFillMatchesLinearAfterReset(t *testing.T) {
-	for _, n := range []int{130, 50, 130} {
+	for _, n := range []int{50, 63, 64, 65, 130, 1000} {
 		s := sim.NewScheduler()
 		c := NewChannel(s, DefaultRxRange, DefaultCSRange)
 		attachMovers(c, n)

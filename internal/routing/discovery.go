@@ -46,7 +46,7 @@ type Discovery[R any] struct {
 // retry timer of the latest.
 type inFlight struct {
 	attempts int
-	timer    *sim.Event
+	timer    sim.TaskHandle
 }
 
 // NewDiscovery creates router's discovery driver over buffer in env.

@@ -104,7 +104,7 @@ type collectState struct {
 	id      uint32
 	first   []packet.NodeID
 	others  [][]packet.NodeID
-	timer   *sim.Event
+	timer   sim.TaskHandle
 	replied bool
 }
 
@@ -335,14 +335,14 @@ func (r *Router) rreqAtDestination(h *RREQ) {
 	route := append(packet.CloneRoute(h.Record), self)
 	cs := r.collect[h.Orig]
 	if cs == nil || cs.id != h.ID {
-		if cs != nil && cs.timer != nil {
+		if cs != nil {
 			r.env.Scheduler().Cancel(cs.timer)
 		}
 		cs = &collectState{id: h.ID, first: route, replied: true}
 		r.collect[h.Orig] = cs
 		r.sendRREP(route, 0, h.ID)
 		cs.timer = r.env.Scheduler().After(r.cfg.SelectWait, func() {
-			cs.timer = nil
+			cs.timer = sim.TaskHandle{}
 			r.selectSecond(h.Orig, cs)
 		})
 		return

@@ -7,7 +7,7 @@ package sim
 // garbage collector and a recycled object can never leak state into its
 // next life. Not safe for concurrent use, like everything else in sim.
 //
-// The scheduler's Event free list intentionally does not use Pool: freed
+// The scheduler's event free list intentionally does not use Pool: freed
 // events carry a sentinel sequence number (not the zero value) to make
 // stale TaskHandles provably invalid.
 type Pool[T any] struct {

@@ -1,32 +1,21 @@
 package sim
 
-// Event is a scheduled callback. Events are created through Scheduler.At /
-// Scheduler.After and may be cancelled; a cancelled event is skipped when its
-// time comes. The zero Event is not valid.
-//
-// Events come in two flavours:
-//
-//   - Closure events (At / After) carry a func() and return a handle the
-//     caller may keep for Cancel / Reschedule. They are never recycled, so
-//     a retained *Event stays valid after it fires.
-//   - Task events (AtTask / AfterTask) carry a Task plus a small integer
-//     argument and are fire-and-forget: no handle is returned and the Event
-//     is recycled into a free list the moment it leaves the heap. They cost
-//     zero steady-state allocations, which is what the PHY broadcast hot
-//     path needs: two batched arrival events per frame (first-bit and
-//     last-bit, each iterating the whole receiver batch), or two events
-//     per receiver per frame in the unbatched reference mode. Either way
-//     one executed event may deliver to many radios — Executed counts
-//     scheduler dispatches, not per-receiver deliveries.
-type Event struct {
-	at        Time
-	seq       uint64 // creation order; breaks ties deterministically (FIFO)
-	fn        func()
-	task      Task
-	arg       int
-	index     int // heap index, -1 once popped
-	cancelled bool
-	pooled    bool // recycle into the free list once fired
+// event is one scheduled dispatch: task.Run(arg) at time at. Every event
+// comes from the scheduler's free list and returns to it the moment it
+// leaves the heap (fired or cancelled), so steady-state scheduling does not
+// allocate. That is what the PHY broadcast hot path needs: two batched
+// arrival events per frame (first-bit and last-bit, each iterating the
+// whole receiver batch), or two events per receiver per frame in the
+// unbatched reference mode. Either way one executed event may deliver to
+// many radios — Executed counts scheduler dispatches, not per-receiver
+// deliveries. Timers share the same events; a caller revokes one only
+// through the TaskHandle its schedule call returned.
+type event struct {
+	at    Time
+	seq   uint64 // creation order; breaks ties deterministically (FIFO)
+	task  Task
+	arg   int
+	index int // heap index, -1 once popped
 }
 
 // Task is the allocation-free alternative to a closure: a long-lived object
@@ -37,28 +26,21 @@ type Task interface {
 	Run(arg int)
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
+// funcTask adapts a closure to Task for At/After. A func value fits in the
+// interface without boxing, so scheduling a pre-bound func does not
+// allocate; the cost of a closure event is whatever the closure captures.
+type funcTask func()
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-func (e *Event) dispatch() {
-	if e.task != nil {
-		e.task.Run(e.arg)
-		return
-	}
-	e.fn()
-}
+func (f funcTask) Run(int) { f() }
 
 // heapEntry is one slot of the event queue. The ordering key (at, seq) is
 // stored inline so that sift comparisons stay within the backing array
-// instead of chasing *Event pointers — the queue is the simulator's hottest
+// instead of chasing *event pointers — the queue is the simulator's hottest
 // data structure.
 type heapEntry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 // eventHeap is a hand-rolled 4-ary min-heap ordered by (at, seq). A wider
@@ -116,7 +98,7 @@ func (h eventHeap) siftDown(i int) {
 	entry.ev.index = i
 }
 
-func (h *eventHeap) push(e *Event) {
+func (h *eventHeap) push(e *event) {
 	*h = append(*h, heapEntry{at: e.at, seq: e.seq, ev: e})
 	h.siftUp(len(*h) - 1)
 }
@@ -125,7 +107,7 @@ func (h *eventHeap) push(e *Event) {
 // deletion was tried here and measured slower: short-lived arrival events
 // keep the tail entries young, so the classic sift-down's early exit beats
 // the unconditional hole-to-leaf walk.)
-func (h *eventHeap) popMin() *Event {
+func (h *eventHeap) popMin() *event {
 	old := *h
 	e := old[0].ev
 	n := len(old) - 1
@@ -161,11 +143,10 @@ func (h *eventHeap) remove(i int) {
 // advances. It is not safe for concurrent use; a simulation owns exactly one
 // scheduler and runs on one goroutine.
 type Scheduler struct {
-	heap    eventHeap
-	free    []*Event // recycled task events (fire-and-forget, no handles)
-	now     Time
-	seq     uint64
-	stopped bool
+	heap eventHeap
+	free []*event // recycled events
+	now  Time
+	seq  uint64
 	// Executed counts events that have been dispatched; useful for
 	// progress accounting and performance reporting.
 	Executed uint64
@@ -179,167 +160,89 @@ func NewScheduler() *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Len returns the number of pending events (Cancel and CancelTask remove an
-// event at once, so none is counted); it is intended for tests and stats.
+// Len returns the number of pending events (Cancel removes an event at
+// once, so none is counted); it is intended for tests and stats.
 func (s *Scheduler) Len() int { return len(s.heap) }
 
-// FreeListLen reports the size of the task-event free list (tests/stats).
+// FreeListLen reports the size of the event free list (tests/stats).
 func (s *Scheduler) FreeListLen() int { return len(s.free) }
 
 // At schedules fn to run at virtual time t. Scheduling in the past panics:
 // it indicates a logic error in the calling model, and silently reordering
 // events would destroy causality.
-func (s *Scheduler) At(t Time, fn func()) *Event {
-	if t < s.now {
-		panic("sim: event scheduled in the past")
-	}
-	e := &Event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	s.heap.push(e)
-	return e
+func (s *Scheduler) At(t Time, fn func()) TaskHandle {
+	return s.AtTask(t, funcTask(fn), 0)
 }
 
 // After schedules fn to run d after the current time.
-func (s *Scheduler) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return s.At(s.now.Add(d), fn)
+func (s *Scheduler) After(d Duration, fn func()) TaskHandle {
+	return s.AfterTask(d, funcTask(fn), 0)
 }
 
-// AtTask schedules task.Run(arg) at virtual time t using a pooled Event.
-// The event is fire-and-forget: it cannot be cancelled or rescheduled (no
-// handle is returned) and its Event struct is recycled once it fires, so
-// steady-state scheduling through this path does not allocate.
-func (s *Scheduler) AtTask(t Time, task Task, arg int) {
-	s.atTask(t, task, arg)
-}
-
-func (s *Scheduler) atTask(t Time, task Task, arg int) *Event {
+// AtTask schedules task.Run(arg) at virtual time t and returns a handle
+// for Cancel; callers that never cancel ignore it.
+func (s *Scheduler) AtTask(t Time, task Task, arg int) TaskHandle {
 	if t < s.now {
 		panic("sim: event scheduled in the past")
 	}
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{}
+		e = &event{}
 	}
-	*e = Event{at: t, seq: s.seq, task: task, arg: arg, pooled: true}
+	*e = event{at: t, seq: s.seq, task: task, arg: arg}
 	s.seq++
 	s.heap.push(e)
-	return e
+	return TaskHandle{ev: e, seq: e.seq}
 }
 
-// AfterTask schedules task.Run(arg) to run d after the current time; see
-// AtTask for the pooling contract.
-func (s *Scheduler) AfterTask(d Duration, task Task, arg int) {
+// AfterTask schedules task.Run(arg) to run d after the current time.
+func (s *Scheduler) AfterTask(d Duration, task Task, arg int) TaskHandle {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	s.AtTask(s.now.Add(d), task, arg)
+	return s.AtTask(s.now.Add(d), task, arg)
 }
 
-// TaskHandle is a revocation token for a cancellable pooled task event. It
-// pairs the Event pointer with the globally unique sequence number the
-// event was created with, so a handle kept past the event's firing (and the
-// Event struct's recycling into another event) is detected and ignored
-// rather than cancelling an unrelated event. The zero TaskHandle refers to
+// TaskHandle is the revocation token for a scheduled event. It pairs the
+// event pointer with the globally unique sequence number the event was
+// created with, so a handle kept past the event's firing (and the event
+// struct's recycling into another event) is detected and ignored rather
+// than cancelling an unrelated event. The zero TaskHandle refers to
 // nothing; Pending reports false for it.
 type TaskHandle struct {
-	ev  *Event
+	ev  *event
 	seq uint64
 }
 
 // Pending reports whether the handle refers to an event at all. It does not
 // track firing — callers that need "still scheduled" semantics must clear
-// their handle when the task runs (the task's Run is the notification).
+// their handle when the event runs (the callback is the notification).
 func (h TaskHandle) Pending() bool { return h.ev != nil }
 
-// AtTaskCancellable is AtTask returning a revocation handle for timer-style
-// users (one outstanding event, frequently cancelled or superseded). The
-// event is pooled exactly like AtTask's.
-func (s *Scheduler) AtTaskCancellable(t Time, task Task, arg int) TaskHandle {
-	e := s.atTask(t, task, arg)
-	return TaskHandle{ev: e, seq: e.seq}
-}
-
-// AfterTaskCancellable is AfterTask returning a revocation handle.
-func (s *Scheduler) AfterTaskCancellable(d Duration, task Task, arg int) TaskHandle {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return s.AtTaskCancellable(s.now.Add(d), task, arg)
-}
-
-// CancelTask revokes a pooled task event. Stale handles — the event already
-// fired, was cancelled, or its struct was recycled for a newer event — are
-// detected by the sequence check and ignored, so CancelTask can never
-// corrupt the free list or cancel the wrong event.
-func (s *Scheduler) CancelTask(h TaskHandle) {
+// Cancel revokes a scheduled event, removing it from the queue at once to
+// keep the heap small in timer-heavy workloads. Stale handles — the event
+// already fired, was cancelled, or its struct was recycled for a newer
+// event — are detected by the sequence check and ignored, so Cancel can
+// never corrupt the free list or cancel the wrong event.
+func (s *Scheduler) Cancel(h TaskHandle) {
 	e := h.ev
-	if e == nil || !e.pooled || e.seq != h.seq || e.index < 0 {
+	if e == nil || e.seq != h.seq || e.index < 0 {
 		return
 	}
 	s.heap.remove(e.index)
 	s.recycle(e)
 }
 
-// recycle returns a popped task event to the free list. Closure events are
-// never recycled: callers may retain their handles indefinitely, and a
-// recycled handle would alias a future, unrelated event.
-func (s *Scheduler) recycle(e *Event) {
-	if !e.pooled {
-		return
-	}
+// recycle returns a popped event to the free list.
+func (s *Scheduler) recycle(e *event) {
 	// The sentinel seq makes any retained TaskHandle to this event provably
 	// stale while it sits in the free list (the seq counter never reaches it).
-	*e = Event{index: -1, seq: ^uint64(0)}
+	*e = event{index: -1, seq: ^uint64(0)}
 	s.free = append(s.free, e)
-}
-
-// Cancel marks the event so it will not fire. Cancelling an already-fired or
-// already-cancelled event is a no-op. The event is removed from the queue
-// immediately to keep the heap small in timer-heavy workloads.
-func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.cancelled {
-		return
-	}
-	if e.index < 0 {
-		// Already fired. Closure events keep their identity after firing,
-		// so marking them cancelled preserves the historical Cancelled()
-		// contract; there is nothing to remove from the heap.
-		e.cancelled = true
-		return
-	}
-	e.cancelled = true
-	s.heap.remove(e.index)
-	s.recycle(e)
-}
-
-// Reschedule cancels e and returns a fresh event running the same callback
-// at the new time. It is a convenience for restartable timers.
-//
-// It is defensive about event lifecycle so that timer code cannot corrupt
-// the scheduler: rescheduling a nil event returns nil; rescheduling an
-// event that has already fired (index == -1) creates a fresh event from the
-// retained callback without touching the heap or the free list; and
-// rescheduling a pooled task event panics, because a fired task event may
-// already have been recycled and reused for an unrelated event, so the
-// request is not meaningful (task events hand out no handles, so this can
-// only happen through a scheduler bug).
-func (s *Scheduler) Reschedule(e *Event, t Time) *Event {
-	if e == nil {
-		return nil
-	}
-	if e.pooled {
-		panic("sim: reschedule of a pooled task event")
-	}
-	fn := e.fn
-	s.Cancel(e)
-	return s.At(t, fn)
 }
 
 // Step executes the single earliest pending event, advancing the clock to
@@ -352,24 +255,23 @@ func (s *Scheduler) Step() bool {
 	e := s.heap.popMin()
 	s.now = e.at
 	s.Executed++
-	e.dispatch()
+	e.task.Run(e.arg)
 	s.recycle(e)
 	return true
 }
 
 // RunUntil executes events in order until the queue is empty or the next
 // event lies strictly beyond the horizon; the clock is then advanced to the
-// horizon. Stop aborts the loop early.
+// horizon.
 func (s *Scheduler) RunUntil(horizon Time) {
-	s.stopped = false
-	for len(s.heap) > 0 && !s.stopped {
+	for len(s.heap) > 0 {
 		if s.heap[0].at > horizon {
 			break
 		}
 		e := s.heap.popMin()
 		s.now = e.at
 		s.Executed++
-		e.dispatch()
+		e.task.Run(e.arg)
 		s.recycle(e)
 	}
 	if s.now < horizon {
@@ -385,18 +287,16 @@ func (s *Scheduler) RunUntil(horizon Time) {
 // is only advanced to the horizon on completion — which is what lets a
 // watchdog (scenario.Scenario.RunWatched) interleave wall-clock and
 // event-budget checks between chunks without perturbing a single bit of
-// the simulation. Stop aborts the current chunk early (reported as not
-// complete unless the queue happens to be drained).
+// the simulation.
 func (s *Scheduler) RunUntilBudget(horizon Time, budget uint64) bool {
-	s.stopped = false
-	for budget > 0 && len(s.heap) > 0 && !s.stopped {
+	for budget > 0 && len(s.heap) > 0 {
 		if s.heap[0].at > horizon {
 			break
 		}
 		e := s.heap.popMin()
 		s.now = e.at
 		s.Executed++
-		e.dispatch()
+		e.task.Run(e.arg)
 		s.recycle(e)
 		budget--
 	}
@@ -408,12 +308,8 @@ func (s *Scheduler) RunUntilBudget(horizon Time, budget uint64) bool {
 }
 
 // Run executes every pending event (including ones scheduled while running)
-// until the queue empties or Stop is called.
+// until the queue empties.
 func (s *Scheduler) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 }
-
-// Stop makes the innermost Run/RunUntil return after the current event.
-func (s *Scheduler) Stop() { s.stopped = true }

@@ -64,39 +64,25 @@ func TestSchedulerCancel(t *testing.T) {
 	fired := false
 	e := s.At(Time(Second), func() { fired = true })
 	s.Cancel(e)
+	if s.Len() != 0 {
+		t.Fatalf("cancelled event still queued: Len = %d", s.Len())
+	}
 	s.Cancel(e) // double-cancel is a no-op
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
-	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() not reported")
 	}
 }
 
 func TestSchedulerCancelDuringRun(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	var e2 *Event
+	var e2 TaskHandle
 	s.At(Time(Second), func() { s.Cancel(e2) })
 	e2 = s.At(2*Time(Second), func() { fired = true })
 	s.Run()
 	if fired {
 		t.Fatal("event cancelled mid-run still fired")
-	}
-}
-
-func TestSchedulerReschedule(t *testing.T) {
-	s := NewScheduler()
-	var at Time
-	e := s.At(Time(Second), func() { at = s.Now() })
-	e = s.Reschedule(e, 5*Time(Second))
-	s.Run()
-	if at != 5*Time(Second) {
-		t.Fatalf("rescheduled event fired at %v", at)
-	}
-	if e.At() != 5*Time(Second) {
-		t.Fatalf("At() = %v", e.At())
 	}
 }
 
@@ -121,23 +107,6 @@ func TestSchedulerRunUntilHorizon(t *testing.T) {
 	}
 	if s.Now() != 10*Time(Second) {
 		t.Fatalf("clock = %v, want 10s", s.Now())
-	}
-}
-
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.At(Time(i)*Time(Second), func() {
-			count++
-			if count == 4 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 4 {
-		t.Fatalf("ran %d events after Stop, want 4", count)
 	}
 }
 
@@ -212,7 +181,7 @@ func TestSchedulerCancelProperty(t *testing.T) {
 	f := func(times []uint16, mask []bool) bool {
 		s := NewScheduler()
 		fired := map[int]bool{}
-		events := make([]*Event, len(times))
+		events := make([]TaskHandle, len(times))
 		for i, v := range times {
 			i := i
 			events[i] = s.At(Time(v), func() { fired[i] = true })
@@ -376,7 +345,7 @@ func TestSchedulerTaskEventPoolReuse(t *testing.T) {
 	if len(tr.got) != 100 {
 		t.Fatalf("dispatched %d, want 100", len(tr.got))
 	}
-	// Sequential schedule/fire needs exactly one pooled Event.
+	// Sequential schedule/fire needs exactly one pooled event.
 	if s.FreeListLen() != 1 {
 		t.Fatalf("free list holds %d events, want 1", s.FreeListLen())
 	}
@@ -395,71 +364,44 @@ func TestSchedulerTaskEventZeroAllocSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("task scheduling allocates %.1f objects/op, want 0", allocs)
 	}
-}
-
-// Regression test for the pooled-scheduler lifecycle: rescheduling an event
-// that has already fired must create a fresh, working event and must not
-// touch the task-event free list (a stale *Event must never corrupt it).
-func TestSchedulerRescheduleAfterFired(t *testing.T) {
-	s := NewScheduler()
+	// A closure event costs only what its closure captures: a pre-bound
+	// func schedules and fires without allocating.
 	runs := 0
-	e := s.At(Time(Second), func() { runs++ })
-	s.Run()
-	if runs != 1 || e.index != -1 {
-		t.Fatalf("precondition: runs=%d index=%d", runs, e.index)
+	fn := func() { runs++ }
+	allocs = testing.AllocsPerRun(1000, func() {
+		s.After(Duration(Millisecond), fn)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("closure scheduling allocates %.1f objects/op, want 0", allocs)
 	}
-	// Mix some pooled traffic in so a corrupted free list would be visible.
-	tr := &taskRec{}
-	s.AfterTask(Duration(Millisecond), tr, 7)
-	s.Step()
-	before := s.FreeListLen()
-
-	e2 := s.Reschedule(e, 5*Time(Second))
-	if e2 == nil || e2 == e {
-		t.Fatalf("Reschedule of fired event returned %v", e2)
-	}
-	s.Run()
-	if runs != 2 {
-		t.Fatalf("rescheduled fired event ran %d times, want 2", runs)
-	}
-	if s.FreeListLen() != before {
-		t.Fatalf("free list changed: %d -> %d", before, s.FreeListLen())
+	if runs == 0 {
+		t.Fatal("closure events never fired")
 	}
 }
 
-func TestSchedulerRescheduleNil(t *testing.T) {
-	s := NewScheduler()
-	if got := s.Reschedule(nil, Time(Second)); got != nil {
-		t.Fatalf("Reschedule(nil) = %v", got)
-	}
-}
-
-func TestSchedulerReschedulePooledPanics(t *testing.T) {
-	s := NewScheduler()
-	s.AtTask(Time(Second), &taskRec{}, 0)
-	e := s.heap[0].ev // white box: task events hand out no handles
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rescheduling a pooled task event did not panic")
-		}
-	}()
-	s.Reschedule(e, 2*Time(Second))
-}
-
+// TestSchedulerCancelAfterFired: a handle kept past its event's firing is
+// stale. Once the event struct is recycled into a newer event, cancelling
+// through the old handle must leave the newer event alone.
 func TestSchedulerCancelAfterFired(t *testing.T) {
 	s := NewScheduler()
-	runs := 0
-	e := s.At(Time(Second), func() { runs++ })
+	runsA, runsB := 0, 0
+	hA := s.At(Time(Second), func() { runsA++ })
 	s.Run()
-	s.Cancel(e) // must be a harmless no-op
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() not reported after post-fire Cancel")
+	hB := s.At(2*Time(Second), func() { runsB++ })
+	if hB.ev != hA.ev {
+		t.Fatal("precondition: B did not reuse A's recycled event")
 	}
-	if s.FreeListLen() != 0 {
-		t.Fatal("closure event leaked into the task free list")
+	s.Cancel(hA) // stale: must not revoke B
+	if s.Len() != 1 {
+		t.Fatalf("stale cancel removed an event: Len = %d", s.Len())
 	}
-	if runs != 1 {
-		t.Fatalf("runs = %d", runs)
+	s.Run()
+	if runsA != 1 || runsB != 1 {
+		t.Fatalf("runs A=%d B=%d, want 1 and 1", runsA, runsB)
+	}
+	if s.FreeListLen() != 1 {
+		t.Fatalf("free list holds %d events, want 1", s.FreeListLen())
 	}
 }
 

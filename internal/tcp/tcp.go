@@ -95,7 +95,7 @@ type Sender struct {
 	rto          sim.Duration
 	backoff      int
 
-	timer *sim.Event
+	timer sim.TaskHandle
 
 	// limit is how many segments the application has made available;
 	// an FTP source keeps this effectively infinite.
@@ -200,7 +200,7 @@ func (s *Sender) emit(seq int64) {
 		s.Stats.Retransmits++
 	}
 	s.net.Originate(p)
-	if s.timer == nil {
+	if !s.timer.Pending() {
 		s.armTimer()
 	}
 }
@@ -214,10 +214,8 @@ func (s *Sender) armTimer() {
 }
 
 func (s *Sender) cancelTimer() {
-	if s.timer != nil {
-		s.net.Scheduler().Cancel(s.timer)
-		s.timer = nil
-	}
+	s.net.Scheduler().Cancel(s.timer)
+	s.timer = sim.TaskHandle{}
 }
 
 // receive handles an incoming ACK.
@@ -306,7 +304,7 @@ func (s *Sender) dupAck() {
 }
 
 func (s *Sender) onTimeout() {
-	s.timer = nil
+	s.timer = sim.TaskHandle{}
 	if s.sndUna >= s.sndNxt {
 		return // everything acked meanwhile
 	}
@@ -324,7 +322,7 @@ func (s *Sender) onTimeout() {
 	// Go-back-N: everything past the last cumulative ACK is presumed
 	// lost; rewind and resend forward in slow start (ns-2 semantics).
 	s.sndNxt = s.sndUna
-	s.trySend() // emits sndUna and re-arms the timer (it is nil here)
+	s.trySend() // emits sndUna and re-arms the timer (it is clear here)
 }
 
 // sampleRTT folds one measurement into srtt/rttvar and recomputes the RTO

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke sweep-demo examples clean
+.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke bench-pairs sweep-demo examples clean
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,43 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/...
+
+# Alternating benchmark pairs between a base revision and this checkout:
+#	make bench-pairs BASE=<rev> SEEDS="1 2 3" WORKLOADS="paper-grid dense-1000"
+# builds BASE's mtsbench from a `git archive` export under .bench_build/
+# (removed once built, so no second source tree lingers in the checkout)
+# and this checkout's mtsbench beside it, runs both from the root seed by
+# seed (swapping which side goes first at every seed, so slow drifts of
+# the host hit both sides alike), writes both labelled run sets (base,
+# head) to one JSON-lines file, and judges them with `mtsbench compare`.
+# TRACE=1 makes traced runs, which report the per-layer split instead of
+# the end-to-end metrics. Nothing under bench/ changes.
+BASE ?= HEAD
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+WORKLOADS ?= paper-grid
+BENCH_SECONDS ?= 20
+TRACE ?= 0
+PAIRS_DIR = .bench_build/pairs
+PAIRS_OUT ?= $(PAIRS_DIR)/pairs.jsonl
+BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOMODCACHE=$(CURDIR)/.bench_build/gomod \
+	GOTMPDIR=$(CURDIR)/.bench_build/tmp GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOTELEMETRY=off
+bench-pairs:
+	rm -rf $(PAIRS_DIR)/base-src $(PAIRS_OUT)
+	mkdir -p $(PAIRS_DIR)/base-src .bench_build/tmp
+	git archive $(BASE) | tar -x -C $(PAIRS_DIR)/base-src
+	cd $(PAIRS_DIR)/base-src/bench && $(BENCH_ENV) $(GO) build -o $(CURDIR)/$(PAIRS_DIR)/mtsbench-base ./cmd/mtsbench
+	rm -rf $(PAIRS_DIR)/base-src
+	cd bench && $(BENCH_ENV) $(GO) build -o $(CURDIR)/$(PAIRS_DIR)/mtsbench-head ./cmd/mtsbench
+	@i=0; status=0; for seed in $(SEEDS); do \
+	  if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
+	  for w in $(WORKLOADS); do for side in $$order; do \
+	    echo "bench-pairs: seed $$seed $$w $$side"; \
+	    $(PAIRS_DIR)/mtsbench-$$side -workload $$w -seed $$seed -seconds $(BENCH_SECONDS) -trace $(TRACE) \
+	      -out $(PAIRS_OUT) -label $$side >>$(PAIRS_DIR)/$$side.log || status=1; \
+	  done; done; i=$$((i + 1)); \
+	done; \
+	$(PAIRS_DIR)/mtsbench-head compare '$(PAIRS_OUT)#base' '$(PAIRS_OUT)#head' || status=1; \
+	exit $$status
 
 # Demonstrate the content-addressed run cache (internal/runcache) and the
 # recovery path a failed sweep takes, end to end through the CLI. Pass 1

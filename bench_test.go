@@ -354,11 +354,6 @@ func BenchmarkSweepWallClock(b *testing.B) {
 // are built fresh on every run, so their maps scale with node count; a
 // regression in the pooled route buffers or RNG reuse shows up as this
 // number growing faster than that.
-// The batched/unbatched split compares the arrival-batching win at scale:
-// both modes simulate identical traffic (metrics are byte-identical apart
-// from EventsRun), so the ns/op gap is pure scheduler pressure — ~40
-// in-CS receivers per broadcast means the reference mode pays ~40× the
-// heap inserts per transmission.
 func BenchmarkScale1000Nodes(b *testing.B) {
 	cfg := benchBase()
 	cfg.Protocol = "MTS"
@@ -371,33 +366,24 @@ func BenchmarkScale1000Nodes(b *testing.B) {
 	for i := 0; i < 20; i++ {
 		cfg.Flows = append(cfg.Flows, FlowSpec{Src: NodeID(i), Dst: NodeID(500 + i)})
 	}
-	for _, unbatched := range []bool{false, true} {
-		mode := "batched"
-		if unbatched {
-			mode = "unbatched"
+	ctx := NewRunContext()
+	var events uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		s, err := ctx.Build(cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(mode, func(b *testing.B) {
-			ctx := NewRunContext()
-			var events uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				s, err := ctx.Build(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Channel.UseUnbatchedArrivals(unbatched)
-				m, err := s.RunWatched(scenario.Budget{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Retire()
-				events += m.EventsRun
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		})
+		m, err := s.RunWatched(scenario.Budget{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Retire()
+		events += m.EventsRun
 	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkSimulatorEventRate measures the raw event-processing rate of
@@ -408,13 +394,6 @@ func BenchmarkScale1000Nodes(b *testing.B) {
 // grows.
 func BenchmarkSimulatorEventRate(b *testing.B) {
 	for _, nodes := range []int{50, 100, 200} {
-		// The bare nodes=N name is the batched default — the series
-		// PERFORMANCE.md's history tracks across PRs. nodes=N/unbatched runs the
-		// same scenario through the per-receiver reference arrival path
-		// (phy.UseUnbatchedArrivals), so the gap between the two rows is the
-		// batching win on identical traffic. The reference mode runs more,
-		// cheaper events, so compare wall-clock per simulated run (ns/op),
-		// not events/sec.
 		cfg := benchBase()
 		cfg.Protocol = "MTS"
 		cfg.MaxSpeed = 10
@@ -433,21 +412,6 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 					b.Fatal(err)
 				}
 				events += m.EventsRun
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		})
-		b.Run(fmt.Sprintf("nodes=%d/unbatched", nodes), func(b *testing.B) {
-			var events uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				s, err := Build(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s.Channel.UseUnbatchedArrivals(true)
-				events += s.Run().EventsRun
 			}
 			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 		})

@@ -49,6 +49,7 @@ type CBR struct {
 	startAt  sim.Time
 	stopAt   sim.Time
 	seq      int64
+	tickFn   func() // c.tick, bound once: a method value per packet would allocate
 
 	Sent uint64
 }
@@ -60,6 +61,7 @@ func NewCBR(net CBRNetwork, flow int, dst packet.NodeID, size int, interval sim.
 		net: net, dst: dst, flow: flow, size: size,
 		interval: interval, startAt: startAt, stopAt: stopAt,
 	}
+	c.tickFn = c.tick
 	// Resolve the node's packet arena once (node.SetArena precedes source
 	// attachment); plain test networks stay on ordinary allocation.
 	if carrier, ok := net.(interface{ Arena() *packet.Arena }); ok {
@@ -70,7 +72,7 @@ func NewCBR(net CBRNetwork, flow int, dst packet.NodeID, size int, interval sim.
 
 // Install schedules the source.
 func (c *CBR) Install(sched *sim.Scheduler) {
-	sched.At(c.startAt, c.tick)
+	sched.At(c.startAt, c.tickFn)
 }
 
 func (c *CBR) tick() {
@@ -94,5 +96,5 @@ func (c *CBR) tick() {
 	c.seq++
 	c.Sent++
 	c.net.Originate(p)
-	sched.After(c.interval, c.tick)
+	sched.After(c.interval, c.tickFn)
 }

@@ -39,8 +39,9 @@ type Shuffler struct {
 	depth int
 	hold  sim.Duration
 
-	buf   []*packet.Packet
-	timer sim.TaskHandle
+	buf    []*packet.Packet
+	timer  sim.TaskHandle
+	holdFn func() // s.onHold, bound once: a method value per block would allocate
 
 	// Shuffled counts segments released in permuted order; Blocks counts
 	// flushes (full and timer-forced).
@@ -54,6 +55,7 @@ func NewShuffler(h Host, rng *sim.RNG, depth int, hold sim.Duration) *Shuffler {
 		depth = 1
 	}
 	s := &Shuffler{host: h, ar: h.Arena(), rng: rng, depth: depth, hold: hold}
+	s.holdFn = s.onHold
 	h.AddStage(node.Stage{Originate: s.Filter})
 	return s
 }
@@ -71,7 +73,7 @@ func (s *Shuffler) Filter(p *packet.Packet) bool {
 		return true
 	}
 	if !s.timer.Pending() && s.hold > 0 {
-		s.timer = s.host.Scheduler().After(s.hold, s.onHold)
+		s.timer = s.host.Scheduler().After(s.hold, s.holdFn)
 	}
 	return true
 }

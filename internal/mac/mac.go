@@ -197,7 +197,22 @@ func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, cfg Config, up
 
 // BindRadio attaches the radio this MAC transmits and receives through.
 // Must be called exactly once before the simulation starts.
-func (m *Mac) BindRadio(r *phy.Radio) { m.radio = r }
+func (m *Mac) BindRadio(r *phy.Radio) {
+	m.radio = r
+	m.setState(m.state) // publish the radio's quiet flag
+}
+
+// setState is the one writer of m.state. It keeps the radio's quiet flag
+// current: EnergyUp acts only for a contending MAC, and EnergyDown's
+// reconsider acts only for a contending MAC or an idle one with a queued
+// job — and an idle MAC never keeps a queued job past the reconsider that
+// follows every enqueue and every return to idle. So every other state is
+// quiet, and the channel may skip both callbacks
+// (TestSkippedEnergyEdgesNeverAct checks that no skipped one would act).
+func (m *Mac) setState(s jobState) {
+	m.state = s
+	m.radio.SetQuiet(s != stContend)
+}
 
 // SetArena binds the run's packet arena. Must be set (if at all) before
 // any traffic; the node wires it for scenario-built stacks.
@@ -255,12 +270,12 @@ func (m *Mac) Run(arg int) {
 		m.onAckTimeout()
 	case macTxDoneRTS:
 		m.releaseJobFrame(m.cur)
-		m.state = stWaitCTS
+		m.setState(stWaitCTS)
 		timeout := m.cfg.SIFS + m.ctsAirtime() + 2*maxPropSlack + m.cfg.SlotTime
 		m.timeoutEvent = m.sched.AfterTask(timeout, m, macCTSTimeout)
 	case macTxDoneData:
 		m.releaseJobFrame(m.cur)
-		m.state = stWaitAck
+		m.setState(stWaitAck)
 		timeout := m.cfg.SIFS + m.ackAirtime() + 2*maxPropSlack + m.cfg.SlotTime
 		m.timeoutEvent = m.sched.AfterTask(timeout, m, macAckTimeout)
 	case macTxDoneBroadcast:

@@ -90,7 +90,7 @@ func (m *Mac) handleCTS(f *packet.Frame) {
 		m.sched.Cancel(m.timeoutEvent)
 		m.timeoutEvent = sim.TaskHandle{}
 	}
-	m.state = stTxData // committed; a duplicate CTS must not re-trigger
+	m.setState(stTxData) // committed; a duplicate CTS must not re-trigger
 	m.sendDataAfterCTS()
 }
 

@@ -59,7 +59,7 @@ func (m *Mac) reconsider() {
 		m.seqCounter++
 		m.cur.seq = m.seqCounter
 		m.backoffSlots = m.drawBackoff()
-		m.state = stContend
+		m.setState(stContend)
 	}
 	if m.state != stContend {
 		return
@@ -109,7 +109,7 @@ func (m *Mac) onBackoffDone() {
 	m.backoffSlots = 0
 	job := m.cur
 	if job == nil {
-		m.state = stIdle
+		m.setState(stIdle)
 		return
 	}
 	switch {
@@ -147,7 +147,7 @@ func (m *Mac) put(f *packet.Frame, airtime sim.Duration) {
 }
 
 func (m *Mac) transmitRTS(job *txJob) {
-	m.state = stTxRTS
+	m.setState(stTxRTS)
 	dataT := m.dataAirtime(job.pkt, false)
 	nav := m.cfg.SIFS + m.ctsAirtime() + m.cfg.SIFS + dataT + m.cfg.SIFS + m.ackAirtime()
 	f := m.arena.NewFrameFrom(packet.Frame{
@@ -166,7 +166,7 @@ func (m *Mac) transmitRTS(job *txJob) {
 }
 
 func (m *Mac) transmitData(job *txJob) {
-	m.state = stTxData
+	m.setState(stTxData)
 	broadcast := job.next == packet.Broadcast
 	airtime := m.dataAirtime(job.pkt, broadcast)
 	var nav sim.Duration
@@ -245,7 +245,7 @@ func (m *Mac) onAckTimeout() {
 func (m *Mac) retryJob() {
 	m.cw = min(2*(m.cw+1)-1, m.cfg.CWMax)
 	m.backoffSlots = m.drawBackoff()
-	m.state = stContend
+	m.setState(stContend)
 	m.reconsider()
 }
 
@@ -258,7 +258,7 @@ func (m *Mac) finishJob() {
 	job := m.cur
 	m.cur = nil
 	m.cw = m.cfg.CWMin
-	m.state = stIdle
+	m.setState(stIdle)
 	if job != nil {
 		if job.pkt != nil {
 			m.arena.ReleaseAfter(job.pkt, m.propHold())
@@ -274,7 +274,7 @@ func (m *Mac) failJob() {
 	job := m.cur
 	m.cur = nil
 	m.cw = m.cfg.CWMin
-	m.state = stIdle
+	m.setState(stIdle)
 	m.Stats.LinkFailures++
 	pkt, next := job.pkt, job.next
 	m.releaseJob(job)

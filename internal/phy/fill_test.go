@@ -59,33 +59,39 @@ func recordBatches(t *testing.T, s *sim.Scheduler, c *Channel) []batchRecord {
 	var out []batchRecord
 	for i := 0; i < 300; i++ {
 		s.RunUntil(sim.Time(i) * sim.Time(25*sim.Millisecond))
-		f := &packet.Frame{UID: uint64(i + 1), Kind: packet.FrameData, TxTo: packet.Broadcast}
-		// Park a batch so Transmit fills this one: it takes the most
-		// recently parked batch, and parks it again at once if no radio is
-		// in range.
-		b := c.getBatch()
-		c.parkBatch(b)
-		c.Transmit(radios[(7*i)%len(radios)], f, sim.Millisecond)
-		var rec batchRecord
-		if len(b.rx) > 0 {
-			for _, e := range b.rx {
-				rec.rx = append(rec.rx, rxView{e.rcv.idx, e.decodable, e.drop})
-			}
-			// The propagation delay is under the airtime, so the batch's
-			// first-bit delivery is the earliest pending event.
-			sent := s.Now()
-			s.Step()
-			rec.prop = s.Now().Sub(sent)
-		}
-		s.Run()
-		for w, word := range c.candSet {
-			if word != 0 {
-				t.Fatalf("transmission %d left candidate word %d set: %#x", i, w, word)
-			}
-		}
-		out = append(out, rec)
+		out = append(out, recordOne(t, s, c, radios[(7*i)%len(radios)], uint64(i+1)))
 	}
 	return out
+}
+
+// recordOne makes one transmission from tx now, runs it to completion and
+// returns its arrival batch.
+func recordOne(t *testing.T, s *sim.Scheduler, c *Channel, tx *Radio, uid uint64) batchRecord {
+	t.Helper()
+	f := &packet.Frame{UID: uid, Kind: packet.FrameData, TxTo: packet.Broadcast}
+	// Park a batch so Transmit fills this one: it takes the most recently
+	// parked batch, and parks it again at once if no radio is in range.
+	b := c.getBatch()
+	c.parkBatch(b)
+	c.Transmit(tx, f, sim.Millisecond)
+	var rec batchRecord
+	if len(b.rx) > 0 {
+		for _, e := range b.rx {
+			rec.rx = append(rec.rx, rxView{e.rcv.idx, e.decodable, e.drop})
+		}
+		// The propagation delay is under the airtime, so the batch's
+		// first-bit delivery is the earliest pending event.
+		sent := s.Now()
+		s.Step()
+		rec.prop = s.Now().Sub(sent)
+	}
+	s.Run()
+	for w, word := range c.candSet {
+		if word != 0 {
+			t.Fatalf("transmission %d left candidate word %d set: %#x", uid, w, word)
+		}
+	}
+	return rec
 }
 
 // linearBatches records the same transmissions on a fresh channel through
@@ -115,15 +121,104 @@ func compareBatches(t *testing.T, grid, linear []batchRecord) {
 	}
 }
 
+// radial is one radio of an edge layout: its distance from the hub at the
+// snapshot time edgeT0 and its radial speed (negative: inward). A zero
+// speed attaches it stationary.
+type radial struct {
+	dist, speed float64
+}
+
+// Edge-layout constants: the movers' declared speed bound, the slack it
+// gets, and a speed that overshoots the bound by a relative 1e-7. Over one
+// refresh epoch the overshoot carries a mover about 0.53 µm past the
+// slack — what nanosecond-truncated waypoint legs can add, and under
+// snapMargin.
+const (
+	edgeSpeed = 20.0
+	edgeSlack = slackFraction * DefaultCSRange
+	overSpeed = edgeSpeed * (1 + 1e-7)
+	edgeT0    = sim.Time(sim.Second)
+)
+
+// edgeBatches attaches a stationary hub at the field centre and the given
+// radial movers around it, then records the hub's transmissions at edgeT0
+// (which refreshes every snapshot) and one nanosecond before the next
+// refresh, when the snapshots have drifted furthest.
+func edgeBatches(t *testing.T, rs []radial, linear bool) []batchRecord {
+	s := sim.NewScheduler()
+	c := NewChannel(s, DefaultRxRange, DefaultCSRange)
+	c.EnableGrid(geo.Field(2000, 2000), 0)
+	c.UseLinearScan(linear)
+	hub := geo.Point{X: 1000, Y: 1000}
+	tx := c.Attach(0, func(sim.Time) geo.Point { return hub }, nil)
+	tx.SetMaxSpeed(0)
+	for i, r := range rs {
+		a := 0.4 + 2*math.Pi*float64(i)/float64(len(rs))
+		dx, dy := math.Cos(a), math.Sin(a)
+		pos := func(t sim.Time) geo.Point {
+			d := r.dist + r.speed*t.Sub(edgeT0).Seconds()
+			return geo.Point{X: hub.X + d*dx, Y: hub.Y + d*dy}
+		}
+		rd := c.Attach(packet.NodeID(i+1), pos, nil)
+		if r.speed == 0 {
+			rd.SetMaxSpeed(0)
+		} else {
+			rd.SetMaxSpeed(edgeSpeed)
+		}
+	}
+	epoch := sim.Seconds(edgeSlack / edgeSpeed)
+	s.RunUntil(edgeT0)
+	out := []batchRecord{recordOne(t, s, c, tx, 1)}
+	if !linear && (c.slack != edgeSlack || c.epoch != epoch) {
+		t.Fatalf("slack %v epoch %v, want %v and %v", c.slack, c.epoch, edgeSlack, epoch)
+	}
+	s.RunUntil(edgeT0.Add(epoch - 1))
+	return append(out, recordOne(t, s, c, tx, 2))
+}
+
 // TestGridFillMatchesLinearAcrossWords pins the ID-ordered fill at the
 // bitset's word boundaries: populations inside, just under, at and just
 // over one 64-bit word, several words, and a large field must all produce
-// batches identical to the linear scan.
+// batches identical to the linear scan. The edge layouts pin the snapshot
+// decisions where they are tightest: movers whose snapshot sits a tenth
+// of a micrometre inside a decision bound and whose drift carries them
+// across the edge, and pairs of movers whose order by distance flips
+// between the snapshot and the transmission, so the wrong one would set
+// the propagation delay.
 func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 	for _, n := range []int{50, 63, 64, 65, 130, 1000} {
 		s := sim.NewScheduler()
 		c := NewChannel(s, DefaultRxRange, DefaultCSRange)
 		attachMovers(c, n)
 		compareBatches(t, recordBatches(t, s, c), linearBatches(t, n))
+	}
+	const (
+		rx, cs, sl = DefaultRxRange, DefaultCSRange, edgeSlack
+		tiny       = 1e-7
+		// anchor is a stationary receiver surely in CS range, far enough
+		// out that the movers of a layout are not near the farthest.
+		anchorDist = cs - 10*sl
+		// X is a distance whose propagation delay is 0.01 ns short of a
+		// whole nanosecond: a receiver 1 cm beyond it gets a delay 1 ns
+		// longer.
+		X = 449.997
+	)
+	anchor := radial{anchorDist, 0}
+	for _, tc := range []struct {
+		name string
+		rs   []radial
+	}{
+		{"rx-edge-outward", []radial{anchor, {rx - sl - tiny, overSpeed}}},
+		{"rx-edge-inward", []radial{anchor, {rx + sl + tiny, -overSpeed}}},
+		// The outward mover leaves CS range, so it must not set the cut
+		// that lets a snapshot decide the other one, the farthest receiver.
+		{"cs-edge-outward", []radial{{cs - sl - tiny, overSpeed}, {cs - 3*sl - 2e-6, edgeSpeed}}},
+		{"cs-query-inward", []radial{anchor, {cs + sl + tiny, -overSpeed}}},
+		{"farthest-overtaken", []radial{{cs - 4*sl, -edgeSpeed}, {cs - 5.5*sl, edgeSpeed}}},
+		{"farthest-near-tie", []radial{{X + sl, -edgeSpeed}, {X - sl + 0.01, edgeSpeed}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			compareBatches(t, edgeBatches(t, tc.rs, false), edgeBatches(t, tc.rs, true))
+		})
 	}
 }

@@ -29,13 +29,19 @@
 // decodability and the forced-corruption verdict — in a pooled per-
 // transmission arrival batch. Two scheduler events per transmission (one
 // batched first-bit, one batched last-bit) then walk the batch in radio-ID
-// order, so the scheduler's heap sees ~k× fewer inserts than the one-
-// event-pair-per-receiver scheme this replaces. The reference mode behind
-// UseUnbatchedArrivals schedules the historical 2·k individual events over
-// the same precomputed batch; because all first-bit events share one
-// timestamp and consecutive insertion sequences (and likewise the
-// last-bit events), the two modes dispatch in exactly the same order and
-// are byte-identical — that equivalence is what the property tests pin.
+// order, so the scheduler's heap sees ~k× fewer inserts than one event pair
+// per receiver would cost. All first-bit deliveries share one timestamp, as
+// do all last-bit ones, so walking a batch in fill order is the order
+// per-receiver events with consecutive insertion sequences would dispatch
+// in.
+//
+// A radio whose listener declares itself quiet (SetQuiet: EnergyUp and
+// EnergyDown would both do nothing — for the MAC, any state but
+// contention) costs the walk only its energy count: the channel skips both
+// energy callbacks. Busy reads the count, so nothing a listener can observe
+// changes. A quiet radio that can decode still gets its reception and
+// RxEnd, and the channel reads the flag for the last-bit EnergyDown only
+// after RxEnd returns, since RxEnd can start contention.
 //
 // # Receiver lookup
 //
@@ -44,11 +50,25 @@
 // transmission scales with the neighbourhood size, not the population. The
 // grid holds a position snapshot per radio; snapshots of moving radios are
 // refreshed lazily on a coarse epoch chosen so that the possible drift
-// since the last refresh stays below a slack margin, and every query is
-// inflated by that margin. Candidates returned by the grid are then
-// distance-checked against their exact current positions, so the delivered
-// receiver set is bit-for-bit identical to a full scan (the linear
-// reference path is kept, behind UseLinearScan, for equivalence tests).
+// since the last refresh stays below a slack, and every query is inflated
+// by that slack (plus snapMargin, below). Candidates returned by the grid
+// are then decided so that the delivered receiver set is bit-for-bit
+// identical to a full scan (the linear reference path is kept, behind
+// UseLinearScan, for equivalence tests).
+//
+// A snapshot decides most receivers on its own. A mover's snapshot is never
+// more than the slack (1 % of CSRange) from its true position, so a
+// candidate whose snapshot distance is further than the slack plus a
+// margin (snapMargin, for float rounding and the nanosecond rounding of
+// epochs and waypoint legs) from both the Rx and the CS edge has the
+// classification the exact distance would give. Its exact position is
+// still needed when it might be the farthest carrier-sensing receiver,
+// whose exact distance sets the batch's propagation delay: so a snapshot
+// decides only candidates more than two slacks plus the margin nearer than
+// the farthest candidate that is surely in CS range. Only the rest —
+// near an edge or near the farthest — pay for an exact position, and the
+// delay stays bit-exact. Stationary radios' snapshots are exact, as are
+// all snapshots when the slack is zero (refresh at every transmission).
 //
 // Fill order is observable: the scheduler breaks timestamp ties by
 // insertion sequence and a batch delivers in fill order, so receivers must
@@ -102,6 +122,7 @@ type Radio struct {
 
 	txEnd  sim.Time // end of the radio's latest transmission; sending while now < txEnd
 	energy int      // count of in-CS-range transmissions currently on air
+	quiet  bool     // listener ignores energy edges; see SetQuiet
 
 	// current decode in progress (nil if none)
 	rx *reception
@@ -146,13 +167,18 @@ func (r *Radio) SetMaxSpeed(v float64) {
 	}
 }
 
-// Task args for the batched arrival events. Args ≥ unbatchedArgBase encode
-// a per-receiver event for the UseUnbatchedArrivals reference mode:
-// arg = unbatchedArgBase + 2*index + phase (phase 0 first bit, 1 last bit).
+// SetQuiet tells the channel whether the radio's listener currently
+// ignores energy edges: while quiet, EnergyUp and EnergyDown must both be
+// no-ops, and the channel skips them (the energy count, which Busy reads,
+// is kept either way). The listener keeps the flag current at every
+// transition of the state its callbacks read. Radios attach quiet only
+// when they have no listener.
+func (r *Radio) SetQuiet(q bool) { r.quiet = q }
+
+// Task args for the batched arrival events.
 const (
-	batchStartArg    = 0
-	batchEndArg      = 1
-	unbatchedArgBase = 2
+	batchStartArg = 0
+	batchEndArg   = 1
 )
 
 // batchRx is one receiver's precomputed view inside an arrivalBatch: the
@@ -165,12 +191,10 @@ type batchRx struct {
 	drop      bool
 }
 
-// arrivalBatch carries one transmission's whole audience. It is the Task
-// behind both delivery modes: batched (two events walk rx in order) and
-// unbatched reference (2·len(rx) events index into rx one receiver at a
-// time). After its last-bit delivery has run (or at once, when Transmit
-// finds no receiver) a batch parks on the channel's free list with its
-// receiver slice's capacity kept.
+// arrivalBatch carries one transmission's whole audience; it is the Task
+// behind the two events that walk rx in order. After its last-bit delivery
+// has run (or at once, when Transmit finds no receiver) a batch parks on
+// the channel's free list with its receiver slice's capacity kept.
 // Batches reference the frame but never own it; frame release stays with
 // the MAC's quarantine (the batch's own lifetime is bounded by
 // MaxPropDelay + airtime, inside the quarantine hold).
@@ -178,37 +202,46 @@ type arrivalBatch struct {
 	ch    *Channel
 	frame *packet.Frame
 	rx    []batchRx
-	live  int // outstanding last-bit events (1 batched, len(rx) unbatched)
 }
 
-// Run implements sim.Task.
+// Run implements sim.Task. A quiet receiver's energy edges are skipped (see
+// "Arrival batching").
 func (b *arrivalBatch) Run(arg int) {
 	ch := b.ch
-	switch arg {
-	case batchStartArg:
+	if arg == batchStartArg {
 		for i := range b.rx {
 			e := &b.rx[i]
-			ch.arriveStart(e.rcv, b.frame, e.decodable, e.drop)
+			rcv := e.rcv
+			rcv.energy++
+			if rcv.energy == 1 {
+				if !rcv.quiet {
+					rcv.lis.EnergyUp()
+				} else if ch.OnSkippedEdge != nil {
+					ch.OnSkippedEdge(rcv, true)
+				}
+			}
+			if e.decodable {
+				ch.startDecode(rcv, b.frame, e.drop)
+			}
 		}
-	case batchEndArg:
-		for i := range b.rx {
-			e := &b.rx[i]
-			ch.arriveEnd(e.rcv, b.frame, e.decodable)
-		}
-		ch.parkBatch(b)
-	default:
-		i, phase := (arg-unbatchedArgBase)/2, (arg-unbatchedArgBase)%2
+		return
+	}
+	for i := range b.rx {
 		e := &b.rx[i]
-		if phase == 0 {
-			ch.arriveStart(e.rcv, b.frame, e.decodable, e.drop)
-			return
+		rcv := e.rcv
+		rcv.energy--
+		if e.decodable {
+			ch.endDecode(rcv, b.frame)
 		}
-		ch.arriveEnd(e.rcv, b.frame, e.decodable)
-		b.live--
-		if b.live == 0 {
-			ch.parkBatch(b)
+		if rcv.energy == 0 {
+			if !rcv.quiet {
+				rcv.lis.EnergyDown()
+			} else if ch.OnSkippedEdge != nil {
+				ch.OnSkippedEdge(rcv, false)
+			}
 		}
 	}
+	ch.parkBatch(b)
 }
 
 // Channel is the shared medium connecting all radios.
@@ -224,30 +257,31 @@ type Channel struct {
 	// force-corrupts that delivery. Used by tests to inject losses on
 	// specific links.
 	DropFrame func(f *packet.Frame, to packet.NodeID) bool
+	// OnSkippedEdge, when non-nil, is called for every EnergyUp (up) or
+	// EnergyDown the channel skips because the radio was quiet. Used by
+	// tests to check that no skipped callback would have acted.
+	OnSkippedEdge func(r *Radio, up bool)
 
 	// Spatial index over radio position snapshots.
 	grid        *geo.Grid
 	hits        []geo.Hit // reusable WithinRangeHits buffer
 	movers      []*Radio  // radios whose snapshots go stale (maxSpeed > 0)
 	policyDirty bool      // movers/epoch need recomputation
-	slackBudget float64   // max tolerated snapshot drift, metres
-	slack       float64   // current query-radius inflation
+	slack       float64   // max snapshot drift of a mover, metres
 	epoch       sim.Duration
 	nextRefresh sim.Time
 	exact       bool // refresh every transmit (some radio has unknown speed)
 
 	// candSet marks one transmission's grid candidates by radio index and
-	// candPos holds each marked candidate's snapshot position. Both are
-	// sized in Attach; candSet is all-zero between transmissions.
+	// candD2 holds each marked candidate's squared snapshot distance to the
+	// transmitter. Both are sized in Attach; candSet is all-zero between
+	// transmissions.
 	candSet []uint64
-	candPos []geo.Point
+	candD2  []float64
 
 	// linear switches Transmit to the O(N) scan over all radios — the
 	// reference implementation the grid path must match bit-for-bit.
 	linear bool
-	// unbatched switches delivery to 2·k individual arrival events over
-	// the same precomputed batch — the reference for the batched path.
-	unbatched bool
 
 	batchFree []*arrivalBatch     // parked batches (receiver slices kept)
 	recPool   sim.Pool[reception] // recycled receptions (decode state)
@@ -260,6 +294,16 @@ const (
 	DefaultCSRange   = 550.0
 	defaultPropSpeed = 3e8
 )
+
+// slackFraction sizes a mover's maximum snapshot drift as a share of
+// CSRange. A smaller slack refreshes snapshots more often but lets a
+// snapshot decide more receivers (see "Receiver lookup").
+const slackFraction = 0.01
+
+// snapMargin (metres) pads every snapshot bound. It covers float rounding
+// and the nanosecond rounding of refresh epochs and waypoint leg times,
+// which can carry a mover a few nanometres past the drift bound.
+const snapMargin = 1e-6
 
 // NewChannel creates an empty channel.
 func NewChannel(sched *sim.Scheduler, rxRange, csRange float64) *Channel {
@@ -290,7 +334,6 @@ func (c *Channel) getBatch() *arrivalBatch {
 // to the free list with the receiver slice's capacity intact.
 func (c *Channel) parkBatch(b *arrivalBatch) {
 	b.frame = nil
-	b.live = 0
 	for i := range b.rx {
 		b.rx[i] = batchRx{}
 	}
@@ -326,15 +369,6 @@ func (c *Channel) EnableGrid(bounds geo.Rect, cellSize float64) {
 // equivalence and determinism tests.
 func (c *Channel) UseLinearScan(on bool) { c.linear = on }
 
-// UseUnbatchedArrivals switches delivery between the batched scheme
-// (default: two scheduler events walk the whole arrival batch) and the
-// reference scheme that schedules an individual first-bit and last-bit
-// event per receiver over the same precomputed batch. The two are
-// byte-identical — same timestamps, same dispatch order — and the
-// unbatched path exists, like UseLinearScan, purely as the reference for
-// equivalence tests.
-func (c *Channel) UseUnbatchedArrivals(on bool) { c.unbatched = on }
-
 // Attach registers a radio for a node whose position over time is given by
 // pos. The listener (the node's MAC) must be set before any transmission
 // can reach the radio.
@@ -346,10 +380,11 @@ func (c *Channel) Attach(id packet.NodeID, pos func(sim.Time) geo.Point, lis Lis
 		ch:       c,
 		idx:      int32(len(c.radios)),
 		maxSpeed: math.Inf(1),
+		quiet:    lis == nil,
 	}
 	c.radios = append(c.radios, r)
-	for len(c.candPos) < len(c.radios) {
-		c.candPos = append(c.candPos, geo.Point{})
+	for len(c.candD2) < len(c.radios) {
+		c.candD2 = append(c.candD2, 0)
 	}
 	for 64*len(c.candSet) < len(c.radios) {
 		c.candSet = append(c.candSet, 0)
@@ -376,7 +411,7 @@ func (r *Radio) Transmitting() bool { return r.ch.sched.Now() < r.txEnd }
 
 // recomputePolicy derives the snapshot-refresh schedule from the attached
 // radios' speed bounds: stationary radios are never refreshed, bounded
-// radios on an epoch sized so drift stays under slackBudget, and any radio
+// radios on an epoch sized so drift stays under the slack, and any radio
 // with an unknown bound forces exact (per-transmit) refresh.
 func (c *Channel) recomputePolicy() {
 	c.policyDirty = false
@@ -394,17 +429,14 @@ func (c *Channel) recomputePolicy() {
 			maxKnown = r.maxSpeed
 		}
 	}
-	if c.slackBudget <= 0 {
-		c.slackBudget = 0.1 * c.CSRange
-	}
 	switch {
 	case c.exact || maxKnown == 0:
-		// Exact refresh (or nothing moves): queries need no inflation.
+		// Exact refresh (or nothing moves): every snapshot is exact.
 		c.slack = 0
 		c.epoch = 0
 	default:
-		c.slack = c.slackBudget
-		c.epoch = sim.Seconds(c.slackBudget / maxKnown)
+		c.slack = slackFraction * c.CSRange
+		c.epoch = sim.Seconds(c.slack / maxKnown)
 	}
 	c.nextRefresh = c.sched.Now() // force a refresh at the next transmit
 }
@@ -465,7 +497,8 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 			if rcv == tx {
 				continue
 			}
-			maxD2 = c.appendRx(b, rcv, rcv.positionAt(now), txPos, f, cs2, rx2, maxD2)
+			d2 := rcv.positionAt(now).DistanceSqTo(txPos)
+			maxD2 = c.appendRx(b, rcv, d2, f, cs2, rx2, maxD2)
 		}
 	} else {
 		if c.grid == nil {
@@ -480,13 +513,40 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 				c.nextRefresh = now.Add(c.epoch)
 			}
 		}
-		c.hits = c.grid.WithinRangeHits(txPos, c.CSRange+c.slack, c.hits[:0])
+		slack := c.slack
+		c.hits = c.grid.WithinRangeHits(txPos, c.CSRange+slack+snapMargin, c.hits[:0])
 		// Fill in radio-index order, as the linear scan does (see "Receiver
 		// lookup"): mark the candidates, then walk the set bits upward,
-		// clearing each word as it is consumed.
+		// clearing each word as it is consumed. Marking also finds the
+		// farthest candidate that is in CS range wherever its snapshot
+		// drifted to.
+		csIn2 := sqOrNone(c.CSRange - slack - snapMargin)
+		far2 := -1.0
 		for _, h := range c.hits {
+			if h.ID == tx.idx {
+				continue
+			}
+			d2 := h.P.DistanceSqTo(txPos)
 			c.candSet[h.ID>>6] |= 1 << (h.ID & 63)
-			c.candPos[h.ID] = h.P
+			c.candD2[h.ID] = d2
+			if d2 < csIn2 && d2 > far2 {
+				far2 = d2
+			}
+		}
+		// A mover's snapshot decides it when its squared snapshot distance
+		// is below cut2 (it cannot be the farthest receiver, so its exact
+		// distance cannot set the propagation delay) and outside
+		// [rxIn2, rxOut2] (it is clear of the Rx edge). cut2 < csIn2, so
+		// such a mover is clear of the CS edge too. With no slack every
+		// snapshot is exact and decides.
+		cut2, rxIn2, rxOut2 := math.Inf(1), math.Inf(1), math.Inf(1)
+		if slack > 0 {
+			cut2 = -1
+			if far2 > 0 {
+				cut2 = sqOrNone(math.Sqrt(far2) - 2*slack - snapMargin)
+			}
+			rxIn2 = sqOrNone(c.RxRange - slack - snapMargin)
+			rxOut2 = sqOrNone(c.RxRange + slack + snapMargin)
 		}
 		words := c.candSet[:(len(c.radios)+63)>>6]
 		for w, word := range words {
@@ -497,18 +557,16 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 			for ; word != 0; word &= word - 1 {
 				id := w<<6 | bits.TrailingZeros64(word)
 				rcv := c.radios[id]
-				if rcv == tx {
-					continue
+				d2 := c.candD2[id]
+				if (d2 >= cut2 || d2 >= rxIn2 && d2 <= rxOut2) && rcv.maxSpeed != 0 {
+					// Near an edge or the farthest receiver: the snapshot may
+					// lag by up to the slack, so use the exact position.
+					d2 = rcv.positionAt(now).DistanceSqTo(txPos)
 				}
-				p := c.candPos[id]
-				if rcv.maxSpeed != 0 {
-					// The snapshot may lag a mover by up to the slack margin;
-					// re-check against the exact current position. Stationary
-					// radios' snapshots are exact, so the grid pass already
-					// produced their position (the batch-fill payoff).
-					p = rcv.positionAt(now)
-				}
-				maxD2 = c.appendRx(b, rcv, p, txPos, f, cs2, rx2, maxD2)
+				// A decided mover's snapshot d2 is below the exact distance
+				// of some receiver that was checked exactly, so it cannot
+				// raise the final maximum.
+				maxD2 = c.appendRx(b, rcv, d2, f, cs2, rx2, maxD2)
 			}
 		}
 	}
@@ -520,27 +578,25 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 		if c.PropSpeed > 0 {
 			prop = sim.Seconds(math.Sqrt(maxD2) / c.PropSpeed)
 		}
-		if c.unbatched {
-			b.live = len(b.rx)
-			for i := range b.rx {
-				c.sched.AfterTask(prop, b, unbatchedArgBase+2*i)
-				c.sched.AfterTask(prop+airtime, b, unbatchedArgBase+2*i+1)
-			}
-		} else {
-			b.live = 1
-			c.sched.AfterTask(prop, b, batchStartArg)
-			c.sched.AfterTask(prop+airtime, b, batchEndArg)
-		}
+		c.sched.AfterTask(prop, b, batchStartArg)
+		c.sched.AfterTask(prop+airtime, b, batchEndArg)
 	}
 }
 
-// appendRx distance-checks one candidate receiver at position p against
-// the transmitter's exact position and, if in carrier-sense range, appends
-// its precomputed view to the batch. Returns the running maximum squared
-// distance over all in-CS receivers — the batch's common propagation
-// distance.
-func (c *Channel) appendRx(b *arrivalBatch, rcv *Radio, p, txPos geo.Point, f *packet.Frame, cs2, rx2, maxD2 float64) float64 {
-	d2 := p.DistanceSqTo(txPos)
+// sqOrNone squares a distance bound, or returns -1 (below every squared
+// distance) when the bound is not positive.
+func sqOrNone(d float64) float64 {
+	if d <= 0 {
+		return -1
+	}
+	return d * d
+}
+
+// appendRx checks one candidate receiver at squared distance d2 from the
+// transmitter and, if in carrier-sense range, appends its precomputed view
+// to the batch. Returns the running maximum squared distance over all
+// in-CS receivers — the batch's common propagation distance.
+func (c *Channel) appendRx(b *arrivalBatch, rcv *Radio, d2 float64, f *packet.Frame, cs2, rx2, maxD2 float64) float64 {
 	if d2 > cs2 {
 		return maxD2
 	}
@@ -558,14 +614,8 @@ func (c *Channel) appendRx(b *arrivalBatch, rcv *Radio, p, txPos geo.Point, f *p
 	return maxD2
 }
 
-func (c *Channel) arriveStart(rcv *Radio, f *packet.Frame, decodable, drop bool) {
-	rcv.energy++
-	if rcv.energy == 1 && rcv.lis != nil {
-		rcv.lis.EnergyUp()
-	}
-	if !decodable {
-		return
-	}
+// startDecode begins decoding a decodable frame's first bit at rcv.
+func (c *Channel) startDecode(rcv *Radio, f *packet.Frame, drop bool) {
 	if rcv.Transmitting() {
 		return // half duplex: cannot begin decode while sending
 	}
@@ -581,9 +631,10 @@ func (c *Channel) arriveStart(rcv *Radio, f *packet.Frame, decodable, drop bool)
 	rcv.rx = rx
 }
 
-func (c *Channel) arriveEnd(rcv *Radio, f *packet.Frame, decodable bool) {
-	rcv.energy--
-	if decodable && rcv.rx != nil && rcv.rx.frame == f {
+// endDecode completes rcv's decode of f, if it is the frame being decoded,
+// and hands it to the listener.
+func (c *Channel) endDecode(rcv *Radio, f *packet.Frame) {
+	if rcv.rx != nil && rcv.rx.frame == f {
 		rx := rcv.rx
 		rcv.rx = nil
 		ok := !rx.collided
@@ -596,9 +647,6 @@ func (c *Channel) arriveEnd(rcv *Radio, f *packet.Frame, decodable bool) {
 		if rcv.lis != nil {
 			rcv.lis.RxEnd(f, ok)
 		}
-	}
-	if rcv.energy == 0 && rcv.lis != nil {
-		rcv.lis.EnergyDown()
 	}
 }
 

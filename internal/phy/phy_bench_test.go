@@ -62,32 +62,24 @@ func BenchmarkPhyBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkTransmitBatch isolates the arrival-batching win: one broadcast
-// end to end, batched (two scheduler events walking the receiver batch)
-// vs the unbatched reference (2·k per-receiver events). events/op is the
-// scheduler pressure per broadcast — the heap inserts and siftdowns the
-// batching removes; ns/op and allocs/op show what that buys.
+// BenchmarkTransmitBatch measures one broadcast end to end through the
+// batched arrival delivery (two scheduler events walking the receiver
+// batch). events/op is the scheduler pressure per broadcast, which stays
+// at two whatever the neighbourhood size.
 func BenchmarkTransmitBatch(b *testing.B) {
 	for _, n := range []int{50, 100, 400, 1000} {
-		for _, unbatched := range []bool{false, true} {
-			mode := "batched"
-			if unbatched {
-				mode = "unbatched"
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			s := sim.NewScheduler()
+			c, radios := buildField(s, n, false)
+			f := &packet.Frame{UID: 1, Kind: packet.FrameData, TxFrom: 0, TxTo: packet.Broadcast}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Transmit(radios[i%n], f, sim.Millisecond)
+				s.Run()
 			}
-			b.Run(fmt.Sprintf("nodes=%d/%s", n, mode), func(b *testing.B) {
-				s := sim.NewScheduler()
-				c, radios := buildField(s, n, false)
-				c.UseUnbatchedArrivals(unbatched)
-				f := &packet.Frame{UID: 1, Kind: packet.FrameData, TxFrom: 0, TxTo: packet.Broadcast}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.Transmit(radios[i%n], f, sim.Millisecond)
-					s.Run()
-				}
-				b.ReportMetric(float64(s.Executed)/float64(b.N), "events/op")
-			})
-		}
+			b.ReportMetric(float64(s.Executed)/float64(b.N), "events/op")
+		})
 	}
 }
 

@@ -95,7 +95,8 @@ type Sender struct {
 	rto          sim.Duration
 	backoff      int
 
-	timer sim.TaskHandle
+	timer     sim.TaskHandle
+	timeoutFn func() // s.onTimeout, bound once: a method value per arm would allocate
 
 	// limit is how many segments the application has made available;
 	// an FTP source keeps this effectively infinite.
@@ -124,6 +125,7 @@ func NewSender(net Network, cfg Config, flow int, dst packet.NodeID) *Sender {
 		rto:       cfg.InitRTO,
 		firstSent: make(map[int64]sim.Time),
 	}
+	s.timeoutFn = s.onTimeout
 	net.RegisterFlow(flow, s.receive)
 	return s
 }
@@ -210,7 +212,7 @@ func (s *Sender) armTimer() {
 	if d > s.cfg.MaxRTO {
 		d = s.cfg.MaxRTO
 	}
-	s.timer = s.net.Scheduler().After(d, s.onTimeout)
+	s.timer = s.net.Scheduler().After(d, s.timeoutFn)
 }
 
 func (s *Sender) cancelTimer() {

@@ -29,11 +29,13 @@
 // decodability and the forced-corruption verdict — in a pooled per-
 // transmission arrival batch. Two scheduler events per transmission (one
 // batched first-bit, one batched last-bit) then walk the batch in radio-ID
-// order, so the scheduler's heap sees ~k× fewer inserts than one event pair
-// per receiver would cost. All first-bit deliveries share one timestamp, as
-// do all last-bit ones, so walking a batch in fill order is the order
-// per-receiver events with consecutive insertion sequences would dispatch
-// in.
+// order, so the scheduler's heap sees ~k× fewer inserts than the one-
+// event-pair-per-receiver scheme this replaces. The reference mode behind
+// UseUnbatchedArrivals schedules the historical 2·k individual events over
+// the same precomputed batch; because all first-bit events share one
+// timestamp and consecutive insertion sequences (and likewise the
+// last-bit events), the two modes dispatch in exactly the same order and
+// are byte-identical — that equivalence is what the property tests pin.
 //
 // A radio whose listener declares itself quiet (SetQuiet: EnergyUp and
 // EnergyDown would both do nothing — for the MAC, any state but
@@ -175,10 +177,13 @@ func (r *Radio) SetMaxSpeed(v float64) {
 // when they have no listener.
 func (r *Radio) SetQuiet(q bool) { r.quiet = q }
 
-// Task args for the batched arrival events.
+// Task args for the batched arrival events. Args ≥ unbatchedArgBase encode
+// a per-receiver event for the UseUnbatchedArrivals reference mode:
+// arg = unbatchedArgBase + 2*index + phase (phase 0 first bit, 1 last bit).
 const (
-	batchStartArg = 0
-	batchEndArg   = 1
+	batchStartArg    = 0
+	batchEndArg      = 1
+	unbatchedArgBase = 2
 )
 
 // batchRx is one receiver's precomputed view inside an arrivalBatch: the
@@ -191,9 +196,10 @@ type batchRx struct {
 	drop      bool
 }
 
-// arrivalBatch carries one transmission's whole audience; it is the Task
-// behind the two events that walk rx in order. After its last-bit delivery
-// has run (or at once, when Transmit finds no receiver) a batch parks on
+// arrivalBatch carries one transmission's whole audience. It is the Task
+// behind both delivery modes: batched (two events walk rx in order) and
+// unbatched reference (2·len(rx) events index into rx one receiver at a
+// time). After its last-bit delivery has run (or at once, when Transmit finds no receiver) a batch parks on
 // the channel's free list with its receiver slice's capacity kept.
 // Batches reference the frame but never own it; frame release stays with
 // the MAC's quarantine (the batch's own lifetime is bounded by
@@ -202,32 +208,59 @@ type arrivalBatch struct {
 	ch    *Channel
 	frame *packet.Frame
 	rx    []batchRx
+	live  int // outstanding last-bit events (1 batched, len(rx) unbatched)
 }
 
 // Run implements sim.Task. A quiet receiver's energy edges are skipped (see
 // "Arrival batching").
 func (b *arrivalBatch) Run(arg int) {
+	switch arg {
+	case batchStartArg:
+		b.arriveStart(b.rx)
+	case batchEndArg:
+		b.arriveEnd(b.rx)
+		b.ch.parkBatch(b)
+	default:
+		i, phase := (arg-unbatchedArgBase)/2, (arg-unbatchedArgBase)%2
+		if phase == 0 {
+			b.arriveStart(b.rx[i : i+1])
+			return
+		}
+		b.arriveEnd(b.rx[i : i+1])
+		b.live--
+		if b.live == 0 {
+			b.ch.parkBatch(b)
+		}
+	}
+}
+
+// arriveStart delivers the batch frame's first bit to each receiver in rx.
+func (b *arrivalBatch) arriveStart(rx []batchRx) {
 	ch := b.ch
-	if arg == batchStartArg {
-		for i := range b.rx {
-			e := &b.rx[i]
-			rcv := e.rcv
-			rcv.energy++
-			if rcv.energy == 1 {
-				if !rcv.quiet {
-					rcv.lis.EnergyUp()
-				} else if ch.OnSkippedEdge != nil {
-					ch.OnSkippedEdge(rcv, true)
-				}
-			}
-			if e.decodable {
-				ch.startDecode(rcv, b.frame, e.drop)
+	for i := range rx {
+		e := &rx[i]
+		rcv := e.rcv
+		rcv.energy++
+		if rcv.energy == 1 {
+			if !rcv.quiet {
+				rcv.lis.EnergyUp()
+			} else if ch.OnSkippedEdge != nil {
+				ch.OnSkippedEdge(rcv, true)
 			}
 		}
-		return
+		if e.decodable {
+			ch.startDecode(rcv, b.frame, e.drop)
+		}
 	}
-	for i := range b.rx {
-		e := &b.rx[i]
+}
+
+// arriveEnd delivers the batch frame's last bit to each receiver in rx. A
+// receiver's quiet flag is read after endDecode, whose RxEnd can start
+// contention.
+func (b *arrivalBatch) arriveEnd(rx []batchRx) {
+	ch := b.ch
+	for i := range rx {
+		e := &rx[i]
 		rcv := e.rcv
 		rcv.energy--
 		if e.decodable {
@@ -241,7 +274,6 @@ func (b *arrivalBatch) Run(arg int) {
 			}
 		}
 	}
-	ch.parkBatch(b)
 }
 
 // Channel is the shared medium connecting all radios.
@@ -282,6 +314,9 @@ type Channel struct {
 	// linear switches Transmit to the O(N) scan over all radios — the
 	// reference implementation the grid path must match bit-for-bit.
 	linear bool
+	// unbatched switches delivery to 2·k individual arrival events over
+	// the same precomputed batch — the reference for the batched path.
+	unbatched bool
 
 	batchFree []*arrivalBatch     // parked batches (receiver slices kept)
 	recPool   sim.Pool[reception] // recycled receptions (decode state)
@@ -334,6 +369,7 @@ func (c *Channel) getBatch() *arrivalBatch {
 // to the free list with the receiver slice's capacity intact.
 func (c *Channel) parkBatch(b *arrivalBatch) {
 	b.frame = nil
+	b.live = 0
 	for i := range b.rx {
 		b.rx[i] = batchRx{}
 	}
@@ -368,6 +404,15 @@ func (c *Channel) EnableGrid(bounds geo.Rect, cellSize float64) {
 // observably identical; the linear path exists as the reference for
 // equivalence and determinism tests.
 func (c *Channel) UseLinearScan(on bool) { c.linear = on }
+
+// UseUnbatchedArrivals switches delivery between the batched scheme
+// (default: two scheduler events walk the whole arrival batch) and the
+// reference scheme that schedules an individual first-bit and last-bit
+// event per receiver over the same precomputed batch. The two are
+// byte-identical — same timestamps, same dispatch order, the same quiet-
+// radio skipping — and the unbatched path exists, like UseLinearScan,
+// purely as the reference for equivalence tests.
+func (c *Channel) UseUnbatchedArrivals(on bool) { c.unbatched = on }
 
 // Attach registers a radio for a node whose position over time is given by
 // pos. The listener (the node's MAC) must be set before any transmission
@@ -578,8 +623,17 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 		if c.PropSpeed > 0 {
 			prop = sim.Seconds(math.Sqrt(maxD2) / c.PropSpeed)
 		}
-		c.sched.AfterTask(prop, b, batchStartArg)
-		c.sched.AfterTask(prop+airtime, b, batchEndArg)
+		if c.unbatched {
+			b.live = len(b.rx)
+			for i := range b.rx {
+				c.sched.AfterTask(prop, b, unbatchedArgBase+2*i)
+				c.sched.AfterTask(prop+airtime, b, unbatchedArgBase+2*i+1)
+			}
+		} else {
+			b.live = 1
+			c.sched.AfterTask(prop, b, batchStartArg)
+			c.sched.AfterTask(prop+airtime, b, batchEndArg)
+		}
 	}
 }
 

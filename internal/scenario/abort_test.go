@@ -23,35 +23,41 @@ func abortTestConfig() Config {
 
 // TestRunWatchedUnlimitedMatchesRun: a watched run whose budgets never
 // trip is bit-identical to a plain Run — chunked execution must not
-// perturb a single metric, even where a chunk boundary falls between a
-// batch's first-bit and last-bit event.
+// perturb a single metric. Both arrival-delivery modes are covered: a
+// chunk boundary can fall between a batched first-bit and last-bit event
+// exactly as it could between two per-receiver events, and neither
+// granularity may leak into the metrics.
 func TestRunWatchedUnlimitedMatchesRun(t *testing.T) {
-	for _, b := range []Budget{
-		{},
-		{MaxEvents: 1 << 62},
-		{WallClock: time.Hour},
-		{MaxEvents: 1 << 62, WallClock: time.Hour},
-	} {
-		cfg := abortTestConfig()
-		ref, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := ref.Run()
+	for _, unbatched := range []bool{false, true} {
+		for _, b := range []Budget{
+			{},
+			{MaxEvents: 1 << 62},
+			{WallClock: time.Hour},
+			{MaxEvents: 1 << 62, WallClock: time.Hour},
+		} {
+			cfg := abortTestConfig()
+			ref, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Channel.UseUnbatchedArrivals(unbatched)
+			plain := ref.Run()
 
-		s, err := Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		watched, werr := s.RunWatched(b)
-		if werr != nil {
-			t.Fatalf("budget %+v tripped on a healthy run: %v", b, werr)
-		}
-		want, _ := json.Marshal(plain)
-		got, _ := json.Marshal(watched)
-		if string(want) != string(got) {
-			t.Fatalf("budget %+v: watched run differs from plain run\nplain:   %s\nwatched: %s",
-				b, want, got)
+			s, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Channel.UseUnbatchedArrivals(unbatched)
+			watched, werr := s.RunWatched(b)
+			if werr != nil {
+				t.Fatalf("budget %+v tripped on a healthy run: %v", b, werr)
+			}
+			want, _ := json.Marshal(plain)
+			got, _ := json.Marshal(watched)
+			if string(want) != string(got) {
+				t.Fatalf("unbatched=%v budget %+v: watched run differs from plain run\nplain:   %s\nwatched: %s",
+					unbatched, b, want, got)
+			}
 		}
 	}
 }

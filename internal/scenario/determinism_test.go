@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mtsim/internal/adversary"
 	"mtsim/internal/sim"
 )
 
@@ -46,6 +47,63 @@ func TestGridMatchesLinearScan(t *testing.T) {
 				t.Fatalf("degenerate run: %+v", *mGrid)
 			}
 		})
+	}
+}
+
+// TestBatchedMatchesUnbatchedArrivals proves the batched arrival delivery
+// (two scheduler events per transmission walking a receiver batch) is
+// observably identical to the historical per-receiver scheme (2·k events)
+// it replaced: every protocol × adversary model, run both ways from the
+// same seed, must agree on every metric except EventsRun — the event
+// count is the one number the batching legitimately changes, so it is
+// compared by inequality (batched must run fewer events) and excluded
+// from the byte-for-byte check.
+func TestBatchedMatchesUnbatchedArrivals(t *testing.T) {
+	adversaries := []struct {
+		name string
+		spec adversary.Spec
+	}{
+		{"legacy", adversary.Spec{}},
+		{"coalition", adversary.Spec{Model: adversary.ModelCoalition, K: 3}},
+		{"mobile", adversary.Spec{Model: adversary.ModelMobile, K: 3, Interval: 2 * sim.Second}},
+		{"blackhole", adversary.Spec{Model: adversary.ModelBlackhole, K: 2}},
+		{"grayhole", adversary.Spec{Model: adversary.ModelGrayhole, K: 2, DropRate: 0.5}},
+	}
+	for _, proto := range AllProtocols() {
+		for _, adv := range adversaries {
+			t.Run(proto+"/"+adv.name, func(t *testing.T) {
+				cfg := determinismConfig(proto, 7)
+				cfg.Duration = 8 * sim.Second
+				cfg.Adversary = adv.spec
+
+				batched, err := Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mBatched := batched.Run()
+
+				unbatched, err := Build(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unbatched.Channel.UseUnbatchedArrivals(true)
+				mUnbatched := unbatched.Run()
+
+				if mBatched.EventsRun >= mUnbatched.EventsRun {
+					t.Fatalf("batching did not reduce the event count: %d batched vs %d unbatched",
+						mBatched.EventsRun, mUnbatched.EventsRun)
+				}
+				normA, normB := *mBatched, *mUnbatched
+				normA.EventsRun, normB.EventsRun = 0, 0
+				if !reflect.DeepEqual(&normA, &normB) {
+					t.Fatalf("batched and unbatched runs diverged:\nbatched:   %+v\nunbatched: %+v",
+						normA, normB)
+				}
+				if mBatched.SegmentsSent == 0 {
+					t.Fatalf("degenerate run: %+v", *mBatched)
+				}
+			})
+		}
 	}
 }
 

@@ -17,9 +17,12 @@ type Budget struct {
 	// MaxEvents is the per-run simulated-event budget; 0 is unlimited.
 	// It is compared against the scheduler's Executed counter, which a
 	// Context resets to zero for every run. Executed counts scheduler
-	// dispatches: one dispatched PHY event serves a whole receiver batch,
-	// so a budget counts transmissions' batches, not per-receiver
-	// deliveries.
+	// dispatches: under batched arrival delivery (the default) one
+	// dispatched PHY event serves a whole receiver batch, so the same
+	// simulated traffic consumes far fewer budget units than in the
+	// unbatched reference mode — budgets tuned before the batching (or
+	// against phy.UseUnbatchedArrivals runs) are conservative, never
+	// too tight, when reused on the batched path.
 	MaxEvents uint64
 	// WallClock is the per-run wall-clock budget; 0 is unlimited. It is
 	// checked between event chunks, so the effective resolution is one

@@ -61,10 +61,9 @@ bench-smoke:
 BASE ?= HEAD
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 WORKLOADS ?= paper-grid
-BENCH_SECONDS ?= 20
 TRACE ?= 0
 PAIRS_DIR = .bench_build/pairs
-PAIRS_OUT ?= $(PAIRS_DIR)/pairs.jsonl
+PAIRS_OUT = $(PAIRS_DIR)/pairs.jsonl
 BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOMODCACHE=$(CURDIR)/.bench_build/gomod \
 	GOTMPDIR=$(CURDIR)/.bench_build/tmp GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOTELEMETRY=off
 bench-pairs:
@@ -78,7 +77,7 @@ bench-pairs:
 	  if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
 	  for w in $(WORKLOADS); do for side in $$order; do \
 	    echo "bench-pairs: seed $$seed $$w $$side"; \
-	    $(PAIRS_DIR)/mtsbench-$$side -workload $$w -seed $$seed -seconds $(BENCH_SECONDS) -trace $(TRACE) \
+	    $(PAIRS_DIR)/mtsbench-$$side -workload $$w -seed $$seed -trace $(TRACE) \
 	      -out $(PAIRS_OUT) -label $$side >>$(PAIRS_DIR)/$$side.log || status=1; \
 	  done; done; i=$$((i + 1)); \
 	done; \

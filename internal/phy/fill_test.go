@@ -132,19 +132,28 @@ type radial struct {
 // gets, and a speed that overshoots the bound by a relative 1e-7. Over one
 // refresh epoch the overshoot carries a mover about 0.53 µm past the
 // slack — what nanosecond-truncated waypoint legs can add, and under
-// snapMargin.
+// the margin the channel gives that bound, edgeMargin.
+//
+// fastSpeed is a bound a hundred times higher, and fastOver overshoots it
+// by three leg ends' truncation (3 × 2000 m/s × 1 ns = 6 µm per epoch;
+// about 4 µm at the transmission, 1 ns before the refresh): more than
+// snapMargin alone, so a margin that ignored the speed would misjudge it.
 const (
-	edgeSpeed = 20.0
-	edgeSlack = slackFraction * DefaultCSRange
-	overSpeed = edgeSpeed * (1 + 1e-7)
-	edgeT0    = sim.Time(sim.Second)
+	edgeSpeed  = 20.0
+	edgeSlack  = slackFraction * DefaultCSRange
+	edgeMargin = snapMargin + legTravel*edgeSpeed
+	overSpeed  = edgeSpeed * (1 + 1e-7)
+	fastSpeed  = 100 * edgeSpeed
+	fastOver   = fastSpeed * (1 + 6e-6/edgeSlack)
+	edgeT0     = sim.Time(sim.Second)
 )
 
 // edgeBatches attaches a stationary hub at the field centre and the given
-// radial movers around it, then records the hub's transmissions at edgeT0
-// (which refreshes every snapshot) and one nanosecond before the next
-// refresh, when the snapshots have drifted furthest.
-func edgeBatches(t *testing.T, rs []radial, linear bool) []batchRecord {
+// radial movers around it, each declaring the speed bound, then records
+// the hub's transmissions at edgeT0 (which refreshes every snapshot) and
+// one nanosecond before the next refresh, when the snapshots have drifted
+// furthest.
+func edgeBatches(t *testing.T, rs []radial, bound float64, linear bool) []batchRecord {
 	s := sim.NewScheduler()
 	c := NewChannel(s, DefaultRxRange, DefaultCSRange)
 	c.EnableGrid(geo.Field(2000, 2000), 0)
@@ -163,10 +172,10 @@ func edgeBatches(t *testing.T, rs []radial, linear bool) []batchRecord {
 		if r.speed == 0 {
 			rd.SetMaxSpeed(0)
 		} else {
-			rd.SetMaxSpeed(edgeSpeed)
+			rd.SetMaxSpeed(bound)
 		}
 	}
-	epoch := sim.Seconds(edgeSlack / edgeSpeed)
+	epoch := sim.Seconds(edgeSlack / bound)
 	s.RunUntil(edgeT0)
 	out := []batchRecord{recordOne(t, s, c, tx, 1)}
 	if !linear && (c.slack != edgeSlack || c.epoch != epoch) {
@@ -182,9 +191,10 @@ func edgeBatches(t *testing.T, rs []radial, linear bool) []batchRecord {
 // batches identical to the linear scan. The edge layouts pin the snapshot
 // decisions where they are tightest: movers whose snapshot sits a tenth
 // of a micrometre inside a decision bound and whose drift carries them
-// across the edge, and pairs of movers whose order by distance flips
-// between the snapshot and the transmission, so the wrong one would set
-// the propagation delay.
+// across the edge, the same for movers a hundred times faster whose drift
+// past the slack outgrows a fixed margin, and pairs of movers whose order
+// by distance flips between the snapshot and the transmission, so the
+// wrong one would set the propagation delay.
 func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 	for _, n := range []int{50, 63, 64, 65, 130, 1000} {
 		s := sim.NewScheduler()
@@ -205,20 +215,29 @@ func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 	)
 	anchor := radial{anchorDist, 0}
 	for _, tc := range []struct {
-		name string
-		rs   []radial
+		name  string
+		bound float64 // declared speed; zero means edgeSpeed
+		rs    []radial
 	}{
-		{"rx-edge-outward", []radial{anchor, {rx - sl - tiny, overSpeed}}},
-		{"rx-edge-inward", []radial{anchor, {rx + sl + tiny, -overSpeed}}},
+		{"rx-edge-outward", 0, []radial{anchor, {rx - sl - tiny, overSpeed}}},
+		{"rx-edge-inward", 0, []radial{anchor, {rx + sl + tiny, -overSpeed}}},
 		// The outward mover leaves CS range, so it must not set the cut
 		// that lets a snapshot decide the other one, the farthest receiver.
-		{"cs-edge-outward", []radial{{cs - sl - tiny, overSpeed}, {cs - 3*sl - 2e-6, edgeSpeed}}},
-		{"cs-query-inward", []radial{anchor, {cs + sl + tiny, -overSpeed}}},
-		{"farthest-overtaken", []radial{{cs - 4*sl, -edgeSpeed}, {cs - 5.5*sl, edgeSpeed}}},
-		{"farthest-near-tie", []radial{{X + sl, -edgeSpeed}, {X - sl + 0.01, edgeSpeed}}},
+		{"cs-edge-outward", 0, []radial{{cs - sl - tiny, overSpeed}, {cs - 3*sl - 2*edgeMargin - 2*tiny, edgeSpeed}}},
+		{"cs-query-inward", 0, []radial{anchor, {cs + sl + tiny, -overSpeed}}},
+		{"farthest-overtaken", 0, []radial{{cs - 4*sl, -edgeSpeed}, {cs - 5.5*sl, edgeSpeed}}},
+		{"farthest-near-tie", 0, []radial{{X + sl, -edgeSpeed}, {X - sl + 0.01, edgeSpeed}}},
+		// 3 µm past the bound a fixed 1 µm margin would set; the 4 µm
+		// overshoot carries each across its edge.
+		{"fast-rx-edge-outward", fastSpeed, []radial{anchor, {rx - sl - 3e-6, fastOver}}},
+		{"fast-cs-query-inward", fastSpeed, []radial{anchor, {cs + sl + 3e-6, -fastOver}}},
 	} {
+		bound := tc.bound
+		if bound == 0 {
+			bound = edgeSpeed
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			compareBatches(t, edgeBatches(t, tc.rs, false), edgeBatches(t, tc.rs, true))
+			compareBatches(t, edgeBatches(t, tc.rs, bound, false), edgeBatches(t, tc.rs, bound, true))
 		})
 	}
 }

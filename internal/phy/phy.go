@@ -53,21 +53,23 @@
 // grid holds a position snapshot per radio; snapshots of moving radios are
 // refreshed lazily on a coarse epoch chosen so that the possible drift
 // since the last refresh stays below a slack, and every query is inflated
-// by that slack (plus snapMargin, below). Candidates returned by the grid
+// by that slack plus a margin (below). Candidates returned by the grid
 // are then decided so that the delivered receiver set is bit-for-bit
 // identical to a full scan (the linear reference path is kept, behind
 // UseLinearScan, for equivalence tests).
 //
 // A snapshot decides most receivers on its own. A mover's snapshot is never
-// more than the slack (1 % of CSRange) from its true position, so a
-// candidate whose snapshot distance is further than the slack plus a
-// margin (snapMargin, for float rounding and the nanosecond rounding of
-// epochs and waypoint legs) from both the Rx and the CS edge has the
-// classification the exact distance would give. Its exact position is
-// still needed when it might be the farthest carrier-sensing receiver,
-// whose exact distance sets the batch's propagation delay: so a snapshot
-// decides only candidates more than two slacks plus the margin nearer than
-// the farthest candidate that is surely in CS range. Only the rest —
+// more than the slack (1 % of CSRange) plus a margin from its true
+// position. The margin is 1 µm for float rounding plus the fastest
+// mover's top speed times 1 µs, which covers the nanosecond truncation of
+// up to a thousand waypoint legs ending within one refresh epoch. So a
+// candidate whose snapshot distance is further than the slack plus the
+// margin from both the Rx and the CS edge has the classification the
+// exact distance would give. Its exact position is still needed when it
+// might be the farthest carrier-sensing receiver, whose exact distance
+// sets the batch's propagation delay: so a snapshot decides only
+// candidates more than two slacks plus two margins nearer than the
+// farthest candidate that is surely in CS range. Only the rest —
 // near an edge or near the farthest — pay for an exact position, and the
 // delay stays bit-exact. Stationary radios' snapshots are exact, as are
 // all snapshots when the slack is zero (refresh at every transmission).
@@ -199,8 +201,9 @@ type batchRx struct {
 // arrivalBatch carries one transmission's whole audience. It is the Task
 // behind both delivery modes: batched (two events walk rx in order) and
 // unbatched reference (2·len(rx) events index into rx one receiver at a
-// time). After its last-bit delivery has run (or at once, when Transmit finds no receiver) a batch parks on
-// the channel's free list with its receiver slice's capacity kept.
+// time). After its last-bit delivery has run (or at once, when Transmit
+// finds no receiver) a batch parks on the channel's free list with its
+// receiver slice's capacity kept.
 // Batches reference the frame but never own it; frame release stays with
 // the MAC's quarantine (the batch's own lifetime is bounded by
 // MaxPropDelay + airtime, inside the quarantine hold).
@@ -300,6 +303,7 @@ type Channel struct {
 	movers      []*Radio  // radios whose snapshots go stale (maxSpeed > 0)
 	policyDirty bool      // movers/epoch need recomputation
 	slack       float64   // max snapshot drift of a mover, metres
+	margin      float64   // pad on every snapshot bound, metres
 	epoch       sim.Duration
 	nextRefresh sim.Time
 	exact       bool // refresh every transmit (some radio has unknown speed)
@@ -335,10 +339,17 @@ const (
 // snapshot decide more receivers (see "Receiver lookup").
 const slackFraction = 0.01
 
-// snapMargin (metres) pads every snapshot bound. It covers float rounding
-// and the nanosecond rounding of refresh epochs and waypoint leg times,
-// which can carry a mover a few nanometres past the drift bound.
-const snapMargin = 1e-6
+// A mover can drift a little past the slack, and every snapshot bound is
+// padded by a margin that covers it: snapMargin (metres) for float
+// rounding, plus the distance the fastest mover covers in legTravel
+// (seconds). Waypoint leg times are truncated to whole nanoseconds, so
+// each leg end can carry a mover up to its top speed times 1 ns past the
+// drift bound; legTravel allows a thousand leg ends in one refresh epoch,
+// in which a mover travels only the slack.
+const (
+	snapMargin = 1e-6
+	legTravel  = 1000e-9
+)
 
 // NewChannel creates an empty channel.
 func NewChannel(sched *sim.Scheduler, rxRange, csRange float64) *Channel {
@@ -456,8 +467,9 @@ func (r *Radio) Transmitting() bool { return r.ch.sched.Now() < r.txEnd }
 
 // recomputePolicy derives the snapshot-refresh schedule from the attached
 // radios' speed bounds: stationary radios are never refreshed, bounded
-// radios on an epoch sized so drift stays under the slack, and any radio
-// with an unknown bound forces exact (per-transmit) refresh.
+// radios on an epoch sized so drift stays under the slack (plus the
+// margin, which grows with the top speed), and any radio with an unknown
+// bound forces exact (per-transmit) refresh.
 func (c *Channel) recomputePolicy() {
 	c.policyDirty = false
 	c.movers = c.movers[:0]
@@ -474,6 +486,7 @@ func (c *Channel) recomputePolicy() {
 			maxKnown = r.maxSpeed
 		}
 	}
+	c.margin = snapMargin + legTravel*maxKnown
 	switch {
 	case c.exact || maxKnown == 0:
 		// Exact refresh (or nothing moves): every snapshot is exact.
@@ -558,14 +571,14 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 				c.nextRefresh = now.Add(c.epoch)
 			}
 		}
-		slack := c.slack
-		c.hits = c.grid.WithinRangeHits(txPos, c.CSRange+slack+snapMargin, c.hits[:0])
+		slack, margin := c.slack, c.margin
+		c.hits = c.grid.WithinRangeHits(txPos, c.CSRange+slack+margin, c.hits[:0])
 		// Fill in radio-index order, as the linear scan does (see "Receiver
 		// lookup"): mark the candidates, then walk the set bits upward,
 		// clearing each word as it is consumed. Marking also finds the
 		// farthest candidate that is in CS range wherever its snapshot
 		// drifted to.
-		csIn2 := sqOrNone(c.CSRange - slack - snapMargin)
+		csIn2 := sqOrNone(c.CSRange - slack - margin)
 		far2 := -1.0
 		for _, h := range c.hits {
 			if h.ID == tx.idx {
@@ -580,7 +593,8 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 		}
 		// A mover's snapshot decides it when its squared snapshot distance
 		// is below cut2 (it cannot be the farthest receiver, so its exact
-		// distance cannot set the propagation delay) and outside
+		// distance cannot set the propagation delay: both it and the
+		// farthest may have drifted by the slack plus the margin) and outside
 		// [rxIn2, rxOut2] (it is clear of the Rx edge). cut2 < csIn2, so
 		// such a mover is clear of the CS edge too. With no slack every
 		// snapshot is exact and decides.
@@ -588,10 +602,10 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 		if slack > 0 {
 			cut2 = -1
 			if far2 > 0 {
-				cut2 = sqOrNone(math.Sqrt(far2) - 2*slack - snapMargin)
+				cut2 = sqOrNone(math.Sqrt(far2) - 2*(slack+margin))
 			}
-			rxIn2 = sqOrNone(c.RxRange - slack - snapMargin)
-			rxOut2 = sqOrNone(c.RxRange + slack + snapMargin)
+			rxIn2 = sqOrNone(c.RxRange - slack - margin)
+			rxOut2 = sqOrNone(c.RxRange + slack + margin)
 		}
 		words := c.candSet[:(len(c.radios)+63)>>6]
 		for w, word := range words {

@@ -5,8 +5,10 @@ package sim
 // leaves the heap (fired or cancelled), so steady-state scheduling does not
 // allocate. That is what the PHY broadcast hot path needs: two batched
 // arrival events per frame (first-bit and last-bit, each iterating the
-// whole receiver batch), so one executed event may deliver to many radios
-// — Executed counts scheduler dispatches, not per-receiver deliveries. Timers share the same events; a caller revokes one only
+// whole receiver batch), or two events per receiver per frame in the
+// unbatched reference mode. Either way one executed event may deliver to
+// many radios — Executed counts scheduler dispatches, not per-receiver
+// deliveries. Timers share the same events; a caller revokes one only
 // through the TaskHandle its schedule call returned.
 type event struct {
 	at    Time

@@ -216,28 +216,24 @@ func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 	anchor := radial{anchorDist, 0}
 	for _, tc := range []struct {
 		name  string
-		bound float64 // declared speed; zero means edgeSpeed
+		bound float64 // the movers' declared speed
 		rs    []radial
 	}{
-		{"rx-edge-outward", 0, []radial{anchor, {rx - sl - tiny, overSpeed}}},
-		{"rx-edge-inward", 0, []radial{anchor, {rx + sl + tiny, -overSpeed}}},
+		{"rx-edge-outward", edgeSpeed, []radial{anchor, {rx - sl - tiny, overSpeed}}},
+		{"rx-edge-inward", edgeSpeed, []radial{anchor, {rx + sl + tiny, -overSpeed}}},
 		// The outward mover leaves CS range, so it must not set the cut
 		// that lets a snapshot decide the other one, the farthest receiver.
-		{"cs-edge-outward", 0, []radial{{cs - sl - tiny, overSpeed}, {cs - 3*sl - 2*edgeMargin - 2*tiny, edgeSpeed}}},
-		{"cs-query-inward", 0, []radial{anchor, {cs + sl + tiny, -overSpeed}}},
-		{"farthest-overtaken", 0, []radial{{cs - 4*sl, -edgeSpeed}, {cs - 5.5*sl, edgeSpeed}}},
-		{"farthest-near-tie", 0, []radial{{X + sl, -edgeSpeed}, {X - sl + 0.01, edgeSpeed}}},
+		{"cs-edge-outward", edgeSpeed, []radial{{cs - sl - tiny, overSpeed}, {cs - 3*sl - 2*edgeMargin - 2*tiny, edgeSpeed}}},
+		{"cs-query-inward", edgeSpeed, []radial{anchor, {cs + sl + tiny, -overSpeed}}},
+		{"farthest-overtaken", edgeSpeed, []radial{{cs - 4*sl, -edgeSpeed}, {cs - 5.5*sl, edgeSpeed}}},
+		{"farthest-near-tie", edgeSpeed, []radial{{X + sl, -edgeSpeed}, {X - sl + 0.01, edgeSpeed}}},
 		// 3 µm past the bound a fixed 1 µm margin would set; the 4 µm
 		// overshoot carries each across its edge.
 		{"fast-rx-edge-outward", fastSpeed, []radial{anchor, {rx - sl - 3e-6, fastOver}}},
 		{"fast-cs-query-inward", fastSpeed, []radial{anchor, {cs + sl + 3e-6, -fastOver}}},
 	} {
-		bound := tc.bound
-		if bound == 0 {
-			bound = edgeSpeed
-		}
 		t.Run(tc.name, func(t *testing.T) {
-			compareBatches(t, edgeBatches(t, tc.rs, bound, false), edgeBatches(t, tc.rs, bound, true))
+			compareBatches(t, edgeBatches(t, tc.rs, tc.bound, false), edgeBatches(t, tc.rs, tc.bound, true))
 		})
 	}
 }

@@ -14,12 +14,13 @@ type Grid struct {
 	origin Point
 	cols   int
 	rows   int
-	cells  [][]cellItem  // cell index -> items (id + position)
-	where  map[int32]int // item id -> cell index
+	cells  [][]cellItem // cell index -> items (id + position)
+	where  []int32      // item id -> cell index, or -1 when absent
+	n      int          // indexed items
 }
 
-// cellItem stores the position inline with the id so that WithinRange—the
-// hot path—never touches a map.
+// cellItem stores the position inline with the id so that a range query —
+// the hot path — never leaves the cell lists.
 type cellItem struct {
 	id int32
 	p  Point
@@ -41,7 +42,6 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 		cols:   cols,
 		rows:   rows,
 		cells:  make([][]cellItem, cols*rows),
-		where:  make(map[int32]int),
 	}
 }
 
@@ -51,10 +51,23 @@ func (g *Grid) cellIndex(p Point) int {
 	return cy*g.cols + cx
 }
 
-// Update inserts the item or moves it to a new position.
+// cellOf returns the index of the cell holding the item, or -1.
+func (g *Grid) cellOf(id int32) int {
+	if id < 0 || int(id) >= len(g.where) {
+		return -1
+	}
+	return int(g.where[id])
+}
+
+// Update inserts the item or moves it to a new position. IDs must be
+// non-negative and are meant to be dense: the index keeps one slot per ID
+// up to the largest seen.
 func (g *Grid) Update(id int32, p Point) {
+	if id < 0 {
+		panic("geo: negative item id")
+	}
 	newCell := g.cellIndex(p)
-	if old, ok := g.where[id]; ok {
+	if old := g.cellOf(id); old >= 0 {
 		if old == newCell {
 			items := g.cells[old]
 			for i := range items {
@@ -66,19 +79,25 @@ func (g *Grid) Update(id int32, p Point) {
 			panic("geo: grid cell missing indexed item")
 		}
 		g.removeFromCell(id, old)
+	} else {
+		for len(g.where) <= int(id) {
+			g.where = append(g.where, -1)
+		}
+		g.n++
 	}
 	g.cells[newCell] = append(g.cells[newCell], cellItem{id, p})
-	g.where[id] = newCell
+	g.where[id] = int32(newCell)
 }
 
 // Remove deletes the item; removing an absent item is a no-op.
 func (g *Grid) Remove(id int32) {
-	cell, ok := g.where[id]
-	if !ok {
+	cell := g.cellOf(id)
+	if cell < 0 {
 		return
 	}
 	g.removeFromCell(id, cell)
-	delete(g.where, id)
+	g.where[id] = -1
+	g.n--
 }
 
 func (g *Grid) removeFromCell(id int32, cell int) {
@@ -93,12 +112,12 @@ func (g *Grid) removeFromCell(id int32, cell int) {
 }
 
 // Len returns the number of indexed items.
-func (g *Grid) Len() int { return len(g.where) }
+func (g *Grid) Len() int { return g.n }
 
 // Position returns the stored position of an item.
 func (g *Grid) Position(id int32) (Point, bool) {
-	cell, ok := g.where[id]
-	if !ok {
+	cell := g.cellOf(id)
+	if cell < 0 {
 		return Point{}, false
 	}
 	for _, it := range g.cells[cell] {
@@ -107,34 +126,6 @@ func (g *Grid) Position(id int32) (Point, bool) {
 		}
 	}
 	return Point{}, false
-}
-
-// WithinRange appends to dst the IDs of all items within radius of centre
-// (inclusive) and returns the extended slice. The caller may pass a reused
-// buffer to avoid allocation. Order is unspecified but deterministic for a
-// given history of updates.
-//
-// Both block bounds are clamped into the grid, so a query centred beyond
-// the indexed bounds still scans the edge cells where out-of-bounds items
-// live: clamping is monotonic, so an item within radius always lands inside
-// the scanned block no matter how far either point strays.
-func (g *Grid) WithinRange(centre Point, radius float64, dst []int32) []int32 {
-	r2 := radius * radius
-	minCX := min(max(int((centre.X-radius-g.origin.X)/g.cell), 0), g.cols-1)
-	maxCX := min(max(int((centre.X+radius-g.origin.X)/g.cell), 0), g.cols-1)
-	minCY := min(max(int((centre.Y-radius-g.origin.Y)/g.cell), 0), g.rows-1)
-	maxCY := min(max(int((centre.Y+radius-g.origin.Y)/g.cell), 0), g.rows-1)
-	for cy := minCY; cy <= maxCY; cy++ {
-		row := g.cells[cy*g.cols+minCX : cy*g.cols+maxCX+1]
-		for _, items := range row {
-			for _, it := range items {
-				if it.p.DistanceSqTo(centre) <= r2 {
-					dst = append(dst, it.id)
-				}
-			}
-		}
-	}
-	return dst
 }
 
 // Hit is one WithinRangeHits result: an item id together with the position
@@ -147,11 +138,16 @@ type Hit struct {
 	P  Point
 }
 
-// WithinRangeHits is the batch-fill variant of WithinRange: it appends one
-// Hit per item within radius of centre (inclusive), carrying the stored
-// position snapshot alongside the id so one grid pass yields everything a
-// per-transmission receiver batch needs. Order is unspecified but
-// deterministic for a given history of updates, exactly like WithinRange.
+// WithinRangeHits appends to dst one Hit per item within radius of centre
+// (inclusive), carrying the stored position snapshot alongside the id, and
+// returns the extended slice. The caller may pass a reused buffer to avoid
+// allocation. Order is unspecified but deterministic for a given history
+// of updates.
+//
+// Both block bounds are clamped into the grid, so a query centred beyond
+// the indexed bounds still scans the edge cells where out-of-bounds items
+// live: clamping is monotonic, so an item within radius always lands inside
+// the scanned block no matter how far either point strays.
 func (g *Grid) WithinRangeHits(centre Point, radius float64, dst []Hit) []Hit {
 	r2 := radius * radius
 	minCX := min(max(int((centre.X-radius-g.origin.X)/g.cell), 0), g.cols-1)

@@ -14,7 +14,7 @@ func TestGridWithinRangeInclusiveBoundary(t *testing.T) {
 	g.Update(2, Point{750, 500}) // exactly radius away
 	g.Update(3, Point{750.0001, 500})
 
-	got := g.WithinRange(Point{500, 500}, 250, nil)
+	got := withinIDs(g, Point{500, 500}, 250)
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("boundary item mishandled: %v", got)
@@ -29,7 +29,7 @@ func TestGridRemoveAbsent(t *testing.T) {
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d after removing an absent id", g.Len())
 	}
-	if got := g.WithinRange(Point{5, 5}, 1, nil); len(got) != 1 {
+	if got := withinIDs(g, Point{5, 5}, 1); len(got) != 1 {
 		t.Fatalf("present item lost: %v", got)
 	}
 }
@@ -40,30 +40,39 @@ func TestGridCellBoundaryCrossing(t *testing.T) {
 	g := NewGrid(Field(1000, 1000), 100)
 	for x := 95.0; x <= 105; x += 1 { // walks across the x=100 cell edge
 		g.Update(1, Point{x, 50})
-		got := g.WithinRange(Point{x, 50}, 0.5, nil)
+		got := withinIDs(g, Point{x, 50}, 0.5)
 		if len(got) != 1 || got[0] != 1 {
 			t.Fatalf("item lost at x=%v: %v", x, got)
 		}
-		if prev := g.WithinRange(Point{x - 10, 50}, 0.5, nil); len(prev) != 0 {
+		if prev := withinIDs(g, Point{x - 10, 50}, 0.5); len(prev) != 0 {
 			t.Fatalf("stale position at x=%v: %v", x, prev)
 		}
 	}
 }
 
-// WithinRange must reuse the caller's buffer without allocating once its
-// capacity suffices — the PHY calls it on every transmission.
+// withinIDs returns the IDs WithinRangeHits finds within radius of centre.
+func withinIDs(g *Grid, centre Point, radius float64) []int32 {
+	var ids []int32
+	for _, h := range g.WithinRangeHits(centre, radius, nil) {
+		ids = append(ids, h.ID)
+	}
+	return ids
+}
+
+// WithinRangeHits must reuse the caller's buffer without allocating once
+// its capacity suffices — the PHY calls it for every neighbour-class build.
 func TestGridWithinRangeReusesBuffer(t *testing.T) {
 	g := NewGrid(Field(1000, 1000), 250)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 64; i++ {
 		g.Update(int32(i), Point{rng.Float64() * 1000, rng.Float64() * 1000})
 	}
-	buf := make([]int32, 0, 128)
+	buf := make([]Hit, 0, 128)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = g.WithinRange(Point{500, 500}, 400, buf[:0])
+		buf = g.WithinRangeHits(Point{500, 500}, 400, buf[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("WithinRange allocates %.1f objects/op with a sized buffer", allocs)
+		t.Fatalf("WithinRangeHits allocates %.1f objects/op with a sized buffer", allocs)
 	}
 	if len(buf) == 0 {
 		t.Fatal("query returned nothing")
@@ -94,7 +103,7 @@ func TestGridOutOfBoundsMatchesBruteForce(t *testing.T) {
 		}
 		centre := Point{rng.Float64()*3000 - 1000, rng.Float64()*3000 - 1000}
 		radius := rng.Float64() * 600
-		got := g.WithinRange(centre, radius, nil)
+		got := withinIDs(g, centre, radius)
 		var want []int32
 		for id, p := range pts {
 			if p.DistanceSqTo(centre) <= radius*radius {

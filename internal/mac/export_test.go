@@ -31,3 +31,7 @@ func (m *Mac) Contention() ContentionState {
 		difs: m.difsEvent, backoff: m.backoffEvent, timeout: m.timeoutEvent, navExp: m.navEvent,
 	}
 }
+
+// Contending reports whether the MAC is contending: the one state in which
+// its radio is loud.
+func (m *Mac) Contending() bool { return m.state == stContend }

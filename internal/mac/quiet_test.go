@@ -105,3 +105,56 @@ func TestSkippedEnergyEdgesNeverAct(t *testing.T) {
 		})
 	}
 }
+
+// TestEnergyCountsMatchShadow runs every golden configuration with a
+// shadow energy count per radio, moved as each walk passes the radio
+// (OnPass): every pass must find the radio's count — its own while its MAC
+// contends, derived from the batches in flight while it is quiet — equal
+// to the shadow. Radios whose MAC starts contending mid-walk (in RxEnd, or
+// in another radio's callback) have their count rebuilt then, and each is
+// checked at its next pass.
+func TestEnergyCountsMatchShadow(t *testing.T) {
+	for _, tc := range quietConfigs() {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := scenario.Build(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type radioState struct {
+				m      *mac.Mac
+				shadow int
+				loud   bool // contending at the radio's last pass
+			}
+			states := make(map[*phy.Radio]*radioState, len(s.Nodes))
+			for _, n := range s.Nodes {
+				states[n.Radio] = &radioState{m: n.Mac}
+			}
+			turnedLoud, quietPasses := 0, 0
+			s.Channel.OnPass = func(r *phy.Radio, first bool) {
+				st := states[r]
+				if first {
+					st.shadow++
+				} else {
+					st.shadow--
+				}
+				if got := r.Energy(); got != st.shadow {
+					t.Fatalf("node %d at %v (first=%v): energy count %d, shadow %d", r.ID, s.Sched.Now(), first, got, st.shadow)
+				}
+				loud := st.m.Contending()
+				if loud && !st.loud {
+					turnedLoud++
+				}
+				if !loud {
+					quietPasses++
+				}
+				st.loud = loud
+			}
+			if m := s.Run(); m.SegmentsSent == 0 {
+				t.Fatal("degenerate run: no TCP segment sent")
+			}
+			if turnedLoud == 0 || quietPasses == 0 {
+				t.Fatalf("degenerate run: %d passes of quiet radios, %d of radios turned loud since their last pass", quietPasses, turnedLoud)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,8 +49,7 @@ func attachMovers(c *Channel, n int) {
 
 // recordBatches makes one transmission every 25 ms for 7.5 simulated
 // seconds (several snapshot-refresh epochs), cycling through the senders,
-// and records each transmission's arrival batch. It also checks that the
-// candidate bitset is left all-zero after every transmission.
+// and records each transmission's arrival batch.
 func recordBatches(t *testing.T, s *sim.Scheduler, c *Channel) []batchRecord {
 	t.Helper()
 	c.DropFrame = func(f *packet.Frame, to packet.NodeID) bool {
@@ -65,7 +65,8 @@ func recordBatches(t *testing.T, s *sim.Scheduler, c *Channel) []batchRecord {
 }
 
 // recordOne makes one transmission from tx now, runs it to completion and
-// returns its arrival batch.
+// returns its arrival batch. It also checks that the batch left flight
+// once delivered.
 func recordOne(t *testing.T, s *sim.Scheduler, c *Channel, tx *Radio, uid uint64) batchRecord {
 	t.Helper()
 	f := &packet.Frame{UID: uid, Kind: packet.FrameData, TxTo: packet.Broadcast}
@@ -75,10 +76,14 @@ func recordOne(t *testing.T, s *sim.Scheduler, c *Channel, tx *Radio, uid uint64
 	c.parkBatch(b)
 	c.Transmit(tx, f, sim.Millisecond)
 	var rec batchRecord
-	if len(b.rx) > 0 {
-		for _, e := range b.rx {
-			rec.rx = append(rec.rx, rxView{e.rcv.idx, e.decodable, e.drop})
+	for w, word := range b.cs {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			bit := uint64(1) << (i & 63)
+			rec.rx = append(rec.rx, rxView{int32(i), b.dec[w]&bit != 0, b.drop[w]&bit != 0})
 		}
+	}
+	if len(rec.rx) > 0 {
 		// The propagation delay is under the airtime, so the batch's
 		// first-bit delivery is the earliest pending event.
 		sent := s.Now()
@@ -86,10 +91,8 @@ func recordOne(t *testing.T, s *sim.Scheduler, c *Channel, tx *Radio, uid uint64
 		rec.prop = s.Now().Sub(sent)
 	}
 	s.Run()
-	for w, word := range c.candSet {
-		if word != 0 {
-			t.Fatalf("transmission %d left candidate word %d set: %#x", uid, w, word)
-		}
+	if len(c.inflight) != 0 {
+		t.Fatalf("transmission %d left %d batches in flight", uid, len(c.inflight))
 	}
 	return rec
 }
@@ -122,10 +125,12 @@ func compareBatches(t *testing.T, grid, linear []batchRecord) {
 }
 
 // radial is one radio of an edge layout: its distance from the hub at the
-// snapshot time edgeT0 and its radial speed (negative: inward). A zero
-// speed attaches it stationary.
+// snapshot time edgeT0 and its radial speed (negative: inward), kept
+// until edgeT0+stop when stop is set. A zero speed attaches it
+// stationary.
 type radial struct {
 	dist, speed float64
+	stop        sim.Duration
 }
 
 // Edge-layout constants: the movers' declared speed bound, the slack it
@@ -148,40 +153,74 @@ const (
 	edgeT0     = sim.Time(sim.Second)
 )
 
-// edgeBatches attaches a stationary hub at the field centre and the given
-// radial movers around it, each declaring the speed bound, then records
-// the hub's transmissions at edgeT0 (which refreshes every snapshot) and
-// one nanosecond before the next refresh, when the snapshots have drifted
-// furthest.
-func edgeBatches(t *testing.T, rs []radial, bound float64, linear bool) []batchRecord {
+// edgeLayout is one edge layout: radios around a hub at the field centre,
+// the speed bound its movers declare, and the hub's own speed towards the
+// first radial (zero: stationary). A layout with a mid step runs it at
+// edgeT0+midT, between the two transmissions, and makes the second one
+// right after it.
+type edgeLayout struct {
+	name  string
+	bound float64
+	hub   float64
+	rs    []radial
+	midT  sim.Duration
+	mid   func(c *Channel, hub geo.Point)
+}
+
+// edgeBatches attaches the layout's hub and radial radios, each mover
+// declaring the speed bound, then records the hub's transmissions at
+// edgeT0 (which refreshes every snapshot and builds the hub's neighbour
+// classes) and one nanosecond before the next refresh, when the
+// snapshots have drifted furthest (or right after the mid step).
+func edgeBatches(t *testing.T, l edgeLayout, linear bool) []batchRecord {
 	s := sim.NewScheduler()
 	c := NewChannel(s, DefaultRxRange, DefaultCSRange)
 	c.EnableGrid(geo.Field(2000, 2000), 0)
 	c.UseLinearScan(linear)
-	hub := geo.Point{X: 1000, Y: 1000}
-	tx := c.Attach(0, func(sim.Time) geo.Point { return hub }, nil)
-	tx.SetMaxSpeed(0)
-	for i, r := range rs {
-		a := 0.4 + 2*math.Pi*float64(i)/float64(len(rs))
-		dx, dy := math.Cos(a), math.Sin(a)
+	centre := geo.Point{X: 1000, Y: 1000}
+	dir := func(i int) (float64, float64) {
+		a := 0.4 + 2*math.Pi*float64(i)/float64(len(l.rs))
+		return math.Cos(a), math.Sin(a)
+	}
+	hx, hy := dir(0)
+	hubAt := func(t sim.Time) geo.Point {
+		d := l.hub * t.Sub(edgeT0).Seconds()
+		return geo.Point{X: centre.X + d*hx, Y: centre.Y + d*hy}
+	}
+	tx := c.Attach(0, hubAt, nil)
+	if l.hub == 0 {
+		tx.SetMaxSpeed(0)
+	} else {
+		tx.SetMaxSpeed(l.bound)
+	}
+	for i, r := range l.rs {
+		dx, dy := dir(i)
 		pos := func(t sim.Time) geo.Point {
+			if r.stop > 0 && t > edgeT0.Add(r.stop) {
+				t = edgeT0.Add(r.stop)
+			}
 			d := r.dist + r.speed*t.Sub(edgeT0).Seconds()
-			return geo.Point{X: hub.X + d*dx, Y: hub.Y + d*dy}
+			return geo.Point{X: centre.X + d*dx, Y: centre.Y + d*dy}
 		}
 		rd := c.Attach(packet.NodeID(i+1), pos, nil)
 		if r.speed == 0 {
 			rd.SetMaxSpeed(0)
 		} else {
-			rd.SetMaxSpeed(bound)
+			rd.SetMaxSpeed(l.bound)
 		}
 	}
-	epoch := sim.Seconds(edgeSlack / bound)
+	epoch := sim.Seconds(edgeSlack / l.bound)
 	s.RunUntil(edgeT0)
 	out := []batchRecord{recordOne(t, s, c, tx, 1)}
 	if !linear && (c.slack != edgeSlack || c.epoch != epoch) {
 		t.Fatalf("slack %v epoch %v, want %v and %v", c.slack, c.epoch, edgeSlack, epoch)
 	}
-	s.RunUntil(edgeT0.Add(epoch - 1))
+	if l.mid != nil {
+		s.RunUntil(edgeT0.Add(l.midT))
+		l.mid(c, centre)
+	} else {
+		s.RunUntil(edgeT0.Add(epoch - 1))
+	}
 	return append(out, recordOne(t, s, c, tx, 2))
 }
 
@@ -194,7 +233,13 @@ func edgeBatches(t *testing.T, rs []radial, bound float64, linear bool) []batchR
 // across the edge, the same for movers a hundred times faster whose drift
 // past the slack outgrows a fixed margin, and pairs of movers whose order
 // by distance flips between the snapshot and the transmission, so the
-// wrong one would set the propagation delay.
+// wrong one would set the propagation delay. With a moving hub, its own
+// drift adds to each receiver's: a band of one slack misjudges a receiver,
+// and a farthest window of two slacks misses the receiver that overtakes.
+// The last layouts change the snapshots between two refreshes, so the
+// hub's neighbour classes must be rebuilt: the only mover stops after a
+// long drift and declares itself stationary, and a 65th radio attaches in
+// range.
 func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 	for _, n := range []int{50, 63, 64, 65, 130, 1000} {
 		s := sim.NewScheduler()
@@ -212,28 +257,52 @@ func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 		// whole nanosecond: a receiver 1 cm beyond it gets a delay 1 ns
 		// longer.
 		X = 449.997
+		// w is a mover's drift bound; a pair of movers drifts up to 2w.
+		w = sl + edgeMargin
 	)
-	anchor := radial{anchorDist, 0}
-	for _, tc := range []struct {
-		name  string
-		bound float64 // the movers' declared speed
-		rs    []radial
-	}{
-		{"rx-edge-outward", edgeSpeed, []radial{anchor, {rx - sl - tiny, overSpeed}}},
-		{"rx-edge-inward", edgeSpeed, []radial{anchor, {rx + sl + tiny, -overSpeed}}},
+	anchor := radial{dist: anchorDist}
+	mover := func(dist, speed float64) radial { return radial{dist: dist, speed: speed} }
+	var fillers []radial
+	for i := 0; i < 62; i++ {
+		fillers = append(fillers, radial{dist: 300 + float64(i)})
+	}
+	epoch := sim.Seconds(sl / edgeSpeed)
+	for _, l := range []edgeLayout{
+		{name: "rx-edge-outward", bound: edgeSpeed, rs: []radial{anchor, mover(rx-sl-tiny, overSpeed)}},
+		{name: "rx-edge-inward", bound: edgeSpeed, rs: []radial{anchor, mover(rx+sl+tiny, -overSpeed)}},
 		// The outward mover leaves CS range, so it must not set the cut
 		// that lets a snapshot decide the other one, the farthest receiver.
-		{"cs-edge-outward", edgeSpeed, []radial{{cs - sl - tiny, overSpeed}, {cs - 3*sl - 2*edgeMargin - 2*tiny, edgeSpeed}}},
-		{"cs-query-inward", edgeSpeed, []radial{anchor, {cs + sl + tiny, -overSpeed}}},
-		{"farthest-overtaken", edgeSpeed, []radial{{cs - 4*sl, -edgeSpeed}, {cs - 5.5*sl, edgeSpeed}}},
-		{"farthest-near-tie", edgeSpeed, []radial{{X + sl, -edgeSpeed}, {X - sl + 0.01, edgeSpeed}}},
+		{name: "cs-edge-outward", bound: edgeSpeed, rs: []radial{mover(cs-sl-tiny, overSpeed), mover(cs-3*sl-2*edgeMargin-2*tiny, edgeSpeed)}},
+		{name: "cs-query-inward", bound: edgeSpeed, rs: []radial{anchor, mover(cs+sl+tiny, -overSpeed)}},
+		{name: "farthest-overtaken", bound: edgeSpeed, rs: []radial{mover(cs-4*sl, -edgeSpeed), mover(cs-5.5*sl, edgeSpeed)}},
+		{name: "farthest-near-tie", bound: edgeSpeed, rs: []radial{mover(X+sl, -edgeSpeed), mover(X-sl+0.01, edgeSpeed)}},
 		// 3 µm past the bound a fixed 1 µm margin would set; the 4 µm
 		// overshoot carries each across its edge.
-		{"fast-rx-edge-outward", fastSpeed, []radial{anchor, {rx - sl - 3e-6, fastOver}}},
-		{"fast-cs-query-inward", fastSpeed, []radial{anchor, {cs + sl + 3e-6, -fastOver}}},
+		{name: "fast-rx-edge-outward", bound: fastSpeed, rs: []radial{anchor, mover(rx-sl-3e-6, fastOver)}},
+		{name: "fast-cs-query-inward", bound: fastSpeed, rs: []radial{anchor, mover(cs+sl+3e-6, -fastOver)}},
+		// The hub backs away from a receiver moving out: 1.5 slacks inside
+		// the Rx edge at the snapshot, half a slack beyond it at the
+		// transmission.
+		{name: "tx-drift-rx-edge", bound: edgeSpeed, hub: -overSpeed, rs: []radial{mover(rx-1.5*sl, overSpeed), anchor}},
+		// The two radials lie on opposite sides of the hub, which moves
+		// towards the second: the first gains up to 4w on it. A first
+		// radial 3.5 slacks behind overtakes the second; one just inside
+		// or just outside the 4w window cannot.
+		{name: "farthest-overtaken-by-tx-drift", bound: edgeSpeed, hub: -overSpeed, rs: []radial{mover(cs-13.5*sl, overSpeed), mover(cs-10*sl, -overSpeed)}},
+		{name: "farthest-window-inside", bound: edgeSpeed, hub: -overSpeed, rs: []radial{mover(cs-10*sl-4*w+tiny, overSpeed), mover(cs-10*sl, -overSpeed)}},
+		{name: "farthest-window-outside", bound: edgeSpeed, hub: -overSpeed, rs: []radial{mover(cs-10*sl-4*w-tiny, overSpeed), mover(cs-10*sl, -overSpeed)}},
+		// Three and a half epochs inward with no transmission (so no
+		// refresh): the mover crosses the Rx edge, stops and declares
+		// itself stationary, which leaves no mover to refresh.
+		{name: "max-speed-invalidates", bound: edgeSpeed, rs: []radial{anchor, {dist: rx + 3*sl, speed: -edgeSpeed, stop: 7 * epoch / 2}},
+			midT: 7 * epoch / 2, mid: func(c *Channel, _ geo.Point) { c.radios[2].SetMaxSpeed(0) }},
+		{name: "attach-invalidates", bound: edgeSpeed, rs: append([]radial{mover(anchorDist, edgeSpeed)}, fillers...),
+			midT: epoch / 2, mid: func(c *Channel, hub geo.Point) {
+				c.Attach(64, fixed(hub.X+100, hub.Y), nil).SetMaxSpeed(0)
+			}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			compareBatches(t, edgeBatches(t, tc.rs, tc.bound, false), edgeBatches(t, tc.rs, tc.bound, true))
+		t.Run(l.name, func(t *testing.T) {
+			compareBatches(t, edgeBatches(t, l, false), edgeBatches(t, l, true))
 		})
 	}
 }

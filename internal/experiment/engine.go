@@ -312,23 +312,15 @@ func attemptEvents(err error) uint64 {
 	return 0
 }
 
-// runCell simulates one cell once and journals the outcome. After a
-// panic the context pointer is replaced with a fresh one: the panic
-// unwound the simulator mid-run, so the context, which holds that run's
-// RNG sources, must not serve another run. A watchdog kill or an
-// ordinary error leaves the context reusable.
-func (s Sweep) runCell(ctxp **scenario.Context, j CellJob) (*metrics.RunMetrics, error) {
+// runCell simulates one cell once and journals the outcome.
+func (s Sweep) runCell(ctx *scenario.Context, j CellJob) (*metrics.RunMetrics, error) {
 	start := time.Now()
-	m, err := s.attempt(*ctxp, j.Config)
+	m, err := s.attempt(ctx, j.Config)
 	if err == nil {
 		s.journalAttempt(j, "ok", "", m.EventsRun, time.Since(start))
 		return m, nil
 	}
-	kind := errKind(err)
-	s.journalAttempt(j, kind, err.Error(), attemptEvents(err), time.Since(start))
-	if kind == KindPanic {
-		*ctxp = scenario.NewContext()
-	}
+	s.journalAttempt(j, errKind(err), err.Error(), attemptEvents(err), time.Since(start))
 	return nil, &cellError{key: j.Key, seed: j.Config.Seed, err: err}
 }
 
@@ -380,9 +372,8 @@ func (s Sweep) Run() (*Result, error) {
 		go func() {
 			defer wg.Done()
 			// One reusable simulation context per worker, built on its
-			// first miss: consecutive runs recycle its RNG sources and
-			// label caches (bit-identical results; see scenario.Context).
-			// runCell replaces it with a fresh one if a panic poisons it.
+			// first miss: consecutive runs share its label caches
+			// (bit-identical results; see scenario.Context).
 			var ctx *scenario.Context
 			for j := range jobCh {
 				select {
@@ -409,7 +400,7 @@ func (s Sweep) Run() (*Result, error) {
 				if ctx == nil {
 					ctx = scenario.NewContext()
 				}
-				m, err := s.runCell(&ctx, j)
+				m, err := s.runCell(ctx, j)
 				if err != nil {
 					if s.KeepGoing {
 						mu.Lock()

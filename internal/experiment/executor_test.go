@@ -62,7 +62,7 @@ func TestWatchdogKillJournalsEventCount(t *testing.T) {
 		Journal:  NewJournal(&buf),
 	}
 	ctx := scenario.NewContext()
-	_, err := s.runCell(&ctx, CellJob{Key: CellKey{Protocol: "MTS", Speed: cfg.MaxSpeed}, Config: cfg})
+	_, err := s.runCell(ctx, CellJob{Key: CellKey{Protocol: "MTS", Speed: cfg.MaxSpeed}, Config: cfg})
 	if err == nil {
 		t.Fatalf("a %d-event budget did not kill the run", budget)
 	}

@@ -13,9 +13,9 @@
 //     cells, a warm sweep reads the cache on every worker, and an
 //     interrupted sweep resumes from the completed runs on disk.
 //   - Each worker owns one reusable scenario.Context, built on its first
-//     cache miss, so consecutive runs re-seed recycled RNG sources
-//     instead of reallocating them; every run builds the rest of its
-//     scaffolding (scheduler, channel, grid, arena) fresh.
+//     cache miss, so consecutive runs share its cached RNG derivation
+//     labels; every run builds the rest of its scaffolding (RNG streams,
+//     scheduler, channel, grid, arena) fresh.
 //   - The first simulation error cancels all outstanding work (with the
 //     failing cell named in the error) instead of silently finishing the
 //     rest of the grid.

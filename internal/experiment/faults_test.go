@@ -15,6 +15,7 @@ import (
 	"mtsim/internal/metrics"
 	"mtsim/internal/packet"
 	"mtsim/internal/scenario"
+	"mtsim/internal/sim"
 )
 
 // requireArenaClean fails the test unless the arena's books are closed:
@@ -97,9 +98,10 @@ func TestSweepCancelRetiresWorkerState(t *testing.T) {
 // nothing. On one worker the first cell panics, errors or is killed by
 // the watchdog and the second is healthy: the failure is recorded and
 // journalled with its kind, and the healthy cell's metrics are
-// byte-identical to a standalone run. An error or a watchdog kill leaves
-// the worker's context reusable; a panic unwinds the simulator, so the
-// engine must hand the next cell a different context.
+// byte-identical to a standalone run. The injected panic fires mid-run,
+// unwinding the simulator; the worker keeps its context through every
+// kind of failure, because the context holds nothing a run can leave
+// half-updated.
 func TestCellAfterFailureBitIdentical(t *testing.T) {
 	cfg := quickBase()
 	cfg.Protocol = "MTS"
@@ -131,7 +133,12 @@ func TestCellAfterFailureBitIdentical(t *testing.T) {
 					if cfg.Seed == 1 {
 						switch kind {
 						case KindPanic:
-							panic("injected panic")
+							sc, err := ctx.Build(cfg)
+							if err != nil {
+								return nil, err
+							}
+							sc.Sched.After(sim.Second, func() { panic("injected panic") })
+							sc.Run()
 						case KindError:
 							return nil, errors.New("injected error")
 						case KindTimeout:
@@ -158,8 +165,8 @@ func TestCellAfterFailureBitIdentical(t *testing.T) {
 			if len(contexts) != 2 {
 				t.Fatalf("runner saw %d cells, want 2", len(contexts))
 			}
-			if replaced := contexts[0] != contexts[1]; replaced != (kind == KindPanic) {
-				t.Fatalf("context replaced = %v after a %s, want %v", replaced, kind, kind == KindPanic)
+			if contexts[0] != contexts[1] {
+				t.Fatalf("context replaced after a %s, want the worker's own", kind)
 			}
 			var outcomes []string
 			for _, line := range strings.Split(strings.TrimSpace(journal.String()), "\n") {
@@ -179,9 +186,9 @@ func TestCellAfterFailureBitIdentical(t *testing.T) {
 // TestRetryRecoversPanickingCell: a cell that panics mid-grid is
 // recovered by re-running it, and the re-run is a resume over the run
 // cache rather than an in-process retry. The KeepGoing sweep records the
-// panic, caches nothing for that cell, and hands the worker's next cell
-// a replacement context; the fault-free resume re-simulates only that
-// cell and aggregates bit-identically to a sweep that never panicked.
+// panic, caches nothing for that cell, and runs the worker's next cells
+// on the same context; the fault-free resume re-simulates only that cell
+// and aggregates bit-identically to a sweep that never panicked.
 func TestRetryRecoversPanickingCell(t *testing.T) {
 	dir := t.TempDir()
 	clean := cachedSweep(t, dir)
@@ -211,10 +218,10 @@ func TestRetryRecoversPanickingCell(t *testing.T) {
 	if len(faulted.Failed) != 1 || faulted.Failed[0].Kind != KindPanic {
 		t.Fatalf("failed cells %+v, want one %q", faulted.Failed, KindPanic)
 	}
-	// The panicking cell is neither the first nor the last, so exactly one
-	// replacement context must have taken over the single worker.
-	if len(contexts) != 2 {
-		t.Fatalf("runner saw %d distinct contexts, want 2 (one replaced after the panic)", len(contexts))
+	// The panicking cell is neither the first nor the last, and the single
+	// worker keeps its one context through it.
+	if len(contexts) != 1 {
+		t.Fatalf("runner saw %d distinct contexts, want 1 (kept through the panic)", len(contexts))
 	}
 
 	resume := cachedSweep(t, dir)

@@ -70,29 +70,38 @@ func chaosJournal(t *testing.T, name string) (*experiment.Journal, func() string
 	return experiment.NewJournal(&buf), buf.String
 }
 
-// guardContexts wraps next so the test fails if the engine ever hands a
-// runner a context that a panic unwound: the engine must replace it.
-func guardContexts(t *testing.T, next experiment.Runner) experiment.Runner {
+// checkUnwoundContexts wraps next so the test fails if a run on a
+// context that a panic unwound differs from the same run on a fresh
+// context: the engine keeps a worker's context through a panic, so the
+// context must hold nothing the panicking run could leave behind.
+func checkUnwoundContexts(t *testing.T, next experiment.Runner) experiment.Runner {
 	var (
-		mu       sync.Mutex
-		poisoned = map[*scenario.Context]bool{}
+		mu      sync.Mutex
+		unwound = map[*scenario.Context]bool{}
 	)
 	return func(ctx *scenario.Context, cfg scenario.Config, w experiment.Watchdog) (*metrics.RunMetrics, error) {
 		mu.Lock()
-		reused := poisoned[ctx]
+		reused := unwound[ctx]
 		mu.Unlock()
-		if reused {
-			t.Errorf("%s speed=%g seed=%d ran on a context a panic had unwound", cfg.Protocol, cfg.MaxSpeed, cfg.Seed)
-		}
 		defer func() {
 			if r := recover(); r != nil {
 				mu.Lock()
-				poisoned[ctx] = true
+				unwound[ctx] = true
 				mu.Unlock()
 				panic(r)
 			}
 		}()
-		return next(ctx, cfg, w)
+		m, err := next(ctx, cfg, w)
+		if reused && err == nil {
+			fresh, ferr := experiment.DefaultRunner(scenario.NewContext(), cfg, w)
+			got, _ := json.Marshal(m)
+			want, _ := json.Marshal(fresh)
+			if ferr != nil || string(got) != string(want) {
+				t.Errorf("%s speed=%g seed=%d on a context a panic had unwound differs from a fresh context (%v)",
+					cfg.Protocol, cfg.MaxSpeed, cfg.Seed, ferr)
+			}
+		}
+		return m, err
 	}
 }
 
@@ -124,7 +133,7 @@ func TestChaosSweepBitIdentical(t *testing.T) {
 	inj := New(Plan{Seed: 8, PanicRate: 0.3, ErrorRate: 0.3, SlowRate: 0.3})
 	s := chaosSweep()
 	s.Cache = flaky
-	s.Runner = guardContexts(t, inj.Runner(nil))
+	s.Runner = checkUnwoundContexts(t, inj.Runner(nil))
 	s.KeepGoing = true
 	journal, readJournal := chaosJournal(t, "chaos-attempts.jsonl")
 	s.Journal = journal
@@ -410,7 +419,7 @@ func TestChaosCoevolutionBitIdentical(t *testing.T) {
 	inj := New(Plan{Seed: 1, PanicRate: 0.35, ErrorRate: 0.35, SlowRate: 0.3})
 	g := chaosGame()
 	g.Cache = flaky
-	g.Runner = guardContexts(t, inj.Runner(nil))
+	g.Runner = checkUnwoundContexts(t, inj.Runner(nil))
 	if _, err := g.Run(); err == nil {
 		t.Fatal("chaos game succeeded despite faulted cells")
 	} else if !strings.Contains(err.Error(), "faultinject: injected") && !strings.Contains(err.Error(), "watchdog") {

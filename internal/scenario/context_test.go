@@ -26,9 +26,8 @@ func metricsJSON(t *testing.T, cfg Config, run func(Config) (*Scenario, error)) 
 // TestContextReuseBitIdentical drives one Context through every protocol —
 // including immediate same-config re-runs — and demands byte-identical
 // metrics against fresh Builds. This is the load-bearing guarantee of the
-// sweep engine's per-worker context reuse: re-seeding recycled RNG
-// sources and re-reading cached labels must be observationally
-// indistinguishable from allocating them.
+// sweep engine's per-worker context reuse: re-reading cached labels must
+// be observationally indistinguishable from building them.
 func TestContextReuseBitIdentical(t *testing.T) {
 	ctx := NewContext()
 	for _, proto := range AllProtocols() {
@@ -45,8 +44,8 @@ func TestContextReuseBitIdentical(t *testing.T) {
 }
 
 // TestContextReuseAcrossShapes re-runs with a different node count, field
-// and traffic type between repetitions, so the RNG recycler and label
-// caches must grow and shrink without leaking state across runs.
+// and traffic type between repetitions, so the label caches must grow
+// and serve smaller runs without leaking state across runs.
 func TestContextReuseAcrossShapes(t *testing.T) {
 	small := DefaultConfig()
 	small.Nodes = 10

@@ -129,7 +129,7 @@ func goldenCases() []goldenCase {
 // guarantee.
 func TestGoldenMetrics(t *testing.T) {
 	// One shared context across all protocols: the fixtures must hold
-	// through the sweep engine's per-worker RNG recycling, not just
+	// through the sweep engine's per-worker context reuse, not just
 	// through fresh builds (RunOne is checked against the context path in
 	// context_test.go).
 	ctx := NewContext()

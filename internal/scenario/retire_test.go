@@ -36,8 +36,8 @@ func partitionedConfig(proto string) Config {
 // run horizon must hit the arena ledger exactly once when
 // Scenario.Retire drains the node — no leak (a live packet after
 // retire), no double release. The context is reused across protocols, so
-// each audit after the first runs on RNG sources recycled from the
-// previous run.
+// each audit after the first derives its streams from labels cached by
+// the previous run.
 func TestRetireDrainsRouterBuffers(t *testing.T) {
 	ctx := NewContext()
 	for _, proto := range AllProtocols() {

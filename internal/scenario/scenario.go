@@ -168,21 +168,15 @@ func (s *Scenario) Retire() {
 }
 
 // Context carries what consecutive runs on one goroutine can share: the
-// recycled RNG sources (~5 KiB of math/rand state each, well over a
-// hundred per scenario) and the cached per-index RNG derivation labels.
-// Everything else — scheduler, channel, grid, collector, packet arena,
-// nodes — is built fresh by every Build.
-//
-// Recycling changes allocation only, never behaviour: a scenario built on
-// a used Context is bit-for-bit identical to one built on a new one (the
-// golden-metric fixtures are verified both ways). A Context serves one run
-// at a time — building the next scenario re-seeds the previous one's RNG
-// sources, so keep only the returned RunMetrics (which are standalone
-// copies). Not safe for concurrent use; give each worker goroutine its own
-// Context.
+// cached per-index RNG derivation labels ("node/0", "mobility/1", ...),
+// immutable strings that every Build would otherwise rebuild. Everything
+// else — RNG streams, scheduler, channel, grid, collector, packet arena,
+// nodes — is built fresh by every Build, so a scenario built on a used
+// Context is bit-for-bit identical to one built on a new one (the
+// golden-metric fixtures are verified both ways), and a run that panicked
+// leaves nothing behind that could reach the next. Not safe for
+// concurrent use; give each worker goroutine its own Context.
 type Context struct {
-	rngs sim.RNGRecycler
-
 	// Cached per-index RNG derivation labels: the strings are pure
 	// functions of the index, so re-running a context re-derives the same
 	// streams from the same cached bytes instead of re-Sprintf-ing them.
@@ -194,9 +188,8 @@ type Context struct {
 // NewContext returns an empty context; the first Build populates it.
 func NewContext() *Context { return &Context{} }
 
-// Build wires a scenario from the configuration, drawing its RNG streams
-// from the context's recycler. The previous scenario built from this
-// context becomes invalid.
+// Build wires a scenario from the configuration, deriving its RNG streams
+// through the context's cached labels.
 func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	n := cfg.Nodes
 	if cfg.Placement != nil {
@@ -251,10 +244,7 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		bounds.MaxY = math.Max(bounds.MaxY, p.Y)
 	}
 	s.Channel.EnableGrid(bounds, 0)
-	// The previous run is dead by contract, so its RNG sources re-seed for
-	// this one; derived streams recycle too.
-	ctx.rngs.Recycle()
-	master := ctx.rngs.New(cfg.Seed)
+	master := sim.NewRNG(cfg.Seed)
 	uids := &packet.UIDSource{}
 
 	// Per-index derivation labels ("<prefix>/<i>"), cached across runs.

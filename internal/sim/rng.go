@@ -31,67 +31,29 @@ func DeriveSeed(master int64, label string) int64 {
 }
 
 // RNG is a deterministic random stream with the convenience methods the
-// simulator needs. It wraps math/rand with an explicit source so that runs
-// are reproducible from the configuration seed alone.
+// simulator needs: math/rand's own Rand over an exact, lazily seeded clone
+// of math/rand's source (see lazySource), so runs are reproducible from
+// the configuration seed alone and a stream costs one allocation until
+// its 274th draw. Both live in this one struct and the Rand points at its
+// sibling source, so an RNG is only ever used by pointer.
 type RNG struct {
-	r   *rand.Rand
-	rec *RNGRecycler // nil for standalone streams
+	r   rand.Rand
+	src lazySource
 }
 
 // NewRNG returns a stream seeded with the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := new(RNG)
+	g.src.Seed(seed)
+	g.r = *rand.New(&g.src)
+	return g
 }
-
-// RNGRecycler hands out RNGs whose underlying math/rand source — a ~5 KiB
-// lagged-Fibonacci state — is recycled across simulation runs: re-seeding
-// a recycled source yields exactly the stream a fresh source would, so
-// reuse is observationally free. A scenario builds well over a hundred
-// derived streams (per-node mobility, node, MAC, ...). It is the one piece
-// of run scaffolding recycled across runs (scenario.Context owns one
-// recycler per worker): without it, the 1000-node benchmark workload's
-// peak RSS rose 20.5 %. Not safe for concurrent use.
-type RNGRecycler struct {
-	free []*rand.Rand
-	live []*rand.Rand
-}
-
-// New returns a stream seeded with seed, reusing a recycled source when
-// one is available. Streams derived from it recycle through this pool too.
-func (p *RNGRecycler) New(seed int64) *RNG {
-	var r *rand.Rand
-	if n := len(p.free); n > 0 {
-		r = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		r.Seed(seed)
-	} else {
-		r = rand.New(rand.NewSource(seed))
-	}
-	p.live = append(p.live, r)
-	return &RNG{r: r, rec: p}
-}
-
-// Recycle reclaims every stream handed out since the last Recycle. The
-// caller must guarantee those streams are dead (the run they were built
-// for has completed): a reclaimed source re-seeds under the next run.
-func (p *RNGRecycler) Recycle() {
-	p.free = append(p.free, p.live...)
-	for i := range p.live {
-		p.live[i] = nil
-	}
-	p.live = p.live[:0]
-}
-
-// Len reports the number of pooled free sources (tests/stats).
-func (p *RNGRecycler) Len() int { return len(p.free) }
 
 // LabelCache memoises indexed RNG derivation labels ("node/0", "node/1",
 // ...). Scenario builds derive several labelled streams per node; the
 // labels are pure functions of the prefix and index, so rebuilding them
 // with fmt.Sprintf on every Context re-run is allocation for no entropy —
-// the strings hash identically — and is the one per-node setup cost
-// RNGRecycler reuse cannot absorb on its own. One cache per prefix;
+// the strings hash identically. One cache per prefix;
 // Label(i) is byte-identical to prefix+"/"+itoa(i) by construction, so
 // cached and fresh derivations seed the same streams.
 type LabelCache struct {
@@ -111,14 +73,9 @@ func (c *LabelCache) Label(i int) string {
 	return c.labels[i]
 }
 
-// Derive returns a new independent stream labelled relative to this one,
-// drawn from the same recycler when this stream came from one.
+// Derive returns a new independent stream labelled relative to this one.
 func (g *RNG) Derive(label string) *RNG {
-	seed := DeriveSeed(g.r.Int63(), label)
-	if g.rec != nil {
-		return g.rec.New(seed)
-	}
-	return NewRNG(seed)
+	return NewRNG(DeriveSeed(g.r.Int63(), label))
 }
 
 // Float64 returns a uniform value in [0,1).

@@ -422,36 +422,6 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 	}
 }
 
-func TestRNGRecyclerBitIdentical(t *testing.T) {
-	var p RNGRecycler
-	draw := func(g *RNG) [4]int64 {
-		d := g.Derive("sub")
-		return [4]int64{g.Int63(), d.Int63(), g.Int63(), int64(g.Intn(1000))}
-	}
-	fresh := draw(NewRNG(42))
-	first := draw(p.New(42))
-	if fresh != first {
-		t.Fatalf("recycler first life differs: %v vs %v", fresh, first)
-	}
-	p.Recycle()
-	if p.Len() == 0 {
-		t.Fatal("recycler reclaimed nothing")
-	}
-	second := draw(p.New(42))
-	if fresh != second {
-		t.Fatalf("re-seeded source differs from fresh: %v vs %v", fresh, second)
-	}
-	// A different seed on a recycled source is that seed's stream.
-	p.Recycle()
-	other := draw(p.New(7))
-	if other != draw(NewRNG(7)) {
-		t.Fatal("recycled source not equivalent under new seed")
-	}
-	if other == fresh {
-		t.Fatal("seed ignored on recycled source")
-	}
-}
-
 // TestRunUntilBudgetChunksMatchRunUntil: slicing a run into arbitrary
 // budget chunks pops the same events in the same order with the same
 // final clock and Executed count as one RunUntil — the invariant the

@@ -252,10 +252,10 @@ func RunCacheKey(cfg Config) (string, error) { return runcache.Key(cfg) }
 // All zeros is a healthy cache.
 type CacheHealth = runcache.Health
 
-// RunContext recycles RNG state (math/rand sources and derivation labels)
-// across consecutive runs on one goroutine; every run still builds its
-// own scheduler, channel, collector and packet arena, and results are
-// bit-identical to fresh Builds. Sweep workers use one per goroutine
+// RunContext caches RNG derivation labels across consecutive runs on one
+// goroutine; every run still builds its own RNG streams, scheduler,
+// channel, collector and packet arena, and results are bit-identical to
+// fresh Builds. Sweep workers use one per goroutine
 // automatically — reach for it directly when running many configurations
 // in your own loop.
 type RunContext = scenario.Context

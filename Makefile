@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-chaos test-bench vet loc bench bench-smoke bench-pairs sweep-demo examples clean
+.PHONY: build test test-race test-chaos test-bench fuzz-smoke vet loc bench bench-smoke bench-pairs sweep-demo examples clean
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,14 @@ test-chaos:
 test-bench:
 	cd bench && GOPROXY=off GOTOOLCHAIN=local $(GO) vet ./...
 	cd bench && GOPROXY=off GOTOOLCHAIN=local $(GO) test -race ./...
+
+# Arena fuzz smoke (CI): ten seconds each of the packet arena's fuzz
+# targets — pooled copies against Packet.Copy, and acquire/copy/release
+# cycles with quarantined releases against the arena's invariants. A
+# failing input is written under internal/packet/testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketCopy$$' -fuzztime 10s ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzArenaReuse$$' -fuzztime 10s ./internal/packet
 
 # Full benchmark suite; see PERFORMANCE.md for methodology.
 bench:

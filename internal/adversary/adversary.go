@@ -149,6 +149,15 @@ func (s Spec) Validate() error {
 	if !slices.Contains(Models(), model) {
 		return fmt.Errorf("adversary: unknown model %q", s.Model)
 	}
+	if s.K < 0 {
+		return fmt.Errorf("adversary: negative K %d", s.K)
+	}
+	if s.Interval < 0 {
+		return fmt.Errorf("adversary: negative Interval %v", s.Interval)
+	}
+	if !(s.DropRate >= 0 && s.DropRate <= 1) {
+		return fmt.Errorf("adversary: DropRate %g is not a probability in [0, 1]", s.DropRate)
+	}
 	if s.DropRate != 0 && model != ModelGrayhole {
 		return fmt.Errorf("adversary: DropRate applies to %q only, not %q", ModelGrayhole, model)
 	}

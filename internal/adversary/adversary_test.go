@@ -27,13 +27,14 @@ func (nullProto) LinkFailed(*packet.Packet, packet.NodeID) {}
 func buildNet(t *testing.T, pts []geo.Point) (*sim.Scheduler, []*node.Node, *packet.UIDSource) {
 	t.Helper()
 	sched := sim.NewScheduler()
-	ch := phy.NewChannel(sched, 250, 550)
+	ch := phy.NewChannel(sched, 250, 550, geo.Field(1000, 1000))
+	ar := packet.NewArena(sched.Now)
 	uids := &packet.UIDSource{}
 	rng := sim.NewRNG(9)
 	var nodes []*node.Node
 	for i, p := range pts {
 		n := node.New(packet.NodeID(i), sched, ch, mac.Default80211b(),
-			&mobility.Static{P: p}, rng.Derive(fmt.Sprintf("n%d", i)), uids)
+			&mobility.Static{P: p}, rng.Derive(fmt.Sprintf("n%d", i)), uids, ar)
 		n.SetProtocol(nullProto{})
 		nodes = append(nodes, n)
 	}
@@ -375,7 +376,21 @@ func TestBuildValidation(t *testing.T) {
 	if err := (Spec{Model: ModelBlackhole, Interval: sim.Second}).Validate(); err == nil {
 		t.Fatal("Interval on a static blackhole accepted")
 	}
-	for _, ok := range []Spec{{}, {K: 3}, {Model: ModelGrayhole, DropRate: 0.3}, {Model: ModelAdaptive, Interval: sim.Second}} {
+	// Out-of-range knobs the model would otherwise reinterpret: a rate
+	// above 1 drops everything, a negative one falls back to 0.5, a
+	// negative K to one host and a negative Interval to 10 s.
+	for _, bad := range []Spec{
+		{Model: ModelGrayhole, DropRate: 1.7},
+		{Model: ModelGrayhole, DropRate: -0.3},
+		{Model: ModelCoalition, K: -2},
+		{K: -1},
+		{Model: ModelMobile, Interval: -sim.Second},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("Validate(%+v) accepted an out-of-range knob", bad)
+		}
+	}
+	for _, ok := range []Spec{{}, {K: 3}, {Model: ModelGrayhole, DropRate: 0.3}, {Model: ModelGrayhole, DropRate: 1}, {Model: ModelAdaptive, Interval: sim.Second}} {
 		if err := ok.Validate(); err != nil {
 			t.Fatalf("Validate(%+v) = %v", ok, err)
 		}

@@ -88,11 +88,8 @@ func TestWormholeTunnelExactlyOnce(t *testing.T) {
 	// W1 at x=0 with an honest neighbour at x=200; W2 at x=1000 — far
 	// outside the 250 m radio range of both, reachable only via tunnel.
 	sched, nodes, uids := buildNet(t, []geo.Point{{X: 0}, {X: 200}, {X: 1000}})
-	ar := packet.NewArena()
+	ar := nodes[0].Arena() // the one arena buildNet wires every node with
 	ar.Check = true
-	for _, n := range nodes {
-		n.SetArena(ar)
-	}
 	neighbour, far := newCountProto(), newCountProto()
 	nodes[1].SetProtocol(neighbour)
 	nodes[2].SetProtocol(far)

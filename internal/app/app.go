@@ -34,6 +34,8 @@ type CBRNetwork interface {
 	ID() packet.NodeID
 	Scheduler() *sim.Scheduler
 	UIDs() *packet.UIDSource
+	// Arena is the run's packet arena, which datagrams are built from.
+	Arena() *packet.Arena
 	Originate(p *packet.Packet)
 }
 
@@ -41,7 +43,7 @@ type CBRNetwork interface {
 // no reliability) — useful for stressing routing without TCP dynamics.
 type CBR struct {
 	net      CBRNetwork
-	ar       *packet.Arena // resolved once from net; nil means plain allocation
+	ar       *packet.Arena // net's arena, resolved once
 	dst      packet.NodeID
 	flow     int
 	size     int
@@ -58,15 +60,10 @@ type CBR struct {
 // active in [startAt, stopAt).
 func NewCBR(net CBRNetwork, flow int, dst packet.NodeID, size int, interval sim.Duration, startAt, stopAt sim.Time) *CBR {
 	c := &CBR{
-		net: net, dst: dst, flow: flow, size: size,
+		net: net, ar: net.Arena(), dst: dst, flow: flow, size: size,
 		interval: interval, startAt: startAt, stopAt: stopAt,
 	}
 	c.tickFn = c.tick
-	// Resolve the node's packet arena once (node.SetArena precedes source
-	// attachment); plain test networks stay on ordinary allocation.
-	if carrier, ok := net.(interface{ Arena() *packet.Arena }); ok {
-		c.ar = carrier.Arena()
-	}
 	return c
 }
 

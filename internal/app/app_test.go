@@ -13,14 +13,17 @@ type fakeNet struct {
 	id    packet.NodeID
 	sched *sim.Scheduler
 	uids  packet.UIDSource
+	ar    *packet.Arena
 	sent  []*packet.Packet
 	flows map[int]func(*packet.Packet, packet.NodeID)
 }
 
 func newFakeNet(id packet.NodeID) *fakeNet {
+	sched := sim.NewScheduler()
 	return &fakeNet{
 		id:    id,
-		sched: sim.NewScheduler(),
+		sched: sched,
+		ar:    packet.NewArena(sched.Now),
 		flows: map[int]func(*packet.Packet, packet.NodeID){},
 	}
 }
@@ -28,6 +31,7 @@ func newFakeNet(id packet.NodeID) *fakeNet {
 func (f *fakeNet) ID() packet.NodeID         { return f.id }
 func (f *fakeNet) Scheduler() *sim.Scheduler { return f.sched }
 func (f *fakeNet) UIDs() *packet.UIDSource   { return &f.uids }
+func (f *fakeNet) Arena() *packet.Arena      { return f.ar }
 func (f *fakeNet) RegisterFlow(flow int, h func(*packet.Packet, packet.NodeID)) {
 	f.flows[flow] = h
 }

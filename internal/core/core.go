@@ -239,7 +239,7 @@ type Stats struct {
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
 	bid    uint32

@@ -12,20 +12,23 @@ import (
 type net struct {
 	sched   *sim.Scheduler
 	uids    packet.UIDSource
+	ar      *packet.Arena
 	envs    map[packet.NodeID]*routingtest.Env
 	routers map[packet.NodeID]*Router
 	adj     map[packet.NodeID][]packet.NodeID
 }
 
 func newNet(adj map[packet.NodeID][]packet.NodeID, cfg Config) *net {
+	sched := sim.NewScheduler()
 	n := &net{
-		sched:   sim.NewScheduler(),
+		sched:   sched,
+		ar:      packet.NewArena(sched.Now),
 		envs:    map[packet.NodeID]*routingtest.Env{},
 		routers: map[packet.NodeID]*Router{},
 		adj:     adj,
 	}
 	for id := range adj {
-		e := routingtest.NewEnv(id, n.sched, &n.uids)
+		e := routingtest.NewEnv(id, n.sched, &n.uids, n.ar)
 		n.envs[id] = e
 		n.routers[id] = New(e, cfg)
 	}
@@ -142,7 +145,7 @@ func TestMaxPathsBound(t *testing.T) {
 func TestDisjointRule(t *testing.T) {
 	var uids packet.UIDSource
 	sched := sim.NewScheduler()
-	e := routingtest.NewEnv(9, sched, &uids)
+	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
 	r := New(e, DefaultConfig())
 	ds := &dstState{lastDataPath: -1}
 	r.dst[0] = ds
@@ -453,7 +456,7 @@ func TestDiscoveryGivesUp(t *testing.T) {
 func TestFwdEntryExpiry(t *testing.T) {
 	var uids packet.UIDSource
 	sched := sim.NewScheduler()
-	e := routingtest.NewEnv(9, sched, &uids)
+	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
 	cfg := DefaultConfig()
 	cfg.EntryTTL = 2 * sim.Second
 	r := New(e, cfg)
@@ -470,7 +473,7 @@ func TestFwdEntryExpiry(t *testing.T) {
 func TestLiveFwdPrefersRequestedThenFreshest(t *testing.T) {
 	var uids packet.UIDSource
 	sched := sim.NewScheduler()
-	e := routingtest.NewEnv(9, sched, &uids)
+	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
 	r := New(e, DefaultConfig())
 	r.setFwd(3, 0, 10, 1)
 	r.setFwd(3, 1, 11, 5)

@@ -18,7 +18,7 @@ func TestStoredPathsPairwiseDisjointProperty(t *testing.T) {
 	f := func(raw [][4]uint8) bool {
 		var uids packet.UIDSource
 		sched := sim.NewScheduler()
-		e := routingtest.NewEnv(99, sched, &uids)
+		e := routingtest.NewEnv(99, sched, &uids, packet.NewArena(sched.Now))
 		r := New(e, DefaultConfig())
 		ds := &dstState{lastDataPath: -1}
 		r.dst[0] = ds

@@ -159,6 +159,14 @@ func (s Spec) EffectiveThreshold() float64 {
 // undefended contiguity numbers (the same contract adversary.Spec.Validate
 // enforces for DropRate/Interval).
 func (s Spec) Validate() error {
+	// A negative knob would silently fall back to its default.
+	if s.Depth < 0 || s.Hold < 0 || !(s.Penalty >= 0) {
+		return fmt.Errorf("countermeasure: negative knob (Depth %d, Hold %v, Penalty %g)",
+			s.Depth, s.Hold, s.Penalty)
+	}
+	if !(s.Threshold >= 0 && s.Threshold <= 1) {
+		return fmt.Errorf("countermeasure: Threshold %g is not a score in [0, 1]", s.Threshold)
+	}
 	if s.Threshold != 0 && s.EffectiveModel() != ModelTrust {
 		return fmt.Errorf("countermeasure: Threshold applies to %q only, not %q",
 			ModelTrust, s.EffectiveModel())

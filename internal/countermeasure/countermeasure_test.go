@@ -19,9 +19,10 @@ type fakeHost struct {
 }
 
 func newFakeHost() *fakeHost {
-	a := packet.NewArena()
+	sched := sim.NewScheduler()
+	a := packet.NewArena(sched.Now)
 	a.Check = true
-	return &fakeHost{id: 1, sched: sim.NewScheduler(), arena: a}
+	return &fakeHost{id: 1, sched: sched, arena: a}
 }
 
 func (h *fakeHost) ID() packet.NodeID         { return h.id }
@@ -210,6 +211,7 @@ func TestSpecValidateAndLabel(t *testing.T) {
 		{Model: ModelShuffle, Depth: 4, Hold: 10 * sim.Millisecond},
 		{Model: ModelAware, Penalty: 0.3},
 		{Model: ModelShuffleAware, Depth: 16, Penalty: 0.1},
+		{Model: ModelTrust, Threshold: 1},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -222,6 +224,12 @@ func TestSpecValidateAndLabel(t *testing.T) {
 		{Model: ModelAware, Depth: 4},       // shuffle knob on aware
 		{Model: ModelShuffle, Penalty: 0.2}, // aware knob on shuffle
 		{Model: ModelNone, Hold: sim.Second},
+		// Out-of-range knobs the Effective* defaults would replace.
+		{Model: ModelShuffle, Depth: -4},
+		{Model: ModelShuffle, Hold: -sim.Millisecond},
+		{Model: ModelAware, Penalty: -0.1},
+		{Model: ModelTrust, Threshold: -0.2},
+		{Model: ModelTrust, Threshold: 1.5},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -24,14 +24,15 @@ func (nullProto) LinkFailed(*packet.Packet, packet.NodeID) {}
 func buildNet(t *testing.T) (*sim.Scheduler, []*node.Node, *packet.UIDSource) {
 	t.Helper()
 	sched := sim.NewScheduler()
-	ch := phy.NewChannel(sched, 250, 550)
+	ch := phy.NewChannel(sched, 250, 550, geo.Field(1000, 1000))
+	ar := packet.NewArena(sched.Now)
 	uids := &packet.UIDSource{}
 	rng := sim.NewRNG(9)
 	pts := []geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 100, Y: 100}}
 	var nodes []*node.Node
 	for i, p := range pts {
 		n := node.New(packet.NodeID(i), sched, ch, mac.Default80211b(),
-			&mobility.Static{P: p}, rng.Derive("n"), uids)
+			&mobility.Static{P: p}, rng.Derive("n"), uids, ar)
 		n.SetProtocol(nullProto{})
 		nodes = append(nodes, n)
 	}

@@ -154,9 +154,7 @@ type Mac struct {
 	jobPool  sim.Pool[txJob]   // recycled interface-queue jobs
 	respPool sim.Pool[respJob] // recycled CTS/ACK response state
 
-	// arena pools packets and frames for the whole run; may be nil
-	// (hand-assembled test stacks), in which case every release is a
-	// no-op and frames are plain allocations.
+	// arena pools packets and frames for the whole run.
 	arena *packet.Arena
 	// resps tracks scheduled/in-flight CTS-or-ACK responses so Retire can
 	// account for their frames at the run horizon.
@@ -181,7 +179,8 @@ type Mac struct {
 // New creates a MAC bound to a radio on the given channel. The caller must
 // register the returned MAC as the radio's listener (the scenario builder
 // does this by attaching the radio with the MAC as listener; see node.New).
-func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, cfg Config, up Upper, rng *sim.RNG, uids *packet.UIDSource) *Mac {
+// Frames come from, and every dead frame and packet returns to, ar.
+func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, cfg Config, up Upper, rng *sim.RNG, uids *packet.UIDSource, ar *packet.Arena) *Mac {
 	return &Mac{
 		id:       id,
 		sched:    sched,
@@ -190,6 +189,7 @@ func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, cfg Config, up
 		up:       up,
 		rng:      rng,
 		uids:     uids,
+		arena:    ar,
 		cw:       cfg.CWMin,
 		dupCache: make(map[packet.NodeID]uint16),
 	}
@@ -213,10 +213,6 @@ func (m *Mac) setState(s jobState) {
 	m.state = s
 	m.radio.SetQuiet(s != stContend)
 }
-
-// SetArena binds the run's packet arena. Must be set (if at all) before
-// any traffic; the node wires it for scenario-built stacks.
-func (m *Mac) SetArena(a *packet.Arena) { m.arena = a }
 
 // propHold is how long released frames and broadcast payloads stay
 // quarantined: the upper bound on any arrival still propagating.

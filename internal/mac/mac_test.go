@@ -34,6 +34,7 @@ type rig struct {
 	macs   []*Mac
 	uppers []*upperRec
 	uids   *packet.UIDSource
+	ar     *packet.Arena
 }
 
 func newRig(positions []geo.Point, cfg Config) *rig {
@@ -41,12 +42,13 @@ func newRig(positions []geo.Point, cfg Config) *rig {
 		sched: sim.NewScheduler(),
 		uids:  &packet.UIDSource{},
 	}
-	r.ch = phy.NewChannel(r.sched, 250, 550)
+	r.ch = phy.NewChannel(r.sched, 250, 550, geo.Field(1000, 1000))
+	r.ar = packet.NewArena(r.sched.Now)
 	master := sim.NewRNG(1234)
 	for i, p := range positions {
 		up := &upperRec{}
 		id := packet.NodeID(i)
-		m := New(id, r.sched, r.ch, cfg, up, master.Derive("mac"), r.uids)
+		m := New(id, r.sched, r.ch, cfg, up, master.Derive("mac"), r.uids, r.ar)
 		p := p
 		radio := r.ch.Attach(id, func(sim.Time) geo.Point { return p }, m)
 		m.BindRadio(radio)
@@ -57,10 +59,10 @@ func newRig(positions []geo.Point, cfg Config) *rig {
 }
 
 func (r *rig) dataPacket(src, dst packet.NodeID, size int) *packet.Packet {
-	return &packet.Packet{
+	return r.ar.NewPacketFrom(packet.Packet{
 		UID: r.uids.Next(), Kind: packet.KindData, Size: size,
 		Src: src, Dst: dst, TTL: 32,
-	}
+	})
 }
 
 func TestUnicastDelivery(t *testing.T) {
@@ -257,6 +259,7 @@ func TestHiddenTerminalsEventuallyDeliver(t *testing.T) {
 
 func TestPromiscuousTap(t *testing.T) {
 	r := newRig([]geo.Point{{X: 0, Y: 0}, {X: 100, Y: 0}, {X: 50, Y: 50}}, Default80211b())
+	r.ar.Pooling = false // the tap keeps frames the MAC releases
 	var tapped []*packet.Frame
 	r.macs[2].Tap = func(f *packet.Frame) { tapped = append(tapped, f) }
 	r.macs[0].Send(r.dataPacket(0, 1, 1040), 1)

@@ -102,18 +102,21 @@ type FrameTap interface {
 }
 
 // New wires a node: attaches a radio for the mobility model to the channel
-// with the node's MAC as listener. The routing protocol is attached
-// afterwards with SetProtocol (protocols need the Env, i.e. the node).
-func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, macCfg mac.Config, mob mobility.Model, rng *sim.RNG, uids *packet.UIDSource) *Node {
+// with the node's MAC as listener. The node, its MAC, its routing protocol
+// and its transport endpoints all draw from and release to ar, the run's
+// packet arena. The routing protocol is attached afterwards with
+// SetProtocol (protocols need the Env, i.e. the node).
+func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, macCfg mac.Config, mob mobility.Model, rng *sim.RNG, uids *packet.UIDSource, ar *packet.Arena) *Node {
 	n := &Node{
 		id:    id,
 		sched: sched,
 		rng:   rng,
 		uids:  uids,
+		arena: ar,
 		Mob:   mob,
 		flows: make(map[int]FlowHandler),
 	}
-	n.Mac = mac.New(id, sched, ch, macCfg, n, rng.Derive("mac"), uids)
+	n.Mac = mac.New(id, sched, ch, macCfg, n, rng.Derive("mac"), uids, ar)
 	n.Radio = ch.Attach(id, mob.PositionAt, n.Mac)
 	if sb, ok := mob.(mobility.SpeedBounded); ok {
 		n.Radio.SetMaxSpeed(sb.MaxSpeed())
@@ -122,16 +125,8 @@ func New(id packet.NodeID, sched *sim.Scheduler, ch *phy.Channel, macCfg mac.Con
 	return n
 }
 
-// SetArena binds the run's packet arena to the node and its MAC. Must be
-// called (if at all) before SetProtocol and before any traffic, so that
-// the protocol and transport endpoints resolve the same arena.
-func (n *Node) SetArena(a *packet.Arena) {
-	n.arena = a
-	n.Mac.SetArena(a)
-}
-
-// Arena implements routing.Env (and the transport layer's equivalent
-// assertion); nil when the node was assembled without one.
+// Arena implements routing.Env, tcp.Network and app.CBRNetwork: the run's
+// packet arena.
 func (n *Node) Arena() *packet.Arena { return n.arena }
 
 // SetProtocol binds the routing protocol. Must be called before Start,

@@ -45,13 +45,14 @@ func (e *echoProto) TapFrame(f *packet.Frame) { e.tapped++ }
 func buildPair(t *testing.T) (*sim.Scheduler, *Node, *Node, *echoProto, *echoProto) {
 	t.Helper()
 	sched := sim.NewScheduler()
-	ch := phy.NewChannel(sched, 250, 550)
+	ch := phy.NewChannel(sched, 250, 550, geo.Field(1000, 1000))
+	ar := packet.NewArena(sched.Now)
 	uids := &packet.UIDSource{}
 	rng := sim.NewRNG(1)
 	n0 := New(0, sched, ch, mac.Default80211b(),
-		&mobility.Static{P: geo.Point{X: 0, Y: 0}}, rng.Derive("n0"), uids)
+		&mobility.Static{P: geo.Point{X: 0, Y: 0}}, rng.Derive("n0"), uids, ar)
 	n1 := New(1, sched, ch, mac.Default80211b(),
-		&mobility.Static{P: geo.Point{X: 100, Y: 0}}, rng.Derive("n1"), uids)
+		&mobility.Static{P: geo.Point{X: 100, Y: 0}}, rng.Derive("n1"), uids, ar)
 	p0 := &echoProto{env: n0}
 	p1 := &echoProto{env: n1}
 	n0.SetProtocol(p0)
@@ -121,11 +122,12 @@ func TestNodeFlowDispatch(t *testing.T) {
 
 func TestNodeLinkFailurePropagates(t *testing.T) {
 	sched := sim.NewScheduler()
-	ch := phy.NewChannel(sched, 250, 550)
+	ch := phy.NewChannel(sched, 250, 550, geo.Field(1000, 1000))
+	ar := packet.NewArena(sched.Now)
 	uids := &packet.UIDSource{}
 	rng := sim.NewRNG(1)
 	n0 := New(0, sched, ch, mac.Default80211b(),
-		&mobility.Static{P: geo.Point{X: 0, Y: 0}}, rng.Derive("n0"), uids)
+		&mobility.Static{P: geo.Point{X: 0, Y: 0}}, rng.Derive("n0"), uids, ar)
 	p0 := &echoProto{env: n0}
 	n0.SetProtocol(p0)
 	n0.Start()
@@ -199,10 +201,11 @@ func TestNodeDropQueued(t *testing.T) {
 // stage hears a failure before the routing protocol does.
 func TestStageOrdering(t *testing.T) {
 	sched := sim.NewScheduler()
-	ch := phy.NewChannel(sched, 250, 550)
+	ch := phy.NewChannel(sched, 250, 550, geo.Field(1000, 1000))
+	ar := packet.NewArena(sched.Now)
 	uids := &packet.UIDSource{}
 	n0 := New(0, sched, ch, mac.Default80211b(),
-		&mobility.Static{P: geo.Point{X: 0, Y: 0}}, sim.NewRNG(1), uids)
+		&mobility.Static{P: geo.Point{X: 0, Y: 0}}, sim.NewRNG(1), uids, ar)
 	p0 := &echoProto{env: n0}
 	n0.SetProtocol(p0)
 	var sent []uint64

@@ -67,9 +67,8 @@ type frameQuar struct {
 // zeroed before reuse, fresh UIDs come from the same UIDSource calls, and
 // no scheduler events are involved (quarantined objects are reclaimed
 // lazily on later acquisitions), so same-seed runs are bit-identical with
-// the arena on, off (Pooling=false), or absent (nil *Arena: every method
-// degrades to plain allocation / no-op, which is what unit tests that
-// assemble stacks by hand get).
+// pooling on or off (Pooling=false). Every stack, hand-built unit stacks
+// included, is wired with an arena, so every release reaches a ledger.
 //
 // Not safe for concurrent use; like the scheduler it runs on, an arena
 // belongs to one simulation.
@@ -105,36 +104,22 @@ type Arena struct {
 // cannot pin unbounded memory for the arena's lifetime.
 const routePoolCap = 4096
 
-// NewArena returns an empty arena with pooling enabled.
-func NewArena() *Arena { return &Arena{Pooling: true} }
-
-// SetClock gives the arena the simulation clock quarantined releases are
-// timed against. Without a clock, ReleaseAfter objects are handed to the
-// GC instead of recycled (always safe, just less reuse).
-func (a *Arena) SetClock(now func() sim.Time) { a.clock = now }
+// NewArena returns an empty arena with pooling enabled. now is the
+// simulation clock quarantined releases are timed against (the run's
+// Scheduler.Now).
+func NewArena(now func() sim.Time) *Arena { return &Arena{Pooling: true, clock: now} }
 
 // Stats returns a copy of the accounting counters.
-func (a *Arena) Stats() ArenaStats {
-	if a == nil {
-		return ArenaStats{}
-	}
-	return a.stats
-}
+func (a *Arena) Stats() ArenaStats { return a.stats }
 
 // LivePackets returns acquired-minus-released packets: zero after a fully
 // retired run if and only if no call site leaked.
 func (a *Arena) LivePackets() int {
-	if a == nil {
-		return 0
-	}
 	return int(a.stats.PacketsAcquired) - int(a.stats.PacketsReleased)
 }
 
 // LiveFrames returns acquired-minus-released frames.
 func (a *Arena) LiveFrames() int {
-	if a == nil {
-		return 0
-	}
 	return int(a.stats.FramesAcquired) - int(a.stats.FramesReleased)
 }
 
@@ -143,7 +128,7 @@ func (a *Arena) LiveFrames() int {
 // comparison keeps an object out of circulation for the entire timestamp
 // its last arrivals fire at.
 func (a *Arena) reclaim() {
-	if a.clock == nil || (len(a.quarPkts) == 0 && len(a.quarFrames) == 0) {
+	if len(a.quarPkts) == 0 && len(a.quarFrames) == 0 {
 		return
 	}
 	now := a.clock()
@@ -173,7 +158,8 @@ func (a *Arena) reclaim() {
 
 // --- packet acquisition ---
 
-func (a *Arena) getPacket() *Packet {
+// NewPacket returns a zeroed arena-owned packet.
+func (a *Arena) NewPacket() *Packet {
 	a.stats.PacketsAcquired++
 	a.reclaim()
 	if n := len(a.pkts); n > 0 {
@@ -189,26 +175,12 @@ func (a *Arena) getPacket() *Packet {
 	return &Packet{aflags: flagArena}
 }
 
-// NewPacket returns a zeroed arena-owned packet (a plain allocation for a
-// nil arena).
-func (a *Arena) NewPacket() *Packet {
-	if a == nil {
-		return &Packet{}
-	}
-	return a.getPacket()
-}
-
 // NewPacketFrom copies tmpl into an arena-owned packet. Slices and the
 // TCP header carried by tmpl stay caller-owned — they are left alone when
 // the packet is released. Use SetSourceRoute / StartTrail / AttachTCP
 // afterwards for pooled components.
 func (a *Arena) NewPacketFrom(tmpl Packet) *Packet {
-	if a == nil {
-		p := tmpl
-		p.aflags = 0
-		return &p
-	}
-	p := a.getPacket()
+	p := a.NewPacket()
 	fl := p.aflags
 	*p = tmpl
 	p.aflags = fl
@@ -219,21 +191,18 @@ func (a *Arena) NewPacketFrom(tmpl Packet) *Packet {
 // UID, deep-copied SourceRoute/Trail (into recycled backing arrays) and a
 // pooled TCP header. Routing headers are shared, exactly like Packet.Copy.
 func (a *Arena) Copy(p *Packet, uids *UIDSource) *Packet {
-	if a == nil {
-		return p.Copy(uids)
-	}
-	q := a.getPacket()
+	q := a.NewPacket()
 	fl := q.aflags
 	*q = *p
 	q.aflags = fl
 	q.UID = uids.Next()
 	if p.SourceRoute != nil {
-		if q.SourceRoute = a.cloneRoute(p.SourceRoute); q.SourceRoute != nil {
+		if q.SourceRoute = a.AcquireRoute(p.SourceRoute); q.SourceRoute != nil {
 			q.aflags |= flagOwnsSR
 		}
 	}
 	if p.Trail != nil {
-		if q.Trail = a.cloneRoute(p.Trail); q.Trail != nil {
+		if q.Trail = a.AcquireRoute(p.Trail); q.Trail != nil {
 			q.aflags |= flagOwnsTrail
 		}
 	}
@@ -251,15 +220,11 @@ func (a *Arena) Copy(p *Packet, uids *UIDSource) *Packet {
 // retained, so a route aliased into a retained routing header (MTS Check,
 // DSR cache entries) stays untouched when p is later released.
 func (a *Arena) SetSourceRoute(p *Packet, route []NodeID) {
-	if a == nil {
-		p.SourceRoute = CloneRoute(route)
-		return
-	}
 	if p.aflags&flagOwnsSR != 0 {
-		a.putRoute(p.SourceRoute)
+		a.ReleaseRoute(p.SourceRoute)
 		p.aflags &^= flagOwnsSR
 	}
-	if p.SourceRoute = a.cloneRoute(route); p.SourceRoute != nil {
+	if p.SourceRoute = a.AcquireRoute(route); p.SourceRoute != nil {
 		p.aflags |= flagOwnsSR
 	}
 }
@@ -268,12 +233,8 @@ func (a *Arena) SetSourceRoute(p *Packet, route []NodeID) {
 // any previous arena-owned backing (the per-data-packet "Trail =
 // []NodeID{self}" pattern at MTS origination points).
 func (a *Arena) StartTrail(p *Packet, first NodeID) {
-	if a == nil {
-		p.Trail = []NodeID{first}
-		return
-	}
 	if p.aflags&flagOwnsTrail != 0 {
-		a.putRoute(p.Trail)
+		a.ReleaseRoute(p.Trail)
 		p.aflags &^= flagOwnsTrail
 	}
 	p.Trail = append(a.getRouteBuf(), first)
@@ -283,11 +244,6 @@ func (a *Arena) StartTrail(p *Packet, first NodeID) {
 // AttachTCP attaches a zeroed pooled TCP header to p and returns it for
 // the caller to fill.
 func (a *Arena) AttachTCP(p *Packet) *TCPHeader {
-	if a == nil {
-		h := &TCPHeader{}
-		p.TCP = h
-		return h
-	}
 	h := a.getTCP()
 	p.TCP = h
 	p.aflags |= flagOwnsTCP
@@ -297,7 +253,7 @@ func (a *Arena) AttachTCP(p *Packet) *TCPHeader {
 // --- packet release ---
 
 // Release returns a dead packet (and its arena-owned components) to the
-// free lists. Safe on nil arenas, nil packets and foreign packets. The
+// free lists. Safe on nil and foreign packets. The
 // caller must hold the only live reference: received packets are borrowed
 // from the transmitting MAC and must never be released by a receiver.
 func (a *Arena) Release(p *Packet) { a.release(p, 0) }
@@ -310,7 +266,7 @@ func (a *Arena) Release(p *Packet) { a.release(p, 0) }
 func (a *Arena) ReleaseAfter(p *Packet, hold sim.Duration) { a.release(p, hold) }
 
 func (a *Arena) release(p *Packet, hold sim.Duration) {
-	if a == nil || p == nil {
+	if p == nil {
 		return
 	}
 	if p.aflags&flagReleased != 0 {
@@ -327,7 +283,7 @@ func (a *Arena) release(p *Packet, hold sim.Duration) {
 		// The packet's last transmission is still propagating: borrowed
 		// readers (arrival events, taps, receivers) will touch it until
 		// now+hold, so scrubbing and recycling wait for reclaim.
-		if !a.Pooling || a.clock == nil {
+		if !a.Pooling {
 			return // accounted; storage goes to the GC
 		}
 		a.quarPkts = append(a.quarPkts, pktQuar{p: p, readyAt: a.clock().Add(hold)})
@@ -343,10 +299,10 @@ func (a *Arena) release(p *Packet, hold sim.Duration) {
 // its fields. Must only run once no borrowed reader can touch p again.
 func (a *Arena) scrubPacket(p *Packet) {
 	if p.aflags&flagOwnsSR != 0 {
-		a.putRoute(p.SourceRoute)
+		a.ReleaseRoute(p.SourceRoute)
 	}
 	if p.aflags&flagOwnsTrail != 0 {
-		a.putRoute(p.Trail)
+		a.ReleaseRoute(p.Trail)
 	}
 	if p.aflags&flagOwnsTCP != 0 {
 		a.putTCP(p.TCP)
@@ -375,7 +331,8 @@ func poisonPacket(p *Packet) {
 
 // --- frames ---
 
-func (a *Arena) getFrame() *Frame {
+// NewFrame returns a zeroed arena-owned MAC frame.
+func (a *Arena) NewFrame() *Frame {
 	a.stats.FramesAcquired++
 	a.reclaim()
 	if n := len(a.frames); n > 0 {
@@ -391,22 +348,9 @@ func (a *Arena) getFrame() *Frame {
 	return &Frame{aflags: flagArena}
 }
 
-// NewFrame returns a zeroed arena-owned MAC frame.
-func (a *Arena) NewFrame() *Frame {
-	if a == nil {
-		return &Frame{}
-	}
-	return a.getFrame()
-}
-
 // NewFrameFrom copies tmpl into an arena-owned frame.
 func (a *Arena) NewFrameFrom(tmpl Frame) *Frame {
-	if a == nil {
-		f := tmpl
-		f.aflags = 0
-		return &f
-	}
-	f := a.getFrame()
+	f := a.NewFrame()
 	fl := f.aflags
 	*f = tmpl
 	f.aflags = fl
@@ -422,7 +366,7 @@ func (a *Arena) ReleaseFrame(f *Frame) { a.releaseFrame(f, 0) }
 func (a *Arena) ReleaseFrameAfter(f *Frame, hold sim.Duration) { a.releaseFrame(f, hold) }
 
 func (a *Arena) releaseFrame(f *Frame, hold sim.Duration) {
-	if a == nil || f == nil {
+	if f == nil {
 		return
 	}
 	if f.aflags&flagReleased != 0 {
@@ -437,7 +381,7 @@ func (a *Arena) releaseFrame(f *Frame, hold sim.Duration) {
 	f.aflags |= flagReleased
 	if hold > 0 {
 		// Arrivals of this frame are still in flight; scrub at reclaim.
-		if !a.Pooling || a.clock == nil {
+		if !a.Pooling {
 			return
 		}
 		a.quarFrames = append(a.quarFrames, frameQuar{f: f, readyAt: a.clock().Add(hold)})
@@ -475,17 +419,28 @@ func (a *Arena) getRouteBuf() []NodeID {
 	return nil
 }
 
-// cloneRoute copies src into recycled backing. Like CloneRoute (and
-// Packet.Copy) it maps empty input to nil, so pooled and plain copies are
-// indistinguishable.
-func (a *Arena) cloneRoute(src []NodeID) []NodeID {
+// AcquireRoute copies src into an arena-owned route buffer. Like
+// CloneRoute (and Packet.Copy) it maps empty input to nil, so pooled and
+// plain copies are indistinguishable. Packets take their SourceRoute and
+// Trail copies from it; router state (DSR's route cache, SMR's route
+// sets) uses it directly, as the control-plane analogue of
+// SetSourceRoute. Such a caller owns the returned slice and must hand it
+// back with ReleaseRoute exactly once (on eviction, flush or retire);
+// unlike packet components there is no ownership flag, so a double
+// release would put the same backing array on the free list twice and
+// alias two later acquisitions.
+func (a *Arena) AcquireRoute(src []NodeID) []NodeID {
 	if len(src) == 0 {
 		return nil
 	}
 	return append(a.getRouteBuf(), src...)
 }
 
-func (a *Arena) putRoute(buf []NodeID) {
+// ReleaseRoute returns a route buffer obtained from AcquireRoute to the
+// free list. The buffer must not be referenced afterwards — in Check
+// mode it is poisoned, otherwise it is handed to the next acquirer as-is.
+// Safe on nil slices.
+func (a *Arena) ReleaseRoute(buf []NodeID) {
 	if !a.Pooling || cap(buf) == 0 || len(a.routes) >= routePoolCap {
 		return
 	}
@@ -495,32 +450,6 @@ func (a *Arena) putRoute(buf []NodeID) {
 		}
 	}
 	a.routes = append(a.routes, buf[:0])
-}
-
-// AcquireRoute copies src into an arena-owned route buffer — the
-// control-plane analogue of SetSourceRoute for routes held by router
-// state (DSR's route cache, SMR's route sets) rather than by a packet.
-// The caller owns the returned slice and must hand it back with
-// ReleaseRoute exactly once (on eviction, flush or retire); unlike
-// packet components there is no ownership flag, so a double release
-// would put the same backing array on the free list twice and alias two
-// later acquisitions. Nil arenas degrade to a plain clone.
-func (a *Arena) AcquireRoute(src []NodeID) []NodeID {
-	if a == nil {
-		return CloneRoute(src)
-	}
-	return a.cloneRoute(src)
-}
-
-// ReleaseRoute returns a route buffer obtained from AcquireRoute to the
-// free list. The buffer must not be referenced afterwards — in Check
-// mode it is poisoned, otherwise it is handed to the next acquirer as-is.
-// Safe on nil arenas and nil slices.
-func (a *Arena) ReleaseRoute(buf []NodeID) {
-	if a == nil {
-		return
-	}
-	a.putRoute(buf)
 }
 
 func (a *Arena) getTCP() *TCPHeader {

@@ -6,27 +6,11 @@ import (
 	"mtsim/internal/sim"
 )
 
-func TestArenaNilIsPlainAllocation(t *testing.T) {
-	var a *Arena
-	p := a.NewPacketFrom(Packet{Kind: KindData, Src: 1, Dst: 2})
-	if p.Kind != KindData || p.Src != 1 {
-		t.Fatalf("nil-arena packet wrong: %+v", p)
-	}
-	var u UIDSource
-	q := a.Copy(p, &u)
-	if q == p || q.UID != 1 {
-		t.Fatalf("nil-arena Copy did not behave like Packet.Copy")
-	}
-	a.Release(p) // must not panic
-	a.Release(q)
-	a.ReleaseFrame(a.NewFrame())
-	if a.LivePackets() != 0 || a.Stats() != (ArenaStats{}) {
-		t.Fatalf("nil arena reported state: %+v", a.Stats())
-	}
-}
+// frozen is the clock of arenas whose tests never advance simulated time.
+func frozen() sim.Time { return 0 }
 
 func TestArenaRecyclesPacketStorage(t *testing.T) {
-	a := NewArena()
+	a := NewArena(frozen)
 	p := a.NewPacket()
 	a.Release(p)
 	q := a.NewPacket()
@@ -43,7 +27,7 @@ func TestArenaRecyclesPacketStorage(t *testing.T) {
 }
 
 func TestArenaCopyMatchesPlainCopy(t *testing.T) {
-	a := NewArena()
+	a := NewArena(frozen)
 	var u1, u2 UIDSource
 	src := &Packet{
 		UID: u1.Next(), Kind: KindData, Size: 1040, Src: 3, Dst: 9, TTL: 7,
@@ -82,7 +66,7 @@ func TestArenaCopyMatchesPlainCopy(t *testing.T) {
 // live inside a retained routing header, like an MTS Check's Route) must
 // never enter the free list.
 func TestArenaSetSourceRouteDoesNotRetainCaller(t *testing.T) {
-	a := NewArena()
+	a := NewArena(frozen)
 	shared := []NodeID{5, 4, 3, 2} // stands in for a header-retained route
 	p := a.NewPacket()
 	a.SetSourceRoute(p, shared)
@@ -100,7 +84,7 @@ func TestArenaSetSourceRouteDoesNotRetainCaller(t *testing.T) {
 }
 
 func TestArenaDoubleReleaseDetected(t *testing.T) {
-	a := NewArena()
+	a := NewArena(frozen)
 	a.Check = true
 	p := a.NewPacket()
 	a.Release(p)
@@ -117,15 +101,17 @@ func TestArenaDoubleReleaseDetected(t *testing.T) {
 }
 
 func TestArenaForeignReleaseDetected(t *testing.T) {
-	a := NewArena()
+	a := NewArena(frozen)
 	a.Release(&Packet{})
-	if st := a.Stats(); st.ForeignReleases != 1 || st.PacketsReleased != 0 {
+	a.Release(nil) // nil packets and frames are no-ops
+	a.ReleaseFrame(nil)
+	if st := a.Stats(); st != (ArenaStats{ForeignReleases: 1}) {
 		t.Fatalf("foreign release not detected: %+v", st)
 	}
 }
 
 func TestArenaPoisonTripsOnWriteAfterRelease(t *testing.T) {
-	a := NewArena()
+	a := NewArena(frozen)
 	a.Check = true
 	p := a.NewPacket()
 	a.Release(p)
@@ -141,9 +127,8 @@ func TestArenaPoisonTripsOnWriteAfterRelease(t *testing.T) {
 // passes its deadline, which is what keeps in-flight broadcast arrivals
 // readable after the transmitting MAC lets go.
 func TestArenaQuarantineHoldsUntilClockPasses(t *testing.T) {
-	a := NewArena()
 	now := sim.Time(0)
-	a.SetClock(func() sim.Time { return now })
+	a := NewArena(func() sim.Time { return now })
 	p := a.NewPacket()
 	p.Kind = KindData
 	p.DataID = 99
@@ -165,7 +150,7 @@ func TestArenaQuarantineHoldsUntilClockPasses(t *testing.T) {
 }
 
 func TestArenaPoolingOffNeverRecycles(t *testing.T) {
-	a := NewArena()
+	a := NewArena(frozen)
 	a.Pooling = false
 	p := a.NewPacket()
 	p.Kind = KindData
@@ -202,7 +187,7 @@ func FuzzPacketCopy(f *testing.F) {
 			}
 			return p
 		}
-		a := NewArena()
+		a := NewArena(frozen)
 		a.Check = true
 		var u1, u2 UIDSource
 		src := mk()
@@ -242,11 +227,10 @@ func FuzzArenaReuse(f *testing.F) {
 	f.Add([]byte{5, 4, 3, 2, 1, 0, 255, 128, 7, 7, 7}, true)
 	f.Add([]byte{2, 2, 2, 9, 9, 9, 1, 0, 1, 0}, false)
 	f.Fuzz(func(t *testing.T, ops []byte, pooling bool) {
-		a := NewArena()
+		now := sim.Time(0)
+		a := NewArena(func() sim.Time { return now })
 		a.Check = true
 		a.Pooling = pooling
-		now := sim.Time(0)
-		a.SetClock(func() sim.Time { return now })
 		var uids UIDSource
 		var live []*Packet
 		seenUID := map[uint64]bool{}

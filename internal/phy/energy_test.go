@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mtsim/internal/geo"
 	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
@@ -60,7 +61,7 @@ func TestImplicitEnergyMatchesShadow(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			s := sim.NewScheduler()
-			c := NewChannel(s, DefaultRxRange, DefaultCSRange)
+			c := NewChannel(s, DefaultRxRange, DefaultCSRange, geo.Field(900, 900))
 			c.UseUnbatchedArrivals(unbatched)
 			rng := rand.New(rand.NewSource(3))
 			flips := 0

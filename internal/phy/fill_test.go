@@ -25,14 +25,14 @@ type batchRecord struct {
 	prop sim.Duration
 }
 
-// attachMovers attaches n radios at the paper's density (50 per 1000x1000
-// m), each moving in a straight line at up to 20 m/s with that bound
-// declared, so the grid path runs with a non-zero slack and refresh epoch.
-// The layout depends on n alone.
-func attachMovers(c *Channel, n int) {
+// moversChannel builds a channel with n radios at the paper's density (50
+// per 1000x1000 m), each moving in a straight line at up to 20 m/s with
+// that bound declared, so the grid path runs with a non-zero slack and
+// refresh epoch. The layout depends on n alone.
+func moversChannel(s *sim.Scheduler, n int) *Channel {
 	const speed = 20.0
 	side := 1000.0 * math.Sqrt(float64(n)/50.0)
-	c.EnableGrid(geo.Field(side, side), 0)
+	c := NewChannel(s, DefaultRxRange, DefaultCSRange, geo.Field(side, side))
 	rng := rand.New(rand.NewSource(int64(n)))
 	for i := 0; i < n; i++ {
 		x, y := rng.Float64()*side, rng.Float64()*side
@@ -45,6 +45,7 @@ func attachMovers(c *Channel, n int) {
 		}
 		c.Attach(packet.NodeID(i), pos, nil).SetMaxSpeed(speed)
 	}
+	return c
 }
 
 // recordBatches makes one transmission every 25 ms for 7.5 simulated
@@ -101,8 +102,7 @@ func recordOne(t *testing.T, s *sim.Scheduler, c *Channel, tx *Radio, uid uint64
 // the linear reference scan.
 func linearBatches(t *testing.T, n int) []batchRecord {
 	s := sim.NewScheduler()
-	c := NewChannel(s, DefaultRxRange, DefaultCSRange)
-	attachMovers(c, n)
+	c := moversChannel(s, n)
 	c.UseLinearScan(true)
 	return recordBatches(t, s, c)
 }
@@ -174,8 +174,7 @@ type edgeLayout struct {
 // snapshots have drifted furthest (or right after the mid step).
 func edgeBatches(t *testing.T, l edgeLayout, linear bool) []batchRecord {
 	s := sim.NewScheduler()
-	c := NewChannel(s, DefaultRxRange, DefaultCSRange)
-	c.EnableGrid(geo.Field(2000, 2000), 0)
+	c := NewChannel(s, DefaultRxRange, DefaultCSRange, geo.Field(2000, 2000))
 	c.UseLinearScan(linear)
 	centre := geo.Point{X: 1000, Y: 1000}
 	dir := func(i int) (float64, float64) {
@@ -243,8 +242,7 @@ func edgeBatches(t *testing.T, l edgeLayout, linear bool) []batchRecord {
 func TestGridFillMatchesLinearAcrossWords(t *testing.T) {
 	for _, n := range []int{50, 63, 64, 65, 130, 1000} {
 		s := sim.NewScheduler()
-		c := NewChannel(s, DefaultRxRange, DefaultCSRange)
-		attachMovers(c, n)
+		c := moversChannel(s, n)
 		compareBatches(t, recordBatches(t, s, c), linearBatches(t, n))
 	}
 	const (

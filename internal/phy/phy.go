@@ -76,9 +76,9 @@
 // radios, and none at all when the slack is zero (every snapshot is then
 // exact: refresh at every transmission, or nothing moves).
 //
-// Every snapshot write (a refresh, Attach, SetMaxSpeed, EnableGrid) starts
-// a new snapshot generation. A transmitter classifies its neighbours once
-// per generation, from its own snapshot: surely decodable (snapshot
+// Every snapshot write (a refresh, Attach, SetMaxSpeed) starts a new
+// snapshot generation. A transmitter classifies its neighbours once per
+// generation, from its own snapshot: surely decodable (snapshot
 // distance below RxRange−e), surely carrier-sense only (above RxRange+e
 // and below CSRange−e), or uncertain (within e of either edge); radios
 // beyond CSRange+e are out. A frame copies the sure classes into its batch
@@ -192,9 +192,7 @@ func (r *Radio) SetMaxSpeed(v float64) {
 	// Re-snapshot immediately: a radio leaving the movers set (v == 0)
 	// would otherwise freeze a stale snapshot while the query slack
 	// computed for it drops, silently shrinking its receivable range.
-	if r.ch.grid != nil {
-		r.ch.grid.Update(r.idx, r.positionAt(r.ch.sched.Now()))
-	}
+	r.ch.grid.Update(r.idx, r.positionAt(r.ch.sched.Now()))
 	r.ch.gen++
 }
 
@@ -457,16 +455,25 @@ const (
 	legTravel  = 1000e-9
 )
 
-// NewChannel creates an empty channel.
-func NewChannel(sched *sim.Scheduler, rxRange, csRange float64) *Channel {
+// NewChannel creates an empty channel whose receiver-lookup index covers
+// field. Radios may stand or wander outside it; the index clamps them to
+// its edge cells, which affects only query cost, never the result. The
+// cells are CSRange wide, so a range query touches a 3×3 cell block; a
+// zero-range channel (nothing is ever in range) gets 1 m cells.
+func NewChannel(sched *sim.Scheduler, rxRange, csRange float64, field geo.Rect) *Channel {
 	if csRange < rxRange {
 		csRange = rxRange
+	}
+	cell := csRange
+	if cell <= 0 {
+		cell = 1
 	}
 	return &Channel{
 		sched:     sched,
 		RxRange:   rxRange,
 		CSRange:   csRange,
 		PropSpeed: defaultPropSpeed,
+		grid:      geo.NewGrid(field, cell),
 	}
 }
 
@@ -521,29 +528,6 @@ func (c *Channel) recount(r *Radio) int {
 	return n
 }
 
-// EnableGrid builds the receiver-lookup index over the given field. Call it
-// before attaching radios (scenario builders) for a well-sized grid;
-// channels that never call it self-configure from the radios' positions at
-// the first transmission. cellSize <= 0 picks the carrier-sense range,
-// which makes a range query touch a 3×3 cell block.
-func (c *Channel) EnableGrid(bounds geo.Rect, cellSize float64) {
-	if cellSize <= 0 {
-		cellSize = c.CSRange
-	}
-	if cellSize <= 0 {
-		// Degenerate zero-range channels must still build and run (nothing
-		// will ever be in range); any positive cell size works.
-		cellSize = 1
-	}
-	c.grid = geo.NewGrid(bounds, cellSize)
-	now := c.sched.Now()
-	for _, r := range c.radios {
-		c.grid.Update(r.idx, r.positionAt(now))
-	}
-	c.policyDirty = true
-	c.gen++
-}
-
 // UseLinearScan switches Transmit between the grid-indexed receiver lookup
 // (default) and the exhaustive scan over all attached radios. The two are
 // observably identical; the linear path exists as the reference for
@@ -577,9 +561,7 @@ func (c *Channel) Attach(id packet.NodeID, pos func(sim.Time) geo.Point, lis Lis
 		c.loud = append(c.loud, 0)
 	}
 	r.SetQuiet(lis == nil)
-	if c.grid != nil {
-		c.grid.Update(r.idx, r.positionAt(c.sched.Now()))
-	}
+	c.grid.Update(r.idx, r.positionAt(c.sched.Now()))
 	c.policyDirty = true
 	c.gen++
 	return r
@@ -656,27 +638,6 @@ func (c *Channel) refreshMovers(now sim.Time) {
 	c.gen++
 }
 
-// autoGrid self-configures the index for channels built without EnableGrid
-// (unit tests, ad-hoc topologies): bounds from the radios' current
-// positions. Radios may later wander outside; the grid clamps them to edge
-// cells, which affects only query cost, never the result.
-func (c *Channel) autoGrid(now sim.Time) {
-	if len(c.radios) == 0 {
-		c.EnableGrid(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, 0)
-		return
-	}
-	p0 := c.radios[0].positionAt(now)
-	b := geo.Rect{MinX: p0.X, MinY: p0.Y, MaxX: p0.X, MaxY: p0.Y}
-	for _, r := range c.radios[1:] {
-		p := r.positionAt(now)
-		b.MinX = math.Min(b.MinX, p.X)
-		b.MinY = math.Min(b.MinY, p.Y)
-		b.MaxX = math.Max(b.MaxX, p.X)
-		b.MaxY = math.Max(b.MaxY, p.Y)
-	}
-	c.EnableGrid(b, c.CSRange)
-}
-
 // Transmit puts a frame on the air for the given airtime. The caller (MAC)
 // is responsible for medium-access rules; the channel only models physics.
 // The sender's own listener receives no callbacks for its own frame; the MAC
@@ -710,9 +671,6 @@ func (c *Channel) Transmit(tx *Radio, f *packet.Frame, airtime sim.Duration) {
 			}
 		}
 	} else {
-		if c.grid == nil {
-			c.autoGrid(now)
-		}
 		if c.policyDirty {
 			c.recomputePolicy()
 		}

@@ -18,8 +18,7 @@ func buildField(s *sim.Scheduler, n int, linear bool) (*Channel, []*Radio) {
 	// linearly with the population, so neighbourhood size stays fixed and
 	// the linear-vs-grid gap isolates the receiver-lookup cost.
 	side := 1000.0 * math.Sqrt(float64(n)/50.0)
-	c := NewChannel(s, DefaultRxRange, DefaultCSRange)
-	c.EnableGrid(geo.Field(side, side), 0)
+	c := NewChannel(s, DefaultRxRange, DefaultCSRange, geo.Field(side, side))
 	c.UseLinearScan(linear)
 	rng := rand.New(rand.NewSource(42))
 	radios := make([]*Radio, n)

@@ -32,7 +32,7 @@ func testFrame(from, to packet.NodeID) *packet.Frame {
 
 func TestDeliveryWithinRange(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	c.Attach(1, fixed(200, 0), rb)
@@ -53,7 +53,7 @@ func TestDeliveryWithinRange(t *testing.T) {
 
 func TestNoDeliveryBeyondRxRange(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	c.Attach(1, fixed(400, 0), rb) // in CS ring, beyond RX
@@ -71,7 +71,7 @@ func TestNoDeliveryBeyondRxRange(t *testing.T) {
 
 func TestNoEnergyBeyondCSRange(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	c.Attach(1, fixed(600, 0), rb)
@@ -86,7 +86,7 @@ func TestNoEnergyBeyondCSRange(t *testing.T) {
 
 func TestCollisionCorruptsBoth(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	// Two senders both in range of the victim; they can't hear each other
 	// is irrelevant here — the channel doesn't enforce MAC rules.
 	a := c.Attach(0, fixed(0, 0), &recorder{})
@@ -112,7 +112,7 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 
 func TestNoCollisionWhenSequential(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	victim := &recorder{}
 	c.Attach(1, fixed(100, 0), victim)
@@ -133,7 +133,7 @@ func TestNoCollisionWhenSequential(t *testing.T) {
 
 func TestHalfDuplexNoDecodeWhileTransmitting(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	b := c.Attach(1, fixed(100, 0), rb)
@@ -152,7 +152,7 @@ func TestHalfDuplexNoDecodeWhileTransmitting(t *testing.T) {
 
 func TestTransmitCorruptsOwnDecode(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	b := c.Attach(1, fixed(100, 0), rb)
@@ -175,7 +175,7 @@ func TestPromiscuousDelivery(t *testing.T) {
 	// MAC-level filtering happens above. This is what the eavesdropper and
 	// NAV depend on.
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	eaves := &recorder{}
 	c.Attach(2, fixed(0, 200), eaves)
@@ -193,7 +193,7 @@ func TestCommonPropagationDelay(t *testing.T) {
 	// propagation delay — the farthest carrier-sensing radio's distance
 	// over PropSpeed — and walks the receivers in radio-ID order.
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	var order []packet.NodeID
 	var nearAt, farAt sim.Time
@@ -222,7 +222,7 @@ func (h *hookListener) RxEnd(f *packet.Frame, ok bool) { h.onRx() }
 
 func TestDropFrameInjection(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	c.Attach(1, fixed(100, 0), rb)
@@ -238,7 +238,7 @@ func TestDropFrameInjection(t *testing.T) {
 
 func TestInRange(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), nil)
 	b := c.Attach(1, fixed(250, 0), nil)
 	d := c.Attach(2, fixed(251, 0), nil)
@@ -252,7 +252,7 @@ func TestInRange(t *testing.T) {
 
 func TestCSRangeClampedToRxRange(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 100) // nonsensical: CS < RX, must be clamped
+	c := NewChannel(s, 250, 100, geo.Field(1000, 1000)) // nonsensical: CS < RX, must be clamped
 	if c.CSRange < c.RxRange {
 		t.Fatalf("CSRange=%v < RxRange=%v", c.CSRange, c.RxRange)
 	}
@@ -261,7 +261,7 @@ func TestCSRangeClampedToRxRange(t *testing.T) {
 
 func TestBusyReflectsEnergy(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	b := c.Attach(1, fixed(100, 0), &recorder{})
 
@@ -289,7 +289,7 @@ func TestTransmittingEndsAtAirtime(t *testing.T) {
 	const airtime = sim.Millisecond
 	start := sim.Time(3 * sim.Millisecond)
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	c.Attach(1, fixed(200, 0), &recorder{})
 	lone := c.Attach(2, fixed(5000, 0), &recorder{})
@@ -329,11 +329,10 @@ func TestZeroRangeChannelStillRuns(t *testing.T) {
 	// A degenerate zero-range channel must build its grid and run (nothing
 	// is ever in range) rather than panic on a zero cell size.
 	s := sim.NewScheduler()
-	c := NewChannel(s, 0, 0)
+	c := NewChannel(s, 0, 0, geo.Field(10, 10))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	c.Attach(1, fixed(1, 0), rb)
-	c.EnableGrid(geo.Field(10, 10), 0)
 	c.Transmit(a, testFrame(0, 1), sim.Millisecond)
 	s.Run()
 	if len(rb.frames) != 0 || rb.ups != 0 {
@@ -343,7 +342,7 @@ func TestZeroRangeChannelStillRuns(t *testing.T) {
 
 func TestMovingNodeOutOfRangeNotReached(t *testing.T) {
 	s := sim.NewScheduler()
-	c := NewChannel(s, 250, 550)
+	c := NewChannel(s, 250, 550, geo.Field(1000, 1000))
 	a := c.Attach(0, fixed(0, 0), &recorder{})
 	rb := &recorder{}
 	// Node starts far away and "teleports" close only after the frame

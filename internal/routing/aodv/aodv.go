@@ -128,7 +128,7 @@ type ring struct {
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena
 	trust routing.TrustOracle // nil: legacy behaviour, bit-for-bit
 
 	seq uint32

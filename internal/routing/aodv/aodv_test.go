@@ -15,20 +15,23 @@ import (
 type net struct {
 	sched   *sim.Scheduler
 	uids    packet.UIDSource
+	ar      *packet.Arena
 	envs    map[packet.NodeID]*routingtest.Env
 	routers map[packet.NodeID]*Router
 	adj     map[packet.NodeID][]packet.NodeID
 }
 
 func newNet(adj map[packet.NodeID][]packet.NodeID) *net {
+	sched := sim.NewScheduler()
 	n := &net{
-		sched:   sim.NewScheduler(),
+		sched:   sched,
+		ar:      packet.NewArena(sched.Now),
 		envs:    map[packet.NodeID]*routingtest.Env{},
 		routers: map[packet.NodeID]*Router{},
 		adj:     adj,
 	}
 	for id := range adj {
-		e := routingtest.NewEnv(id, n.sched, &n.uids)
+		e := routingtest.NewEnv(id, n.sched, &n.uids, n.ar)
 		n.envs[id] = e
 		n.routers[id] = New(e, DefaultConfig())
 	}
@@ -291,7 +294,7 @@ func TestSeqNewerWraparound(t *testing.T) {
 func TestUpdatePrefersFresherSeq(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	e := routingtest.NewEnv(0, sched, &uids)
+	e := routingtest.NewEnv(0, sched, &uids, packet.NewArena(sched.Now))
 	r := New(e, DefaultConfig())
 
 	r.update(5, 1, 3, 10, true)
@@ -318,7 +321,7 @@ func TestUpdatePrefersFresherSeq(t *testing.T) {
 func TestRouteExpiry(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	e := routingtest.NewEnv(0, sched, &uids)
+	e := routingtest.NewEnv(0, sched, &uids, packet.NewArena(sched.Now))
 	r := New(e, DefaultConfig())
 	r.update(5, 1, 2, 1, true)
 	if _, _, ok := r.RouteTo(5); !ok {

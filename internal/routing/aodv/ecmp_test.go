@@ -21,7 +21,8 @@ type ecmpNode struct {
 
 func newECMPNode(t *testing.T) *ecmpNode {
 	n := &ecmpNode{t: t}
-	n.env = routingtest.NewEnv(0, sim.NewScheduler(), &n.uids)
+	sched := sim.NewScheduler()
+	n.env = routingtest.NewEnv(0, sched, &n.uids, packet.NewArena(sched.Now))
 	n.r = New(n.env, DefaultConfig())
 	return n
 }

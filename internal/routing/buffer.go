@@ -28,7 +28,7 @@ type buffered struct {
 
 // NewSendBuffer creates a buffer for env holding at most capacity packets
 // per destination, each for at most maxAge. Evicted packets are reported
-// to env and their storage returned to env's arena (if it carries one).
+// to env and their storage returned to env's arena.
 func NewSendBuffer(env Env, capacity int, maxAge sim.Duration) *SendBuffer {
 	return &SendBuffer{
 		cap:    capacity,

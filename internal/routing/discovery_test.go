@@ -41,7 +41,7 @@ var scriptedPolicy = routing.DiscoveryPolicy[*discoveryHarness]{
 
 func newDiscoveryHarness() *discoveryHarness {
 	h := &discoveryHarness{sched: sim.NewScheduler(), have: map[packet.NodeID]bool{}}
-	h.env = routingtest.NewEnv(1, h.sched, &h.uids)
+	h.env = routingtest.NewEnv(1, h.sched, &h.uids, packet.NewArena(h.sched.Now))
 	h.buffer = routing.NewSendBuffer(h.env, 8, 60*sim.Second)
 	h.disc = routing.NewDiscovery(h.env, h.buffer, h, &scriptedPolicy)
 	return h

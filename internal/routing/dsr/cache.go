@@ -28,7 +28,7 @@ type routeCache struct {
 	owner  packet.NodeID
 	perDst int
 	global int
-	ar     *packet.Arena // nil: plain allocation, evictions go to the GC
+	ar     *packet.Arena // the router's arena; evicted routes return to it
 	routes [][]packet.NodeID
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mtsim/internal/packet"
+	"mtsim/internal/sim"
 )
 
 // route returns a plain copy for comparisons.
@@ -21,6 +22,10 @@ func sameRoute(a, b []packet.NodeID) bool {
 	return true
 }
 
+// newCacheArena is the arena of a route cache tested on its own; route
+// buffers are never quarantined, so its clock never advances.
+func newCacheArena() *packet.Arena { return packet.NewArena(sim.NewScheduler().Now) }
+
 // TestCacheEvictionDoesNotAliasSurvivors is the aliasing regression for
 // the arena-backed route cache: evicting one cached route releases its
 // buffer (which Check mode poisons and the next Add reuses), and a route
@@ -28,7 +33,7 @@ func sameRoute(a, b []packet.NodeID) bool {
 // bytes — any exactly-once violation shows up as a survivor reading
 // poison or the newcomer's values.
 func TestCacheEvictionDoesNotAliasSurvivors(t *testing.T) {
-	ar := packet.NewArena()
+	ar := newCacheArena()
 	ar.Check = true
 	c := newRouteCache(0, 1, 2, ar)
 
@@ -85,7 +90,7 @@ func TestCacheEvictionDoesNotAliasSurvivors(t *testing.T) {
 // caller reusing its scratch buffer (the router's pathBuf) cannot mutate
 // cached state afterwards.
 func TestCacheAddCopiesCallerSlice(t *testing.T) {
-	ar := packet.NewArena()
+	ar := newCacheArena()
 	c := newRouteCache(0, 4, 16, ar)
 	scratch := route(0, 7, 8)
 	if !c.Add(scratch) {

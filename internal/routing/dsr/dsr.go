@@ -82,7 +82,7 @@ type RERR struct {
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
 	cache  *routeCache

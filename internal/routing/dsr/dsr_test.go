@@ -15,20 +15,23 @@ import (
 type net struct {
 	sched   *sim.Scheduler
 	uids    packet.UIDSource
+	ar      *packet.Arena
 	envs    map[packet.NodeID]*routingtest.Env
 	routers map[packet.NodeID]*Router
 	adj     map[packet.NodeID][]packet.NodeID
 }
 
 func newNet(adj map[packet.NodeID][]packet.NodeID, cfg Config) *net {
+	sched := sim.NewScheduler()
 	n := &net{
-		sched:   sim.NewScheduler(),
+		sched:   sched,
+		ar:      packet.NewArena(sched.Now),
 		envs:    map[packet.NodeID]*routingtest.Env{},
 		routers: map[packet.NodeID]*Router{},
 		adj:     adj,
 	}
 	for id := range adj {
-		e := routingtest.NewEnv(id, n.sched, &n.uids)
+		e := routingtest.NewEnv(id, n.sched, &n.uids, n.ar)
 		n.envs[id] = e
 		n.routers[id] = New(e, cfg)
 	}
@@ -237,7 +240,7 @@ func TestSalvageUsesAlternateRoute(t *testing.T) {
 func TestSalvageLimit(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	e := routingtest.NewEnv(1, sched, &uids)
+	e := routingtest.NewEnv(1, sched, &uids, packet.NewArena(sched.Now))
 	cfg := DefaultConfig()
 	r := New(e, cfg)
 	// Cache an alternate route so salvage is possible in principle.
@@ -260,7 +263,7 @@ func TestSalvageLimit(t *testing.T) {
 func TestSnoopLearnsOverheardRoutes(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	e := routingtest.NewEnv(9, sched, &uids)
+	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
 	r := New(e, DefaultConfig())
 	// Node 9 overhears node 2 forwarding a packet with route 0-1-2-3-4.
 	p := dataPacket(&uids, 0, 4)
@@ -282,7 +285,7 @@ func TestSnoopLearnsOverheardRoutes(t *testing.T) {
 func TestSnoopDisabled(t *testing.T) {
 	sched := sim.NewScheduler()
 	var uids packet.UIDSource
-	e := routingtest.NewEnv(9, sched, &uids)
+	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
 	cfg := DefaultConfig()
 	cfg.Snoop = false
 	r := New(e, cfg)
@@ -317,7 +320,7 @@ func TestDiscoveryGivesUp(t *testing.T) {
 // --- cache unit tests ---
 
 func TestCacheAddGet(t *testing.T) {
-	c := newRouteCache(0, 2, 16, nil)
+	c := newRouteCache(0, 2, 16, newCacheArena())
 	if !c.Add([]packet.NodeID{0, 1, 2}) {
 		t.Fatal("add failed")
 	}
@@ -339,7 +342,7 @@ func TestCacheAddGet(t *testing.T) {
 }
 
 func TestCacheShortestWins(t *testing.T) {
-	c := newRouteCache(0, 4, 16, nil)
+	c := newRouteCache(0, 4, 16, newCacheArena())
 	c.Add([]packet.NodeID{0, 1, 2, 3})
 	c.Add([]packet.NodeID{0, 4, 3})
 	if got := c.Get(3); len(got) != 3 {
@@ -348,7 +351,7 @@ func TestCacheShortestWins(t *testing.T) {
 }
 
 func TestCachePerDstReplacement(t *testing.T) {
-	c := newRouteCache(0, 2, 16, nil)
+	c := newRouteCache(0, 2, 16, newCacheArena())
 	c.Add([]packet.NodeID{0, 1, 2, 3, 9})
 	c.Add([]packet.NodeID{0, 4, 5, 9})
 	// Full for dst 9; a longer route is rejected…
@@ -365,7 +368,7 @@ func TestCachePerDstReplacement(t *testing.T) {
 }
 
 func TestCacheRemoveLink(t *testing.T) {
-	c := newRouteCache(0, 4, 16, nil)
+	c := newRouteCache(0, 4, 16, newCacheArena())
 	c.Add([]packet.NodeID{0, 1, 2, 3})
 	c.Add([]packet.NodeID{0, 4, 3})
 	removed := c.RemoveLink(1, 2)
@@ -383,7 +386,7 @@ func TestCacheRemoveLink(t *testing.T) {
 }
 
 func TestCacheGetAvoidingLink(t *testing.T) {
-	c := newRouteCache(1, 4, 16, nil)
+	c := newRouteCache(1, 4, 16, newCacheArena())
 	c.Add([]packet.NodeID{1, 3, 4})
 	c.Add([]packet.NodeID{1, 2, 4})
 	r := c.GetAvoidingLink(4, 1, 3)

@@ -30,7 +30,7 @@ func firstHops(c *routeCache, dst packet.NodeID) string {
 // cache's current contents (a stale index, a stale set) shows up here as
 // a moved pick or a route that is no longer cached.
 func TestGetForFlowPinned(t *testing.T) {
-	c := newRouteCache(0, 4, 6, nil)
+	c := newRouteCache(0, 4, 6, newCacheArena())
 	for _, r := range [][]packet.NodeID{{0, 4, 5, 9}, {0, 1, 9}, {0, 2, 9}, {0, 3, 9}} {
 		if !c.Add(r) {
 			t.Fatalf("setup: %v rejected", r)

@@ -50,8 +50,7 @@ type Env interface {
 	// (no route, buffer overflow, TTL exhausted).
 	NotifyDrop(p *packet.Packet, reason string)
 	// Arena returns the packet arena protocols acquire and release
-	// packets through; nil (plain test environments) means ordinary
-	// allocation via the nil-arena methods. Routers capture it at New.
+	// packets through. Routers capture it at New.
 	Arena() *packet.Arena
 	// Trust returns the node's trust oracle, or nil when the trust
 	// defence is off (the common case). Routers capture it at New.

@@ -15,9 +15,27 @@ func mkPkt(u *packet.UIDSource) *packet.Packet {
 }
 
 // newBufferEnv is a lone node's fake environment: its Dropped list
-// records the buffer's eviction reasons.
+// records the buffer's eviction reasons and its arena's ledger the
+// releases.
 func newBufferEnv(sched *sim.Scheduler) *routingtest.Env {
-	return routingtest.NewEnv(0, sched, &packet.UIDSource{})
+	return routingtest.NewEnv(0, sched, &packet.UIDSource{}, packet.NewArena(sched.Now))
+}
+
+// bufPkt builds a data packet through env's arena, so the buffer's
+// releases of it reach the ledger.
+func bufPkt(env *routingtest.Env) *packet.Packet {
+	return env.Pool.NewPacketFrom(packet.Packet{UID: env.Uids.Next(), Kind: packet.KindData, Size: 1040})
+}
+
+// checkReleased requires the buffer to have released exactly n of env's
+// packets, each once, and none it did not own.
+func checkReleased(t *testing.T, env *routingtest.Env, n int) {
+	t.Helper()
+	st := env.Pool.Stats()
+	if st.PacketsReleased != uint64(n) || st.DoubleReleases != 0 || st.ForeignReleases != 0 {
+		t.Fatalf("released %d (double %d, foreign %d), want %d each exactly once",
+			st.PacketsReleased, st.DoubleReleases, st.ForeignReleases, n)
+	}
 }
 
 func TestSendBufferPushPop(t *testing.T) {
@@ -41,10 +59,9 @@ func TestSendBufferPushPop(t *testing.T) {
 
 func TestSendBufferOverflowEvictsOldest(t *testing.T) {
 	sched := sim.NewScheduler()
-	var uids packet.UIDSource
 	env := newBufferEnv(sched)
 	b := routing.NewSendBuffer(env, 2, 8*sim.Second)
-	p1, p2, p3 := mkPkt(&uids), mkPkt(&uids), mkPkt(&uids)
+	p1, p2, p3 := bufPkt(env), bufPkt(env), bufPkt(env)
 	b.Push(1, p1)
 	b.Push(1, p2)
 	b.Push(1, p3) // evicts p1
@@ -55,16 +72,16 @@ func TestSendBufferOverflowEvictsOldest(t *testing.T) {
 	if len(env.Dropped) != 1 || env.Dropped[0] != "sendbuf-overflow" {
 		t.Fatalf("drops = %v", env.Dropped)
 	}
+	checkReleased(t, env, len(env.Dropped))
 }
 
 func TestSendBufferExpiry(t *testing.T) {
 	sched := sim.NewScheduler()
-	var uids packet.UIDSource
 	env := newBufferEnv(sched)
 	b := routing.NewSendBuffer(env, 8, 2*sim.Second)
-	b.Push(1, mkPkt(&uids))
+	b.Push(1, bufPkt(env))
 	sched.RunUntil(sim.Time(3 * sim.Second))
-	b.Push(1, mkPkt(&uids)) // triggers expiry scan
+	b.Push(1, bufPkt(env)) // triggers expiry scan
 	got := b.Pop(1)
 	if len(got) != 1 {
 		t.Fatalf("fresh packets = %d, want 1", len(got))
@@ -72,18 +89,33 @@ func TestSendBufferExpiry(t *testing.T) {
 	if len(env.Dropped) != 1 || env.Dropped[0] != "sendbuf-timeout" {
 		t.Fatalf("expired drops = %v", env.Dropped)
 	}
+	checkReleased(t, env, len(env.Dropped))
 }
 
+// TestSendBufferDropAll: giving up on a destination drops and releases
+// everything buffered for it; retiring the buffer at run end releases
+// everything too, but reports no drops.
 func TestSendBufferDropAll(t *testing.T) {
-	sched := sim.NewScheduler()
-	var uids packet.UIDSource
-	env := newBufferEnv(sched)
-	b := routing.NewSendBuffer(env, 8, 8*sim.Second)
-	b.Push(1, mkPkt(&uids))
-	b.Push(1, mkPkt(&uids))
-	b.DropAll(1)
-	if len(env.Dropped) != 2 || b.Len(1) != 0 {
-		t.Fatalf("drops=%v len=%d", env.Dropped, b.Len(1))
+	for _, tc := range []struct {
+		name  string
+		empty func(b *routing.SendBuffer)
+		drops int
+	}{
+		{"DropAll", func(b *routing.SendBuffer) { b.DropAll(1) }, 2},
+		{"Retire", (*routing.SendBuffer).Retire, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := sim.NewScheduler()
+			env := newBufferEnv(sched)
+			b := routing.NewSendBuffer(env, 8, 8*sim.Second)
+			b.Push(1, bufPkt(env))
+			b.Push(1, bufPkt(env))
+			tc.empty(b)
+			if len(env.Dropped) != tc.drops || b.Len(1) != 0 {
+				t.Fatalf("drops=%v len=%d", env.Dropped, b.Len(1))
+			}
+			checkReleased(t, env, 2)
+		})
 	}
 }
 

@@ -22,8 +22,7 @@ type Env struct {
 	Sched *sim.Scheduler
 	Rng   *sim.RNG
 	Uids  *packet.UIDSource
-	// Pool, when set, is handed to protocols as the environment's packet
-	// arena; nil (the default) means plain allocation everywhere.
+	// Pool is handed to protocols as the environment's packet arena.
 	Pool *packet.Arena
 
 	Outbox    []Sent
@@ -32,14 +31,16 @@ type Env struct {
 	Dropped   []string
 }
 
-// NewEnv creates a fake environment for the given node ID. Multiple Envs
-// may share a scheduler and UID source to emulate a network.
-func NewEnv(id packet.NodeID, sched *sim.Scheduler, uids *packet.UIDSource) *Env {
+// NewEnv creates a fake environment for the given node ID whose protocols
+// acquire and release packets through ar. Multiple Envs may share a
+// scheduler, UID source and arena to emulate a network.
+func NewEnv(id packet.NodeID, sched *sim.Scheduler, uids *packet.UIDSource, ar *packet.Arena) *Env {
 	return &Env{
 		Node:  id,
 		Sched: sched,
 		Rng:   sim.NewRNG(sim.DeriveSeed(42, "env")).Derive(string(rune(id))),
 		Uids:  uids,
+		Pool:  ar,
 	}
 }
 

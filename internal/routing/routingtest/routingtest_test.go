@@ -13,7 +13,7 @@ func newTestEnv(t *testing.T) *Env {
 	t.Helper()
 	sched := sim.NewScheduler()
 	uids := &packet.UIDSource{}
-	return NewEnv(3, sched, uids)
+	return NewEnv(3, sched, uids, packet.NewArena(sched.Now))
 }
 
 func dataPkt(uids *packet.UIDSource, src, dst packet.NodeID) *packet.Packet {
@@ -26,7 +26,7 @@ func dataPkt(uids *packet.UIDSource, src, dst packet.NodeID) *packet.Packet {
 func TestEnvIdentity(t *testing.T) {
 	sched := sim.NewScheduler()
 	uids := &packet.UIDSource{}
-	e := NewEnv(7, sched, uids)
+	e := NewEnv(7, sched, uids, packet.NewArena(sched.Now))
 	if e.ID() != 7 {
 		t.Fatalf("ID = %d, want 7", e.ID())
 	}
@@ -41,8 +41,9 @@ func TestEnvIdentity(t *testing.T) {
 	}
 	// Envs with the same ID must draw identical streams (reproducible
 	// white-box tests); different IDs must diverge.
-	same := NewEnv(7, sched, uids)
-	other := NewEnv(8, sched, uids)
+	ar := packet.NewArena(sched.Now)
+	same := NewEnv(7, sched, uids, ar)
+	other := NewEnv(8, sched, uids, ar)
 	a, b, c := e.RNG().Int63(), same.RNG().Int63(), other.RNG().Int63()
 	if a != b {
 		t.Fatalf("same-ID envs drew %d and %d", a, b)

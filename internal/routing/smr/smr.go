@@ -112,7 +112,7 @@ type collectState struct {
 type Router struct {
 	env   routing.Env
 	cfg   Config
-	ar    *packet.Arena       // the env's packet arena (nil: plain allocation)
+	ar    *packet.Arena       // the env's packet arena
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
 	reqID   uint32

@@ -12,20 +12,23 @@ import (
 type net struct {
 	sched   *sim.Scheduler
 	uids    packet.UIDSource
+	ar      *packet.Arena
 	envs    map[packet.NodeID]*routingtest.Env
 	routers map[packet.NodeID]*Router
 	adj     map[packet.NodeID][]packet.NodeID
 }
 
 func newNet(adj map[packet.NodeID][]packet.NodeID, cfg Config) *net {
+	sched := sim.NewScheduler()
 	n := &net{
-		sched:   sim.NewScheduler(),
+		sched:   sched,
+		ar:      packet.NewArena(sched.Now),
 		envs:    map[packet.NodeID]*routingtest.Env{},
 		routers: map[packet.NodeID]*Router{},
 		adj:     adj,
 	}
 	for id := range adj {
-		e := routingtest.NewEnv(id, n.sched, &n.uids)
+		e := routingtest.NewEnv(id, n.sched, &n.uids, n.ar)
 		n.envs[id] = e
 		n.routers[id] = New(e, cfg)
 	}

@@ -96,9 +96,10 @@ func TestRouteHelpersProperty(t *testing.T) {
 
 func TestSendSourceRouted(t *testing.T) {
 	var uids packet.UIDSource
-	env := routingtest.NewEnv(4, sim.NewScheduler(), &uids)
+	sched := sim.NewScheduler()
+	env := routingtest.NewEnv(4, sched, &uids, packet.NewArena(sched.Now))
 	hdr := &struct{ x int }{1}
-	routing.SendSourceRouted(env, nil, []packet.NodeID{4, 2, 9}, packet.Packet{
+	routing.SendSourceRouted(env, env.Pool, []packet.NodeID{4, 2, 9}, packet.Packet{
 		Kind: packet.KindRERR, Size: 24, Dst: 7, Routing: hdr})
 	out := env.TakeOutbox()
 	if len(out) != 1 || out[0].Next != 2 {
@@ -115,8 +116,8 @@ func TestSendSourceRouted(t *testing.T) {
 func TestOriginateAndRebroadcast(t *testing.T) {
 	var uids packet.UIDSource
 	sched := sim.NewScheduler()
-	env := routingtest.NewEnv(4, sched, &uids)
-	routing.Originate(env, nil, packet.Broadcast, packet.Packet{Kind: packet.KindRREQ, Size: 20, Dst: 9, TTL: 3})
+	env := routingtest.NewEnv(4, sched, &uids, packet.NewArena(sched.Now))
+	routing.Originate(env, env.Pool, packet.Broadcast, packet.Packet{Kind: packet.KindRREQ, Size: 20, Dst: 9, TTL: 3})
 	out := env.TakeOutbox()
 	if len(out) != 1 || out[0].Next != packet.Broadcast {
 		t.Fatalf("sent %v, want one broadcast", out)
@@ -127,7 +128,7 @@ func TestOriginateAndRebroadcast(t *testing.T) {
 	}
 
 	hdr := &struct{ x int }{2}
-	routing.Rebroadcast(env, nil, out[0].P, hdr, 24)
+	routing.Rebroadcast(env, env.Pool, out[0].P, hdr, 24)
 	if len(env.Outbox) != 0 {
 		t.Fatal("re-flood sent before its jitter")
 	}
@@ -143,10 +144,11 @@ func TestOriginateAndRebroadcast(t *testing.T) {
 
 func TestForwardSourceRouted(t *testing.T) {
 	var uids packet.UIDSource
-	env := routingtest.NewEnv(2, sim.NewScheduler(), &uids)
+	sched := sim.NewScheduler()
+	env := routingtest.NewEnv(2, sched, &uids, packet.NewArena(sched.Now))
 	p := &packet.Packet{UID: uids.Next(), Kind: packet.KindData, TTL: 5,
 		SourceRoute: []packet.NodeID{1, 2, 3}}
-	routing.ForwardSourceRouted(env, nil, p)
+	routing.ForwardSourceRouted(env, env.Pool, p)
 	out := env.TakeOutbox()
 	if len(out) != 1 || out[0].Next != 3 {
 		t.Fatalf("sent %v, want one copy to node 3", out)
@@ -157,7 +159,7 @@ func TestForwardSourceRouted(t *testing.T) {
 
 	for _, route := range [][]packet.NodeID{{1, 3, 2}, {1, 3}, nil} {
 		q := &packet.Packet{UID: uids.Next(), Kind: packet.KindData, TTL: 5, SourceRoute: route}
-		routing.ForwardSourceRouted(env, nil, q)
+		routing.ForwardSourceRouted(env, env.Pool, q)
 	}
 	if len(env.Outbox) != 0 || !slices.Equal(env.Dropped,
 		[]string{"bad-source-route", "bad-source-route", "bad-source-route"}) {
@@ -170,8 +172,8 @@ func TestForwardSourceRouted(t *testing.T) {
 // nothing.
 func TestSourceRoutedDataPathAllocFree(t *testing.T) {
 	var uids packet.UIDSource
-	env := routingtest.NewEnv(2, sim.NewScheduler(), &uids)
-	env.Pool = packet.NewArena()
+	sched := sim.NewScheduler()
+	env := routingtest.NewEnv(2, sched, &uids, packet.NewArena(sched.Now))
 	p := env.Pool.NewPacketFrom(packet.Packet{Kind: packet.KindData, TTL: 5})
 	env.Pool.SetSourceRoute(p, []packet.NodeID{1, 2, 3})
 	tail := []packet.NodeID{2, 3}

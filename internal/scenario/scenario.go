@@ -223,19 +223,8 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	if cmSpec.Aware() {
 		mtsCfg.AwarePenalty = cmSpec.EffectivePenalty()
 	}
-	sched := sim.NewScheduler()
-	s := &Scenario{
-		Cfg:            cfg,
-		Sched:          sched,
-		Channel:        phy.NewChannel(sched, cfg.RxRange, cfg.CSRange),
-		Nodes:          make([]*node.Node, 0, n),
-		Countermeasure: countermeasure.New(cmSpec),
-		Collector:      metrics.NewCollector(),
-		Arena:          packet.NewArena(),
-	}
-	s.Arena.SetClock(sched.Now)
-	// Receiver lookup is grid-indexed; size the index to the mobility field
-	// (grown to cover any pinned placements outside it) before radios attach.
+	// Receiver lookup is grid-indexed; size the index to the mobility field,
+	// grown to cover any pinned placements outside it.
 	bounds := cfg.Field
 	for _, p := range cfg.Placement {
 		bounds.MinX = math.Min(bounds.MinX, p.X)
@@ -243,7 +232,16 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		bounds.MaxX = math.Max(bounds.MaxX, p.X)
 		bounds.MaxY = math.Max(bounds.MaxY, p.Y)
 	}
-	s.Channel.EnableGrid(bounds, 0)
+	sched := sim.NewScheduler()
+	s := &Scenario{
+		Cfg:            cfg,
+		Sched:          sched,
+		Channel:        phy.NewChannel(sched, cfg.RxRange, cfg.CSRange, bounds),
+		Nodes:          make([]*node.Node, 0, n),
+		Countermeasure: countermeasure.New(cmSpec),
+		Collector:      metrics.NewCollector(),
+		Arena:          packet.NewArena(sched.Now),
+	}
 	master := sim.NewRNG(cfg.Seed)
 	uids := &packet.UIDSource{}
 
@@ -272,8 +270,7 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 				cfg.Pause, master.Derive(mobL.Label(i)))
 		}
 		nd := node.New(id, s.Sched, s.Channel, cfg.MAC, mob,
-			master.Derive(nodeL.Label(i)), uids)
-		nd.SetArena(s.Arena)
+			master.Derive(nodeL.Label(i)), uids, s.Arena)
 		// The trust defence scores every node's neighbours. Before
 		// SetProtocol: routers capture the node's trust oracle at New time.
 		// It draws no RNG, so legacy streams are untouched.

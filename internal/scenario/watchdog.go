@@ -15,14 +15,14 @@ import (
 // degrades to the plain Run path.
 type Budget struct {
 	// MaxEvents is the per-run simulated-event budget; 0 is unlimited.
-	// It is compared against the scheduler's Executed counter, which a
-	// Context resets to zero for every run. Executed counts scheduler
-	// dispatches: under batched arrival delivery (the default) one
-	// dispatched PHY event serves a whole receiver batch, so the same
-	// simulated traffic consumes far fewer budget units than in the
-	// unbatched reference mode — budgets tuned before the batching (or
-	// against phy.UseUnbatchedArrivals runs) are conservative, never
-	// too tight, when reused on the batched path.
+	// It is compared against the scheduler's Executed counter, which
+	// starts at zero because every Build makes its own scheduler.
+	// Executed counts scheduler dispatches: under batched arrival
+	// delivery (the default) one dispatched PHY event serves a whole
+	// receiver batch, so the same simulated traffic consumes far fewer
+	// budget units than in the unbatched reference mode — budgets tuned
+	// before the batching (or against phy.UseUnbatchedArrivals runs) are
+	// conservative, never too tight, when reused on the batched path.
 	MaxEvents uint64
 	// WallClock is the per-run wall-clock budget; 0 is unlimited. It is
 	// checked between event chunks, so the effective resolution is one
@@ -40,9 +40,10 @@ const (
 
 // AbortError reports a run killed by its Budget. The scenario has been
 // retired by the time the error is returned — every packet is back in
-// the arena and the owning Context can immediately build the next run —
-// and the error carries enough attribution (which budget tripped, how
-// far the run got) for post-mortems and the sweep engine's journal.
+// the run's arena, so its books close; the next Build starts from a
+// fresh scheduler, channel and arena — and the error carries enough
+// attribution (which budget tripped, how far the run got) for
+// post-mortems and the sweep engine's journal.
 type AbortError struct {
 	Reason  string   // AbortEventBudget or AbortWallClock
 	Events  uint64   // events executed when the watchdog fired
@@ -64,8 +65,9 @@ const watchdogChunk = 2048
 // a watchdog: the run is sliced into event chunks (bit-identical to an
 // unsliced run; see sim.Scheduler.RunUntilBudget) and between chunks the
 // budget is checked. A tripped budget kills the run cleanly — the
-// scenario is retired, so the arena's books close and a reusing Context
-// is immediately safe — and returns an *AbortError attributing the kill.
+// scenario is retired, so the arena's books close; the Context that
+// built it holds only derivation labels and can build the next run at
+// once — and returns an *AbortError attributing the kill.
 // The scenario must not be advanced after an abort.
 //
 // Determinism: a watched run that completes is indistinguishable from
@@ -109,8 +111,8 @@ func (s *Scenario) RunWatched(b Budget) (*metrics.RunMetrics, error) {
 // abort is the clean mid-run kill: retire the scenario (every packet
 // still in any node's custody goes back to the arena, shuffle buffers
 // drain first) and attribute the kill. The scheduler still holds pending
-// events, but the scenario is dead by contract — a reusing Context
-// resets the scheduler, channel and arena before the next build.
+// events, but the scenario is dead by contract: nothing runs them, and
+// the next Build makes its own scheduler, channel and arena.
 func (s *Scenario) abort(reason string) *AbortError {
 	err := &AbortError{Reason: reason, Events: s.Sched.Executed, SimTime: s.Sched.Now()}
 	s.Retire()

@@ -22,7 +22,7 @@ type SinkStats struct {
 // (cumulative ACK, ns-2 TCPSink semantics, no delayed ACK).
 type Sink struct {
 	net  Network
-	ar   *packet.Arena // resolved once from net; nil means plain allocation
+	ar   *packet.Arena // net's arena, resolved once
 	flow int
 
 	nextExpected int64
@@ -42,7 +42,7 @@ type Sink struct {
 func NewSink(net Network, flow int) *Sink {
 	k := &Sink{
 		net:        net,
-		ar:         arenaOf(net),
+		ar:         net.Arena(),
 		flow:       flow,
 		outOfOrder: make(map[int64]bool),
 	}

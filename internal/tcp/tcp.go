@@ -21,21 +21,11 @@ type Network interface {
 	ID() packet.NodeID
 	Scheduler() *sim.Scheduler
 	UIDs() *packet.UIDSource
+	// Arena is the run's packet arena, which endpoints build segments from.
+	Arena() *packet.Arena
 	RegisterFlow(flow int, h func(p *packet.Packet, from packet.NodeID))
 	// Originate hands a packet to the routing protocol.
 	Originate(p *packet.Packet)
-}
-
-// arenaOf resolves the network's packet arena when it carries one
-// (node.Node does); plain test networks fall back to nil, i.e. ordinary
-// allocation. Kept as a structural assertion so Network stays minimal and
-// existing fakes keep compiling; endpoints resolve it once at
-// construction (node.SetArena precedes endpoint attachment).
-func arenaOf(net Network) *packet.Arena {
-	if c, ok := net.(interface{ Arena() *packet.Arena }); ok {
-		return c.Arena()
-	}
-	return nil
 }
 
 // Config holds the Reno parameters (ns-2-style defaults).
@@ -73,7 +63,7 @@ type SenderStats struct {
 // application (see internal/app.FTP).
 type Sender struct {
 	net  Network
-	ar   *packet.Arena // resolved once from net; nil means plain allocation
+	ar   *packet.Arena // net's arena, resolved once
 	cfg  Config
 	flow int
 	dst  packet.NodeID
@@ -115,7 +105,7 @@ type Sender struct {
 func NewSender(net Network, cfg Config, flow int, dst packet.NodeID) *Sender {
 	s := &Sender{
 		net:       net,
-		ar:        arenaOf(net),
+		ar:        net.Arena(),
 		cfg:       cfg,
 		flow:      flow,
 		dst:       dst,

@@ -13,6 +13,7 @@ import (
 type pipe struct {
 	sched *sim.Scheduler
 	uids  packet.UIDSource
+	ar    *packet.Arena
 	delay sim.Duration
 	// drop is consulted per packet; true discards it.
 	drop func(p *packet.Packet) bool
@@ -27,8 +28,10 @@ type pipeEnd struct {
 }
 
 func newPipe(delay sim.Duration) *pipe {
+	sched := sim.NewScheduler()
 	p := &pipe{
-		sched: sim.NewScheduler(),
+		sched: sched,
+		ar:    packet.NewArena(sched.Now),
 		delay: delay,
 		ends:  map[packet.NodeID]*pipeEnd{},
 	}
@@ -41,6 +44,7 @@ func newPipe(delay sim.Duration) *pipe {
 func (e *pipeEnd) ID() packet.NodeID         { return e.id }
 func (e *pipeEnd) Scheduler() *sim.Scheduler { return e.p.sched }
 func (e *pipeEnd) UIDs() *packet.UIDSource   { return &e.p.uids }
+func (e *pipeEnd) Arena() *packet.Arena      { return e.p.ar }
 func (e *pipeEnd) RegisterFlow(flow int, h func(*packet.Packet, packet.NodeID)) {
 	e.flows[flow] = h
 }

@@ -72,6 +72,13 @@ func goldenCases() []goldenCase {
 	shuffle.Countermeasure = countermeasure.Spec{Model: countermeasure.ModelShuffle}
 	aware := coalition()
 	aware.Countermeasure = countermeasure.Spec{Model: countermeasure.ModelAware}
+	// Dispersal and the aware penalty together turn MTS's per-packet
+	// round-robin into the usage-balanced rotation, which no other
+	// fixture reaches. At seed 5 the two rotations carry the same
+	// packets; seed 6 churns the usable set, so they differ.
+	shuffleAware := coalition()
+	shuffleAware.Seed = 6
+	shuffleAware.Countermeasure = countermeasure.Spec{Model: countermeasure.ModelShuffleAware}
 	// The attacker–defender matchups of the co-evolution loop: trust
 	// against the route-discovery attacks it was built for, shuffle
 	// against the tap that re-positions toward observed traffic.
@@ -106,10 +113,17 @@ func goldenCases() []goldenCase {
 	fast := goldenConfig("AODV")
 	fast.MaxSpeed = 20
 	fast.Seed = 4
+	// The literal §III-E rule: with no grace margin a round's first
+	// arrival takes over at once. Seed 5 never switches; at seed 6 the
+	// margin changes the run.
+	margin0 := goldenConfig("MTS")
+	margin0.Seed = 6
+	margin0.MTS.SwitchMargin = 0
 	return append(cases,
 		goldenCase{"mts-coalition", base},
 		goldenCase{"mts-coalition-shuffle", shuffle},
 		goldenCase{"mts-coalition-aware", aware},
+		goldenCase{"mts-coalition-shuffle-aware", shuffleAware},
 		goldenCase{"dsr-wormhole-trust", trustWormhole},
 		goldenCase{"aodv-rushing-trust", trustRushing},
 		goldenCase{"mts-adaptive-shuffle", shuffleAdaptive},
@@ -118,6 +132,7 @@ func goldenCases() []goldenCase {
 		goldenCase{"mts-grayhole", grayhole},
 		goldenCase{"mts-grayhole-trust", grayholeTrust},
 		goldenCase{"aodv-fast", fast},
+		goldenCase{"mts-margin0", margin0},
 	)
 }
 

@@ -38,13 +38,19 @@ test-bench:
 	cd bench && GOPROXY=off GOTOOLCHAIN=local $(GO) vet ./...
 	cd bench && GOPROXY=off GOTOOLCHAIN=local $(GO) test -race ./...
 
-# Arena fuzz smoke (CI): ten seconds each of the packet arena's fuzz
-# targets — pooled copies against Packet.Copy, and acquire/copy/release
-# cycles with quarantined releases against the arena's invariants. A
-# failing input is written under internal/packet/testdata/fuzz/.
+# Fuzz smoke (CI): ten seconds each of the packet arena's fuzz targets —
+# pooled copies against Packet.Copy, and acquire/copy/release cycles with
+# quarantined releases against the arena's invariants — and of the
+# adversary and countermeasure specs through Build and a watched run. A
+# failing input is written under the package's testdata/fuzz/. Go
+# minimizes each new interesting input for up to 60 s by default, which
+# stalls both workers for most of the ten seconds; 200 tries per input
+# keeps them fuzzing.
+FUZZ_SMOKE = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 200x
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzPacketCopy$$' -fuzztime 10s ./internal/packet
-	$(GO) test -run '^$$' -fuzz '^FuzzArenaReuse$$' -fuzztime 10s ./internal/packet
+	$(FUZZ_SMOKE) -fuzz '^FuzzPacketCopy$$' ./internal/packet
+	$(FUZZ_SMOKE) -fuzz '^FuzzArenaReuse$$' ./internal/packet
+	$(FUZZ_SMOKE) -fuzz '^FuzzScenarioSpecs$$' ./internal/scenario
 
 # Full benchmark suite; see PERFORMANCE.md for methodology.
 bench:

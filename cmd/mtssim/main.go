@@ -30,7 +30,7 @@ func main() {
 		field    = flag.Float64("field", 1000, "square field edge length in metres")
 		src      = flag.Int("src", -1, "TCP source node (-1 = random)")
 		dst      = flag.Int("dst", -1, "TCP destination node (-1 = random)")
-		eaves    = flag.Int("eaves", -1, "eavesdropper node (-1 = random non-endpoint)")
+		eaves    = flag.Int("eaves", -1, "pin the eavesdropper to this node (-1 = a random non-endpoint)")
 		jsonOut  = flag.Bool("json", false, "emit metrics as JSON")
 		table1   = flag.Bool("table1", false, "print the Table I relay normalization for this run")
 		traceTo  = flag.String("trace", "", "write an ns-2-style packet trace to this file")
@@ -46,7 +46,9 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Field.MaxX = *field
 	cfg.Field.MaxY = *field
-	cfg.Eavesdropper = mtsim.NodeID(*eaves)
+	if *eaves >= 0 {
+		cfg.Adversary.Nodes = []mtsim.NodeID{mtsim.NodeID(*eaves)}
+	}
 	if (*src >= 0) != (*dst >= 0) {
 		fmt.Fprintln(os.Stderr, "mtssim: -src and -dst must be given together")
 		os.Exit(2)

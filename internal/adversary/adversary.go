@@ -38,8 +38,7 @@ import (
 // Model names accepted in Spec.Model.
 const (
 	// ModelEavesdropper is the paper's §IV-B adversary: one static
-	// passive tap. It is the default and what the legacy
-	// Config.Eavesdropper field selects.
+	// passive tap. It is the default.
 	ModelEavesdropper = "eavesdropper"
 	// ModelCoalition is k colluding static taps sharing what they hear.
 	ModelCoalition = "coalition"
@@ -89,12 +88,6 @@ type Spec struct {
 	// DropRate is the grayhole's per-packet drop probability; 0 means 0.5.
 	// Blackholes always drop.
 	DropRate float64
-}
-
-// IsZero reports whether the spec is the all-default legacy adversary.
-func (s Spec) IsZero() bool {
-	return s.Model == "" && s.K == 0 && len(s.Nodes) == 0 &&
-		s.Interval == 0 && s.DropRate == 0
 }
 
 // EffectiveK returns the number of vantage points the spec asks for. A

@@ -117,7 +117,7 @@ func (r *Router) considerSwitch(ss *srcState, checkID uint32, pathID int) {
 		if pathID == ss.current {
 			// The current path won the race outright; the aware policy
 			// may still move off it when its first hop has grown
-			// over-exposed (usage skew beats speed by ≥ AwarePenalty).
+			// over-exposed (usage skew beats speed by ≥ awarePenalty).
 			if tgt := r.switchTarget(ss, pathID); tgt != pathID {
 				r.switchTo(ss, tgt)
 			}

@@ -75,23 +75,6 @@ type Config struct {
 	DiscoveryTimeout sim.Duration
 	SendBufCap       int
 	SendBufAge       sim.Duration
-
-	// Disperse rotates each outgoing data packet across all currently
-	// usable disjoint paths (deterministic round-robin in path-ID order)
-	// instead of pinning the flow to the single current best path — the
-	// route-dispersal half of the data-shuffling countermeasure
-	// (internal/countermeasure). Off reproduces the paper's §III-E
-	// single-current-path behaviour exactly.
-	Disperse bool
-	// AwarePenalty, when positive, enables adversary-aware path
-	// selection: a checking round's nominated (fastest) path is re-scored
-	// against every usable alternative by the share of this source's data
-	// its first hop has already carried, minus AwarePenalty for the
-	// nominee; the minimum score wins. Relays that have seen a large
-	// share of the flow are thereby avoided using only the source's own
-	// forwarding observations — no oracle knowledge of taps. 0 disables
-	// (paper behaviour, bit-identical).
-	AwarePenalty float64
 }
 
 // DefaultConfig returns the paper's configuration.
@@ -184,8 +167,8 @@ type srcState struct {
 	// the current path can defend its place (see Config.SwitchMargin).
 	pendingSwitch sim.TaskHandle
 	// sent counts data packets handed to each first hop (lazily
-	// allocated; drives the AwarePenalty usage-skew scores), rotate is
-	// the Disperse round-robin cursor, and scratch is the reused backing
+	// allocated; drives the aware policy's usage-skew scores), rotate is
+	// the dispersal round-robin cursor, and scratch is the reused backing
 	// array for usablePathIDs (dispersal runs per data packet — it must
 	// not allocate per send).
 	sent      map[packet.NodeID]uint64
@@ -230,7 +213,7 @@ type Stats struct {
 	PathsDeleted uint64
 	RERRsSent    uint64
 	// AwareOverrides counts checking rounds where the usage-skew policy
-	// (Config.AwarePenalty) moved the flow off the nominated fastest path
+	// (New's awarePenalty) moved the flow off the nominated fastest path
 	// onto a less-exposed one.
 	AwareOverrides uint64
 }
@@ -241,6 +224,11 @@ type Router struct {
 	cfg   Config
 	ar    *packet.Arena       // the env's packet arena
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
+
+	// disperse and awarePenalty are the MTS halves of the shuffle and
+	// aware countermeasures (see New).
+	disperse     bool
+	awarePenalty float64
 
 	bid    uint32
 	seen   map[seenKey]bool
@@ -299,19 +287,20 @@ func (r *Router) usablePathIDs(ss *srcState) []int {
 }
 
 // pickDataPath chooses the path for one outgoing data packet: the current
-// path under the paper's policy, or — with Config.Disperse — the next
+// path under the paper's policy, or — with dispersal on — the next
 // usable path in a round-robin over ascending path IDs, so consecutive
 // segments of the flow ride different disjoint paths and no single tapped
-// relay observes a contiguous stretch of the stream. With AwarePenalty
-// also set, the rotation becomes usage-balanced: each packet takes the
-// usable path whose first hop has carried the fewest of our data packets,
-// which keeps exposure even when the usable set churns (a path that was
-// briefly alone stops hogging the flow the moment alternatives return).
+// relay observes a contiguous stretch of the stream. With the aware
+// penalty also set, the rotation becomes usage-balanced: each packet takes
+// the usable path whose first hop has carried the fewest of our data
+// packets, which keeps exposure even when the usable set churns (a path
+// that was briefly alone stops hogging the flow the moment alternatives
+// return).
 func (r *Router) pickDataPath(ss *srcState) (int, *srcPath, bool) {
-	if r.cfg.Disperse {
+	if r.disperse {
 		if ids := r.dropDistrusted(ss, r.usablePathIDs(ss)); len(ids) > 0 {
 			id := ids[ss.rotate%len(ids)]
-			if r.cfg.AwarePenalty > 0 {
+			if r.awarePenalty > 0 {
 				id = ids[0]
 				for _, cand := range ids[1:] {
 					if ss.sent[ss.paths[cand].next] < ss.sent[ss.paths[id].next] {
@@ -386,7 +375,7 @@ func (r *Router) trustedTarget(ss *srcState, incumbent int) int {
 // aware policy is on, so the paper-configuration hot path stays
 // allocation-free.
 func (r *Router) noteDataSend(ss *srcState, next packet.NodeID) {
-	if r.cfg.AwarePenalty <= 0 {
+	if r.awarePenalty <= 0 {
 		return
 	}
 	if ss.sent == nil {
@@ -399,7 +388,7 @@ func (r *Router) noteDataSend(ss *srcState, next packet.NodeID) {
 // switchTarget applies the adversary-aware re-scoring to a checking
 // round's nominated (first-arrival) path: every usable path is scored by
 // the share of this source's data its first hop has already carried, the
-// nominee gets an AwarePenalty head start for being fastest, and the
+// nominee gets an awarePenalty head start for being fastest, and the
 // minimum score wins (ties in favour of the nominee, then the lower ID).
 // With the policy off — or before any data has been sent — the nominee
 // wins unconditionally, which is the paper's §III-E rule.
@@ -415,7 +404,7 @@ func (r *Router) switchTarget(ss *srcState, nominated int) int {
 			nominated = alt
 		}
 	}
-	if r.cfg.AwarePenalty <= 0 || ss.sentTotal == 0 {
+	if r.awarePenalty <= 0 || ss.sentTotal == 0 {
 		return nominated
 	}
 	nom := ss.paths[nominated]
@@ -425,7 +414,7 @@ func (r *Router) switchTarget(ss *srcState, nominated int) int {
 	share := func(sp *srcPath) float64 {
 		return float64(ss.sent[sp.next]) / float64(ss.sentTotal)
 	}
-	best, bestScore := nominated, share(nom)-r.cfg.AwarePenalty
+	best, bestScore := nominated, share(nom)-r.awarePenalty
 	for _, id := range r.usablePathIDs(ss) {
 		if id == nominated {
 			continue
@@ -442,18 +431,36 @@ func (r *Router) switchTarget(ss *srcState, nominated int) int {
 	return best
 }
 
-// New creates an MTS router bound to env.
-func New(env routing.Env, cfg Config) *Router {
+// New creates an MTS router bound to env. The last two arguments are the
+// MTS halves of the countermeasures (internal/countermeasure), which the
+// scenario builder derives from the run's countermeasure spec; false and 0
+// are the paper's §III-E behaviour, bit-identical.
+//
+// disperse rotates each outgoing data packet across all currently usable
+// disjoint paths (round-robin in path-ID order) instead of pinning the
+// flow to the single current best path: the route-dispersal half of data
+// shuffling.
+//
+// awarePenalty, when positive, enables adversary-aware path selection: a
+// checking round's nominated (fastest) path is re-scored against every
+// usable alternative by the share of this source's data its first hop has
+// already carried, minus awarePenalty for the nominee; the minimum score
+// wins. Relays that have seen a large share of the flow are thereby
+// avoided using only the source's own forwarding observations, with no
+// oracle knowledge of taps.
+func New(env routing.Env, cfg Config, disperse bool, awarePenalty float64) *Router {
 	r := &Router{
-		env:    env,
-		cfg:    cfg,
-		ar:     env.Arena(),
-		trust:  env.Trust(),
-		seen:   make(map[seenKey]bool),
-		src:    make(map[packet.NodeID]*srcState),
-		dst:    make(map[packet.NodeID]*dstState),
-		fwd:    make(map[packet.NodeID]map[int]*fwdEntry),
-		buffer: routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
+		env:          env,
+		cfg:          cfg,
+		ar:           env.Arena(),
+		trust:        env.Trust(),
+		disperse:     disperse,
+		awarePenalty: awarePenalty,
+		seen:         make(map[seenKey]bool),
+		src:          make(map[packet.NodeID]*srcState),
+		dst:          make(map[packet.NodeID]*dstState),
+		fwd:          make(map[packet.NodeID]map[int]*fwdEntry),
+		buffer:       routing.NewSendBuffer(env, cfg.SendBufCap, cfg.SendBufAge),
 	}
 	r.disc = routing.NewDiscovery(env, r.buffer, r, &discoveryPolicy)
 	return r

@@ -30,7 +30,7 @@ func newNet(adj map[packet.NodeID][]packet.NodeID, cfg Config) *net {
 	for id := range adj {
 		e := routingtest.NewEnv(id, n.sched, &n.uids, n.ar)
 		n.envs[id] = e
-		n.routers[id] = New(e, cfg)
+		n.routers[id] = New(e, cfg, false, 0)
 	}
 	return n
 }
@@ -146,7 +146,7 @@ func TestDisjointRule(t *testing.T) {
 	var uids packet.UIDSource
 	sched := sim.NewScheduler()
 	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
-	r := New(e, DefaultConfig())
+	r := New(e, DefaultConfig(), false, 0)
 	ds := &dstState{lastDataPath: -1}
 	r.dst[0] = ds
 	r.storePath(ds, []packet.NodeID{0, 1, 2, 9})
@@ -459,7 +459,7 @@ func TestFwdEntryExpiry(t *testing.T) {
 	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
 	cfg := DefaultConfig()
 	cfg.EntryTTL = 2 * sim.Second
-	r := New(e, cfg)
+	r := New(e, cfg, false, 0)
 	r.setFwd(3, 0, 7, 1)
 	if _, _, ok := r.liveFwd(3, 0, nil); !ok {
 		t.Fatal("fresh entry unusable")
@@ -474,7 +474,7 @@ func TestLiveFwdPrefersRequestedThenFreshest(t *testing.T) {
 	var uids packet.UIDSource
 	sched := sim.NewScheduler()
 	e := routingtest.NewEnv(9, sched, &uids, packet.NewArena(sched.Now))
-	r := New(e, DefaultConfig())
+	r := New(e, DefaultConfig(), false, 0)
 	r.setFwd(3, 0, 10, 1)
 	r.setFwd(3, 1, 11, 5)
 	next, chosen, ok := r.liveFwd(3, 0, nil)

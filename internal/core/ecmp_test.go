@@ -20,7 +20,7 @@ func TestFailoverTieBreakPinned(t *testing.T) {
 	for dst := packet.NodeID(1); dst <= 8; dst++ {
 		sched := sim.NewScheduler()
 		var uids packet.UIDSource
-		r := New(routingtest.NewEnv(0, sched, &uids, packet.NewArena(sched.Now)), DefaultConfig())
+		r := New(routingtest.NewEnv(0, sched, &uids, packet.NewArena(sched.Now)), DefaultConfig(), false, 0)
 		sched.RunUntil(sim.Time(sim.Second))
 		fresh, older := sim.Time(sim.Second), sim.Time(sim.Second/2)
 		ss := newSrcState()

@@ -19,7 +19,7 @@ func TestStoredPathsPairwiseDisjointProperty(t *testing.T) {
 		var uids packet.UIDSource
 		sched := sim.NewScheduler()
 		e := routingtest.NewEnv(99, sched, &uids, packet.NewArena(sched.Now))
-		r := New(e, DefaultConfig())
+		r := New(e, DefaultConfig(), false, 0)
 		ds := &dstState{lastDataPath: -1}
 		r.dst[0] = ds
 

@@ -10,7 +10,7 @@
 //     1307.4076): outgoing TCP segments are buffered into small blocks at
 //     the source and released in a permuted order drawn from a
 //     deterministic per-node RNG; combined with per-packet dispersal
-//     across MTS's disjoint paths (core.Config.Disperse), a tapped relay
+//     across MTS's disjoint paths (core.New's disperse), a tapped relay
 //     no longer observes a contiguous byte stream — the intercepted
 //     DataIDs fragment into short runs the attacker cannot reassemble.
 //     Measured by the intercepted-contiguity metrics in
@@ -19,7 +19,7 @@
 //   - Adversary-aware MTS (in the spirit of security-aware routing, arXiv
 //     1609.02288): a path-selection policy that penalises routes through
 //     relays that have already carried a large share of this source's
-//     data (core.Config.AwarePenalty). The heuristic uses only the
+//     data (core.New's awarePenalty). The heuristic uses only the
 //     source's own forwarding observations — no oracle knowledge of where
 //     the taps sit — and caps the worst-case single-relay exposure
 //     (Fig. 7's highest interception ratio).
@@ -72,6 +72,12 @@ func Models() []string {
 	return []string{ModelNone, ModelShuffle, ModelAware, ModelShuffleAware, ModelTrust}
 }
 
+// maxHold bounds Spec.Hold. The flush timer is armed whenever a block
+// opens, and a hold near the clock's range would overflow the deadline
+// of a timer armed late in a run; no experiment wants a block to wait
+// longer than an hour of simulated time.
+const maxHold = 3600 * sim.Second
+
 // Spec declares a countermeasure in a scenario configuration. The zero
 // Spec means "no countermeasure" — the paper's undefended baseline.
 type Spec struct {
@@ -80,7 +86,7 @@ type Spec struct {
 	// Depth is the shuffle block size in segments; 0 means 8.
 	Depth int
 	// Hold is how long a partial shuffle block waits for more segments
-	// before being flushed anyway; 0 means 25 ms.
+	// before being flushed anyway; 0 means 25 ms. At most one hour.
 	Hold sim.Duration
 	// Penalty is the aware policy's usage-skew weight: the nominated
 	// (fastest) path loses a switch only to a path whose first-hop
@@ -90,13 +96,6 @@ type Spec struct {
 	// score falls below it is routed around when an alternative exists.
 	// 0 means 0.35.
 	Threshold float64
-}
-
-// IsZero reports whether the spec is the all-default no-countermeasure
-// baseline.
-func (s Spec) IsZero() bool {
-	return s.Model == "" && s.Depth == 0 && s.Hold == 0 && s.Penalty == 0 &&
-		s.Threshold == 0
 }
 
 // EffectiveModel resolves an empty Model to ModelNone.
@@ -163,6 +162,9 @@ func (s Spec) Validate() error {
 	if s.Depth < 0 || s.Hold < 0 || !(s.Penalty >= 0) {
 		return fmt.Errorf("countermeasure: negative knob (Depth %d, Hold %v, Penalty %g)",
 			s.Depth, s.Hold, s.Penalty)
+	}
+	if s.Hold > maxHold {
+		return fmt.Errorf("countermeasure: Hold %v is longer than %v", s.Hold, maxHold)
 	}
 	if !(s.Threshold >= 0 && s.Threshold <= 1) {
 		return fmt.Errorf("countermeasure: Threshold %g is not a score in [0, 1]", s.Threshold)
@@ -232,7 +234,7 @@ type Defence struct {
 // New starts the defence a validated spec declares, with nothing attached
 // yet. The aware half of a spec is not built here: it is a path-selection
 // policy inside the MTS router, enabled by the scenario builder through
-// core.Config.AwarePenalty. The defence wires what lives outside the
+// core.New's awarePenalty. The defence wires what lives outside the
 // protocol, through AttachTrust and AttachShufflers.
 func New(spec Spec) *Defence {
 	return &Defence{spec: spec}

@@ -212,6 +212,7 @@ func TestSpecValidateAndLabel(t *testing.T) {
 		{Model: ModelAware, Penalty: 0.3},
 		{Model: ModelShuffleAware, Depth: 16, Penalty: 0.1},
 		{Model: ModelTrust, Threshold: 1},
+		{Model: ModelShuffle, Hold: maxHold},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -227,6 +228,9 @@ func TestSpecValidateAndLabel(t *testing.T) {
 		// Out-of-range knobs the Effective* defaults would replace.
 		{Model: ModelShuffle, Depth: -4},
 		{Model: ModelShuffle, Hold: -sim.Millisecond},
+		// A hold near the clock's range overflows the flush timer's
+		// deadline.
+		{Model: ModelShuffle, Hold: maxHold + 1},
 		{Model: ModelAware, Penalty: -0.1},
 		{Model: ModelTrust, Threshold: -0.2},
 		{Model: ModelTrust, Threshold: 1.5},

@@ -370,7 +370,7 @@ func TestTable1Rendering(t *testing.T) {
 	base.Placement = []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}, {X: 600, Y: 0}}
 	base.Field = geo.Field(700, 100)
 	base.Flows = []scenario.FlowSpec{{Src: 0, Dst: 3}}
-	base.Eavesdropper = 1
+	base.Adversary.Nodes = []packet.NodeID{1}
 	base.Duration = 10 * sim.Second
 	out, err := Table1(base, 1)
 	if err != nil {

@@ -39,9 +39,9 @@ const (
 	ModeBackup             // primary + standby (Lim's backup scheme)
 )
 
-// Config holds SMR parameters.
+// Config holds SMR parameters. The data-plane mode is not among them: it
+// is New's argument, chosen by the protocol name.
 type Config struct {
-	Mode Mode
 	// SelectWait is how long the destination collects RREQ copies before
 	// choosing the maximally disjoint second route.
 	SelectWait       sim.Duration
@@ -51,10 +51,9 @@ type Config struct {
 	SendBufAge       sim.Duration
 }
 
-// DefaultConfig returns SMR defaults (split mode, 100 ms selection window).
+// DefaultConfig returns SMR defaults (100 ms selection window).
 func DefaultConfig() Config {
 	return Config{
-		Mode:             ModeSplit,
 		SelectWait:       100 * sim.Millisecond,
 		DiscoveryRetries: 3,
 		DiscoveryTimeout: sim.Second,
@@ -112,6 +111,7 @@ type collectState struct {
 type Router struct {
 	env   routing.Env
 	cfg   Config
+	mode  Mode
 	ar    *packet.Arena       // the env's packet arena
 	trust routing.TrustOracle // nil: legacy selection, bit-for-bit
 
@@ -150,11 +150,13 @@ type seenKey struct {
 	id   uint32
 }
 
-// New creates an SMR router bound to env.
-func New(env routing.Env, cfg Config) *Router {
+// New creates an SMR router bound to env, running the given data-plane
+// mode.
+func New(env routing.Env, cfg Config, mode Mode) *Router {
 	r := &Router{
 		env:     env,
 		cfg:     cfg,
+		mode:    mode,
 		ar:      env.Arena(),
 		trust:   env.Trust(),
 		seen:    make(map[seenKey]*rreqSeen),
@@ -259,7 +261,7 @@ func (r *Router) pickRoute(dst packet.NodeID, rs *routeSet, flow uint64) []packe
 		}
 		return best
 	}
-	if r.cfg.Mode == ModeBackup || len(rs.routes) == 1 {
+	if r.mode == ModeBackup || len(rs.routes) == 1 {
 		if len(rs.routes) > 1 && len(rs.routes[1]) == len(rs.routes[0]) {
 			return rs.routes[routing.ECMPIndex(r.env.ID(), dst, flow, 2)]
 		}

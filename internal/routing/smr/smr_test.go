@@ -18,7 +18,7 @@ type net struct {
 	adj     map[packet.NodeID][]packet.NodeID
 }
 
-func newNet(adj map[packet.NodeID][]packet.NodeID, cfg Config) *net {
+func newNet(adj map[packet.NodeID][]packet.NodeID, mode Mode) *net {
 	sched := sim.NewScheduler()
 	n := &net{
 		sched:   sched,
@@ -30,7 +30,7 @@ func newNet(adj map[packet.NodeID][]packet.NodeID, cfg Config) *net {
 	for id := range adj {
 		e := routingtest.NewEnv(id, n.sched, &n.uids, n.ar)
 		n.envs[id] = e
-		n.routers[id] = New(e, cfg)
+		n.routers[id] = New(e, DefaultConfig(), mode)
 	}
 	return n
 }
@@ -85,7 +85,7 @@ func diamond() map[packet.NodeID][]packet.NodeID {
 }
 
 func TestDiscoversTwoDisjointRoutes(t *testing.T) {
-	n := newNet(diamond(), DefaultConfig())
+	n := newNet(diamond(), ModeSplit)
 	n.routers[0].Send(dataPacket(&n.uids, 0, 3, 0))
 	n.pump(500 * sim.Millisecond)
 
@@ -105,7 +105,7 @@ func TestDiscoversTwoDisjointRoutes(t *testing.T) {
 }
 
 func TestSplitModeAlternatesRoutes(t *testing.T) {
-	n := newNet(diamond(), DefaultConfig())
+	n := newNet(diamond(), ModeSplit)
 	n.routers[0].Send(dataPacket(&n.uids, 0, 3, 0))
 	n.pump(500 * sim.Millisecond)
 	// Send several packets; both relays must see traffic.
@@ -128,9 +128,7 @@ func TestSplitModeAlternatesRoutes(t *testing.T) {
 // one of the two; the only packet allowed on the other relay is the first
 // one, which drained from the send buffer while just one route was known.
 func TestBackupModePinsFlow(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ModeBackup
-	n := newNet(diamond(), cfg)
+	n := newNet(diamond(), ModeBackup)
 	n.routers[0].Send(dataPacket(&n.uids, 0, 3, 0))
 	n.pump(500 * sim.Millisecond)
 	for i := int64(1); i <= 8; i++ {
@@ -147,9 +145,7 @@ func TestBackupModePinsFlow(t *testing.T) {
 }
 
 func TestBackupModeFailsOver(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ModeBackup
-	n := newNet(diamond(), cfg)
+	n := newNet(diamond(), ModeBackup)
 	n.routers[0].Send(dataPacket(&n.uids, 0, 3, 0))
 	n.pump(500 * sim.Millisecond)
 	routes := n.routers[0].Routes(3)
@@ -177,7 +173,7 @@ func TestBackupModeFailsOver(t *testing.T) {
 }
 
 func TestRediscoverWhenBothRoutesGone(t *testing.T) {
-	n := newNet(diamond(), DefaultConfig())
+	n := newNet(diamond(), ModeSplit)
 	n.routers[0].Send(dataPacket(&n.uids, 0, 3, 0))
 	n.pump(500 * sim.Millisecond)
 	before := n.routers[0].Discoveries
@@ -224,7 +220,7 @@ func TestDuplicateForwardingRule(t *testing.T) {
 	adj := map[packet.NodeID][]packet.NodeID{
 		0: {1, 3}, 1: {0, 2}, 3: {0, 2}, 2: {1, 3, 5}, 5: {2},
 	}
-	n := newNet(adj, DefaultConfig())
+	n := newNet(adj, ModeSplit)
 	n.routers[0].Send(dataPacket(&n.uids, 0, 5, 0))
 	n.pump(500 * sim.Millisecond)
 	if len(n.envs[5].Delivered) != 1 {
@@ -240,7 +236,7 @@ func TestDuplicateForwardingRule(t *testing.T) {
 }
 
 func TestSendToSelf(t *testing.T) {
-	n := newNet(diamond(), DefaultConfig())
+	n := newNet(diamond(), ModeSplit)
 	n.routers[0].Send(dataPacket(&n.uids, 0, 0, 0))
 	if len(n.envs[0].Delivered) != 1 {
 		t.Fatal("self delivery failed")

@@ -74,7 +74,7 @@ import (
 // SchemaVersion is the code-version salt folded into every key. Bump it
 // whenever a change alters simulation behaviour (the same commit that
 // regenerates the golden fixtures), so stale entries can never be served.
-const SchemaVersion = "mtsim-run/v5"
+const SchemaVersion = "mtsim-run/v6"
 
 // Key returns the content address of a configuration: hex SHA-256 over
 // SchemaVersion plus the canonical encoding of every field of cfg

@@ -82,15 +82,15 @@ func richConfig() scenario.Config {
 // Every entry in an existing -cache-dir is named by these bytes, so any
 // change to the canonical encoding that is not a deliberate
 // SchemaVersion bump would silently orphan the whole cache; this test
-// catches it. Both keys are salted with SchemaVersion mtsim-run/v5.
+// catches it. Both keys are salted with SchemaVersion mtsim-run/v6.
 func TestKeyGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  scenario.Config
 		want string
 	}{
-		{"default", scenario.DefaultConfig(), "184561e90c69c1f46d88dbdde65c04f20feda018e93c8f084f4dbd3475142f34"},
-		{"rich", richConfig(), "8e3c04dbc33d5dd85e507e07d142a8f74d1d96fdaf7cb32e0b686f7fea132cad"},
+		{"default", scenario.DefaultConfig(), "d6d8e7c0772f5c8ff08fbbab4f666800a8666170112f556c7ad2ee464fc078da"},
+		{"rich", richConfig(), "0c174ff7d20b105d0fb2ea8a677b3041a06110fbe284f401a56f5dbaf5623408"},
 	} {
 		got, err := Key(tc.cfg)
 		if err != nil {

@@ -19,6 +19,16 @@ import (
 // with the exact counter that moved.
 func assertArenaClean(t *testing.T, a *packet.Arena) {
 	t.Helper()
+	assertLedgerClosed(t, a)
+	if a.Stats().PacketsAcquired == 0 {
+		t.Error("arena saw no traffic: the scenario is not wired through it")
+	}
+}
+
+// assertLedgerClosed fails t unless the retired arena's books close: no
+// live packet or frame, and no double, foreign or poisoned release.
+func assertLedgerClosed(t *testing.T, a *packet.Arena) {
+	t.Helper()
 	st := a.Stats()
 	if live := a.LivePackets(); live != 0 {
 		t.Errorf("leak: %d live packets after retire (acquired %d, released %d)",
@@ -36,9 +46,6 @@ func assertArenaClean(t *testing.T, a *packet.Arena) {
 	}
 	if st.PoisonTrips != 0 {
 		t.Errorf("%d writes through released packets", st.PoisonTrips)
-	}
-	if st.PacketsAcquired == 0 {
-		t.Error("arena saw no traffic: the scenario is not wired through it")
 	}
 }
 

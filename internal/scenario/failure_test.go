@@ -23,7 +23,7 @@ func TestLinkOutageRecoveryAllProtocols(t *testing.T) {
 			cfg.Duration = 40 * sim.Second
 			cfg.TCPStart = sim.Time(500 * sim.Millisecond)
 			cfg.Flows = []FlowSpec{{Src: 0, Dst: 3}}
-			cfg.Eavesdropper = 1
+			cfg.Adversary.Nodes = []packet.NodeID{1}
 
 			s, err := Build(cfg)
 			if err != nil {

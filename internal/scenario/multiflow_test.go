@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func TestTwoFlowsAggregate(t *testing.T) {
 	cfg.Duration = 20 * sim.Second
 	cfg.TCPStart = sim.Time(500 * sim.Millisecond)
 	cfg.Flows = []FlowSpec{{Src: 0, Dst: 4}, {Src: 4, Dst: 0}}
-	cfg.Eavesdropper = 2
+	cfg.Adversary.Nodes = []packet.NodeID{2}
 
 	s, err := Build(cfg)
 	if err != nil {
@@ -57,7 +58,7 @@ func TestFlowsShareMediumFairly(t *testing.T) {
 		cfg.Duration = 20 * sim.Second
 		cfg.TCPStart = sim.Time(500 * sim.Millisecond)
 		cfg.Flows = []FlowSpec{{Src: 0, Dst: 3}, {Src: 3, Dst: 0}}
-		cfg.Eavesdropper = 1
+		cfg.Adversary.Nodes = []packet.NodeID{1}
 		cfg.Seed = seed
 
 		s, err := Build(cfg)

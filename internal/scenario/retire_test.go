@@ -23,7 +23,7 @@ func partitionedConfig(proto string) Config {
 	cfg.Protocol = proto
 	cfg.Placement = []geo.Point{{X: 0, Y: 0}, {X: 5000, Y: 5000}, {X: 100, Y: 0}}
 	cfg.Flows = []FlowSpec{{Src: 0, Dst: 1}}
-	cfg.Eavesdropper = 2
+	cfg.Adversary.Nodes = []packet.NodeID{2}
 	cfg.Duration = 5 * sim.Second
 	cfg.TCPStart = sim.Time(sim.Second)
 	cfg.Seed = 11

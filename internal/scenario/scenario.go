@@ -1,6 +1,6 @@
 // Package scenario assembles complete simulations from a declarative
 // Config: the shared radio channel, mobile nodes with their MACs and
-// routing protocols, TCP Reno flows with FTP sources, the eavesdropping
+// routing protocols, TCP NewReno flows with FTP sources, the eavesdropping
 // node, and the metrics collector. The default configuration is the
 // paper's §IV-A setup: 50 nodes, 1000 m × 1000 m, random waypoint with 1 s
 // pause, IEEE 802.11b, 250 m range, one FTP/TCP flow, 200 s.
@@ -52,24 +52,19 @@ type Config struct {
 	TCPStart sim.Time
 	Flows    []FlowSpec // empty: one uniformly random distinct pair
 
-	// Traffic selects the workload: "ftp" (default — TCP Reno with an
-	// infinite backlog, the paper's workload) or "cbr" (fixed-rate
+	// Traffic selects the workload: "ftp" (default — TCP with an infinite
+	// backlog, the paper's workload) or "cbr" (fixed-rate
 	// datagrams with no transport feedback, the workload of UDP-based
 	// comparisons such as Broch et al., the paper's ref [2]).
 	Traffic     string
 	CBRInterval sim.Duration // default 50 ms (20 pkt/s)
 	CBRSize     int          // payload bytes, default 512
 
-	// Eavesdropper selects the eavesdropping node; RandomEavesdropper
-	// picks a random node that is not a flow endpoint. It is the legacy
-	// alias for the default Adversary (a single static eavesdropper) and
-	// is ignored when Adversary selects a stronger model.
-	Eavesdropper packet.NodeID
-
 	// Adversary selects the threat model (internal/adversary): colluding
 	// static taps, a roaming tap, blackhole/grayhole dropping relays, or a
 	// wormhole or rushing route-discovery attack. The zero Spec is the
-	// paper's single random eavesdropper, honouring Eavesdropper above.
+	// paper's single eavesdropper on a random node that is not a flow
+	// endpoint; Nodes: {x} pins it to node x.
 	Adversary adversary.Spec
 
 	// Countermeasure selects the defence (internal/countermeasure): data
@@ -92,9 +87,6 @@ type Config struct {
 	Placement []geo.Point
 }
 
-// RandomEavesdropper asks for a random non-endpoint eavesdropper.
-const RandomEavesdropper packet.NodeID = -1
-
 // Protocols lists the paper's three protocols. The related-work protocols
 // SMR (split multipath) and SMR-BACKUP (Lim's backup-path scheme) are also
 // selectable in Config.Protocol for the extension experiments.
@@ -106,24 +98,23 @@ func AllProtocols() []string { return []string{"DSR", "AODV", "MTS", "SMR", "SMR
 // DefaultConfig returns the paper's simulation parameters (§IV-A).
 func DefaultConfig() Config {
 	return Config{
-		Protocol:     "MTS",
-		Nodes:        50,
-		Field:        geo.Field(1000, 1000),
-		RxRange:      phy.DefaultRxRange,
-		CSRange:      phy.DefaultCSRange,
-		MaxSpeed:     10,
-		MinSpeed:     0,
-		Pause:        sim.Second,
-		Duration:     200 * sim.Second,
-		Seed:         1,
-		TCPStart:     sim.Time(5 * sim.Second),
-		Eavesdropper: RandomEavesdropper,
-		MAC:          mac.Default80211b(),
-		TCP:          tcp.DefaultConfig(),
-		MTS:          core.DefaultConfig(),
-		AODV:         aodv.DefaultConfig(),
-		DSR:          dsr.DefaultConfig(),
-		SMR:          smr.DefaultConfig(),
+		Protocol: "MTS",
+		Nodes:    50,
+		Field:    geo.Field(1000, 1000),
+		RxRange:  phy.DefaultRxRange,
+		CSRange:  phy.DefaultCSRange,
+		MaxSpeed: 10,
+		MinSpeed: 0,
+		Pause:    sim.Second,
+		Duration: 200 * sim.Second,
+		Seed:     1,
+		TCPStart: sim.Time(5 * sim.Second),
+		MAC:      mac.Default80211b(),
+		TCP:      tcp.DefaultConfig(),
+		MTS:      core.DefaultConfig(),
+		AODV:     aodv.DefaultConfig(),
+		DSR:      dsr.DefaultConfig(),
+		SMR:      smr.DefaultConfig(),
 	}
 }
 
@@ -205,10 +196,9 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	}
 
 	// The countermeasure's aware/dispersal halves are MTS path-selection
-	// policy, so they ride in through the router configuration; the
-	// shuffling half attaches to the source nodes after flows are known.
-	// Both specs are validated before any node is built, so a mistyped
-	// knob fails fast.
+	// policy, so they ride in as router arguments; the shuffling half
+	// attaches to the source nodes after flows are known. Both specs are
+	// validated before any node is built, so a mistyped knob fails fast.
 	cmSpec := cfg.Countermeasure
 	if err := cmSpec.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -216,12 +206,10 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	if err := cfg.Adversary.Validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	mtsCfg := cfg.MTS
-	if cmSpec.Shuffles() {
-		mtsCfg.Disperse = true
-	}
+	disperse := cmSpec.Shuffles()
+	var awarePenalty float64
 	if cmSpec.Aware() {
-		mtsCfg.AwarePenalty = cmSpec.EffectivePenalty()
+		awarePenalty = cmSpec.EffectivePenalty()
 	}
 	// Receiver lookup is grid-indexed; size the index to the mobility field,
 	// grown to cover any pinned placements outside it.
@@ -282,15 +270,11 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 		case "AODV":
 			nd.SetProtocol(aodv.New(nd, cfg.AODV))
 		case "MTS":
-			nd.SetProtocol(core.New(nd, mtsCfg))
+			nd.SetProtocol(core.New(nd, cfg.MTS, disperse, awarePenalty))
 		case "SMR":
-			sc := cfg.SMR
-			sc.Mode = smr.ModeSplit
-			nd.SetProtocol(smr.New(nd, sc))
+			nd.SetProtocol(smr.New(nd, cfg.SMR, smr.ModeSplit))
 		case "SMR-BACKUP":
-			sc := cfg.SMR
-			sc.Mode = smr.ModeBackup
-			nd.SetProtocol(smr.New(nd, sc))
+			nd.SetProtocol(smr.New(nd, cfg.SMR, smr.ModeBackup))
 		}
 
 		// The metrics collector observes every node.
@@ -355,77 +339,46 @@ func (ctx *Context) Build(cfg Config) (*Scenario, error) {
 	}
 	s.Flows = flows
 
-	// Adversary. Non-endpoint nodes are the candidate hosts for random
-	// placement (an eavesdropper at a flow endpoint would trivially see
-	// everything).
-	candidates := func() []packet.NodeID {
+	// Adversary: the pinned nodes, or EffectiveK random hosts drawn
+	// without replacement from the nodes that are not flow endpoints (an
+	// eavesdropper at a flow endpoint would trivially see everything).
+	spec := cfg.Adversary
+	spec.Model = spec.EffectiveModel()
+	advRNG := master.Derive("eaves")
+	var hosts []*node.Node
+	if len(spec.Nodes) > 0 {
+		seen := map[packet.NodeID]bool{}
+		for _, id := range spec.Nodes {
+			if int(id) >= n || id < 0 {
+				return nil, fmt.Errorf("scenario: adversary node %d out of range", id)
+			}
+			if seen[id] {
+				return nil, fmt.Errorf("scenario: duplicate adversary node %d", id)
+			}
+			seen[id] = true
+			hosts = append(hosts, s.Nodes[id])
+		}
+	} else {
 		endpoints := map[packet.NodeID]bool{}
 		for _, f := range flows {
 			endpoints[f.Src] = true
 			endpoints[f.Dst] = true
 		}
-		var out []packet.NodeID
+		var pool []packet.NodeID
 		for i := 0; i < n; i++ {
 			if !endpoints[packet.NodeID(i)] {
-				out = append(out, packet.NodeID(i))
+				pool = append(pool, packet.NodeID(i))
 			}
 		}
-		return out
-	}
-
-	spec := cfg.Adversary
-	// Only the genuinely all-default single eavesdropper takes the legacy
-	// route (Validate has already rejected knobs it would ignore).
-	legacy := spec.IsZero() ||
-		(spec.Model == adversary.ModelEavesdropper && len(spec.Nodes) == 0 && spec.K <= 1)
-	var hosts []*node.Node
-	var advRNG *sim.RNG
-	if legacy {
-		// The paper's single eavesdropper, honouring Config.Eavesdropper.
-		// This path reproduces the pre-adversary RNG consumption exactly
-		// (one "eaves" derivation and one draw, only when random), so
-		// legacy scenarios stay bit-identical.
-		ev := cfg.Eavesdropper
-		if ev == RandomEavesdropper {
-			rng := master.Derive("eaves")
-			cand := candidates()
-			if len(cand) == 0 {
-				return nil, fmt.Errorf("scenario: no candidate eavesdropper among %d nodes", n)
-			}
-			ev = cand[rng.Intn(len(cand))]
+		k := spec.EffectiveK()
+		if k > len(pool) {
+			return nil, fmt.Errorf("scenario: adversary wants %d nodes, only %d non-endpoints", k, len(pool))
 		}
-		if int(ev) >= n || ev < 0 {
-			return nil, fmt.Errorf("scenario: eavesdropper %d out of range", ev)
-		}
-		spec.Model = adversary.ModelEavesdropper
-		hosts = []*node.Node{s.Nodes[ev]}
-	} else {
-		spec.Model = spec.EffectiveModel()
-		advRNG = master.Derive("eaves")
-		if len(spec.Nodes) > 0 {
-			seen := map[packet.NodeID]bool{}
-			for _, id := range spec.Nodes {
-				if int(id) >= n || id < 0 {
-					return nil, fmt.Errorf("scenario: adversary node %d out of range", id)
-				}
-				if seen[id] {
-					return nil, fmt.Errorf("scenario: duplicate adversary node %d", id)
-				}
-				seen[id] = true
-				hosts = append(hosts, s.Nodes[id])
-			}
-		} else {
-			k := spec.EffectiveK()
-			pool := candidates()
-			if k > len(pool) {
-				return nil, fmt.Errorf("scenario: adversary wants %d nodes, only %d non-endpoints", k, len(pool))
-			}
-			for i := 0; i < k; i++ {
-				j := advRNG.Intn(len(pool))
-				hosts = append(hosts, s.Nodes[pool[j]])
-				pool[j] = pool[len(pool)-1]
-				pool = pool[:len(pool)-1]
-			}
+		for i := 0; i < k; i++ {
+			j := advRNG.Intn(len(pool))
+			hosts = append(hosts, s.Nodes[pool[j]])
+			pool[j] = pool[len(pool)-1]
+			pool = pool[:len(pool)-1]
 		}
 	}
 	adv, err := adversary.Build(spec, hosts, advRNG)

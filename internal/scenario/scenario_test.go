@@ -54,7 +54,7 @@ func chainConfig(proto string, hops int, dur sim.Duration) Config {
 	cfg.Duration = dur
 	cfg.TCPStart = sim.Time(100 * sim.Millisecond)
 	cfg.Flows = []FlowSpec{{Src: 0, Dst: packet.NodeID(hops)}}
-	cfg.Eavesdropper = 1
+	cfg.Adversary.Nodes = []packet.NodeID{1}
 	return cfg
 }
 
@@ -106,7 +106,7 @@ func TestStaticDiamondMTSUsesBothPaths(t *testing.T) {
 	cfg.Duration = 60 * sim.Second
 	cfg.TCPStart = sim.Time(100 * sim.Millisecond)
 	cfg.Flows = []FlowSpec{{Src: 0, Dst: 3}}
-	cfg.Eavesdropper = 1
+	cfg.Adversary.Nodes = []packet.NodeID{1}
 
 	s, err := Build(cfg)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("self-flow accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.Eavesdropper = 500
+	cfg.Adversary.Nodes = []packet.NodeID{500}
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("out-of-range eavesdropper accepted")
 	}
@@ -259,7 +259,7 @@ func TestOffPathEavesdropperInterceptsNothing(t *testing.T) {
 	cfg := chainConfig("AODV", 3, 10*sim.Second)
 	cfg.Placement = pts
 	cfg.Field = geo.Field(1000, 1000)
-	cfg.Eavesdropper = 4
+	cfg.Adversary.Nodes = []packet.NodeID{4}
 	s, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"testing"
 
+	"mtsim/internal/packet"
 	"mtsim/internal/sim"
 )
 
@@ -39,7 +40,7 @@ func TestSplitMultipathHurtsTCP(t *testing.T) {
 	cfg.Duration = 40 * sim.Second
 	cfg.TCPStart = sim.Time(500 * sim.Millisecond)
 	cfg.Flows = []FlowSpec{{Src: 0, Dst: 3}}
-	cfg.Eavesdropper = 1
+	cfg.Adversary.Nodes = []packet.NodeID{1}
 
 	run := func(proto string) float64 {
 		c := cfg

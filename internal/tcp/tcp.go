@@ -1,13 +1,16 @@
-// Package tcp implements a TCP Reno sender and sink at packet granularity,
-// following the ns-2 TCP agents the paper's simulations used: sequence
-// numbers count segments rather than bytes, the congestion window is a
-// (fractional) packet count, and the sink acknowledges every arriving
+// Package tcp implements a TCP NewReno sender and sink at packet
+// granularity, following the ns-2 TCP agents the paper's simulations used:
+// sequence numbers count segments rather than bytes, the congestion window
+// is a (fractional) packet count, and the sink acknowledges every arriving
 // segment cumulatively.
 //
-// The Reno machinery is complete: slow start, congestion avoidance, three
+// The machinery is complete: slow start, congestion avoidance, three
 // duplicate ACKs triggering fast retransmit and fast recovery with window
 // inflation, and an RFC 6298-style retransmission timer with exponential
-// backoff. These dynamics — especially timeout behaviour after route
+// backoff. Recovery follows NewReno (RFC 6582), not ns-2's
+// Agent/TCP/Reno: a partial ACK retransmits the next hole and stays in
+// fast recovery until the ACK covers the recover mark, where Reno leaves
+// recovery on the first new ACK (docs/PAPER_MAP.md, divergence 8). These dynamics — especially timeout behaviour after route
 // breaks — are what differentiate the routing protocols in Figs. 8–10.
 package tcp
 
@@ -59,7 +62,7 @@ type SenderStats struct {
 	AcksReceived   uint64
 }
 
-// Sender is a Reno source with an infinite backlog supplied by an
+// Sender is a NewReno source with an infinite backlog supplied by an
 // application (see internal/app.FTP).
 type Sender struct {
 	net  Network
@@ -101,7 +104,7 @@ type Sender struct {
 	Stats SenderStats
 }
 
-// NewSender creates a Reno sender for flow toward dst. Call Start to begin.
+// NewSender creates a NewReno sender for flow toward dst. Call Start to begin.
 func NewSender(net Network, cfg Config, flow int, dst packet.NodeID) *Sender {
 	s := &Sender{
 		net:       net,
@@ -248,7 +251,8 @@ func (s *Sender) newAck(newUna int64, echo sim.Time) {
 			s.cwnd = s.ssthresh
 			s.dupAcks = 0
 		} else {
-			// Partial ACK (Reno): retransmit next hole, stay in recovery.
+			// Partial ACK (NewReno, RFC 6582): retransmit the next
+			// hole and stay in recovery.
 			s.emit(s.sndUna)
 			s.cwnd -= float64(acked)
 			if s.cwnd < 1 {

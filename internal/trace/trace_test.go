@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mtsim/internal/geo"
+	"mtsim/internal/packet"
 	"mtsim/internal/scenario"
 	"mtsim/internal/sim"
 )
@@ -16,7 +17,7 @@ func TestTracerRecordsExchange(t *testing.T) {
 	cfg.Placement = []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}}
 	cfg.Field = geo.Field(500, 100)
 	cfg.Flows = []scenario.FlowSpec{{Src: 0, Dst: 2}}
-	cfg.Eavesdropper = 1
+	cfg.Adversary.Nodes = []packet.NodeID{1}
 	cfg.Duration = 2 * sim.Second
 	cfg.TCPStart = sim.Time(100 * sim.Millisecond)
 
@@ -60,7 +61,7 @@ func TestTracerPreservesMetricsHook(t *testing.T) {
 	cfg.Placement = []geo.Point{{X: 0, Y: 0}, {X: 200, Y: 0}, {X: 400, Y: 0}}
 	cfg.Field = geo.Field(500, 100)
 	cfg.Flows = []scenario.FlowSpec{{Src: 0, Dst: 2}}
-	cfg.Eavesdropper = 1
+	cfg.Adversary.Nodes = []packet.NodeID{1}
 	cfg.Duration = 2 * sim.Second
 	cfg.TCPStart = sim.Time(100 * sim.Millisecond)
 

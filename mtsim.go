@@ -9,7 +9,7 @@
 //
 // The package bundles a deterministic event-driven simulation kernel, a
 // unit-disc radio channel with an IEEE 802.11b DCF MAC, random-waypoint
-// mobility, a packet-granularity TCP Reno implementation, three routing
+// mobility, a packet-granularity TCP NewReno implementation, three routing
 // protocols — DSR and AODV as baselines and MTS (Multipath TCP Security,
 // the paper's contribution) — plus the eavesdropper instrumentation and
 // metrics from the paper's evaluation (interception ratio, participating
